@@ -11,11 +11,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import diagram, motives, rootsys, verify
+from . import diagram, motives, rootsys, sweeps, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
                          transposition_map, veronese, veronese_inverse)
 from .config import ParseError, ValidationError, load_config
-from .errors import BasePointError
+from .errors import BasePointError, SamplingError
 from .quadform import QuadForm, evaluate, hilbert_symbol, invariants, witt_index
 from .scalars import field_from_spec
 
@@ -121,15 +121,9 @@ def cmd_hilbert(args):
 
 
 def cmd_verify(args):
-    kwargs = {}
-    if args.suite in ("blowup", "profiles", "euler", "orbits") and args.n_range:
+    kwargs = {"budget": args.budget, "samples": args.samples, "seed": args.seed}
+    if args.n_range:
         kwargs["n_range"] = _parse_range(args.n_range)
-    if args.suite == "krashen" and args.n_range:
-        kwargs["n_range"] = _parse_range(args.n_range)
-    if args.suite == "birational":
-        kwargs.update(budget=args.budget, samples=args.samples, seed=args.seed)
-    if args.suite == "z1":
-        kwargs.update(budget=args.budget, samples=args.samples, seed=args.seed)
     report = verify.run_suite(args.suite, **kwargs)
     data = report.as_dict()
     if args.r is not None:
@@ -254,9 +248,9 @@ def build_parser():
     sp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     sp.add_argument("--r", type=int)
     sp.add_argument("--n-range", dest="n_range")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=sweeps.DEFAULT_BUDGET)
+    sp.add_argument("--samples", type=int, default=sweeps.DEFAULT_SAMPLES)
+    sp.add_argument("--seed", type=int, default=sweeps.DEFAULT_SEED)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witt", help="invariants and Witt index of a diagonal form")
@@ -329,18 +323,10 @@ def run(argv=None):
         args = parser.parse_args(_preprocess_argv(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # default sweep knobs
-    for name, default in (("budget", None), ("samples", None), ("seed", None)):
-        if hasattr(args, name) and getattr(args, name) is None:
-            from . import sweeps
-            defaults = {"budget": sweeps.DEFAULT_BUDGET,
-                        "samples": sweeps.DEFAULT_SAMPLES,
-                        "seed": sweeps.DEFAULT_SEED}
-            setattr(args, name, defaults[name])
     try:
         return args.func(args)
     except (ParseError, ValidationError, ValueError, ZeroDivisionError,
-            KeyError, json.JSONDecodeError, OSError) as exc:
+            KeyError, json.JSONDecodeError, OSError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Simple key-value text (one `key = value` per line, values as JSON
 literals, # comments).  Keys: field ("Q" or "Fp"), p (odd prime, Fp only),
 r (0..3), a (list of r nonzero scalars), n (>= 3), b (list of n nonzero
-scalars).  Scalars may be integers or strings like "1/2".
+scalars).  Scalars may be integers or strings like "1/2"; floats are
+rejected.
 """
 
 import json
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .cayley_dickson import CDAlgebra
 from .jordan import JordanAlgebra
-from .scalars import field_from_spec
+from .scalars import Rationals, field_from_spec
 
 
 class ParseError(ValueError):
@@ -50,13 +51,12 @@ class AlgebraConfig:
         b = self.b
         if b is None or len(b) != self.n:
             raise ValidationError(f"b: expected {self.n} entries")
-        from fractions import Fraction
         for key, vals in (("a", a), ("b", b)):
             for x in vals:
                 try:
-                    zero = Fraction(str(x)) == 0
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValidationError(f"{key}: bad scalar {x!r}") from exc
+                    zero = Rationals().element(x) == 0
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise ValidationError(f"{key}: bad scalar {x!r} ({exc})") from exc
                 if zero:
                     raise ValidationError(f"{key}: entries must be nonzero")
         return self

@@ -21,3 +21,7 @@ class BasePointError(ValueError):
 
 class NegativeCoefficientError(ArithmeticError):
     """A Tate-profile subtraction went negative; signals an inconsistency."""
+
+
+class SamplingError(RuntimeError):
+    """Seeded sampling found fewer distinct points than were asked for."""

@@ -9,11 +9,13 @@ independent oracle over F_p.
 """
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatchError
-from .scalars import FpElem, PrimeField, Rationals
+from .scalars import FpElem, PrimeField, Rationals, factor
 
 INF = "inf"  # the real place, used as a key in Hasse maps
 
@@ -154,24 +156,24 @@ def hilbert_symbol(a, b, place):
     return sign
 
 
+def _prime_exponents(f):
+    """prime -> exponent summed over the numerators and denominators of
+    the coefficients of a form over Q."""
+    exponents = Counter()
+    for c in f.coeffs:
+        exponents.update(factor(abs(c.numerator)))
+        exponents.update(factor(c.denominator))
+    return exponents
+
+
+def _places(exponents):
+    return [INF, 2] + sorted(p for p in exponents if p != 2)
+
+
 def relevant_places(f):
     """["inf", 2] plus the odd primes dividing some coefficient's
     numerator or denominator.  Hilbert symbols are +1 everywhere else."""
-    primes = set()
-    for c in f.coeffs:
-        for n in (abs(c.numerator), c.denominator):
-            d = 3
-            while n % 2 == 0:
-                n //= 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 2
-            if n > 1:
-                primes.add(n)
-    return [INF, 2] + sorted(primes)
+    return _places(_prime_exponents(f))
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +200,21 @@ def invariants(f):
     """dim, discriminant mod squares, and over Q signature plus the Hasse
     symbols prod_{i<j} (d_i, d_j)_v at the relevant places."""
     field = f.field
-    prod = field.one()
-    for c in f.coeffs:
-        prod = prod * c
-    disc = field.square_class(prod)
     if isinstance(field, PrimeField):
-        return FormInvariants(dim=f.dim, disc=disc)
-    pos = sum(1 for c in f.coeffs if c > 0)
-    neg = f.dim - pos
-    places = relevant_places(f)
+        prod = math.prod(f.coeffs, start=field.one())
+        return FormInvariants(dim=f.dim, disc=field.square_class(prod))
+    # the product's square class, from the coefficients' factorizations:
+    # its sign times the primes of odd total exponent
+    exponents = _prime_exponents(f)
+    neg = sum(1 for c in f.coeffs if c < 0)
+    disc = Fraction((-1) ** neg * math.prod(p for p, e in exponents.items() if e % 2))
     hasse = {}
-    for v in places:
+    for v in _places(exponents):
         s = 1
         for i, j in itertools.combinations(range(f.dim), 2):
             s *= hilbert_symbol(f.coeffs[i], f.coeffs[j], v)
         hasse[v] = s
-    return FormInvariants(dim=f.dim, disc=disc, signature=(pos, neg), hasse=hasse)
+    return FormInvariants(dim=f.dim, disc=disc, signature=(f.dim - neg, neg), hasse=hasse)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,8 @@ def _locally_isotropic(dim, disc, hasse_v, place, signature=None):
 
 
 class _InvState:
-    """Mutable (dim, disc, signature, hasse) tuple for Witt iteration."""
+    """Mutable (dim, disc, signature, hasse) tuple for Witt iteration; disc
+    stays a signed square-free integer, so it compares with == and negates."""
 
     def __init__(self, inv):
         self.dim = inv.dim
@@ -269,7 +271,7 @@ class _InvState:
         if self.dim < 2:
             return False
         if self.dim == 2:
-            return Rationals().same_square_class(self.disc, Fraction(-1))
+            return self.disc == -1
         if self.dim >= 5:
             return self.pos > 0 and self.neg > 0
         for place in self.hasse:
@@ -283,7 +285,7 @@ class _InvState:
         self.dim -= 2
         self.pos -= 1
         self.neg -= 1
-        self.disc = Rationals().square_class(-self.disc)
+        self.disc = -self.disc
         if self.dim >= 1:
             for place in self.hasse:
                 self.hasse[place] *= hilbert_symbol(Fraction(-1), self.disc, place)
@@ -292,30 +294,14 @@ class _InvState:
 def is_isotropic(f):
     """Does f represent zero nontrivially?
 
-    F_p: dim >= 3 always, dim 2 iff disc = -1 mod squares, dim 1 never.
+    F_p: iff the Witt index is positive (dim >= 3 always, dim 2 iff
+    disc = -1 mod squares, dim 1 never).
     Q: dim >= 5 iff indefinite; dim <= 4 by Hasse-Minkowski over the
     relevant places.
     """
-    field = f.field
-    if isinstance(field, PrimeField):
-        if f.dim >= 3:
-            return True
-        if f.dim == 2:
-            return field.same_square_class(invariants(f).disc, field.element(-1))
-        return False
-    inv = invariants(f)
-    if f.dim == 1:
-        return False
-    if f.dim == 2:
-        return field.same_square_class(inv.disc, Fraction(-1))
-    if f.dim >= 5:
-        pos, neg = inv.signature
-        return pos > 0 and neg > 0
-    for place in inv.hasse:
-        if not _locally_isotropic(f.dim, inv.disc, inv.hasse[place], place,
-                                  signature=inv.signature):
-            return False
-    return True
+    if isinstance(f.field, PrimeField):
+        return witt_index(f) > 0
+    return _InvState(invariants(f)).isotropic()
 
 
 def witt_index(f):
@@ -494,8 +480,8 @@ def fp_projective_zero_count(f):
     """Number of projective zeros of a non-degenerate form over F_p.
 
     Odd dim N: (p^{N-1} - 1)/(p - 1), independent of the coefficients.
-    Even dim N: add p^{N/2-1} for hyperbolic-type discriminant
-    (disc = (-1)^{N/2} mod squares), subtract it otherwise.
+    Even dim N: add p^{N/2-1} when the form is hyperbolic (Witt index
+    N/2, i.e. disc = (-1)^{N/2} mod squares), subtract it otherwise.
     """
     field = f.field
     if not isinstance(field, PrimeField):
@@ -504,6 +490,5 @@ def fp_projective_zero_count(f):
     base = (p ** (N - 1) - 1) // (p - 1)
     if N % 2:
         return base
-    disc = invariants(f).disc
-    eta = 1 if field.same_square_class(disc, field.element((-1) ** (N // 2))) else -1
+    eta = 1 if witt_index(f) == N // 2 else -1
     return base + eta * p ** (N // 2 - 1)

@@ -17,17 +17,25 @@ from fractions import Fraction
 from .errors import FieldMismatchError
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def factor(n):
+    """Prime factorization of a positive integer by trial division, as
+    {prime: exponent} in increasing prime order."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"factor: expected a positive integer, got {n!r}")
+    out = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_prime(n):
+    return n >= 2 and factor(n) == {n: 1}
 
 
 class FpElem:
@@ -105,14 +113,15 @@ class FpElem:
         return FpElem(self.p, pow(self.v, k, self.p))
 
     def __eq__(self, other):
+        """Equal to a same-field FpElem or to the int residue in [0, p)."""
         if isinstance(other, FpElem):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -128,11 +137,12 @@ class Rationals:
     characteristic = 0
 
     def element(self, x):
-        """Coerce ints, strings like '3/4', and Fractions to a Fraction."""
+        """Coerce ints, strings like '3/4', and Fractions to a Fraction.
+        Floats are rejected: they are rarely the rational that was meant."""
         if isinstance(x, FpElem):
             raise FieldMismatchError("got an F_p residue where a rational was expected")
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"{type(x).__name__} is not a scalar")
         return Fraction(x)
 
     def zero(self):
@@ -158,19 +168,8 @@ class Rationals:
         a = self.element(a)
         if a == 0:
             raise ValueError("square_class: zero input")
-        n = abs(a.numerator) * a.denominator
-        sf = 1
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                if e % 2:
-                    sf *= d
-            d += 1 if d == 2 else 2
-        sf *= n
+        exponents = factor(abs(a.numerator) * a.denominator)
+        sf = math.prod(q for q, e in exponents.items() if e % 2)
         return Fraction(sf if a > 0 else -sf)
 
     def same_square_class(self, a, b):

@@ -22,7 +22,7 @@ from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
                          on_quadric, projective_eq, q_form, transposition_map,
                          transposition_star, veronese, veronese_inverse)
 from .cayley_dickson import CDAlgebra
-from .errors import BasePointError
+from .errors import BasePointError, SamplingError
 from .jordan import JordanAlgebra
 from .quadform import (QuadForm, bilinear, evaluate, fp_projective_zero_count,
                        isotropic_vector_search, tensor)
@@ -226,7 +226,8 @@ def sample_quadric_points(alg, count, seed=DEFAULT_SEED):
     while len(points) < count:
         draws += 1
         if draws > 500 * count:
-            raise RuntimeError("sampling stalled; configuration too degenerate")
+            raise SamplingError(f"sampling stalled: {len(points)} of {count} "
+                                "distinct points found")
         if isinstance(fld, PrimeField):
             v = [fld.element(rng.randrange(fld.p)) for _ in range(N)]
         else:
@@ -329,10 +330,11 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
 
 def roundtrip_suite_case(p, r, n, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES,
                          seed=DEFAULT_SEED, split=True):
-    """Exhaustive when the ambient space fits the budget, sampled otherwise."""
+    """Exhaustive when the ambient space fits the budget or the quadric has
+    no more points than the samples asked for, sampled otherwise."""
     alg = fp_algebra(p, r, n, split=split)
     space = projective_size(p, flat_dim(alg))
-    if space <= budget:
+    if space <= budget or samples >= fp_projective_zero_count(q_form(alg)):
         return exhaustive_quadric_sweep(alg)
     return sampled_quadric_checks(alg, count=samples, seed=seed)
 

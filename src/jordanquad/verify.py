@@ -210,11 +210,27 @@ def _merge(*reports):
     return out
 
 
+# suite -> the keyword arguments it accepts
+SUITE_KWARGS = {
+    "blowup": ("n_range",),
+    "profiles": ("n_range",),
+    "krashen": ("n_range",),
+    "euler": ("n_range",),
+    "orbits": ("n_range",),
+    "witt": (),
+    "birational": ("budget", "samples", "seed"),
+    "z1": ("budget", "samples", "seed"),
+}
+
+
 def run_suite(name, **kwargs):
-    if name == "all":
-        return _merge(*(SUITES[k]() for k in
-                        ("blowup", "profiles", "krashen", "euler", "orbits",
-                         "witt", "birational", "z1")))
-    if name not in SUITES:
+    """Run one suite, or every suite for "all"; each suite receives the
+    kwargs it accepts (see SUITE_KWARGS) and ignores the rest."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](**kwargs)
+    unknown = set(kwargs).difference(*SUITE_KWARGS.values())
+    if unknown:
+        raise TypeError(f"no suite takes {sorted(unknown)}")
+    names = list(SUITES) if name == "all" else [name]
+    return _merge(*(SUITES[k](**{a: v for a, v in kwargs.items() if a in SUITE_KWARGS[k]})
+                    for k in names))

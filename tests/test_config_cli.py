@@ -230,3 +230,69 @@ def test_cli_base_point_reported(capsys, tmp_path):
                            "--point", point)
     data = json.loads(out)
     assert code == 0 and data["defined"] is False and data["in_z1"] is True
+
+
+def test_float_scalars_rejected(capsys, tmp_path):
+    with pytest.raises(ValidationError, match="float"):
+        config_from_dict({"n": 3, "b": [0.1, 2, -3]})
+    cfg = write_config(tmp_path, GOOD.replace("b = [1, 2, -3]", "b = [0.1, 2, -3]"))
+    code, out, err = run_cli(capsys, "rank", "--config", cfg, "--elem", "[]")
+    assert code == 2 and not out and "float" in err
+
+
+def _recording_suites(vmod, calls):
+    def stub(name):
+        def suite(**kwargs):
+            calls[name] = kwargs
+            rep = vmod.VerificationReport(name)
+            rep.add(f"{name} stub", True)
+            return rep
+        return suite
+    return {name: stub(name) for name in vmod.SUITES}
+
+
+def test_cli_verify_all_forwards_options(capsys, monkeypatch):
+    import inspect
+    from jordanquad import verify as vmod
+
+    real = dict(vmod.SUITES)
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+
+    # by default each suite gets its own defaults, so the output matches
+    # calling every suite with no arguments
+    code, _, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    params = {name: inspect.signature(fn).parameters for name, fn in real.items()}
+    assert calls == {name: {k: params[name][k].default
+                            for k in vmod.SUITE_KWARGS[name] if k != "n_range"}
+                     for name in real}
+
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", "all", "--budget", "5", "--samples", "7",
+                           "--seed", "3", "--n-range", "3..4")
+    assert code == 0
+    sweep = {"budget": 5, "samples": 7, "seed": 3}
+    assert calls == {"blowup": {"n_range": range(3, 5)}, "profiles": {"n_range": range(3, 5)},
+                     "krashen": {"n_range": range(3, 5)}, "euler": {"n_range": range(3, 5)},
+                     "orbits": {"n_range": range(3, 5)}, "witt": {},
+                     "birational": sweep, "z1": sweep}
+    assert json.loads(out)["suite"] == "+".join(real)
+
+
+def test_cli_verify_birational_small_budget(capsys):
+    """A conic over F_7 has 8 points: asking for 10 samples sweeps it."""
+    code, out, err = run_cli(capsys, "verify", "birational", "--budget", "5",
+                             "--samples", "10")
+    assert code == 0, err
+    cases = [c["case"] for c in json.loads(out)["cases"]]
+    assert "roundtrip p=7 r=0 n=3 [exhaustive]" in cases
+
+
+def test_cli_verify_sampling_stall_exits_2(capsys):
+    # 63 of the 64 points of a quadric surface over F_7: only 49 lie off
+    # the tangent plane at the sampling base point, so sampling stalls
+    code, out, err = run_cli(capsys, "verify", "birational", "--budget", "5",
+                             "--samples", "63")
+    assert code == 2 and not out
+    assert err.startswith("error: sampling stalled") and err.count("\n") == 1

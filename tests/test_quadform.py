@@ -276,3 +276,31 @@ def test_bilinear_polarization():
     v = (0, 1, 1)
     uv = tuple(a + b for a, b in zip(u, v))
     assert evaluate(f, uv) == evaluate(f, u) + evaluate(f, v) + 2 * bilinear(f, u, v)
+
+
+@given(st.lists(st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                             max_denominator=60).filter(bool),
+                min_size=1, max_size=5))
+def test_invariants_disc_is_square_class_of_product(coeffs):
+    """The discriminant read off the coefficients' factorizations equals
+    the square class of their product, factored as a whole."""
+    f = QuadForm(Q, tuple(coeffs))
+    inv = invariants(f)
+    prod = Fraction(1)
+    for c in coeffs:
+        prod *= c
+    assert inv.disc == Q.square_class(prod)
+    assert list(inv.hasse) == relevant_places(f)
+
+
+@given(st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=6))
+def test_isotropic_iff_positive_witt_index_q(coeffs):
+    f = QuadForm(Q, tuple(coeffs))
+    assert is_isotropic(f) == (witt_index(f) > 0)
+
+
+@given(p=st.sampled_from([3, 5, 7, 11]), data=st.data())
+def test_isotropic_iff_positive_witt_index_fp(p, data):
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6))
+    f = QuadForm(PrimeField(p), tuple(coeffs))
+    assert is_isotropic(f) == (witt_index(f) > 0)

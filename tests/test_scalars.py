@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jordanquad.errors import FieldMismatchError
-from jordanquad.scalars import PrimeField, Rationals, field_from_spec
+from jordanquad.scalars import (PrimeField, Rationals, factor, field_from_spec,
+                                is_prime)
 
 from conftest import fp_elements, rationals
 
@@ -126,3 +128,45 @@ def test_fp_coercion_of_fractions():
     assert F7.element(Fraction(1, 2)) == F7.element(4)  # 2*4 = 8 = 1
     with pytest.raises(ZeroDivisionError):
         F7.element(Fraction(1, 7))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(min_value=1, max_value=10 ** 7))
+def test_factor_multiplies_back_to_primes(n):
+    exponents = factor(n)
+    assert math.prod(q ** e for q, e in exponents.items()) == n
+    assert all(_trial_division_is_prime(q) and e >= 1 for q, e in exponents.items())
+    assert is_prime(n) == _trial_division_is_prime(n)
+
+
+def test_factor_examples():
+    assert factor(1) == {}
+    assert factor(360) == {2: 3, 3: 2, 5: 1}
+    assert factor(99999999977 * 6) == {2: 1, 3: 1, 99999999977: 1}
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            factor(bad)
+
+
+def test_floats_rejected():
+    with pytest.raises(TypeError):
+        Rationals().element(0.1)
+    with pytest.raises(TypeError):
+        PrimeField(7).element(0.5)
+
+
+def test_fp_int_equality_is_canonical_residue():
+    x = PrimeField(7).element(3)
+    assert x == 3 and 3 in {x} and x in {3}
+    assert x != 10 and x != -4
+
+
+@given(v=st.integers(0, 12), k=st.integers(-30, 30))
+def test_fp_equal_int_hashes_equal(v, k):
+    x = PrimeField(13).element(v)
+    if x == k:
+        assert hash(x) == hash(k)
+    assert (x == k) == (k == x) == (k in {x})
