@@ -32,8 +32,9 @@ def _emit(obj):
 
 
 def _scalar(tok):
-    tok = str(tok).strip()
-    return Fraction(tok)
+    if isinstance(tok, (bool, float)):
+        raise ValueError(f"bad scalar {tok!r} ({type(tok).__name__} is not a scalar)")
+    return Fraction(str(tok).strip())
 
 
 def _scalar_list(text):
@@ -64,7 +65,9 @@ def _point_to_json(pt):
 
 def _elem_from_json(alg, data):
     rows = data["matrix"] if isinstance(data, dict) else data
-    return alg.element([[_cd_coords(alg.cd, e) for e in row] for row in rows])
+    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+        rows = [[_cd_coords(alg.cd, e) for e in row] for row in rows]
+    return alg.element(rows)
 
 
 def _elem_to_json(elem):

@@ -51,6 +51,10 @@ class JordanAlgebra:
     def element(self, entries, validate=True):
         """Wrap an n x n matrix of CDElems (or coordinate lists)."""
         n = self.n
+        if not (isinstance(entries, (list, tuple)) and len(entries) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n
+                        for row in entries)):
+            raise ValueError(f"matrix must be {n} x {n}")
         rows = []
         for i in range(n):
             row = []
@@ -154,7 +158,13 @@ class JordanAlgebra:
 
 
 class JordanElem:
-    """A sigma_b-symmetric n x n matrix over the composition algebra."""
+    """A sigma_b-symmetric n x n matrix over the composition algebra.
+
+    Every instance is sigma_b-symmetric: JordanAlgebra builds only
+    symmetric matrices (element() checks, the other constructors fill the
+    lower triangle), and the arithmetic below preserves symmetry.
+    jordan_mul relies on it to compute only the upper triangle.
+    """
 
     __slots__ = ("algebra", "entries")
 
@@ -176,29 +186,35 @@ class JordanElem:
                     return False
         return True
 
-    def _matmul(self, other):
-        n = self.algebra.n
-        cd = self.algebra.cd
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = cd.zero()
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return rows
-
     def jordan_mul(self, other):
-        """x o y = (xy + yx)/2; commutative, symmetry-preserving."""
+        """x o y = (xy + yx)/2; commutative, symmetry-preserving.
+
+        Only the entries i <= j are multiplied out.  Conjugation reverses
+        products in every composition algebra, octonions included, so
+        sigma_b(xy) = sigma_b(y) sigma_b(x) = yx for sigma_b-symmetric x and
+        y: x o y is sigma_b-symmetric, and its lower triangle is
+        (x o y)_ji = (b_i / b_j) conj((x o y)_ij).  Products with a zero
+        factor are skipped; a symmetric matrix has a symmetric zero
+        pattern, so the nonzero y_kj are the nonzero y_jk of row j.
+        """
         self._check(other)
-        xy = self._matmul(other)
-        yx = other._matmul(self)
-        half = self.algebra.half
-        rows = tuple(tuple(half * (a + b) for a, b in zip(r1, r2))
-                     for r1, r2 in zip(xy, yx))
-        return JordanElem(self.algebra, rows)
+        alg = self.algebra
+        n, b, half = alg.n, alg.b, alg.half
+        x, y = self.entries, other.entries
+        xs = [{k for k, e in enumerate(row) if e} for row in x]
+        ys = [{k for k, e in enumerate(row) if e} for row in y]
+        zero = alg.cd.zero()
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                terms = ([x[i][k] * y[k][j] for k in xs[i] & ys[j]]
+                         + [y[i][k] * x[k][j] for k in ys[i] & xs[j]])
+                if not terms:
+                    continue
+                rows[i][j] = acc = half * sum(terms[1:], terms[0])
+                if i < j:
+                    rows[j][i] = (b[i] / b[j]) * acc.conj()
+        return JordanElem(alg, tuple(tuple(row) for row in rows))
 
     def __add__(self, other):
         self._check(other)
@@ -249,12 +265,16 @@ class JordanElem:
 
         This pins the usual rank-one notion (U_x J is the line through x)
         with the scalar forced by the trace form; cross-validated against
-        the cubic adjoint for n = 3.
+        the cubic adjoint for n = 3.  U_x y is expanded as in u_operator,
+        with x^2 formed once and x o y shared with tau(x, y) = trace(x o y).
         """
         if self.is_zero():
             raise ValueError("rank of the zero element is undefined")
+        x2 = self.square()
         for y in self.algebra.basis():
-            if self.u_operator(y) != self.scale(self.trace_form(y)):
+            xy = self.jordan_mul(y)
+            if (self.jordan_mul(xy).scale(2) - x2.jordan_mul(y)
+                    != self.scale(xy.trace())):
                 return False
         return True
 

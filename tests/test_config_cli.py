@@ -296,3 +296,48 @@ def test_cli_verify_sampling_stall_exits_2(capsys):
                              "--samples", "63")
     assert code == 2 and not out
     assert err.startswith("error: sampling stalled") and err.count("\n") == 1
+
+
+R1 = 'field = "Q"\nr = 1\na = [-1]\nn = 3\nb = [1, 1, 1]\n'
+Z2 = [0, 0]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[1, 0], Z2], [Z2, Z2]],                          # 2 x 2
+    [[[1, 0], Z2, Z2]] * 4,                            # too many rows
+    [[[1, 0], Z2, Z2], [Z2, Z2], [Z2, Z2, Z2]],        # ragged row
+    [[[1, 0], Z2, Z2], [Z2, Z2, Z2], 7],               # row not a list
+    5,
+    "abc",
+])
+@pytest.mark.parametrize("command", [("rank", "--elem"),
+                                     ("veronese", "inverse", "--point")])
+def test_cli_elem_shape_rejected(capsys, tmp_path, command, matrix):
+    cfg = write_config(tmp_path, R1)
+    code, out, err = run_cli(capsys, *command[:-1], "--config", cfg, command[-1],
+                             json.dumps({"matrix": matrix}))
+    assert code == 2 and not out
+    assert err == "error: matrix must be 3 x 3\n"
+
+
+def test_cli_json_float_and_bool_rejected(capsys, tmp_path):
+    cfg = write_config(tmp_path, GOOD)
+    e11 = [[[1, 0, 0, 0], [0] * 4, [0] * 4], [[0] * 4] * 3, [[0] * 4] * 3]
+    bad = [("veronese", "map", "--point",
+            {"c": [[1, 0, 0, 0], [0, 1, 0, 0]], "last": 0.5}, "float"),
+           ("veronese", "map", "--point",
+            {"c": [[1, 0, 0, 0], [0, 1.5, 0, 0]], "last": 1}, "float"),
+           ("veronese", "map", "--point",
+            {"c": [[1, 0, 0, 0], [0, 1, 0, 0]], "last": True}, "bool"),
+           ("rank", "--elem",
+            {"matrix": [[[1.0, 0, 0, 0]] + e11[0][1:]] + e11[1:]}, "float")]
+    for *args, flag, data, kind in bad:
+        code, out, err = run_cli(capsys, *args, "--config", cfg, flag,
+                                 json.dumps(data))
+        assert code == 2 and not out
+        assert f"({kind} is not a scalar)" in err and err.count("\n") == 1
+    # ints and rational strings still parse
+    code, out, _ = run_cli(capsys, "veronese", "map", "--config", cfg, "--point",
+                           json.dumps({"c": [[1, 0, 0, 0], ["1/2", 1, 0, 0]],
+                                       "last": "3/4"}))
+    assert code == 0 and json.loads(out)["defined"]

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from jordanquad import sweeps
+from jordanquad.birational import veronese
 from jordanquad.cayley_dickson import CDAlgebra
-from jordanquad.errors import AlgebraMismatchError
+from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra
 from jordanquad.scalars import PrimeField, Rationals
 
@@ -187,3 +189,84 @@ def test_nonsymmetric_rejected():
     # e1 in slot (0,1) forces -e1 in slot (1,0) when b = (1,1,1)
     with pytest.raises(ValueError):
         alg.element(rows)
+
+
+def test_element_shape_rejected():
+    alg = make_alg(r=1, n=3, b=(1, 1, 1))
+    z = [0, 0]
+    for bad in ([[z, z, z], [z, z, z]],                        # too few rows
+                [[z, z, z]] * 4,                                # too many rows
+                [[z, z, z], [z, z], [z, z, z]],                 # ragged row
+                [[z, z, z], [z, z, z], 5],                      # row not a list
+                5, "abc", None):
+        with pytest.raises(ValueError, match="3 x 3"):
+            alg.element(bad)
+
+
+# (r, n) shapes for the fast-path equivalence tests: octonions only at n = 3
+SHAPES = [(0, 3), (1, 3), (2, 3), (3, 3), (0, 4), (1, 4), (2, 4)]
+FIELDS = [Q, PrimeField(7)]
+
+
+def shape_alg(field, r, n):
+    return make_alg(r=r, n=n, b=(1, 2, -3, 5)[:n], field=field, params=(-1, 2, 3)[:r])
+
+
+def reference_jordan_mul(x, y):
+    """(xy + yx)/2 from full matrix products of CDElem entries."""
+    alg = x.algebra
+    n = alg.n
+
+    def matmul(u, v):
+        return [[sum((u[i][k] * v[k][j] for k in range(n)), alg.cd.zero())
+                 for j in range(n)] for i in range(n)]
+
+    xy, yx = matmul(x.entries, y.entries), matmul(y.entries, x.entries)
+    return alg.element([[alg.half * (p + q) for p, q in zip(r1, r2)]
+                        for r1, r2 in zip(xy, yx)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("r,n", SHAPES)
+def test_jordan_mul_matches_reference(field, r, n):
+    alg = shape_alg(field, r, n)
+    rng = random.Random(31 * r + n)
+    basis = alg.basis()
+    dense = [random_element(alg, rng) for _ in range(3)]
+    # random elements with some off-diagonal slots zeroed exercise the
+    # zero-skipping on patterns other than the basis
+    sparse = [alg.from_parts([rng.randint(-3, 3) for _ in range(n)],
+                             {(i, j): alg.cd.element([rng.randint(-3, 3)
+                                                      for _ in range(alg.cd.dim)])
+                              for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < 0.4})
+              for _ in range(3)]
+    pairs = [(x, y) for x in dense + sparse for y in dense + sparse]
+    pairs += [(dense[t % 3], y) for t, y in enumerate(basis)]
+    pairs += [(y, basis[(t * 7 + 3) % len(basis)]) for t, y in enumerate(basis)]
+    for x, y in pairs:
+        assert x.jordan_mul(y) == reference_jordan_mul(x, y)
+
+
+def literal_rank_one(x):
+    return all(x.u_operator(y) == x.scale(x.trace_form(y))
+               for y in x.algebra.basis())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_is_rank_one_matches_literal_check(field, r):
+    alg = shape_alg(field, r, 3)
+    count = 3 if r < 3 else 2
+    images = []
+    for pt in sweeps.sample_quadric_points(alg, count, seed=5 + r):
+        try:
+            images.append(veronese(pt).elem)
+        except BasePointError:
+            continue
+    assert len(images) >= 2
+    E11, E22 = alg.basis_idempotent(0), alg.basis_idempotent(1)
+    for x in images:
+        assert x.is_rank_one() and literal_rank_one(x)
+    for x in [images[0] + images[1], E11 + E22]:
+        assert not x.is_rank_one() and not literal_rank_one(x)
