@@ -7,38 +7,33 @@ locus.  Semantics of every counter must stay identical between this module
 and the Cython twin; tests compare the two directly.
 
 Projective points are enumerated in canonical form, first nonzero
-coordinate equal to 1, via an odometer on the trailing coordinates.
-Composition-algebra products are table driven: e_i e_j = gamma[i*m+j]
-e_{i XOR j}, conjugation negates coordinates 1..m-1.
+coordinate equal to 1, via an odometer on the trailing coordinates; the
+canonical index of a point is its position in that order, and a sweep's
+`limit` keeps the points with index below it.  Composition-algebra
+products are table driven: e_i e_j = gamma[i*m+j] e_{i XOR j},
+conjugation negates coordinates 1..m-1.
+
+The compiled twin tests every point of the space.  This module instead
+skips points that cannot pass the first test, in the same canonical order,
+so the counters (including `scanned`, the number of points below the
+limit) are identical while far fewer points are visited:
+
+- quadric points are walked fibre by fibre: the points sharing their first
+  N-1 coordinates differ only in the last one, and the value of the form
+  on that prefix picks the last coordinate's roots from a table;
+- a base-locus point has c_i conj(c_i) = 0 for every block, so only tuples
+  of such null blocks are walked.
 """
+
+import itertools
 
 
 def isotropic_vector(p, coeffs):
     """First canonical projective vector v with sum coeffs[i] v_i^2 = 0
     (mod p), in (leading position, odometer) order; None if the form is
     anisotropic."""
-    N = len(coeffs)
-    for lead in range(N):
-        tail_len = N - lead - 1
-        tail = [0] * tail_len
-        d0 = coeffs[lead] % p
-        while True:
-            s = d0
-            for t in range(tail_len):
-                x = tail[t]
-                if x:
-                    s += coeffs[lead + 1 + t] * x * x
-            if s % p == 0:
-                return [0] * lead + [1] + tail
-            i = tail_len - 1
-            while i >= 0:
-                tail[i] += 1
-                if tail[i] < p:
-                    break
-                tail[i] = 0
-                i -= 1
-            if i < 0:
-                break
+    for v in _zeros(p, coeffs):
+        return list(v)
     return None
 
 
@@ -83,35 +78,116 @@ def _cd_mul(p, m, gamma, x, xoff, y, yoff, conj_y, out):
             out[k] = (out[k] + xs * yt * gamma[s * m + t]) % p
 
 
+def _zeros(p, w, limit=-1):
+    """Yield, in canonical order, the canonical projective points v with
+    sum w[i] v_i^2 = 0 (mod p) among the first `limit` points (all when
+    limit < 0).
+
+    The walk is fibred over the first N-1 coordinates: the p points of a
+    fibre occupy consecutive indices, and the last coordinate's solutions
+    are read from a table of roots of w[N-1] x^2 = -v, in increasing
+    order.  The final point e_N is its own fibre.  The yielded list is
+    reused; copy it to keep it."""
+    N = len(w)
+    if not N:
+        return
+    if limit < 0:
+        limit = (p ** N - 1) // (p - 1)
+    wl = w[N - 1] % p
+    roots = [[] for _ in range(p)]
+    for x in range(p):
+        roots[-wl * x * x % p].append(x)
+    head = w[:N - 1]
+    v = [0] * N
+    start = 0                   # canonical index of the fibre's x = 0 point
+    for prefix in _points(p, N - 1):
+        if start >= limit:
+            return
+        s = 0
+        for wi, x in zip(head, prefix):
+            if x:
+                s += wi * x * x
+        xs = roots[s % p]
+        if xs:
+            v[:N - 1] = prefix
+            for x in xs:
+                if start + x >= limit:
+                    break
+                v[N - 1] = x
+                yield v
+        start += p
+    if start < limit and not wl:
+        v[:N - 1] = [0] * (N - 1)
+        v[N - 1] = 1
+        yield v
+
+
+def _null_block_points(p, m, nn, gamma, limit):
+    """Yield, in canonical order, the canonical points of P(C^nn) among the
+    first `limit` whose every block c_i has c_i conj(c_i) = 0.
+
+    The points whose first nonzero block is block i0 hold consecutive
+    indices; within them the order is by that block's own canonical index
+    k, then lexicographic on the later blocks.  Each block value tabulated
+    is below `limit` (a later block's lex value never exceeds the point's
+    index, nor does k), so a small limit builds small tables.  The
+    yielded list is reused; copy it to keep it."""
+    N = m * nn
+    tmp = [0] * m
+
+    def null(blk):
+        _cd_mul(p, m, gamma, blk, 0, blk, 0, True, tmp)
+        return not any(tmp)
+
+    leads = [(k, list(blk)) for k, blk in zip(range(limit), _points(p, m))
+             if null(blk)]
+    rest = [(val, list(blk)) for val, blk in
+            zip(range(limit), itertools.product(range(p), repeat=m))
+            if null(blk)]
+    c = [0] * N
+    for i0 in range(nn):
+        first = (p ** N - p ** (N - i0 * m)) // (p - 1)
+        later = nn - 1 - i0
+        step = p ** (m * later)
+        weights = [p ** (m * (later - 1 - j)) for j in range(later)]
+        for k, lead in leads:
+            start = first + k * step
+            if start >= limit:
+                break
+            c[:i0 * m] = [0] * (i0 * m)
+            c[i0 * m:(i0 + 1) * m] = lead
+            for combo in itertools.product(rest, repeat=later):
+                idx = start
+                for (val, blk), wt in zip(combo, weights):
+                    idx += val * wt
+                if idx >= limit:
+                    break
+                for j, (val, blk) in enumerate(combo):
+                    off = (i0 + 1 + j) * m
+                    c[off:off + m] = blk
+                yield c
+
+
 def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
 
     Returns (scanned, on_quadric, base_points, zslice_points,
     roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail,
-    z1_flag_fail).  A nonnegative limit stops after that many points.
+    z1_flag_fail).  A nonnegative limit keeps the points of canonical
+    index below it; only the points on the quadric are visited.
     """
     N = m * (n - 1) + 1
-    scanned = on_quadric = base_points = zslice_points = 0
+    space = (p ** N - 1) // (p - 1)
+    scanned = space if limit < 0 else min(limit, space)
+    on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = z1_flag_fail = 0
     cc = [0] * (n * m)          # all n blocks, scalar block embedded
     mat = [0] * (n * n * m)
     tmp = [0] * m
-    for c in _points(p, N):
-        if limit >= 0 and scanned >= limit:
-            break
-        scanned += 1
-        q = b[n - 1] * c[N - 1] * c[N - 1]
-        for i in range(n - 1):
-            s = 0
-            for t in range(m):
-                x = c[i * m + t]
-                if x:
-                    s += pf[t] * x * x
-            q += b[i] * s
-        if q % p:
-            continue
+    w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
+    for c in _zeros(p, w, scanned):
         on_quadric += 1
         for i in range(N - 1):
             cc[i] = c[i]
@@ -211,20 +287,21 @@ def z1_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
     """Walk P(C^{n-1}) over F_p and compare three membership predicates for
     the source base locus: all products c_i conj(c_j) = 0; the square of
     the half-space element x(c) vanishing; all weighted map entries
-    vanishing.  Returns (scanned, z1_points, equiv_fail, base_flag_fail)."""
+    vanishing.  Returns (scanned, z1_points, equiv_fail, base_flag_fail).
+    A nonnegative limit keeps the points of canonical index below it."""
     N = m * (n - 1)
     nn = n - 1
-    scanned = z1_points = equiv_fail = base_flag_fail = 0
+    space = (p ** N - 1) // (p - 1)
+    scanned = space if limit < 0 else min(limit, space)
+    z1_points = equiv_fail = base_flag_fail = 0
     tmp = [0] * m
     tmp2 = [0] * m
-    for c in _points(p, N):
-        if limit >= 0 and scanned >= limit:
-            break
-        scanned += 1
-        # all products c_i conj(c_j) = 0?  Off-locus points exit at the
-        # first nonzero product; there x(c)^2 != 0 and the weighted map
-        # entries are nonzero too (the b_j are units), so the predicates
-        # agree with nothing left to verify.
+    # Off-locus points fail the first predicate; there x(c)^2 != 0 and the
+    # weighted map entries are nonzero too (the b_j are units), so the
+    # predicates agree with nothing left to verify.  A point with a block
+    # of nonzero norm c_i conj(c_i) is such a point and is not visited.
+    for c in _null_block_points(p, m, nn, gamma, scanned):
+        # all products c_i conj(c_j) = 0?
         s1 = True
         for i in range(nn):
             for j in range(nn):

@@ -54,6 +54,8 @@ def _cd_coords(cd, data):
 
 
 def _point_from_json(alg, data):
+    if not (isinstance(data, dict) and isinstance(data.get("c"), list)):
+        raise ValueError('point must be an object with a list "c"')
     cparts = [_cd_coords(alg.cd, blk) for blk in data["c"]]
     return ProjPointC(alg, cparts, _scalar(data.get("last", 0)))
 

@@ -222,6 +222,16 @@ def test_cli_bad_json_point(capsys, tmp_path):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("action", ["map", "transpose"])
+@pytest.mark.parametrize("point", ["[1]", '{"c": 5}'])
+def test_cli_point_shape_rejected(capsys, tmp_path, action, point):
+    cfg = write_config(tmp_path, GOOD)
+    code, out, err = run_cli(capsys, "veronese", action, "--config", cfg,
+                             "--point", point)
+    assert code == 2 and not out
+    assert err == 'error: point must be an object with a list "c"\n'
+
+
 def test_cli_base_point_reported(capsys, tmp_path):
     cfg = write_config(tmp_path,
                        'field = "Fp"\np = 7\nr = 2\na = [1, 1]\nn = 3\nb = [1, 1, 2]\n')

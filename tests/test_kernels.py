@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from jordanquad import _fpcore_py, fpkernels, motives, sweeps
+from jordanquad.birational import ProjPointC, in_z1, q_form
 from jordanquad.quadform import (QuadForm, evaluate, fp_projective_zero_count,
                                  isotropic_vector_search)
 from jordanquad.scalars import PrimeField
@@ -46,6 +47,20 @@ def test_pure_isotropic_vector_matches_bruteforce():
                 assert evaluate(f, got) == 0
 
 
+def test_isotropic_vector_is_first_zero_of_the_walk():
+    anisotropic = 0
+    for p in (3, 5, 7, 11):
+        for coeffs in [(1,), (p,), (1, 1), (1, p - 1), (1, 2), (2, 1), (0, 1),
+                       (1, 0), (1, 1, 1), (3, 1, 4), (2, 3, 0), (1, 2, 3, 4),
+                       (5, 6, 7, 8, 9)]:
+            want = next((list(v) for v in _fpcore_py._points(p, len(coeffs))
+                         if sum(c * x * x for c, x in zip(coeffs, v)) % p == 0),
+                        None)
+            assert _fpcore_py.isotropic_vector(p, list(coeffs)) == want, (p, coeffs)
+            anisotropic += want is None
+    assert anisotropic >= 8
+
+
 @needs_compiled
 def test_isotropic_vector_agreement():
     for p in (3, 5, 7, 11):
@@ -68,11 +83,105 @@ def test_sweep_agreement_full():
 def test_sweep_agreement_with_limit():
     alg = sweeps.fp_algebra(5, 2, 3)
     ki = sweeps.kernel_inputs(alg)
-    for limit in (0, 1, 17, 400):
+    p, m = 5, alg.cd.dim
+    # p*k + 3 and a space minus one cut a fibre of the pure walk
+    for limit in (0, 1, 17, 400, p * 7 + 3, p * 80 + 3,
+                  sweeps.projective_size(p, 2 * m) - 1,
+                  sweeps.projective_size(p, 2 * m + 1) - 1):
         assert (fpkernels.compiled.quadric_sweep(*ki, limit)
                 == _fpcore_py.quadric_sweep(*ki, limit))
         assert (fpkernels.compiled.z1_sweep(*ki, limit)
                 == _fpcore_py.z1_sweep(*ki, limit))
+
+
+def _kernel_point(alg, c, last):
+    m = alg.cd.dim
+    return ProjPointC(alg, [c[i * m:(i + 1) * m] for i in range(alg.n - 1)], last)
+
+
+def _point_counts(alg, kind, points):
+    """[on_quadric, base_points] or [z1_points] of a run of canonical
+    points, each point tested on its own with the object-level predicates."""
+    if kind == "z1":
+        return [sum(in_z1(_kernel_point(alg, c, 0)) for c in points)]
+    qf = q_form(alg)
+    counts = [0, 0]
+    for c in points:
+        pt = _kernel_point(alg, c[:-1], c[-1])
+        if evaluate(qf, pt.flatten()) == 0:
+            counts[0] += 1
+            counts[1] += in_z1(pt)
+    return counts
+
+
+def _reference(alg, kind, limit):
+    """(scanned, on_quadric, base_points) or (scanned, z1_points) of the
+    first `limit` canonical points.  Up to half the space, the points below
+    the limit are tested one by one.  Past half, the points at or above it
+    are, and their counts are subtracted from the exact complete counts."""
+    p, m, n = alg.field.p, alg.cd.dim, alg.n
+    N = m * (n - 1) + (kind == "quadric")
+    space = sweeps.projective_size(p, N)
+    limit = min(limit, space)
+    if 2 * limit <= space:
+        counts = _point_counts(alg, kind, itertools.islice(
+            _fpcore_py._points(p, N), limit))
+    else:
+        cut = _point_counts(alg, kind, itertools.islice(
+            _fpcore_py._points(p, N), limit, None))
+        full = [sweeps.z1_expected_count(alg)]
+        if kind == "quadric":
+            full.insert(0, fp_projective_zero_count(q_form(alg)))
+        counts = [f - c for f, c in zip(full, cut)]
+    return (limit, *counts)
+
+
+PARTIAL_CONFIGS = [(5, 2, 3, True), (3, 1, 4, True), (3, 1, 4, False),
+                   (5, 1, 3, True), (5, 1, 3, False), (7, 1, 3, False),
+                   (3, 2, 3, True), (5, 0, 4, True)]
+
+
+@pytest.mark.parametrize("p, r, n, split", PARTIAL_CONFIGS)
+def test_partial_sweeps_match_per_point_reference(p, r, n, split):
+    alg = sweeps.fp_algebra(p, r, n, split=split)
+    ki = sweeps.kernel_inputs(alg)
+    m = alg.cd.dim
+    for kind, N in (("quadric", m * (n - 1) + 1), ("z1", m * (n - 1))):
+        space = sweeps.projective_size(p, N)
+        limits = {0, 1, p - 1, p, p + 1, 17, 400, 3 * p + 3}
+        if space <= 10 ** 4:
+            limits.add(space // 3)      # cuts between the blocks after a lead
+        # a complete pure quadric sweep of (5, 2, 3) takes seconds
+        if space <= 10 ** 5:
+            limits |= {space - 1, space, space + 5}
+        for limit in sorted(limits):
+            if kind == "quadric":
+                raw = _fpcore_py.quadric_sweep(*ki, limit)
+                got, fails = raw[:3], raw[5:]
+            else:
+                raw = _fpcore_py.z1_sweep(*ki, limit)
+                got, fails = raw[:2], raw[2:]
+            assert got == _reference(alg, kind, limit), (kind, limit)
+            assert not any(fails), (kind, limit, raw)
+
+
+def test_small_limit_builds_no_large_table(monkeypatch):
+    """fp_algebra(7, 3, 3) has 7^8 blocks; the first 1000 points need only
+    a few of them tabulated."""
+    alg = sweeps.fp_algebra(7, 3, 3)
+    ki = sweeps.kernel_inputs(alg)
+    calls = [0]
+    cd_mul = _fpcore_py._cd_mul
+
+    def counting(*args):
+        calls[0] += 1
+        if calls[0] > 10 * 1000:
+            raise AssertionError("the limit did not bound the tables")
+        cd_mul(*args)
+
+    monkeypatch.setattr(_fpcore_py, "_cd_mul", counting)
+    assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0, 0)
+    assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
 
 def test_quadric_sweep_oracles_pure():
