@@ -7,8 +7,10 @@ speedup.  Each sweep exhausts its whole projective space (about 1e5 to
 3e5 points) on both paths, so both time the same points -- a prefix of
 the odometer order would hold only points with lead coordinate 0 -- and
 the compiled counters are checked against the pure ones on the complete
-sweep.  Usage:
+sweep.  The compiled kernels come from the tracked `_fpcore.c` (no Cython
+needed).  Usage:
 
+    python setup.py build_ext --inplace
     python benchmarks/bench_fpcore.py
 """
 
@@ -16,6 +18,8 @@ import sys
 import time
 
 from jordanquad import _fpcore_py, fpkernels, sweeps
+
+NOT_BUILT = "not importable; build it with `python setup.py build_ext --inplace`"
 
 
 def timed(fn, *args):
@@ -32,7 +36,7 @@ def bench_sweep(name, fn_name, alg):
     print(f"{name:24s} pure-python: {out_p[0]:>9d} pts in {dt_p:7.3f}s "
           f"({rate_p:12,.0f} pts/s)")
     if fpkernels.compiled is None:
-        print(f"{name:24s} compiled:    not built")
+        print(f"{name:24s} compiled:    {NOT_BUILT}")
         return
     out_c, dt_c = timed(getattr(fpkernels.compiled, fn_name), *ki, -1)
     rate_c = out_c[0] / dt_c
@@ -48,12 +52,14 @@ def bench_isotropic(p, coeffs, loops):
                                  for _ in range(loops)])
     print(f"{'isotropic_vector':24s} pure-python: {loops:>9d} runs in {dt_p:7.3f}s")
     if fpkernels.compiled is None:
+        print(f"{'isotropic_vector':24s} compiled:    {NOT_BUILT}")
         return
     out_c, dt_c = timed(lambda: [fpkernels.compiled.isotropic_vector(p, coeffs)
                                  for _ in range(loops)])
     print(f"{'isotropic_vector':24s} compiled:    {loops:>9d} runs in {dt_c:7.3f}s"
           f"  speedup x{dt_p / dt_c:,.0f}")
-    assert out_p[0] == out_c[0]
+    if out_c != out_p:
+        raise SystemExit("isotropic_vector: compiled and pure kernels disagree")
 
 
 def main():

@@ -1,11 +1,13 @@
-"""Build script: compiles the optional mod-p kernel extension.
+"""Build script: compiles the mod-p kernel extension from the tracked
+`src/jordanquad/_fpcore.c` (generated from `_fpcore.pyx` by Cython, which
+the build itself does not need).
 
-The extension is a pure accelerator; when Cython or a working C toolchain
-is missing, the build logs a notice and the package installs with the
-pure-Python kernel fallback instead.
+The extension is a pure accelerator; when no working C toolchain is found,
+the build prints one notice and the package installs with the pure-Python
+kernels instead.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -19,21 +21,6 @@ class OptionalBuildExt(build_ext):
             print(f"jordanquad: skipping compiled kernels ({exc}); "
                   "the pure-Python fallback will be used")
 
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"jordanquad: could not compile {ext.name} ({exc}); "
-                  "the pure-Python fallback will be used")
 
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize("src/jordanquad/_fpcore.pyx", language_level=3)
-except Exception as exc:
-    print(f"jordanquad: skipping compiled kernels ({exc}); "
-          "the pure-Python fallback will be used")
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("jordanquad._fpcore", ["src/jordanquad/_fpcore.c"])],
+      cmdclass={"build_ext": OptionalBuildExt})

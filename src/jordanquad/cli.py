@@ -128,12 +128,16 @@ def cmd_hilbert(args):
 def cmd_verify(args):
     kwargs = {"budget": args.budget, "samples": args.samples, "seed": args.seed}
     if args.n_range:
+        if args.suite != "all" and "n_range" not in verify.SUITE_KWARGS[args.suite]:
+            raise ValueError(f"verify {args.suite} takes no --n-range")
         kwargs["n_range"] = _parse_range(args.n_range)
     report = verify.run_suite(args.suite, **kwargs)
     data = report.as_dict()
     if args.r is not None:
         wanted = f"r={args.r} "
         data["cases"] = [c for c in data["cases"] if wanted in c["case"] + " "]
+        if not data["cases"]:
+            raise ValueError(f"no {args.suite} case has r={args.r}")
         data["ok"] = all(c["ok"] for c in data["cases"])
     _emit(data)
     return 0 if data["ok"] else 1
@@ -251,7 +255,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    sp.add_argument("--r", type=int)
+    sp.add_argument("--r", type=int, choices=range(4))
     sp.add_argument("--n-range", dest="n_range")
     sp.add_argument("--budget", type=int, default=sweeps.DEFAULT_BUDGET)
     sp.add_argument("--samples", type=int, default=sweeps.DEFAULT_SAMPLES)

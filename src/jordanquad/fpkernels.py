@@ -1,11 +1,8 @@
-"""Kernel selection: compiled _fpcore when available, pure Python otherwise.
+"""Kernel selection: the compiled _fpcore when it imports, pure Python otherwise.
 
-The compiled module is an optional build artifact; everything works (just
-slower) on the fallback.  Set JORDANQUAD_PURE=1 to force the fallback, for
-debugging or benchmarking.
+`setup.py` builds _fpcore from the tracked `_fpcore.c` whenever a C
+compiler works; everything works (just slower) on the pure-Python twin.
 """
-
-import os
 
 from . import _fpcore_py as pure
 
@@ -14,13 +11,8 @@ try:
 except ImportError:
     compiled = None
 
-HAVE_COMPILED = compiled is not None
-
-if os.environ.get("JORDANQUAD_PURE"):
-    active = pure
-else:
-    active = compiled if compiled is not None else pure
+active = compiled if compiled is not None else pure
 
 
 def backend_name():
-    return "compiled" if active is compiled and compiled is not None else "pure-python"
+    return "compiled" if active is compiled else "pure-python"

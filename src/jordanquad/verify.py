@@ -41,11 +41,12 @@ class VerificationReport:
                 "cases": [c.as_dict() for c in sorted(self.cases, key=lambda c: c.case_id)]}
 
 
-def standard_configs(n_range=range(3, 11), rs=(0, 1, 2), include_r3=True):
-    out = [(r, n) for r in rs for n in n_range]
-    if include_r3:
-        out.append((3, 3))
-    return out
+STANDARD_RS = (0, 1, 2)
+
+
+def standard_configs(n_range=range(3, 11)):
+    """(r, n) for r in STANDARD_RS and n in n_range, then the octonion (3, 3)."""
+    return [(r, n) for r in STANDARD_RS for n in n_range] + [(3, 3)]
 
 
 def blowup_suite(n_range=range(3, 11)):
@@ -128,15 +129,19 @@ def witt_divisibility_suite():
     return rep
 
 
-def witt_fp_oracle_suite(primes=(3, 5, 7, 11, 13), max_dim=9):
+WITT_FP_PRIMES = (3, 5, 7, 11, 13)
+WITT_FP_MAX_DIM = 9
+
+
+def witt_fp_oracle_suite():
     """Classification-formula Witt indices agree with the exhaustive
     vector-search decomposition for every square-class representative form
     of each dimension."""
     rep = VerificationReport("witt-fp-oracle")
-    for p in primes:
+    for p in WITT_FP_PRIMES:
         fld = PrimeField(p)
         u = fld.least_nonresidue()
-        for dim in range(1, max_dim + 1):
+        for dim in range(1, WITT_FP_MAX_DIM + 1):
             for k in range(dim + 1):
                 coeffs = tuple([1] * (dim - k) + [u] * k)
                 f = QuadForm(fld, coeffs)
@@ -147,16 +152,18 @@ def witt_fp_oracle_suite(primes=(3, 5, 7, 11, 13), max_dim=9):
     return rep
 
 
-def birational_suite(primes=(7, 11), rs=(0, 1, 2), ns=(3, 4),
-                     budget=sweeps.DEFAULT_BUDGET,
-                     samples=sweeps.DEFAULT_SAMPLES,
+BIRATIONAL_PRIMES = (7, 11)
+BIRATIONAL_NS = (3, 4)
+
+
+def birational_suite(budget=sweeps.DEFAULT_BUDGET, samples=sweeps.DEFAULT_SAMPLES,
                      seed=sweeps.DEFAULT_SEED):
     """Round-trip/identity sweeps over F_p (exhaustive within budget,
     sampled beyond)."""
     rep = VerificationReport("birational")
-    for p in primes:
-        for r in rs:
-            for n in ns:
+    for p in BIRATIONAL_PRIMES:
+        for r in STANDARD_RS:
+            for n in BIRATIONAL_NS:
                 sw = sweeps.roundtrip_suite_case(p, r, n, budget=budget,
                                                  samples=samples, seed=seed)
                 rep.add(f"roundtrip p={p} r={r} n={n} [{sw.mode}]", sw.ok,

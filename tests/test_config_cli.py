@@ -191,6 +191,31 @@ def test_cli_verify_blowup_filtered(capsys):
     assert all("r=2" in c["case"] for c in data["cases"])
 
 
+@pytest.mark.parametrize("r", ["7", "-1", "4"])
+def test_cli_verify_r_out_of_range(capsys, r):
+    code, out, err = run_cli(capsys, "verify", "blowup", "--r", r)
+    assert code == 2 and not out
+    assert "argument --r: invalid choice" in err
+
+
+@pytest.mark.parametrize("suite, r", [("krashen", "1"), ("witt", "0")])
+def test_cli_verify_r_matching_no_case(capsys, suite, r):
+    code, out, err = run_cli(capsys, "verify", suite, "--r", r)
+    assert code == 2 and not out
+    assert err == f"error: no {suite} case has r={r}\n"
+
+
+@pytest.mark.parametrize("suite", ["witt", "birational", "z1"])
+def test_cli_verify_n_range_rejected_where_unused(capsys, monkeypatch, suite):
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, out, err = run_cli(capsys, "verify", suite, "--n-range", "3..3")
+    assert code == 2 and not out and not calls
+    assert err == f"error: verify {suite} takes no --n-range\n"
+
+
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     from jordanquad import verify as vmod
 
