@@ -7,8 +7,8 @@ speedup.  Each sweep exhausts its whole projective space (about 1e5 to
 3e5 points) on both paths, so both time the same points -- a prefix of
 the odometer order would hold only points with lead coordinate 0 -- and
 the compiled counters are checked against the pure ones on the complete
-sweep.  The compiled kernels come from the tracked `_fpcore.c` (no Cython
-needed).  Usage:
+sweep.  The compiled kernels are built from the C source `_fpcore.c`.
+Usage:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_fpcore.py

@@ -1,6 +1,5 @@
-"""Build script: compiles the mod-p kernel extension from the tracked
-`src/jordanquad/_fpcore.c` (generated from `_fpcore.pyx` by Cython, which
-the build itself does not need).
+"""Build script: compiles the mod-p kernel extension from the hand-written
+C source `src/jordanquad/_fpcore.c`.
 
 The extension is a pure accelerator; when no working C toolchain is found,
 the build prints one notice and the package installs with the pure-Python

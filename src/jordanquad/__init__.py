@@ -7,7 +7,7 @@ with local-global invariants and Witt indices, Cayley-Dickson composition
 algebras, reduced Jordan algebras Sym(M_n(C), sigma_b), the degree-2
 rank-one birational map with its base loci, formal motive decompositions
 with Tate profiles, and root-system dimension checks.  Hot mod-p sweep
-kernels live in a C extension that setup.py compiles from the tracked
+kernels live in a C extension that setup.py compiles from the hand-written
 _fpcore.c whenever a C compiler works, with a pure-Python twin otherwise
 (see jordanquad.fpkernels.backend_name()).
 """

@@ -4,7 +4,7 @@ All three functions operate on plain ints modulo a small odd prime and are
 the hot loops of the verification sweeps: exhaustive isotropic-vector
 search and full projective sweeps of the source quadric and of the base
 locus.  Semantics of every counter must stay identical between this module
-and the Cython twin; tests compare the two directly.
+and the compiled twin in _fpcore.c; tests compare the two directly.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the

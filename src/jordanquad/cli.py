@@ -126,11 +126,16 @@ def cmd_hilbert(args):
 
 
 def cmd_verify(args):
-    kwargs = {"budget": args.budget, "samples": args.samples, "seed": args.seed}
-    if args.n_range:
-        if args.suite != "all" and "n_range" not in verify.SUITE_KWARGS[args.suite]:
-            raise ValueError(f"verify {args.suite} takes no --n-range")
-        kwargs["n_range"] = _parse_range(args.n_range)
+    given = {k: getattr(args, k) for k in ("n_range", "budget", "samples", "seed")
+             if getattr(args, k) is not None}
+    if args.suite != "all":
+        for k in given:
+            if k not in verify.SUITE_KWARGS[args.suite]:
+                raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
+    if "n_range" in given:
+        given["n_range"] = _parse_range(given["n_range"])
+    kwargs = {"budget": sweeps.DEFAULT_BUDGET, "samples": sweeps.DEFAULT_SAMPLES,
+              "seed": sweeps.DEFAULT_SEED, **given}
     report = verify.run_suite(args.suite, **kwargs)
     data = report.as_dict()
     if args.r is not None:
@@ -146,9 +151,12 @@ def cmd_verify(args):
 def _parse_range(spec):
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(spec)
-    return range(v, v + 1)
+        r = range(int(lo), int(hi) + 1)
+    else:
+        r = range(int(spec), int(spec) + 1)
+    if not r:
+        raise ValueError(f"--n-range {spec} is empty")
+    return r
 
 
 def cmd_veronese(args):
@@ -257,9 +265,9 @@ def build_parser():
     sp.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     sp.add_argument("--r", type=int, choices=range(4))
     sp.add_argument("--n-range", dest="n_range")
-    sp.add_argument("--budget", type=int, default=sweeps.DEFAULT_BUDGET)
-    sp.add_argument("--samples", type=int, default=sweeps.DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=sweeps.DEFAULT_SEED)
+    sp.add_argument("--budget", type=int)
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witt", help="invariants and Witt index of a diagonal form")

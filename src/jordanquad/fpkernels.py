@@ -1,6 +1,6 @@
 """Kernel selection: the compiled _fpcore when it imports, pure Python otherwise.
 
-`setup.py` builds _fpcore from the tracked `_fpcore.c` whenever a C
+`setup.py` builds _fpcore from the hand-written `_fpcore.c` whenever a C
 compiler works; everything works (just slower) on the pure-Python twin.
 """
 

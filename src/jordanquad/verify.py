@@ -45,8 +45,12 @@ STANDARD_RS = (0, 1, 2)
 
 
 def standard_configs(n_range=range(3, 11)):
-    """(r, n) for r in STANDARD_RS and n in n_range, then the octonion (3, 3)."""
-    return [(r, n) for r in STANDARD_RS for n in n_range] + [(3, 3)]
+    """(r, n) for r in STANDARD_RS and n in n_range, then the octonion (3, 3)
+    when 3 is in n_range."""
+    configs = [(r, n) for r in STANDARD_RS for n in n_range]
+    if 3 in n_range:
+        configs.append((3, 3))
+    return configs
 
 
 def blowup_suite(n_range=range(3, 11)):

@@ -216,6 +216,49 @@ def test_cli_verify_n_range_rejected_where_unused(capsys, monkeypatch, suite):
     assert err == f"error: verify {suite} takes no --n-range\n"
 
 
+def test_cli_verify_octonion_case_only_when_3_in_range(capsys):
+    code, out, _ = run_cli(capsys, "verify", "blowup", "--n-range", "4..4")
+    assert code == 0
+    cases = [c["case"] for c in json.loads(out)["cases"]]
+    assert cases == [f"blowup r={r} n=4" for r in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("suite", ["krashen", "blowup"])
+def test_cli_verify_empty_n_range_exits_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--n-range", "5..3")
+    assert code == 2 and not out
+    assert err == "error: --n-range 5..3 is empty\n"
+
+
+@pytest.mark.parametrize("suite, argv, option", [
+    ("witt", ["--budget", "5", "--seed", "9"], "--budget"),
+    ("blowup", ["--samples", "3"], "--samples"),
+    ("krashen", ["--seed", "9"], "--seed"),
+])
+def test_cli_verify_sweep_option_rejected_where_unused(capsys, monkeypatch, suite,
+                                                       argv, option):
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, out, err = run_cli(capsys, "verify", suite, *argv)
+    assert code == 2 and not out and not calls
+    assert err == f"error: verify {suite} takes no {option}\n"
+
+
+def test_cli_verify_all_forwards_one_option(capsys, monkeypatch):
+    from jordanquad import sweeps
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, _, _ = run_cli(capsys, "verify", "all", "--budget", "5")
+    assert code == 0
+    sweep = {"budget": 5, "samples": sweeps.DEFAULT_SAMPLES, "seed": sweeps.DEFAULT_SEED}
+    assert calls["birational"] == calls["z1"] == sweep
+    assert calls["witt"] == calls["blowup"] == {}
+
+
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     from jordanquad import verify as vmod
 

@@ -51,6 +51,18 @@ def compiled(tmp_path_factory):
     return module
 
 
+def test_fpcore_c_compiles_without_warnings():
+    cc = _c_compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         "-I", sysconfig.get_paths()["include"],
+         str(ROOT / "src" / "jordanquad" / "_fpcore.c")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 CONFIGS = [(5, 0, 3), (5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3), (5, 2, 3)]
 
 
@@ -126,6 +138,71 @@ def test_sweep_agreement_with_limit(compiled):
                 == _fpcore_py.quadric_sweep(*ki, limit))
         assert (compiled.z1_sweep(*ki, limit)
                 == _fpcore_py.z1_sweep(*ki, limit))
+
+
+def _head_zeros(p, w, limit):
+    """Zeros of sum w_i c_i^2 among the first `limit` < p^2 canonical
+    points: the fibres (1, 0, .., 0, k, x) over x in F_p, k = 0, 1, ...
+    A full fibre holds 1 + (v/p) zeros, v = -(w_0 + w_{-2} k^2) / w_{-1},
+    by Euler's criterion; the fibre the limit cuts is counted point by
+    point."""
+    full, rest = divmod(limit, p)
+    count = 0
+    for k in range(full):
+        v = -(w[0] + w[-2] * k * k) * pow(w[-1], -1, p) % p
+        count += 1 + {1: 1, p - 1: -1}.get(pow(v, (p - 1) // 2, p), 0)
+    return count + sum((w[0] + w[-2] * full * full + w[-1] * x * x) % p == 0
+                       for x in range(rest))
+
+
+@pytest.mark.parametrize("p", [2097143, 2097169])
+@pytest.mark.parametrize("r", [0, 1])
+def test_compiled_quadric_sweep_past_2_21(compiled, p, r):
+    """Around p = 2^21 the form's unreduced terms b_i pf_t x^2 outgrow
+    int64."""
+    ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, 3))
+    _, n, m, b, _, pf, _ = ki
+    w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
+    raw = compiled.quadric_sweep(*ki, 3 * p + 7)
+    assert raw[:2] == (3 * p + 7, _head_zeros(p, w, 3 * p + 7))
+    assert not any(raw[5:]), raw
+
+
+def test_compiled_z1_sweep_products_of_three(compiled):
+    """With one block (n = 2) a point is on the base locus exactly when its
+    norm vanishes.  In c conj(c) the last coordinate x meets p - x and the
+    structure constant -1 of e_3 e_3: a product of three residues near
+    2^67 at this p."""
+    p = 2 ** 23 + 9
+    _, _, m, b, binv, pf, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(p, 2, 3))
+    raw = compiled.z1_sweep(p, 2, m, b, binv, pf, gamma, p + 7)
+    assert raw == (p + 7, _head_zeros(p, pf, p + 7), 0, 0)
+
+
+def test_compiled_isotropic_vector_near_2_31(compiled):
+    """1 + c x^2 with c = -1/x0^2 first vanishes at x = x0, where c x0^2 is
+    about 2^65."""
+    p, x0 = 2 ** 31 - 1, 2 ** 17
+    c = -pow(x0 * x0, -1, p) % p
+    assert compiled.isotropic_vector(p, [1, c]) == [1, x0]
+
+
+def test_compiled_kernels_reduce_big_integers(compiled):
+    for coeffs in ([-(10 ** 30), 1], [-(10 ** 30) - 4, 1, 3],
+                   [1, 2 ** 64 + 3, -(2 ** 70)]):
+        want = _fpcore_py.isotropic_vector(13, coeffs)
+        assert want is not None and compiled.isotropic_vector(13, coeffs) == want
+
+
+def test_compiled_kernels_reject_p_from_2_31(compiled):
+    ki = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
+    for p in (2 ** 31, 2 ** 31 + 11, 2 ** 40):
+        with pytest.raises(ValueError):
+            compiled.isotropic_vector(p, [1, -1])
+        with pytest.raises(ValueError):
+            compiled.quadric_sweep(p, *ki[1:], 10)
+        with pytest.raises(ValueError):
+            compiled.z1_sweep(p, *ki[1:], 10)
 
 
 def _kernel_point(alg, c, last):
