@@ -7,8 +7,9 @@ speedup.  Each sweep exhausts its whole projective space (about 1e5 to
 3e5 points) on both paths, so both time the same points -- a prefix of
 the odometer order would hold only points with lead coordinate 0 -- and
 the compiled counters are checked against the pure ones on the complete
-sweep.  The compiled kernels are built from the C source `_fpcore.c`.
-Usage:
+sweep.  A compiled sweep or search loop takes 30 ms at most, so its time
+is the best of COMPILED_RUNS runs; each pure one runs once.  The compiled
+kernels are built from the C source `_fpcore.c`.  Usage:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_fpcore.py
@@ -20,12 +21,17 @@ import time
 from jordanquad import _fpcore_py, fpkernels, sweeps
 
 NOT_BUILT = "not importable; build it with `python setup.py build_ext --inplace`"
+COMPILED_RUNS = 5
 
 
-def timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
+def timed(fn, *args, runs=1):
+    """fn(*args) and the least wall time of `runs` calls."""
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return out, best
 
 
 def bench_sweep(name, fn_name, alg):
@@ -38,7 +44,8 @@ def bench_sweep(name, fn_name, alg):
     if fpkernels.compiled is None:
         print(f"{name:24s} compiled:    {NOT_BUILT}")
         return
-    out_c, dt_c = timed(getattr(fpkernels.compiled, fn_name), *ki, -1)
+    out_c, dt_c = timed(getattr(fpkernels.compiled, fn_name), *ki, -1,
+                        runs=COMPILED_RUNS)
     rate_c = out_c[0] / dt_c
     print(f"{name:24s} compiled:    {out_c[0]:>9d} pts in {dt_c:7.3f}s "
           f"({rate_c:12,.0f} pts/s)  speedup x{rate_c / rate_p:,.0f}")
@@ -55,7 +62,7 @@ def bench_isotropic(p, coeffs, loops):
         print(f"{'isotropic_vector':24s} compiled:    {NOT_BUILT}")
         return
     out_c, dt_c = timed(lambda: [fpkernels.compiled.isotropic_vector(p, coeffs)
-                                 for _ in range(loops)])
+                                 for _ in range(loops)], runs=COMPILED_RUNS)
     print(f"{'isotropic_vector':24s} compiled:    {loops:>9d} runs in {dt_c:7.3f}s"
           f"  speedup x{dt_p / dt_c:,.0f}")
     if out_c != out_p:

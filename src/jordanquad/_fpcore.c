@@ -1,9 +1,12 @@
 /* Compiled mod-p kernels.
 
 Same API and counter semantics as _fpcore_py; see that module for the
-documentation.  Unlike the pure kernels, which skip points that cannot
-pass the first test, these test every canonical projective point in
-odometer order, so the agreement tests check one walk against the other.
+documentation.  A sweep takes (p, b, gamma, limit) and derives n = len(b),
+m from len(gamma) = m^2 and the norm form from the diagonal of gamma; it
+raises ValueError for a b_i = 0 mod p.  Unlike the pure kernels, which
+skip points that cannot pass the first test, these test every canonical
+projective point in odometer order, so the agreement tests check one walk
+against the other.
 
 Sizes are bounded (dim C <= 8, n*n*dim C <= 576) so everything runs on
 stack buffers.  Residues lie in [0, p) with p < 2^31, and a product of two
@@ -155,37 +158,52 @@ isotropic_vector(PyObject *Py_UNUSED(module), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* The arguments of a sweep, reduced mod p. */
+/* The arguments of a sweep, reduced mod p, with n = len(b) and
+   m^2 = len(gamma). */
 typedef struct {
     u64 p;
     int n, m;
     long long limit;
-    u64 b[MAXC + MAXM], binv[MAXC + MAXM], pf[MAXM], gam[MAXM * MAXM];
+    u64 b[MAXC + MAXM], gam[MAXM * MAXM];
 } sweep;
 
 static int
 parse_sweep(PyObject *args, PyObject *kwds, const char *format, sweep *S,
             int quadric)
 {
-    static char *kwlist[] = {"p", "n", "m", "b", "binv", "pf", "gamma",
-                             "limit", NULL};
+    static char *kwlist[] = {"p", "b", "gamma", "limit", NULL};
     long long p;
-    PyObject *b, *binv, *pf, *gamma;
+    PyObject *b, *gamma;
     S->limit = -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, kwlist, &p, &S->n,
-                                     &S->m, &b, &binv, &pf, &gamma, &S->limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, kwlist, &p, &b,
+                                     &gamma, &S->limit))
         return -1;
-    long long n = S->n, m = S->m;
-    if (m < 1 || n < 1 || m > MAXM || m * (n - 1) + quadric > MAXC
+    Py_ssize_t n = PySequence_Size(b), g = PySequence_Size(gamma);
+    if (n < 0 || g < 0)
+        return -1;
+    Py_ssize_t m = g == 1 ? 1 : g == 4 ? 2 : g == 16 ? 4 : g == 64 ? 8 : 0;
+    if (!m) {
+        PyErr_SetString(PyExc_ValueError, "len(gamma) must be 1, 4, 16 or 64");
+        return -1;
+    }
+    if (n < 1 || m * (n - 1) + quadric > MAXC
             || (quadric && n * n * m > MAXMAT)) {
         PyErr_SetString(PyExc_ValueError,
                         "configuration too large for the compiled kernel");
         return -1;
     }
     S->p = p;
-    return load(b, n, p, S->b) < 0 || load(binv, n, p, S->binv) < 0
-           || load(pf, m, p, S->pf) < 0 || load(gamma, m * m, p, S->gam) < 0
-           ? -1 : 0;
+    S->n = (int)n;
+    S->m = (int)m;
+    if (load(b, n, p, S->b) < 0 || load(gamma, g, p, S->gam) < 0)
+        return -1;
+    for (int i = 0; i < S->n; i++)
+        if (!S->b[i]) {
+            PyErr_SetString(PyExc_ValueError,
+                            "every b_i must be nonzero mod p");
+            return -1;
+        }
+    return 0;
 }
 
 /* out = x * (conj_y ? conj(y) : y) for blocks of m coordinates, where
@@ -213,7 +231,7 @@ cd_mul(const sweep *S, const u64 *x, const u64 *y, int conj_y, u64 *out)
 }
 
 PyDoc_STRVAR(quadric_sweep_doc,
-"quadric_sweep($module, p, n, m, b, binv, pf, gamma, limit=-1)\n--\n\n"
+"quadric_sweep($module, p, b, gamma, limit=-1)\n--\n\n"
 "Test every canonical point of P(C^{n-1} x k) over F_p below limit (all\n"
 "when limit < 0) against the trace quadric and the rank-one map.  Returns\n"
 "(scanned, on_quadric, base_points, zslice_points, roundtrip_checked,\n"
@@ -223,7 +241,7 @@ static PyObject *
 quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
 {
     sweep S;
-    if (parse_sweep(args, kwds, "LiiOOOO|L:quadric_sweep", &S, 1) < 0)
+    if (parse_sweep(args, kwds, "LOO|L:quadric_sweep", &S, 1) < 0)
         return NULL;
     const u64 p = S.p;
     const int n = S.n, m = S.m, N = m * (n - 1) + 1;
@@ -231,9 +249,13 @@ quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
     long long scanned = 0, on_quadric = 0, base_points = 0, zslice_points = 0;
     long long roundtrip_checked = 0, roundtrip_fail = 0;
     long long sym_fail = 0, trace_fail = 0, diag_fail = 0, z1_flag_fail = 0;
+    /* sum_i b_i N(c_i) + b_n c^2, where N(e_0) = gam[0] and, from
+       e_t conj(e_t) = -e_t e_t, N(e_t) = -gam[t*m+t] */
     for (int i = 0; i < n - 1; i++)
-        for (int t = 0; t < m; t++)
-            w[i * m + t] = mulmod(S.b[i], S.pf[t], p);
+        for (int t = 0; t < m; t++) {
+            u64 g = S.gam[t * m + t];
+            w[i * m + t] = mulmod(S.b[i], t && g ? p - g : g, p);
+        }
     w[N - 1] = S.b[n - 1];
     /* c is also the n blocks c_i: the scalar c[N-1] opens block n-1, whose
        other coordinates, past the walk's, stay 0 */
@@ -264,16 +286,15 @@ quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
                 diag_fail += any_nonzero(e + 1, m - 1);
             }
             trace_fail += tr % p != 0;
-            /* sigma_b symmetry: mat[i][j] = binv_i b_j conj(mat[j][i]) */
+            /* sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]) */
             int ok = 1;
             for (int i = 0; ok && i < n; i++)
                 for (int j = i + 1; ok && j < n; j++) {
                     const u64 *eij = mat + (i * n + j) * m;
                     const u64 *eji = mat + (j * n + i) * m;
-                    u64 f = mulmod(S.binv[i], S.b[j], p);
                     for (int k = 0; ok && k < m; k++) {
                         u64 v = k && eji[k] ? p - eji[k] : eji[k];
-                        ok = eij[k] == mulmod(f, v, p);
+                        ok = mulmod(S.b[i], eij[k], p) == mulmod(S.b[j], v, p);
                     }
                 }
             sym_fail += !ok;
@@ -317,7 +338,7 @@ done:
 }
 
 PyDoc_STRVAR(z1_sweep_doc,
-"z1_sweep($module, p, n, m, b, binv, pf, gamma, limit=-1)\n--\n\n"
+"z1_sweep($module, p, b, gamma, limit=-1)\n--\n\n"
 "Test every canonical point of P(C^{n-1}) over F_p below limit (all when\n"
 "limit < 0) against three membership predicates for the base locus.\n"
 "Returns (scanned, z1_points, equiv_fail, base_flag_fail).");
@@ -326,7 +347,7 @@ static PyObject *
 z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
 {
     sweep S;
-    if (parse_sweep(args, kwds, "LiiOOOO|L:z1_sweep", &S, 0) < 0)
+    if (parse_sweep(args, kwds, "LOO|L:z1_sweep", &S, 0) < 0)
         return NULL;
     const u64 p = S.p;
     const int m = S.m, nn = S.n - 1, N = m * nn;
@@ -360,17 +381,16 @@ z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
                         hit |= mulmod(tmp[k], S.b[j], p) != 0;
                     base_flag_fail += hit;
                 }
-            /* the corner entry of x(c)^2, sum_k (b_k / b_n) conj(c_k) c_k,
-               must vanish on the locus */
+            /* the corner entry of x(c)^2, b_n^{-1} times
+               sum_k b_k conj(c_k) c_k, must vanish on the locus */
             u64 corner[MAXM] = {0};
             for (int i = 0; i < nn; i++) {
                 const u64 *ci = c + i * m;
                 for (int t = 0; t < m; t++)
                     tmp2[t] = t && ci[t] ? p - ci[t] : ci[t];
                 cd_mul(&S, tmp2, ci, 0, tmp);
-                u64 f = mulmod(S.b[i], S.binv[nn], p);
                 for (int t = 0; t < m; t++)
-                    corner[t] = addmod(corner[t], mulmod(f, tmp[t], p), p);
+                    corner[t] = addmod(corner[t], mulmod(S.b[i], tmp[t], p), p);
             }
             equiv_fail += any_nonzero(corner, m);
         } while (walk_next(&W));

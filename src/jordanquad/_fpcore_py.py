@@ -9,9 +9,13 @@ and the compiled twin in _fpcore.c; tests compare the two directly.
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
 canonical index of a point is its position in that order, and a sweep's
-`limit` keeps the points with index below it.  Composition-algebra
-products are table driven: e_i e_j = gamma[i*m+j] e_{i XOR j},
-conjugation negates coordinates 1..m-1.
+`limit` keeps the points with index below it.
+
+A sweep takes (p, b, gamma, limit) and derives the rest: n = len(b), the
+composition-algebra dimension m from len(gamma) = m^2, and the norm form
+N(e_0) = gamma[0], N(e_t) = -gamma[t*m+t] (t >= 1).  Products are table
+driven: e_i e_j = gamma[i*m+j] e_{i XOR j}, conjugation negates
+coordinates 1..m-1.  Every b_i must be a unit mod p.
 
 The compiled twin tests every point of the space.  This module instead
 skips points that cannot pass the first test, in the same canonical order,
@@ -39,25 +43,9 @@ def isotropic_vector(p, coeffs):
 
 def _points(p, N):
     """Yield canonical projective representatives of P^{N-1}(F_p)."""
-    point = [0] * N
     for lead in range(N):
-        for i in range(N):
-            point[i] = 0
-        point[lead] = 1
-        tail_len = N - lead - 1
-        while True:
-            yield point
-            i = N - 1
-            while i > lead:
-                point[i] += 1
-                if point[i] < p:
-                    break
-                point[i] = 0
-                i -= 1
-            if i == lead:
-                break
-            if tail_len == 0:
-                break
+        for tail in itertools.product(range(p), repeat=N - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def _cd_mul(p, m, gamma, x, xoff, y, yoff, conj_y, out):
@@ -168,7 +156,18 @@ def _null_block_points(p, m, nn, gamma, limit):
                 yield c
 
 
-def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
+def _sweep_shape(p, b, gamma):
+    """(n, m) of a sweep's inputs; ValueError unless len(gamma) = m^2 with
+    m in {1, 2, 4, 8} and every b_i is nonzero mod p."""
+    m = {1: 1, 4: 2, 16: 4, 64: 8}.get(len(gamma))
+    if m is None:
+        raise ValueError("len(gamma) must be 1, 4, 16 or 64")
+    if any(x % p == 0 for x in b):
+        raise ValueError("every b_i must be nonzero mod p")
+    return len(b), m
+
+
+def quadric_sweep(p, b, gamma, limit=-1):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
 
@@ -177,6 +176,7 @@ def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
     z1_flag_fail).  A nonnegative limit keeps the points of canonical
     index below it; only the points on the quadric are visited.
     """
+    n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
     space = (p ** N - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
@@ -186,13 +186,11 @@ def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
     cc = [0] * (n * m)          # all n blocks, scalar block embedded
     mat = [0] * (n * n * m)
     tmp = [0] * m
+    pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
     w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
     for c in _zeros(p, w, scanned):
         on_quadric += 1
-        for i in range(N - 1):
-            cc[i] = c[i]
-        for t in range(m):
-            cc[(n - 1) * m + t] = c[N - 1] if t == 0 else 0
+        cc[:N] = c
         # mat[i][j] = c_i * conj(c_j) * b[j]
         for i in range(n):
             for j in range(n):
@@ -211,18 +209,20 @@ def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
                     break
         if tr % p:
             trace_fail += 1
-        # sigma_b symmetry: mat[i][j] = binv[i] b[j] conj(mat[j][i])
+        # sigma_b symmetry: b[i] mat[i][j] = b[j] conj(mat[j][i]), where conj
+        # negates coordinates 1..m-1
         ok = True
         for i in range(n):
+            bi = b[i]
             for j in range(i + 1, n):
+                bj = b[j]
                 oij = (i * n + j) * m
                 oji = (j * n + i) * m
-                f = (binv[i] * b[j]) % p
-                for k in range(m):
-                    v = mat[oji + k]
-                    if k:
-                        v = p - v if v else 0
-                    if mat[oij + k] != (f * v) % p:
+                if (bi * mat[oij] - bj * mat[oji]) % p:
+                    ok = False
+                    break
+                for k in range(1, m):
+                    if (bi * mat[oij + k] + bj * mat[oji + k]) % p:
                         ok = False
                         break
                 if not ok:
@@ -283,12 +283,13 @@ def quadric_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
             diag_fail, z1_flag_fail)
 
 
-def z1_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
+def z1_sweep(p, b, gamma, limit=-1):
     """Walk P(C^{n-1}) over F_p and compare three membership predicates for
     the source base locus: all products c_i conj(c_j) = 0; the square of
     the half-space element x(c) vanishing; all weighted map entries
     vanishing.  Returns (scanned, z1_points, equiv_fail, base_flag_fail).
     A nonnegative limit keeps the points of canonical index below it."""
+    n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1)
     nn = n - 1
     space = (p ** N - 1) // (p - 1)
@@ -320,17 +321,16 @@ def z1_sweep(p, n, m, b, binv, pf, gamma, limit=-1):
                 _cd_mul(p, m, gamma, c, i * m, c, j * m, True, tmp)
                 if any((v * b[j]) % p for v in tmp):
                     base_flag_fail += 1
-        # the only remaining entry of x(c)^2 is the corner
-        # sum_k (b_k / b_n) conj(c_k) c_k; it must vanish on the locus
+        # the only remaining entry of x(c)^2 is the corner, b_n^{-1} times
+        # sum_k b_k conj(c_k) c_k; it must vanish on the locus
         corner = [0] * m
         for k in range(nn):
             for t in range(m):
                 v = c[k * m + t]
                 tmp2[t] = (p - v) % p if t else v
             _cd_mul(p, m, gamma, tmp2, 0, c, k * m, False, tmp)
-            f = (b[k] * binv[n - 1]) % p
             for t in range(m):
-                corner[t] = (corner[t] + f * tmp[t]) % p
+                corner[t] = (corner[t] + b[k] * tmp[t]) % p
         if any(corner):
             equiv_fail += 1
     return (scanned, z1_points, equiv_fail, base_flag_fail)

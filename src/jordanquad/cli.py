@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import diagram, motives, rootsys, sweeps, verify
+from . import diagram, motives, rootsys, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
                          transposition_map, veronese, veronese_inverse)
 from .config import ParseError, ValidationError, load_config
@@ -134,9 +134,7 @@ def cmd_verify(args):
                 raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
     if "n_range" in given:
         given["n_range"] = _parse_range(given["n_range"])
-    kwargs = {"budget": sweeps.DEFAULT_BUDGET, "samples": sweeps.DEFAULT_SAMPLES,
-              "seed": sweeps.DEFAULT_SEED, **given}
-    report = verify.run_suite(args.suite, **kwargs)
+    report = verify.run_suite(args.suite, **given)
     data = report.as_dict()
     if args.r is not None:
         wanted = f"r={args.r} "

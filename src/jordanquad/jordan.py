@@ -130,16 +130,15 @@ class JordanAlgebra:
                 out.append(self.from_parts([0] * self.n, {(lo, hi): self.cd.basis(t)}))
         return out
 
-    def half_space_element(self, cvec, u_index=None):
-        """The element of J_{1/2}(E_ii) whose column i is the given vector
-        of C-coordinates (listed over the rows j != i, in order)."""
-        i = self.n - 1 if u_index is None else u_index
+    def half_space_element(self, cvec):
+        """The element of J_{1/2}(E_ii), i = n-1, whose column i is the given
+        vector of C-coordinates (listed over the rows j < i, in order)."""
+        i = self.n - 1
         cvec = list(cvec)
-        if len(cvec) != self.n - 1:
-            raise ValueError(f"need {self.n - 1} coordinates")
+        if len(cvec) != i:
+            raise ValueError(f"need {i} coordinates")
         rows = [[self.cd.zero() for _ in range(self.n)] for _ in range(self.n)]
-        others = [j for j in range(self.n) if j != i]
-        for j, c in zip(others, cvec):
+        for j, c in enumerate(cvec):
             if not isinstance(c, CDElem):
                 c = self.cd.element(c)
             rows[j][i] = c

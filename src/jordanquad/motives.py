@@ -217,15 +217,11 @@ class MotiveExpr:
         return " + ".join(s.label() for s in self.summands) or "0"
 
 
-def profile(expr):
-    return expr.profile()
-
-
-def _check_rn(r, n, *, min_n):
+def _check_rn(r, n):
     if r not in (0, 1, 2, 3):
         raise ValueError(f"r must be 0..3, got {r}")
-    if n < min_n:
-        raise ValueError(f"need n >= {min_n}, got {n}")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
     if r == 3 and n != 3:
         raise ValueError("r = 3 requires n = 3")
 
@@ -270,7 +266,7 @@ def decompose_z1(r, n):
     For r = 1 the top twist is n - 2, matching the geometric model, two
     disjoint copies of P^{n-2}; the competing upper bound n - 1 overshoots
     the class count (see verify_krashen)."""
-    _check_rn(r, n, min_n=3)
+    _check_rn(r, n)
     if r == 0:
         return MotiveExpr()
     if r == 1:
@@ -285,7 +281,7 @@ def decompose_z1(r, n):
 def decompose_xj(r, n):
     """The rank-one variety X(J): a quadric for r = 0, else one higher-form
     summand F(r, n) plus a block of twisted Rost summands."""
-    _check_rn(r, n, min_n=3)
+    _check_rn(r, n)
     if r == 0:
         return MotiveExpr([split_quadric(n - 2)])
     terms = [F(r, n)]
@@ -352,7 +348,7 @@ def verify_blowup(r, n):
     codimension, of the base locus at n = 3) in place of c1; it does not
     balance.
     """
-    _check_rn(r, n, min_n=3)
+    _check_rn(r, n)
     if r == 0:
         qprof = TateProfile(split_quadric(n - 2).profile().counts)
         rhs = decompose_xj(0, n).profile()
@@ -381,7 +377,7 @@ def poincare_xj_recursive(r, n):
 
     base case X(J_2) the split (2^r - 1)-dimensional quadric.  Strict
     subtraction: a negative coefficient raises."""
-    _check_rn(r, n, min_n=3)
+    _check_rn(r, n)
     if r == 0:
         return split_quadric(n - 2).profile()
 

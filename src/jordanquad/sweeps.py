@@ -84,14 +84,11 @@ def z1_expected_count(alg):
 
 
 def kernel_inputs(alg):
-    fld = alg.field
-    p = fld.p
-    b = [x.v for x in alg.b]
-    binv = [pow(x, p - 2, p) for x in b]
-    pf = [c.v for c in alg.cd.norm_form.coeffs]
+    """(p, b, gamma) of the sweep kernels: the prime, the diagonal b and the
+    flat structure-constant table of the composition algebra."""
     m = alg.cd.dim
     gamma = [alg.cd._gamma[i][j].v for i in range(m) for j in range(m)]
-    return p, alg.n, m, b, binv, pf, gamma
+    return alg.field.p, [x.v for x in alg.b], gamma
 
 
 @dataclass
@@ -121,60 +118,53 @@ class SweepReport:
 _QUADRIC_COUNTERS = ("scanned", "on_quadric", "base_points", "zslice_points",
                      "roundtrip_checked", "roundtrip_fail", "sym_fail",
                      "trace_fail", "diag_fail", "z1_flag_fail")
+_Z1_COUNTERS = ("scanned", "z1_points", "equiv_fail", "base_flag_fail")
+
+
+def _kernel_report(kind, alg, names, raw, N, limit, oracle):
+    """The report of a kernel sweep of P^{N-1}: each nonzero `*_fail`
+    counter is a failure, and so, once the sweep is complete, is each count
+    that differs from the exact one in oracle()."""
+    p = alg.field.p
+    counts = dict(zip(names, raw))
+    space = projective_size(p, N)
+    complete = limit < 0 or limit >= space
+    report = SweepReport(kind, p, alg.cd.r, alg.n,
+                         "exhaustive" if complete else "partial",
+                         space, counts["scanned"], counts)
+    report.failures = [f"{key} = {v}" for key, v in counts.items()
+                       if key.endswith("_fail") and v]
+    if complete:
+        report.expected = {"scanned": space, **oracle()}
+        report.failures += [f"{key}: got {counts[key]}, expected {want}"
+                            for key, want in report.expected.items()
+                            if counts[key] != want]
+    return report
 
 
 def exhaustive_quadric_sweep(alg, limit=-1):
     """Kernel sweep of P(C^{n-1} x k) over F_p with exact count oracles
     (only checked when the sweep runs to completion)."""
-    p, n, m, b, binv, pf, gamma = kernel_inputs(alg)
-    N = m * (n - 1) + 1
-    raw = fpkernels.active.quadric_sweep(p, n, m, b, binv, pf, gamma, limit)
-    counts = dict(zip(_QUADRIC_COUNTERS, raw))
-    space = projective_size(p, N)
-    complete = limit < 0 or limit >= space
-    report = SweepReport("quadric", p, alg.cd.r, n,
-                         "exhaustive" if complete else "partial",
-                         space, counts["scanned"], counts)
-    for key in ("roundtrip_fail", "sym_fail", "trace_fail", "diag_fail",
-                "z1_flag_fail"):
-        if counts[key]:
-            report.failures.append(f"{key} = {counts[key]}")
-    if complete:
+    def oracle():
         exp_quadric = fp_projective_zero_count(q_form(alg))
         exp_base = z1_expected_count(alg)
         bprime = QuadForm(alg.field, alg.b[:-1])
         exp_slice = fp_projective_zero_count(tensor(alg.cd.norm_form, bprime)) - exp_base
-        report.expected = {"scanned": space, "on_quadric": exp_quadric,
-                           "base_points": exp_base, "zslice_points": exp_slice,
-                           "roundtrip_checked": exp_quadric - exp_base - exp_slice}
-        for key, want in report.expected.items():
-            if counts[key] != want:
-                report.failures.append(f"{key}: got {counts[key]}, expected {want}")
-    return report
+        return {"on_quadric": exp_quadric, "base_points": exp_base,
+                "zslice_points": exp_slice,
+                "roundtrip_checked": exp_quadric - exp_base - exp_slice}
+
+    raw = fpkernels.active.quadric_sweep(*kernel_inputs(alg), limit)
+    return _kernel_report("quadric", alg, _QUADRIC_COUNTERS, raw,
+                          flat_dim(alg), limit, oracle)
 
 
 def exhaustive_z1_sweep(alg, limit=-1):
     """Kernel sweep of P(C^{n-1}) comparing the three base-locus
     predicates pointwise, with the exact point-count oracle."""
-    p, n, m, b, binv, pf, gamma = kernel_inputs(alg)
-    N = m * (n - 1)
-    raw = fpkernels.active.z1_sweep(p, n, m, b, binv, pf, gamma, limit)
-    counts = dict(zip(("scanned", "z1_points", "equiv_fail", "base_flag_fail"), raw))
-    space = projective_size(p, N)
-    complete = limit < 0 or limit >= space
-    report = SweepReport("z1", p, alg.cd.r, n,
-                         "exhaustive" if complete else "partial",
-                         space, counts["scanned"], counts)
-    if counts["equiv_fail"]:
-        report.failures.append(f"equiv_fail = {counts['equiv_fail']}")
-    if counts["base_flag_fail"]:
-        report.failures.append(f"base_flag_fail = {counts['base_flag_fail']}")
-    if complete:
-        report.expected = {"scanned": space, "z1_points": z1_expected_count(alg)}
-        for key, want in report.expected.items():
-            if counts[key] != want:
-                report.failures.append(f"{key}: got {counts[key]}, expected {want}")
-    return report
+    raw = fpkernels.active.z1_sweep(*kernel_inputs(alg), limit)
+    return _kernel_report("z1", alg, _Z1_COUNTERS, raw, flat_dim(alg) - 1,
+                          limit, lambda: {"z1_points": z1_expected_count(alg)})
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +184,12 @@ def unflatten(alg, w):
     return ProjPointC(alg, cparts, w[-1])
 
 
-def base_quadric_vector(alg, bound=6):
+def base_quadric_vector(alg):
     """A flat isotropic vector of the trace quadric, found on the scalar
-    slice (all coordinates in k.e0), used as the center of stereographic
-    sampling."""
+    slice (all coordinates in k.e0; over Q in the box [-6, 6]), used as the
+    center of stereographic sampling."""
     diag = QuadForm(alg.field, alg.b)
-    v = isotropic_vector_search(diag, bound=bound)
+    v = isotropic_vector_search(diag, bound=6)
     if v is None:
         raise ValueError("no small isotropic vector on the scalar slice; "
                          "choose b with one (e.g. 1, 2, -3)")
@@ -329,10 +319,10 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
 
 
 def roundtrip_suite_case(p, r, n, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES,
-                         seed=DEFAULT_SEED, split=True):
+                         seed=DEFAULT_SEED):
     """Exhaustive when the ambient space fits the budget or the quadric has
     no more points than the samples asked for, sampled otherwise."""
-    alg = fp_algebra(p, r, n, split=split)
+    alg = fp_algebra(p, r, n)
     space = projective_size(p, flat_dim(alg))
     if space <= budget or samples >= fp_projective_zero_count(q_form(alg)):
         return exhaustive_quadric_sweep(alg)

@@ -5,6 +5,7 @@ Each suite returns a VerificationReport whose cases carry enough payload
 subcommand drives these and exits 0 only if every case passes.
 """
 
+import inspect
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
@@ -222,16 +223,8 @@ def _merge(*reports):
 
 
 # suite -> the keyword arguments it accepts
-SUITE_KWARGS = {
-    "blowup": ("n_range",),
-    "profiles": ("n_range",),
-    "krashen": ("n_range",),
-    "euler": ("n_range",),
-    "orbits": ("n_range",),
-    "witt": (),
-    "birational": ("budget", "samples", "seed"),
-    "z1": ("budget", "samples", "seed"),
-}
+SUITE_KWARGS = {name: tuple(inspect.signature(fn).parameters)
+                for name, fn in SUITES.items()}
 
 
 def run_suite(name, **kwargs):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -250,13 +251,16 @@ def test_cli_verify_all_forwards_one_option(capsys, monkeypatch):
     from jordanquad import sweeps
     from jordanquad import verify as vmod
 
+    real = dict(vmod.SUITES)
     calls = {}
     monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
     code, _, _ = run_cli(capsys, "verify", "all", "--budget", "5")
     assert code == 0
+    ran = {name: _effective(real[name], kw) for name, kw in calls.items()}
     sweep = {"budget": 5, "samples": sweeps.DEFAULT_SAMPLES, "seed": sweeps.DEFAULT_SEED}
-    assert calls["birational"] == calls["z1"] == sweep
-    assert calls["witt"] == calls["blowup"] == {}
+    assert ran["birational"] == ran["z1"] == sweep
+    assert ran["witt"] == {}
+    assert ran["blowup"] == {"n_range": range(3, 11)}
 
 
 def test_cli_verify_failure_exit_code(capsys, monkeypatch):
@@ -318,6 +322,13 @@ def test_float_scalars_rejected(capsys, tmp_path):
     assert code == 2 and not out and "float" in err
 
 
+def _effective(fn, kwargs):
+    """The arguments fn(**kwargs) runs with, its defaults filled in."""
+    bound = inspect.signature(fn).bind(**kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
 def _recording_suites(vmod, calls):
     def stub(name):
         def suite(**kwargs):
@@ -330,28 +341,27 @@ def _recording_suites(vmod, calls):
 
 
 def test_cli_verify_all_forwards_options(capsys, monkeypatch):
-    import inspect
     from jordanquad import verify as vmod
 
     real = dict(vmod.SUITES)
     calls = {}
     monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
 
-    # by default each suite gets its own defaults, so the output matches
-    # calling every suite with no arguments
+    def ran():
+        return {name: _effective(real[name], kw) for name, kw in calls.items()}
+
+    # by default each suite runs with its own defaults, so the output
+    # matches calling every suite with no arguments
     code, _, _ = run_cli(capsys, "verify", "all")
     assert code == 0
-    params = {name: inspect.signature(fn).parameters for name, fn in real.items()}
-    assert calls == {name: {k: params[name][k].default
-                            for k in vmod.SUITE_KWARGS[name] if k != "n_range"}
-                     for name in real}
+    assert ran() == {name: _effective(fn, {}) for name, fn in real.items()}
 
     calls.clear()
     code, out, _ = run_cli(capsys, "verify", "all", "--budget", "5", "--samples", "7",
                            "--seed", "3", "--n-range", "3..4")
     assert code == 0
     sweep = {"budget": 5, "samples": 7, "seed": 3}
-    assert calls == {"blowup": {"n_range": range(3, 5)}, "profiles": {"n_range": range(3, 5)},
+    assert ran() == {"blowup": {"n_range": range(3, 5)}, "profiles": {"n_range": range(3, 5)},
                      "krashen": {"n_range": range(3, 5)}, "euler": {"n_range": range(3, 5)},
                      "orbits": {"n_range": range(3, 5)}, "witt": {},
                      "birational": sweep, "z1": sweep}

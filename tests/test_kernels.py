@@ -2,6 +2,7 @@
 match the exact cardinality oracles on complete sweeps."""
 
 import importlib.util
+import inspect
 import itertools
 import os
 import shlex
@@ -160,9 +161,10 @@ def _head_zeros(p, w, limit):
 def test_compiled_quadric_sweep_past_2_21(compiled, p, r):
     """Around p = 2^21 the form's unreduced terms b_i pf_t x^2 outgrow
     int64."""
-    ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, 3))
-    _, n, m, b, _, pf, _ = ki
-    w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
+    alg = sweeps.fp_algebra(p, r, 3)
+    ki = sweeps.kernel_inputs(alg)
+    b, pf = ki[1], [c.v for c in alg.cd.norm_form.coeffs]
+    w = [bi * ft for bi in b[:-1] for ft in pf] + [b[-1]]
     raw = compiled.quadric_sweep(*ki, 3 * p + 7)
     assert raw[:2] == (3 * p + 7, _head_zeros(p, w, 3 * p + 7))
     assert not any(raw[5:]), raw
@@ -174,8 +176,10 @@ def test_compiled_z1_sweep_products_of_three(compiled):
     structure constant -1 of e_3 e_3: a product of three residues near
     2^67 at this p."""
     p = 2 ** 23 + 9
-    _, _, m, b, binv, pf, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(p, 2, 3))
-    raw = compiled.z1_sweep(p, 2, m, b, binv, pf, gamma, p + 7)
+    alg = sweeps.fp_algebra(p, 2, 3)
+    _, b, gamma = sweeps.kernel_inputs(alg)
+    pf = [c.v for c in alg.cd.norm_form.coeffs]
+    raw = compiled.z1_sweep(p, b[:2], gamma, p + 7)
     assert raw == (p + 7, _head_zeros(p, pf, p + 7), 0, 0)
 
 
@@ -203,6 +207,28 @@ def test_compiled_kernels_reject_p_from_2_31(compiled):
             compiled.quadric_sweep(p, *ki[1:], 10)
         with pytest.raises(ValueError):
             compiled.z1_sweep(p, *ki[1:], 10)
+
+
+@pytest.mark.parametrize("impl", ["pure", "compiled"])
+def test_sweeps_reject_zero_b_and_bad_gamma(request, impl):
+    """n and m are read off b and gamma, so a gamma that is no m x m table
+    is an error, as is a b_i = 0 mod p, which would make the symmetry and
+    base-locus checks vacuous."""
+    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
+    p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(7, 1, 3))
+    for sweep in (kernels.quadric_sweep, kernels.z1_sweep):
+        for bad_b in ([1, 0, 6], [1, 2, -7], [14, 2, 6]):
+            with pytest.raises(ValueError, match="b_i"):
+                sweep(p, bad_b, gamma)
+        for size in (2, 9, 256):
+            with pytest.raises(ValueError, match="gamma"):
+                sweep(p, b, [1] * size)
+
+
+def test_compiled_sweep_signatures_match_pure(compiled):
+    for name in ("quadric_sweep", "z1_sweep"):
+        assert (inspect.signature(getattr(compiled, name))
+                == inspect.signature(getattr(_fpcore_py, name)))
 
 
 def _kernel_point(alg, c, last):
