@@ -235,7 +235,7 @@ PyDoc_STRVAR(quadric_sweep_doc,
 "Test every canonical point of P(C^{n-1} x k) over F_p below limit (all\n"
 "when limit < 0) against the trace quadric and the rank-one map.  Returns\n"
 "(scanned, on_quadric, base_points, zslice_points, roundtrip_checked,\n"
-"roundtrip_fail, sym_fail, trace_fail, diag_fail, z1_flag_fail).");
+"roundtrip_fail, sym_fail, trace_fail, diag_fail).");
 
 static PyObject *
 quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
@@ -248,7 +248,7 @@ quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
     u64 w[MAXC], mat[MAXMAT], tmp[MAXM];
     long long scanned = 0, on_quadric = 0, base_points = 0, zslice_points = 0;
     long long roundtrip_checked = 0, roundtrip_fail = 0;
-    long long sym_fail = 0, trace_fail = 0, diag_fail = 0, z1_flag_fail = 0;
+    long long sym_fail = 0, trace_fail = 0, diag_fail = 0;
     /* sum_i b_i N(c_i) + b_n c^2, where N(e_0) = gam[0] and, from
        e_t conj(e_t) = -e_t e_t, N(e_t) = -gam[t*m+t] */
     for (int i = 0; i < n - 1; i++)
@@ -298,31 +298,22 @@ quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
                     }
                 }
             sym_fail += !ok;
+            /* a zero matrix is a base point, with nothing more to test: the
+               b_j are units, so every c_i conj(c_j) = 0, and on the quadric
+               the first n-1 diagonal entries sum to -b_n c_N^2, so c_N = 0 */
             if (!any_nonzero(mat, n * n * m)) {
-                /* a base point: scalar slot zero, every c_i conj(c_j) = 0 */
                 base_points++;
-                int flag_ok = c[N - 1] == 0;
-                for (int i = 0; flag_ok && i < n - 1; i++)
-                    for (int j = 0; flag_ok && j < n - 1; j++) {
-                        cd_mul(&S, c + i * m, c + j * m, 1, tmp);
-                        flag_ok = !any_nonzero(tmp, m);
-                    }
-                z1_flag_fail += !flag_ok;
                 continue;
             }
-            /* column n of the matrix: the inverse map's slice */
-            int col_zero = 1;
-            for (int i = 0; col_zero && i < n; i++)
-                col_zero = !any_nonzero(mat + (i * n + n - 1) * m, m);
+            /* column n of the matrix, c_i conj(c_N) b_n, is the inverse map's
+               slice; c_N = 0 makes it vanish: the inverse base locus */
             if (c[N - 1] == 0) {
-                /* the slice must vanish: inverse base locus */
-                zslice_points += col_zero;
-                roundtrip_fail += !col_zero;
+                zslice_points++;
                 continue;
             }
             roundtrip_checked++;
             u64 lam = mulmod(S.b[n - 1], c[N - 1], p);
-            int good = !col_zero;
+            int good = 1;
             for (int i = 0; good && i < n; i++) {
                 const u64 *e = mat + (i * n + n - 1) * m;
                 for (int k = 0; good && k < m; k++)
@@ -332,16 +323,16 @@ quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
         } while (walk_next(&W));
     }
 done:
-    return Py_BuildValue("(LLLLLLLLLL)", scanned, on_quadric, base_points,
+    return Py_BuildValue("(LLLLLLLLL)", scanned, on_quadric, base_points,
                          zslice_points, roundtrip_checked, roundtrip_fail,
-                         sym_fail, trace_fail, diag_fail, z1_flag_fail);
+                         sym_fail, trace_fail, diag_fail);
 }
 
 PyDoc_STRVAR(z1_sweep_doc,
 "z1_sweep($module, p, b, gamma, limit=-1)\n--\n\n"
 "Test every canonical point of P(C^{n-1}) over F_p below limit (all when\n"
-"limit < 0) against three membership predicates for the base locus.\n"
-"Returns (scanned, z1_points, equiv_fail, base_flag_fail).");
+"limit < 0) against two membership predicates for the base locus.\n"
+"Returns (scanned, z1_points, equiv_fail).");
 
 static PyObject *
 z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
@@ -353,7 +344,7 @@ z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
     const int m = S.m, nn = S.n - 1, N = m * nn;
     static const u64 no_form[MAXC];
     u64 tmp[MAXM], tmp2[MAXM];
-    long long scanned = 0, z1_points = 0, equiv_fail = 0, base_flag_fail = 0;
+    long long scanned = 0, z1_points = 0, equiv_fail = 0;
     walk W = {.N = N, .p = p, .w = no_form};
     const u64 *c = W.c;
     for (int lead = 0; lead < N; lead++) {
@@ -372,15 +363,6 @@ z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
             if (!s1)
                 continue;
             z1_points++;
-            /* weighted map entries must vanish here as well */
-            for (int i = 0; i < nn; i++)
-                for (int j = 0; j < nn; j++) {
-                    cd_mul(&S, c + i * m, c + j * m, 1, tmp);
-                    int hit = 0;
-                    for (int k = 0; k < m; k++)
-                        hit |= mulmod(tmp[k], S.b[j], p) != 0;
-                    base_flag_fail += hit;
-                }
             /* the corner entry of x(c)^2, b_n^{-1} times
                sum_k b_k conj(c_k) c_k, must vanish on the locus */
             u64 corner[MAXM] = {0};
@@ -396,8 +378,7 @@ z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
         } while (walk_next(&W));
     }
 done:
-    return Py_BuildValue("(LLLL)", scanned, z1_points, equiv_fail,
-                         base_flag_fail);
+    return Py_BuildValue("(LLL)", scanned, z1_points, equiv_fail);
 }
 
 static PyMethodDef methods[] = {

@@ -172,9 +172,9 @@ def quadric_sweep(p, b, gamma, limit=-1):
     the trace quadric, and verify the rank-one map pointwise.
 
     Returns (scanned, on_quadric, base_points, zslice_points,
-    roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail,
-    z1_flag_fail).  A nonnegative limit keeps the points of canonical
-    index below it; only the points on the quadric are visited.
+    roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail).
+    A nonnegative limit keeps the points of canonical index below it; only
+    the points on the quadric are visited.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -182,7 +182,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     scanned = space if limit < 0 else min(limit, space)
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
-    sym_fail = trace_fail = diag_fail = z1_flag_fail = 0
+    sym_fail = trace_fail = diag_fail = 0
     cc = [0] * (n * m)          # all n blocks, scalar block embedded
     mat = [0] * (n * n * m)
     tmp = [0] * m
@@ -231,43 +231,20 @@ def quadric_sweep(p, b, gamma, limit=-1):
                 break
         if not ok:
             sym_fail += 1
+        # a zero matrix is a base point, with nothing more to test: the b_j
+        # are units, so every c_i conj(c_j) = 0, and on the quadric the
+        # first n-1 diagonal entries sum to -b_n c_N^2, so c_N = 0
         if not any(mat[k] for k in range(n * n * m)):
             base_points += 1
-            # base points must satisfy the source-locus conditions:
-            # scalar slot zero and every unweighted product c_i conj(c_j) = 0
-            flag_ok = c[N - 1] == 0
-            if flag_ok:
-                for i in range(n - 1):
-                    for j in range(n - 1):
-                        _cd_mul(p, m, gamma, cc, i * m, cc, j * m, True, tmp)
-                        if any(tmp):
-                            flag_ok = False
-                            break
-                    if not flag_ok:
-                        break
-            if not flag_ok:
-                z1_flag_fail += 1
             continue
-        # column n of the matrix: the inverse map's slice
-        col_zero = True
-        for i in range(n):
-            off = (i * n + (n - 1)) * m
-            for k in range(m):
-                if mat[off + k]:
-                    col_zero = False
-                    break
-            if not col_zero:
-                break
+        # column n of the matrix, c_i conj(c_N) b_n, is the inverse map's
+        # slice; c_N = 0 makes it vanish: the inverse base locus
         if c[N - 1] == 0:
-            # slice must vanish: these points land in the inverse base locus
-            if col_zero:
-                zslice_points += 1
-            else:
-                roundtrip_fail += 1
+            zslice_points += 1
             continue
         roundtrip_checked += 1
         lam = (b[n - 1] * c[N - 1]) % p
-        good = not col_zero
+        good = True
         for i in range(n):
             off = (i * n + (n - 1)) * m
             for k in range(m):
@@ -280,25 +257,25 @@ def quadric_sweep(p, b, gamma, limit=-1):
             roundtrip_fail += 1
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
-            diag_fail, z1_flag_fail)
+            diag_fail)
 
 
 def z1_sweep(p, b, gamma, limit=-1):
-    """Walk P(C^{n-1}) over F_p and compare three membership predicates for
-    the source base locus: all products c_i conj(c_j) = 0; the square of
-    the half-space element x(c) vanishing; all weighted map entries
-    vanishing.  Returns (scanned, z1_points, equiv_fail, base_flag_fail).
-    A nonnegative limit keeps the points of canonical index below it."""
+    """Walk P(C^{n-1}) over F_p and compare two membership predicates for
+    the source base locus: all products c_i conj(c_j) = 0, and the square
+    of the half-space element x(c) vanishing.  Returns (scanned, z1_points,
+    equiv_fail).  A nonnegative limit keeps the points of canonical index
+    below it."""
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1)
     nn = n - 1
     space = (p ** N - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
-    z1_points = equiv_fail = base_flag_fail = 0
+    z1_points = equiv_fail = 0
     tmp = [0] * m
     tmp2 = [0] * m
-    # Off-locus points fail the first predicate; there x(c)^2 != 0 and the
-    # weighted map entries are nonzero too (the b_j are units), so the
+    # Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
+    # entries include the b_j c_i conj(c_j), and the b_j are units), so the
     # predicates agree with nothing left to verify.  A point with a block
     # of nonzero norm c_i conj(c_i) is such a point and is not visited.
     for c in _null_block_points(p, m, nn, gamma, scanned):
@@ -315,12 +292,6 @@ def z1_sweep(p, b, gamma, limit=-1):
         if not s1:
             continue
         z1_points += 1
-        # weighted map entries must vanish here as well
-        for i in range(nn):
-            for j in range(nn):
-                _cd_mul(p, m, gamma, c, i * m, c, j * m, True, tmp)
-                if any((v * b[j]) % p for v in tmp):
-                    base_flag_fail += 1
         # the only remaining entry of x(c)^2 is the corner, b_n^{-1} times
         # sum_k b_k conj(c_k) c_k; it must vanish on the locus
         corner = [0] * m
@@ -333,4 +304,4 @@ def z1_sweep(p, b, gamma, limit=-1):
                 corner[t] = (corner[t] + b[k] * tmp[t]) % p
         if any(corner):
             equiv_fail += 1
-    return (scanned, z1_points, equiv_fail, base_flag_fail)
+    return scanned, z1_points, equiv_fail

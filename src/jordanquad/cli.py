@@ -132,6 +132,8 @@ def cmd_verify(args):
         for k in given:
             if k not in verify.SUITE_KWARGS[args.suite]:
                 raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
+    if given.get("samples", 1) < 1:
+        raise ValueError("--samples must be at least 1")
     if "n_range" in given:
         given["n_range"] = _parse_range(given["n_range"])
     report = verify.run_suite(args.suite, **given)

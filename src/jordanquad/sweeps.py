@@ -117,8 +117,8 @@ class SweepReport:
 
 _QUADRIC_COUNTERS = ("scanned", "on_quadric", "base_points", "zslice_points",
                      "roundtrip_checked", "roundtrip_fail", "sym_fail",
-                     "trace_fail", "diag_fail", "z1_flag_fail")
-_Z1_COUNTERS = ("scanned", "z1_points", "equiv_fail", "base_flag_fail")
+                     "trace_fail", "diag_fail")
+_Z1_COUNTERS = ("scanned", "z1_points", "equiv_fail")
 
 
 def _kernel_report(kind, alg, names, raw, N, limit, oracle):
@@ -126,7 +126,7 @@ def _kernel_report(kind, alg, names, raw, N, limit, oracle):
     counter is a failure, and so, once the sweep is complete, is each count
     that differs from the exact one in oracle()."""
     p = alg.field.p
-    counts = dict(zip(names, raw))
+    counts = dict(zip(names, raw, strict=True))
     space = projective_size(p, N)
     complete = limit < 0 or limit >= space
     report = SweepReport(kind, p, alg.cd.r, alg.n,
@@ -160,8 +160,8 @@ def exhaustive_quadric_sweep(alg, limit=-1):
 
 
 def exhaustive_z1_sweep(alg, limit=-1):
-    """Kernel sweep of P(C^{n-1}) comparing the three base-locus
-    predicates pointwise, with the exact point-count oracle."""
+    """Kernel sweep of P(C^{n-1}) comparing the two base-locus predicates
+    pointwise, with the exact point-count oracle."""
     raw = fpkernels.active.z1_sweep(*kernel_inputs(alg), limit)
     return _kernel_report("z1", alg, _Z1_COUNTERS, raw, flat_dim(alg) - 1,
                           limit, lambda: {"z1_points": z1_expected_count(alg)})

@@ -247,6 +247,22 @@ def test_cli_verify_sweep_option_rejected_where_unused(capsys, monkeypatch, suit
     assert err == f"error: verify {suite} takes no {option}\n"
 
 
+@pytest.mark.parametrize("suite, argv", [
+    ("birational", ["--samples", "0"]),
+    ("z1", ["--budget", "1", "--samples", "0"]),
+    ("all", ["--samples", "-3"]),
+])
+def test_cli_verify_samples_below_1_exits_2(capsys, monkeypatch, suite, argv):
+    """No samples means no point checked, which must not read as verified."""
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, out, err = run_cli(capsys, "verify", suite, *argv)
+    assert code == 2 and not out and not calls
+    assert err == "error: --samples must be at least 1\n"
+
+
 def test_cli_verify_all_forwards_one_option(capsys, monkeypatch):
     from jordanquad import sweeps
     from jordanquad import verify as vmod

@@ -160,8 +160,6 @@ def test_peirce_half_basis():
     half = Fraction(1, 2)
     for x in basis:
         assert x.jordan_mul(u) == x.scale(half)
-    with pytest.raises(ValueError):
-        alg2.peirce_half_basis(5)
 
 
 def test_half_space_element_column():

@@ -180,7 +180,7 @@ def test_compiled_z1_sweep_products_of_three(compiled):
     _, b, gamma = sweeps.kernel_inputs(alg)
     pf = [c.v for c in alg.cd.norm_form.coeffs]
     raw = compiled.z1_sweep(p, b[:2], gamma, p + 7)
-    assert raw == (p + 7, _head_zeros(p, pf, p + 7), 0, 0)
+    assert raw == (p + 7, _head_zeros(p, pf, p + 7), 0)
 
 
 def test_compiled_isotropic_vector_near_2_31(compiled):
@@ -229,6 +229,40 @@ def test_compiled_sweep_signatures_match_pure(compiled):
     for name in ("quadric_sweep", "z1_sweep"):
         assert (inspect.signature(getattr(compiled, name))
                 == inspect.signature(getattr(_fpcore_py, name)))
+
+
+def test_kernel_report_rejects_a_tuple_of_the_wrong_length():
+    alg = sweeps.fp_algebra(5, 1, 3)
+    for raw in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            sweeps._kernel_report("z1", alg, sweeps._Z1_COUNTERS, raw, N=4,
+                                  limit=1, oracle=dict)
+
+
+@pytest.mark.parametrize("impl", ["pure", "compiled"])
+def test_every_failure_counter_fires_on_a_corrupted_gamma(request, impl):
+    """A wrong structure constant breaks the identities each `*_fail`
+    counter tests, so each one can fail; both twins give these tuples, one
+    counter for each name in sweeps."""
+    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
+    p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
+    m = 2
+    fired = set()
+    for entry, want in ((0, (781, 156, 0, 36, 120, 120, 0, 120, 0)),
+                        (m, (781, 156, 0, 36, 120, 114, 138, 0, 200))):
+        bad = list(gamma)
+        bad[entry] = 2
+        raw = kernels.quadric_sweep(p, b, bad)
+        assert raw == want, entry
+        fired |= {k for k, v in zip(sweeps._QUADRIC_COUNTERS, raw, strict=True) if v}
+    p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(3, 2, 3))
+    bad = list(gamma)
+    bad[1] = bad[11] = 0
+    raw = kernels.z1_sweep(p, b, bad)
+    assert raw == (3280, 80, 48)
+    fired |= {k for k, v in zip(sweeps._Z1_COUNTERS, raw, strict=True) if v}
+    assert fired >= {k for k in sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS
+                     if k.endswith("_fail")}
 
 
 def _kernel_point(alg, c, last):
@@ -317,7 +351,7 @@ def test_small_limit_builds_no_large_table(monkeypatch):
         cd_mul(*args)
 
     monkeypatch.setattr(_fpcore_py, "_cd_mul", counting)
-    assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0, 0)
+    assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0)
     assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
 
@@ -333,8 +367,7 @@ def test_quadric_sweep_oracles_pure():
         assert counts["scanned"] == sweeps.projective_size(p, alg.cd.dim * (n - 1) + 1)
         assert counts["on_quadric"] == fp_projective_zero_count(q_form(alg))
         assert counts["base_points"] == sweeps.z1_expected_count(alg)
-        for key in ("roundtrip_fail", "sym_fail", "trace_fail", "diag_fail",
-                    "z1_flag_fail"):
+        for key in ("roundtrip_fail", "sym_fail", "trace_fail", "diag_fail"):
             assert counts[key] == 0
 
 
