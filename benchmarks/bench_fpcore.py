@@ -61,13 +61,13 @@ def bench_sweep(name, names, alg):
 def bench_isotropic(p, coeffs, loops):
     out_p, dt_p = timed(lambda: [_fpcore_py.isotropic_vector(p, coeffs)
                                  for _ in range(loops)])
-    print(f"{'isotropic_vector':24s} pure-python: {loops:>9d} runs in {dt_p:7.3f}s")
+    print(f"{'isotropic_vector':24s} pure-python: {loops:>9d} runs in {dt_p * 1e3:9.4f}ms")
     if fpkernels.compiled is None:
         print(f"{'isotropic_vector':24s} compiled:    {NOT_BUILT}")
         return
     out_c, dt_c = timed(lambda: [fpkernels.compiled.isotropic_vector(p, coeffs)
                                  for _ in range(loops)], runs=COMPILED_RUNS)
-    print(f"{'isotropic_vector':24s} compiled:    {loops:>9d} runs in {dt_c:7.3f}s"
+    print(f"{'isotropic_vector':24s} compiled:    {loops:>9d} runs in {dt_c * 1e3:9.4f}ms"
           f"  speedup x{dt_p / dt_c:,.0f}")
     if out_c != out_p:
         raise SystemExit("isotropic_vector: compiled and pure kernels disagree")

@@ -353,10 +353,11 @@ z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
             if (S.limit >= 0 && scanned >= S.limit)
                 goto done;
             scanned++;
-            /* all products c_i conj(c_j) = 0? */
+            /* all products c_i conj(c_j) = 0?  c_j conj(c_i) is the
+               conjugate of c_i conj(c_j), so the pairs i <= j decide it */
             int s1 = 1;
             for (int i = 0; s1 && i < nn; i++)
-                for (int j = 0; s1 && j < nn; j++) {
+                for (int j = i; s1 && j < nn; j++) {
                     cd_mul(&S, c + i * m, c + j * m, 1, tmp);
                     s1 = !any_nonzero(tmp, m);
                 }

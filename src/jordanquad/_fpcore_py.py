@@ -279,10 +279,12 @@ def z1_sweep(p, b, gamma, limit=-1):
     # predicates agree with nothing left to verify.  A point with a block
     # of nonzero norm c_i conj(c_i) is such a point and is not visited.
     for c in _null_block_points(p, m, nn, gamma, scanned):
-        # all products c_i conj(c_j) = 0?
+        # all products c_i conj(c_j) = 0?  The walk has made the diagonal
+        # ones 0, and c_j conj(c_i) is the conjugate of c_i conj(c_j), so
+        # the pairs i < j decide it
         s1 = True
         for i in range(nn):
-            for j in range(nn):
+            for j in range(i + 1, nn):
                 _cd_mul(p, m, gamma, c, i * m, c, j * m, True, tmp)
                 if any(tmp):
                     s1 = False

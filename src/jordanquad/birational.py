@@ -131,13 +131,8 @@ def veronese_matrix(point):
     alg = point.algebra
     cd, n = alg.cd, alg.n
     coords = list(point.cparts) + [cd.from_scalar(point.last)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(alg.b[j] * (coords[i] * coords[j].conj()))
-        rows.append(row)
-    return rows
+    conjs = [c.conj() for c in coords]
+    return [[ci * conjs[j] * alg.b[j] for j in range(n)] for ci in coords]
 
 
 def veronese(point):

@@ -10,6 +10,14 @@ Basis products are monomial, e_i e_j = gamma(i, j) e_{i XOR j}, so each
 algebra carries a structure-constant table computed once and shared.
 Split algebras (isotropic norm) are fully supported; zero divisors are
 expected over F_p for r >= 2.
+
+Element arithmetic runs on plain values, not on scalar objects: over F_p
+it multiplies and adds int residues (the table is kept as ints too) and
+reduces mod p once per output coordinate, when the result is wrapped back
+into FpElems; over Q the values are the Fraction coordinates themselves.
+A product accumulates x_i y_j gamma(i, j) over the nonzero coordinates
+only.  The recursive doubling product _mul_rec builds the table and is
+the test oracle for the flat product.
 """
 
 from .errors import AlgebraMismatchError
@@ -36,6 +44,17 @@ def _mul_rec(x, y, params, field):
             + tuple(p + q for p, q in zip(da, bc)))
 
 
+def _mul_acc(gamma, x, y, out):
+    """out[i ^ j] += x_i y_j gamma[i][j] over the nonzero plain values of
+    x and y; nothing is reduced."""
+    for i, xi in enumerate(x):
+        if xi:
+            row = gamma[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    out[i ^ j] += xi * yj * row[j]
+
+
 class CDAlgebra:
     """A 2^r-dimensional composition algebra over an exact field."""
 
@@ -51,6 +70,11 @@ class CDAlgebra:
         self.dim = 1 << self.r
         self.norm_form = pfister(field, params)
         self._gamma = self._build_table()
+        # plain values of the table, the norm form and 0 for the flat
+        # arithmetic: int residues over F_p, Fractions over Q
+        self._gamma_v = [field.unwrap(row) for row in self._gamma]
+        self._norm_v = field.unwrap(self.norm_form.coeffs)
+        self._zero_v = field.value(0)
 
     def _build_table(self):
         """gamma[i][j] with e_i e_j = gamma[i][j] e_{i^j}, from the
@@ -120,54 +144,57 @@ class CDElem:
     def _check(self, other):
         if not isinstance(other, CDElem):
             raise TypeError(f"cannot combine CDElem with {type(other).__name__}")
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatchError("elements of different composition algebras")
 
     def __add__(self, other):
         self._check(other)
-        return CDElem(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        f = self.algebra.field
+        return CDElem(self.algebra, f.wrap([a + b for a, b in zip(
+            f.unwrap(self.coords), f.unwrap(other.coords))]))
 
     def __sub__(self, other):
         self._check(other)
-        return CDElem(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        f = self.algebra.field
+        return CDElem(self.algebra, f.wrap([a - b for a, b in zip(
+            f.unwrap(self.coords), f.unwrap(other.coords))]))
 
     def __neg__(self):
-        return CDElem(self.algebra, tuple(-a for a in self.coords))
+        f = self.algebra.field
+        return CDElem(self.algebra, f.wrap([-a for a in f.unwrap(self.coords)]))
 
     def __mul__(self, other):
         if not isinstance(other, CDElem):
-            # scalar action
-            s = self.algebra.field.element(other)
-            return CDElem(self.algebra, tuple(s * a for a in self.coords))
+            return self._scaled(other)
         self._check(other)
         alg = self.algebra
-        m = alg.dim
-        gamma = alg._gamma
-        out = [alg.field.zero()] * m
-        for i, xi in enumerate(self.coords):
-            if not xi:
-                continue
-            row = gamma[i]
-            for j, yj in enumerate(other.coords):
-                if yj:
-                    out[i ^ j] = out[i ^ j] + xi * yj * row[j]
-        return CDElem(alg, tuple(out))
+        f = alg.field
+        out = [alg._zero_v] * alg.dim
+        _mul_acc(alg._gamma_v, f.unwrap(self.coords), f.unwrap(other.coords), out)
+        return CDElem(alg, f.wrap(out))
 
-    def __rmul__(self, other):
-        s = self.algebra.field.element(other)
-        return CDElem(self.algebra, tuple(s * a for a in self.coords))
+    def _scaled(self, s):
+        """Scalar action."""
+        f = self.algebra.field
+        s = f.value(s)
+        return CDElem(self.algebra, f.wrap([s * a for a in f.unwrap(self.coords)]))
+
+    __rmul__ = _scaled
 
     def conj(self):
-        return CDElem(self.algebra, _conj_rec(self.coords))
+        f = self.algebra.field
+        v = f.unwrap(self.coords)
+        return CDElem(self.algebra, f.wrap([v[0]] + [-a for a in v[1:]]))
 
     def norm(self):
         """N(x), the Pfister norm form evaluated on the coordinates; equals
         the e_0 part of x * conj(x)."""
-        f = self.algebra.norm_form
-        total = self.algebra.field.zero()
-        for d, c in zip(f.coeffs, self.coords):
-            total = total + d * c * c
-        return total
+        alg = self.algebra
+        total = alg._zero_v
+        for d, c in zip(alg._norm_v, alg.field.unwrap(self.coords)):
+            if c:
+                total += d * c * c
+        return alg.field.element(total)
 
     def trace(self):
         """t(x) with x + conj(x) = t(x) e_0."""
@@ -177,18 +204,20 @@ class CDElem:
         return self.coords[0]
 
     def is_scalar(self):
-        return all(not c for c in self.coords[1:])
+        return not any(self.algebra.field.unwrap(self.coords)[1:])
 
     def __eq__(self, other):
         if not isinstance(other, CDElem):
             return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        a, b = self.algebra, other.algebra
+        return ((a is b or a == b)
+                and a.field.unwrap(self.coords) == b.field.unwrap(other.coords))
 
     def __hash__(self):
         return hash((self.algebra, self.coords))
 
     def __bool__(self):
-        return any(bool(c) for c in self.coords)
+        return any(self.algebra.field.unwrap(self.coords))
 
     def __repr__(self):
         parts = []

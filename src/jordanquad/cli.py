@@ -134,6 +134,8 @@ def cmd_verify(args):
                 raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
     if given.get("samples", 1) < 1:
         raise ValueError("--samples must be at least 1")
+    if given.get("budget", 0) < 0:
+        raise ValueError("--budget must be at least 0")
     if "n_range" in given:
         given["n_range"] = _parse_range(given["n_range"])
     report = verify.run_suite(args.suite, **given)

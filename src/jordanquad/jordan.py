@@ -8,11 +8,17 @@ size n = 3, so that restriction is enforced at construction.
 The k-dimension of the symmetric space is 2^{r-1} n(n-1) + n: n scalar
 diagonal slots plus a full copy of C per strict-upper-triangle slot (the
 lower triangle is determined by symmetry).
+
+Element arithmetic (jordan_mul, scale, sums and the symmetry test) works
+on the entries' plain values, as cayley_dickson does: an entry of x o y
+accumulates its composition-algebra products unreduced and is wrapped
+once per coordinate.  u_operator and trace_form are written with those
+operations and serve as the oracle of is_rank_one.
 """
 
 from fractions import Fraction
 
-from .cayley_dickson import CDAlgebra, CDElem
+from .cayley_dickson import CDAlgebra, CDElem, _mul_acc
 from .errors import AlgebraMismatchError
 
 
@@ -34,6 +40,10 @@ class JordanAlgebra:
         self.b = b
         self.n = len(b)
         self.half = self.field.element(Fraction(1, 2))
+        # plain values of 1/2 and of b_i / b_j for the flat products
+        value = self.field.value
+        self._half_v = value(self.half)
+        self._ratio_v = [[value(bi / bj) for bj in b] for bi in b]
         self._basis = None
 
     @property
@@ -79,7 +89,8 @@ class JordanAlgebra:
         diag = [self.field.element(d) for d in diag]
         if len(diag) != n:
             raise ValueError(f"need {n} diagonal scalars")
-        rows = [[self.cd.zero() for _ in range(n)] for _ in range(n)]
+        zero = self.cd.zero()
+        rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = self.cd.from_scalar(diag[i])
         for (i, j), e in upper.items():
@@ -88,7 +99,7 @@ class JordanAlgebra:
             if not isinstance(e, CDElem):
                 e = self.cd.element(e)
             rows[i][j] = e
-            rows[j][i] = (self.b[i] / self.b[j]) * e.conj()
+            rows[j][i] = e.conj() * self._ratio_v[i][j]
         return self.element(rows, validate=False)
 
     def zero(self):
@@ -129,12 +140,13 @@ class JordanAlgebra:
         cvec = list(cvec)
         if len(cvec) != i:
             raise ValueError(f"need {i} coordinates")
-        rows = [[self.cd.zero() for _ in range(self.n)] for _ in range(self.n)]
+        zero = self.cd.zero()
+        rows = [[zero] * self.n for _ in range(self.n)]
         for j, c in enumerate(cvec):
             if not isinstance(c, CDElem):
                 c = self.cd.element(c)
             rows[j][i] = c
-            rows[i][j] = (self.b[j] / self.b[i]) * c.conj()
+            rows[i][j] = c.conj() * self._ratio_v[j][i]
         return self.element(rows, validate=False)
 
     def __eq__(self, other):
@@ -164,16 +176,37 @@ class JordanElem:
         self.entries = entries
 
     def _check(self, other):
-        if not isinstance(other, JordanElem) or other.algebra != self.algebra:
+        if not isinstance(other, JordanElem) or (
+                other.algebra is not self.algebra and other.algebra != self.algebra):
             raise AlgebraMismatchError("elements of different Jordan algebras")
 
+    def _values(self):
+        """Plain values of every entry, as a list of rows."""
+        unwrap = self.algebra.field.unwrap
+        return [[unwrap(e.coords) for e in row] for row in self.entries]
+
+    def _from_values(self, rows):
+        """The element of this algebra with entries of the given plain
+        values, each coordinate wrapped once."""
+        cd = self.algebra.cd
+        wrap = cd.field.wrap
+        return JordanElem(self.algebra, tuple(tuple(CDElem(cd, wrap(v)) for v in row)
+                                              for row in rows))
+
     def is_symmetric(self):
-        """sigma_b(x) = x, i.e. x_ij = (b_j / b_i) conj(x_ji) for all i, j."""
-        b = self.algebra.b
-        n = self.algebra.n
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != (b[j] / b[i]) * self.entries[j][i].conj():
+        """sigma_b(x) = x, i.e. x_ij = (b_j / b_i) conj(x_ji) for all i, j:
+        a scalar diagonal, and the pairs i < j (the pair (j, i) states the
+        same equation times b_i / b_j)."""
+        alg = self.algebra
+        reduce, ratio = alg.field.reduce, alg._ratio_v
+        x = self._values()
+        for i in range(alg.n):
+            if any(x[i][i][1:]):
+                return False
+            for j in range(i + 1, alg.n):
+                r, u, v = ratio[j][i], x[i][j], x[j][i]
+                if any(reduce([u[0] - r * v[0]]
+                              + [a + r * c for a, c in zip(u[1:], v[1:])])):
                     return False
         return True
 
@@ -190,43 +223,50 @@ class JordanElem:
         """
         self._check(other)
         alg = self.algebra
-        n, b, half = alg.n, alg.b, alg.half
-        x, y = self.entries, other.entries
-        xs = [{k for k, e in enumerate(row) if e} for row in x]
-        ys = [{k for k, e in enumerate(row) if e} for row in y]
-        zero = alg.cd.zero()
+        cd = alg.cd
+        n, m, gamma = alg.n, cd.dim, cd._gamma_v
+        half, ratio, wrap = alg._half_v, alg._ratio_v, cd.field.wrap
+        x = self._values()
+        y = x if other is self else other._values()
+        xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
+        ys = xs if other is self else [{k for k, e in enumerate(row) if any(e)} for row in y]
+        zero = cd.zero()
         rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                terms = ([x[i][k] * y[k][j] for k in xs[i] & ys[j]]
-                         + [y[i][k] * x[k][j] for k in ys[i] & xs[j]])
-                if not terms:
+                ks, ls = xs[i] & ys[j], ys[i] & xs[j]
+                if not ks and not ls:
                     continue
-                rows[i][j] = acc = half * sum(terms[1:], terms[0])
+                acc = [cd._zero_v] * m
+                for k in ks:
+                    _mul_acc(gamma, x[i][k], y[k][j], acc)
+                for k in ls:
+                    _mul_acc(gamma, y[i][k], x[k][j], acc)
+                acc = [half * a for a in acc]
+                rows[i][j] = CDElem(cd, wrap(acc))
                 if i < j:
-                    rows[j][i] = (b[i] / b[j]) * acc.conj()
+                    r = ratio[i][j]
+                    rows[j][i] = CDElem(cd, wrap([r * acc[0]] + [-r * a for a in acc[1:]]))
         return JordanElem(alg, tuple(tuple(row) for row in rows))
 
     def __add__(self, other):
         self._check(other)
-        rows = tuple(tuple(a + b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.entries, other.entries))
-        return JordanElem(self.algebra, rows)
+        return self._from_values([[[a + b for a, b in zip(u, v)] for u, v in zip(r1, r2)]
+                                  for r1, r2 in zip(self._values(), other._values())])
 
     def __sub__(self, other):
         self._check(other)
-        rows = tuple(tuple(a - b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.entries, other.entries))
-        return JordanElem(self.algebra, rows)
+        return self._from_values([[[a - b for a, b in zip(u, v)] for u, v in zip(r1, r2)]
+                                  for r1, r2 in zip(self._values(), other._values())])
 
     def __neg__(self):
         return JordanElem(self.algebra,
                           tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, s):
-        s = self.algebra.field.element(s)
-        return JordanElem(self.algebra,
-                          tuple(tuple(s * a for a in row) for row in self.entries))
+        s = self.algebra.field.value(s)
+        return self._from_values([[[s * a for a in v] for v in row]
+                                  for row in self._values()])
 
     def __rmul__(self, s):
         return self.scale(s)

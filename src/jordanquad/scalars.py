@@ -6,6 +6,16 @@ reduced).  Scalars over F_p are ``FpElem`` wrappers around a residue in
 operators over either field.  Characteristic 2 is rejected: everything
 downstream divides by 2.
 
+Both field classes also convert between scalars and plain values, for
+arithmetic that runs below the wrappers (the products of cayley_dickson and
+jordan): ``unwrap`` gives the plain values of a sequence of scalars (the
+int residues over F_p, the Fractions themselves over Q), ``value`` that of
+one scalar after coercing it into the field, ``reduce`` brings
+plain values to canonical form (mod p over F_p; Fractions already are),
+and ``wrap`` turns plain values back into a tuple of scalars, reducing each
+once.  Over Q all three hand the values on untouched, so the rational path
+pays no per-coordinate call.
+
 Square classes get canonical representatives: over F_p either 1 or a fixed
 least non-residue, over Q a square-free integer with sign.  Discriminants
 and Hilbert-symbol bookkeeping rely on these canonical forms.
@@ -148,6 +158,22 @@ class Rationals:
     def zero(self):
         return Fraction(0)
 
+    def value(self, x):
+        """Plain value of a scalar: the Fraction itself."""
+        return self.element(x)
+
+    def unwrap(self, xs):
+        """Plain values of a sequence of Fractions: the sequence itself."""
+        return xs
+
+    def reduce(self, vs):
+        """Fractions are always in lowest terms: the values themselves."""
+        return vs
+
+    def wrap(self, vs):
+        """A tuple of the Fraction values."""
+        return tuple(vs)
+
     def one(self):
         return Fraction(1)
 
@@ -217,6 +243,24 @@ class PrimeField:
 
     def zero(self):
         return FpElem(self.p, 0)
+
+    def value(self, x):
+        """Plain value of a scalar: its residue in [0, p)."""
+        return self.element(x).v
+
+    def unwrap(self, xs):
+        """Residues of a sequence of FpElems of this field."""
+        return [x.v for x in xs]
+
+    def reduce(self, vs):
+        """Ints reduced into [0, p)."""
+        p = self.p
+        return [v % p for v in vs]
+
+    def wrap(self, vs):
+        """FpElems of ints, each reduced mod p once."""
+        p = self.p
+        return tuple([FpElem(p, v) for v in vs])
 
     def one(self):
         return FpElem(self.p, 1)

@@ -86,9 +86,8 @@ def z1_expected_count(alg):
 def kernel_inputs(alg):
     """(p, b, gamma) of the sweep kernels: the prime, the diagonal b and the
     flat structure-constant table of the composition algebra."""
-    m = alg.cd.dim
-    gamma = [alg.cd._gamma[i][j].v for i in range(m) for j in range(m)]
-    return alg.field.p, [x.v for x in alg.b], gamma
+    gamma = [g for row in alg.cd._gamma_v for g in row]
+    return alg.field.p, alg.field.unwrap(alg.b), gamma
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Shared strategies and fixtures."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+from jordanquad import scalars
 from jordanquad.scalars import PrimeField, Rationals
 
 
@@ -33,3 +35,28 @@ def fp_elements(p):
 
 def nonzero_fp_elements(p):
     return st.integers(min_value=1, max_value=p - 1).map(PrimeField(p).element)
+
+
+# Fields for the oracle tests of the flat products: Q, two small primes and
+# the primes 2^31 - 1 and 2^61 - 1, whose products of residues are big ints.
+ORACLE_FIELDS = ("Q", 3, 13, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.fixture(params=ORACLE_FIELDS, ids=lambda f: f if f == "Q" else f"F{f}")
+def oracle_field(request):
+    if request.param == "Q":
+        return Rationals()
+    # 2^61 - 1 is a Mersenne prime; is_prime's trial division would take
+    # minutes to confirm it, so the primality test is skipped here
+    with mock.patch.object(scalars, "is_prime", return_value=True):
+        return PrimeField(request.param)
+
+
+def random_scalar(field, rng, zero_frac=0.3):
+    """A seeded field scalar, 0 with probability zero_frac; over Q a small
+    fraction, over F_p any residue."""
+    if rng.random() < zero_frac:
+        return field.zero()
+    if field.kind == "Q":
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9))
+    return field.element(rng.randrange(1, field.p))

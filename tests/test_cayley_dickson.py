@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanquad.cayley_dickson import CDAlgebra
+from jordanquad.cayley_dickson import CDAlgebra, _conj_rec, _mul_rec
 from jordanquad.errors import AlgebraMismatchError
 from jordanquad.quadform import pfister
 from jordanquad.scalars import PrimeField, Rationals
@@ -161,3 +163,29 @@ def test_table_json_shape():
     t = H.table_json()
     assert len(t) == 4 and len(t[0]) == 4
     assert t[1][2] == {"index": 3, "coef": "1"}
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_flat_arithmetic_matches_doubling_oracle(oracle_field, r):
+    """The flat product equals the recursive doubling product, and the
+    other flat operations equal their scalar-by-scalar definitions, on
+    seeded elements with zero coordinates mixed in."""
+    field = oracle_field
+    rng = random.Random(f"{field}:{r}")
+    for _ in range(4):
+        params = [random_scalar(field, rng, zero_frac=0) for _ in range(r)]
+        alg = CDAlgebra(field, params)
+        for _ in range(12):
+            x, y = (alg.element([random_scalar(field, rng) for _ in range(alg.dim)])
+                    for _ in range(2))
+            s = random_scalar(field, rng)
+            xy = x * y
+            assert xy.coords == _mul_rec(x.coords, y.coords, alg.params, field)
+            assert all(type(c) is type(field.one()) for c in xy.coords)
+            assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+            assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
+            assert (-x).coords == tuple(-a for a in x.coords)
+            assert (s * x).coords == (x * s).coords == tuple(s * a for a in x.coords)
+            assert x.conj().coords == _conj_rec(x.coords)
+            assert x.norm() == _mul_rec(x.coords, _conj_rec(x.coords),
+                                        alg.params, field)[0]

@@ -263,6 +263,31 @@ def test_cli_verify_samples_below_1_exits_2(capsys, monkeypatch, suite, argv):
     assert err == "error: --samples must be at least 1\n"
 
 
+@pytest.mark.parametrize("suite, argv", [
+    ("birational", ["--budget", "-1"]),
+    ("z1", ["--budget", "-5", "--samples", "3"]),
+    ("all", ["--budget", "-1"]),
+])
+def test_cli_verify_budget_below_0_exits_2(capsys, monkeypatch, suite, argv):
+    """A negative budget used to run as 'never exhaustive' without a word."""
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, out, err = run_cli(capsys, "verify", suite, *argv)
+    assert code == 2 and not out and not calls
+    assert err == "error: --budget must be at least 0\n"
+
+
+def test_cli_verify_budget_0_is_valid(capsys, monkeypatch):
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, _, _ = run_cli(capsys, "verify", "z1", "--budget", "0")
+    assert code == 0 and calls["z1"]["budget"] == 0
+
+
 def test_cli_verify_all_forwards_one_option(capsys, monkeypatch):
     from jordanquad import sweeps
     from jordanquad import verify as vmod

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_scalar
 
 from jordanquad import sweeps
 from jordanquad.birational import veronese
-from jordanquad.cayley_dickson import CDAlgebra
+from jordanquad.cayley_dickson import CDAlgebra, _mul_rec
 from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra
 from jordanquad.scalars import PrimeField, Rationals
@@ -211,17 +212,25 @@ def shape_alg(field, r, n):
 
 
 def reference_jordan_mul(x, y):
-    """(xy + yx)/2 from full matrix products of CDElem entries."""
+    """Coordinates of (xy + yx)/2 over the full n x n matrices, every entry
+    product taken with the recursive doubling product."""
     alg = x.algebra
-    n = alg.n
+    cd, field, n = alg.cd, alg.field, alg.n
 
-    def matmul(u, v):
-        return [[sum((u[i][k] * v[k][j] for k in range(n)), alg.cd.zero())
-                 for j in range(n)] for i in range(n)]
+    def entry(u, v, i, j):
+        total = [field.zero()] * cd.dim
+        for k in range(n):
+            prod = _mul_rec(u[i][k].coords, v[k][j].coords, cd.params, field)
+            total = [a + b for a, b in zip(total, prod)]
+        return total
 
-    xy, yx = matmul(x.entries, y.entries), matmul(y.entries, x.entries)
-    return alg.element([[alg.half * (p + q) for p, q in zip(r1, r2)]
-                        for r1, r2 in zip(xy, yx)])
+    return [[tuple(alg.half * (a + b) for a, b in zip(entry(x.entries, y.entries, i, j),
+                                                      entry(y.entries, x.entries, i, j)))
+             for j in range(n)] for i in range(n)]
+
+
+def coords(x):
+    return [[e.coords for e in row] for row in x.entries]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -243,7 +252,7 @@ def test_jordan_mul_matches_reference(field, r, n):
     pairs += [(dense[t % 3], y) for t, y in enumerate(basis)]
     pairs += [(y, basis[(t * 7 + 3) % len(basis)]) for t, y in enumerate(basis)]
     for x, y in pairs:
-        assert x.jordan_mul(y) == reference_jordan_mul(x, y)
+        assert coords(x.jordan_mul(y)) == reference_jordan_mul(x, y)
 
 
 def literal_rank_one(x):
@@ -268,3 +277,23 @@ def test_is_rank_one_matches_literal_check(field, r):
         assert x.is_rank_one() and literal_rank_one(x)
     for x in [images[0] + images[1], E11 + E22]:
         assert not x.is_rank_one() and not literal_rank_one(x)
+
+
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)])
+def test_jordan_mul_matches_doubling_oracle(oracle_field, r, n):
+    field = oracle_field
+    rng = random.Random(f"{field}:{r}:{n}")
+    cd = CDAlgebra(field, [random_scalar(field, rng, zero_frac=0) for _ in range(r)])
+    alg = JordanAlgebra(cd, [random_scalar(field, rng, zero_frac=0) for _ in range(n)])
+
+    def element():
+        upper = {(i, j): cd.element([random_scalar(field, rng) for _ in range(cd.dim)])
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
+        return alg.from_parts([random_scalar(field, rng) for _ in range(n)], upper)
+
+    for _ in range(3):
+        x, y = element(), element()
+        for u, v in ((x, y), (x, x)):
+            got = u.jordan_mul(v)
+            assert coords(got) == reference_jordan_mul(u, v)
+            assert got.is_symmetric()
