@@ -126,13 +126,17 @@ def on_quadric(point):
     return evaluate(q_form(point.algebra), point.flatten()) == point.algebra.field.zero()
 
 
+def _coords(point):
+    """The n composition-algebra coordinates c_1, ..., c_{n-1}, c_n."""
+    return list(point.cparts) + [point.algebra.cd.from_scalar(point.last)]
+
+
 def veronese_matrix(point):
-    """The full n x n matrix [c_i conj(c_j) b_j] (no base-point check)."""
-    alg = point.algebra
-    cd, n = alg.cd, alg.n
-    coords = list(point.cparts) + [cd.from_scalar(point.last)]
-    conjs = [c.conj() for c in coords]
-    return [[ci * conjs[j] * alg.b[j] for j in range(n)] for ci in coords]
+    """The full n x n matrix [c_i conj(c_j) b_j] (no base-point check);
+    b_j is folded into conj(c_j) once per column."""
+    coords = _coords(point)
+    cols = [c.conj() * bj for c, bj in zip(coords, point.algebra.b)]
+    return [[ci * w for w in cols] for ci in coords]
 
 
 def veronese(point):
@@ -194,11 +198,13 @@ def transposition_map(point):
     for u' = E_{n-1,n-1}: take column n-1 of the image matrix, then swap
     the last two coordinate slots.  Lands in the space for the form with
     b_{n-1} and b_n exchanged; agrees projectively with the star formula
-    x * y = x conj(y) of transposition_star."""
+    x * y = x conj(y) of transposition_star.  Only that column is
+    computed: c_i conj(c_{n-1}) b_{n-1} for i = 1, ..., n."""
     alg = point.algebra
     n = alg.n
-    rows = veronese_matrix(point)
-    col = [rows[i][n - 2] for i in range(n)]
+    coords = _coords(point)
+    w = coords[n - 2].conj() * alg.b[n - 2]
+    col = [c * w for c in coords]
     if all(not e for e in col):
         raise BasePointError("column n-1 vanishes: transposition undefined here")
     if not col[n - 2].is_scalar():

@@ -220,29 +220,33 @@ class JordanElem:
         (x o y)_ji = (b_i / b_j) conj((x o y)_ij).  Products with a zero
         factor are skipped; a symmetric matrix has a symmetric zero
         pattern, so the nonzero y_kj are the nonzero y_jk of row j.
+        For x o x (other is self) the two halves xy and yx are the same
+        sum, so each product is taken once and nothing is halved.
         """
         self._check(other)
         alg = self.algebra
         cd = alg.cd
         n, m, gamma = alg.n, cd.dim, cd._gamma_v
         half, ratio, wrap = alg._half_v, alg._ratio_v, cd.field.wrap
+        square = other is self
         x = self._values()
-        y = x if other is self else other._values()
+        y = x if square else other._values()
         xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
-        ys = xs if other is self else [{k for k, e in enumerate(row) if any(e)} for row in y]
+        ys = xs if square else [{k for k, e in enumerate(row) if any(e)} for row in y]
         zero = cd.zero()
         rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                ks, ls = xs[i] & ys[j], ys[i] & xs[j]
+                ks, ls = xs[i] & ys[j], () if square else ys[i] & xs[j]
                 if not ks and not ls:
                     continue
                 acc = [cd._zero_v] * m
                 for k in ks:
                     _mul_acc(gamma, x[i][k], y[k][j], acc)
-                for k in ls:
-                    _mul_acc(gamma, y[i][k], x[k][j], acc)
-                acc = [half * a for a in acc]
+                if not square:
+                    for k in ls:
+                        _mul_acc(gamma, y[i][k], x[k][j], acc)
+                    acc = [half * a for a in acc]
                 rows[i][j] = CDElem(cd, wrap(acc))
                 if i < j:
                     r = ratio[i][j]

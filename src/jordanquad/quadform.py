@@ -336,8 +336,14 @@ def isotropic_vector_search(f, bound=3):
     """A nonzero v with q(v) = 0, or None.
 
     F_p: exhaustive over canonical projective representatives (first
-    nonzero coordinate 1), so None proves anisotropy.  Q: integer boxes
-    [-bound, bound]^dim; None only means no vector in the box.
+    nonzero coordinate 1), so None proves anisotropy.  Q: the first vector
+    of the integer box [-bound, bound]^dim, in lexicographic order, with
+    q(v) = 0, and its sign turned so that its first nonzero coordinate is
+    positive; None only means no vector in the box.  The last coordinate
+    is solved for, not walked: with the coefficients cleared of
+    denominators, each prefix (x_1, ..., x_{dim-1}) in turn gives
+    a_dim x_dim^2 = -(a_1 x_1^2 + ... ), whose least root -s (s = isqrt,
+    s <= bound) is the walk's first hit on that prefix.
     """
     field = f.field
     if isinstance(field, PrimeField):
@@ -346,15 +352,18 @@ def isotropic_vector_search(f, bound=3):
         if v is None:
             return None
         return tuple(FpElem(field.p, x) for x in v)
-    rng = range(-bound, bound + 1)
-    for v in itertools.product(rng, repeat=f.dim):
-        if all(x == 0 for x in v):
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    *head, last = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=f.dim - 1):
+        sq, rem = divmod(-sum(a * x * x for a, x in zip(head, prefix)), last)
+        if rem or sq < 0:
             continue
-        if evaluate(f, v) == 0:
-            lead = next(x for x in v if x != 0)
-            if lead < 0:
-                v = tuple(-x for x in v)
-            return tuple(Fraction(x) for x in v)
+        s = math.isqrt(sq)
+        if s * s != sq or s > bound or not (s or any(prefix)):
+            continue
+        v = prefix + (-s,)
+        sign = 1 if next(x for x in v if x) > 0 else -1
+        return tuple(Fraction(sign * x) for x in v)
     return None
 
 

@@ -44,8 +44,38 @@ def factor(n):
     return out
 
 
+# Miller-Rabin with these 13 bases decides primality for every
+# n < MR_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
-    return n >= 2 and factor(n) == {n: 1}
+    """Deterministic Miller-Rabin; ValueError for n >= MR_BOUND, where
+    these bases no longer prove primality."""
+    if n >= MR_BOUND:
+        raise ValueError(f"is_prime: {n} is too large to decide "
+                         f"(the limit is {MR_BOUND})")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class FpElem:

@@ -1,12 +1,10 @@
 """Shared strategies and fixtures."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from jordanquad import scalars
 from jordanquad.scalars import PrimeField, Rationals
 
 
@@ -46,10 +44,7 @@ ORACLE_FIELDS = ("Q", 3, 13, 2**31 - 1, 2**61 - 1)
 def oracle_field(request):
     if request.param == "Q":
         return Rationals()
-    # 2^61 - 1 is a Mersenne prime; is_prime's trial division would take
-    # minutes to confirm it, so the primality test is skipped here
-    with mock.patch.object(scalars, "is_prime", return_value=True):
-        return PrimeField(request.param)
+    return PrimeField(request.param)
 
 
 def random_scalar(field, rng, zero_frac=0.3):

@@ -184,6 +184,50 @@ def test_transposition_octonions():
     assert rep.counts["double_transpositions"] >= 10
 
 
+def column_transposition(point):
+    """transposition_map from the full matrix: column n-1 of
+    veronese_matrix, slots n-1 and n swapped."""
+    alg = point.algebra
+    n = alg.n
+    col = [row[n - 2] for row in veronese_matrix(point)]
+    if all(not e for e in col):
+        return None
+    return ProjPointC(alg.swap_last_two(), col[:n - 2] + [col[n - 1]],
+                      col[n - 2].scalar_part())
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7), PrimeField(13)], ids=str)
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_transposition_map_matches_matrix_column(field, r, n):
+    alg = JordanAlgebra(CDAlgebra(field, [-1, 2, 3][:r]), (1, 2, -3, 5)[:n])
+    cd = alg.cd
+    rng = random.Random(f"{field}:{r}:{n}")
+    points = list(sweeps.sample_quadric_points(alg, 4, seed=r + n))
+    # off the quadric too; every fourth with slot n-1 zero, where the map
+    # is undefined, and the scalar slot zero now and then
+    for t in range(12):
+        blocks = [[rng.randint(-3, 3) for _ in range(cd.dim)] for _ in range(n - 1)]
+        if t % 4 == 0:
+            blocks[n - 2] = [0] * cd.dim
+        last = rng.choice((0, rng.randint(-3, 3)))
+        if any(map(any, blocks)) or last:
+            points.append(pt(alg, blocks, last))
+    undefined = 0
+    for p in points:
+        coords = list(p.cparts) + [cd.from_scalar(p.last)]
+        rows = veronese_matrix(p)
+        assert rows == [[ci * cj.conj() * bj for cj, bj in zip(coords, alg.b)]
+                        for ci in coords]
+        expect = column_transposition(p)
+        if expect is None:
+            undefined += 1
+            with pytest.raises(BasePointError):
+                transposition_map(p)
+        else:
+            assert transposition_map(p) == expect
+    assert undefined and len(points) - undefined >= 8
+
+
 def test_sampled_roundtrip_all_small_configs():
     for r, b in [(0, (1, 2, -3)), (1, (1, 2, -3)), (2, (1, 2, -3))]:
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), b)

@@ -74,6 +74,20 @@ def test_cli_witt(capsys):
     assert json.loads(out)["witt_index"] == 2
 
 
+def test_cli_witt_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "witt", "--field", "Fp", "--p", str(2 ** 61 - 1),
+                           "--form", "1,1")
+    assert code == 0
+    assert json.loads(out)["witt_index"] == 0   # -1 is not a square: p = 3 mod 4
+
+
+def test_cli_witt_prime_beyond_primality_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "witt", "--field", "Fp",
+                             "--p", "3317044064679887385961987", "--form", "1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
+
+
 def test_cli_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--a", "-1", "--b", "-1", "--place", "2")
     assert code == 0 and out.strip() == "-1"

@@ -8,7 +8,7 @@ from jordanquad import sweeps
 from jordanquad.birational import veronese
 from jordanquad.cayley_dickson import CDAlgebra, _mul_rec
 from jordanquad.errors import AlgebraMismatchError, BasePointError
-from jordanquad.jordan import JordanAlgebra
+from jordanquad.jordan import JordanAlgebra, JordanElem
 from jordanquad.scalars import PrimeField, Rationals
 
 Q = Rationals()
@@ -279,9 +279,12 @@ def test_is_rank_one_matches_literal_check(field, r):
         assert not x.is_rank_one() and not literal_rank_one(x)
 
 
-@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)])
-def test_jordan_mul_matches_doubling_oracle(oracle_field, r, n):
-    field = oracle_field
+ORACLE_SHAPES = [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)]
+
+
+def oracle_elements(field, r, n, count):
+    """count seeded elements of a seeded Sym(M_n(C), sigma_b) over field,
+    with zero diagonal slots and zero or partly zero off-diagonal entries."""
     rng = random.Random(f"{field}:{r}:{n}")
     cd = CDAlgebra(field, [random_scalar(field, rng, zero_frac=0) for _ in range(r)])
     alg = JordanAlgebra(cd, [random_scalar(field, rng, zero_frac=0) for _ in range(n)])
@@ -291,9 +294,22 @@ def test_jordan_mul_matches_doubling_oracle(oracle_field, r, n):
                  for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
         return alg.from_parts([random_scalar(field, rng) for _ in range(n)], upper)
 
-    for _ in range(3):
-        x, y = element(), element()
+    return [element() for _ in range(count)]
+
+
+@pytest.mark.parametrize("r,n", ORACLE_SHAPES)
+def test_jordan_mul_matches_doubling_oracle(oracle_field, r, n):
+    elems = oracle_elements(oracle_field, r, n, 6)
+    for x, y in zip(elems[::2], elems[1::2]):
         for u, v in ((x, y), (x, x)):
             got = u.jordan_mul(v)
             assert coords(got) == reference_jordan_mul(u, v)
             assert got.is_symmetric()
+
+
+@pytest.mark.parametrize("r,n", ORACLE_SHAPES)
+def test_square_matches_product_with_a_copy(oracle_field, r, n):
+    # x o x takes each product once; a distinct but equal right factor goes
+    # through the general two-sided, halved sum
+    for x in oracle_elements(oracle_field, r, n, 4):
+        assert x.square() == x.jordan_mul(JordanElem(x.algebra, x.entries))

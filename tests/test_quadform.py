@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,51 @@ def test_isotropic_vector_search_examples():
     assert v == (1, 1, 1)
     assert isotropic_vector_search(QuadForm(F7, (1, 1))) is None
     assert isotropic_vector_search(QuadForm(Q, (1, -1)), bound=1) == (1, 1)
+
+
+def box_walk_isotropic(f, bound):
+    """The first nonzero v of [-bound, bound]^dim in lexicographic order
+    with q(v) = 0, signed so that its first nonzero coordinate is positive:
+    the whole-box walk, on the coefficients times their common denominator
+    (which has the same zeros)."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    a = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    for v in itertools.product(range(-bound, bound + 1), repeat=f.dim):
+        if any(v) and sum(c * x * x for c, x in zip(a, v)) == 0:
+            sign = 1 if next(x for x in v if x) > 0 else -1
+            return tuple(Fraction(sign * x) for x in v)
+    return None
+
+
+def test_isotropic_vector_search_q_matches_box_walk():
+    rng = random.Random(10)
+
+    def nonzero(hi=9):
+        return rng.choice((-1, 1)) * rng.randint(1, hi)
+
+    found = missed = 0
+    for dim in range(1, 6):
+        for bound in range(7):
+            forms = [[nonzero() for _ in range(dim)],
+                     [Fraction(nonzero(), rng.randint(1, 6)) for _ in range(dim)],
+                     [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(dim)]]
+            if dim > 1 and bound:
+                # a_dim chosen so that a vector of the box is isotropic
+                v = [rng.randint(-bound, bound) for _ in range(dim - 1)] + [nonzero(bound)]
+                head = [Fraction(nonzero(), rng.randint(1, 6)) for _ in range(dim - 1)]
+                last = -sum(a * x * x for a, x in zip(head, v)) / v[-1] ** 2
+                if last:
+                    forms.append(head + [last])
+            for coeffs in forms:
+                f = QuadForm(Q, tuple(coeffs))
+                got = isotropic_vector_search(f, bound=bound)
+                assert got == box_walk_isotropic(f, bound), (coeffs, bound)
+                if got is None:
+                    missed += 1
+                else:
+                    assert evaluate(f, got) == 0 and all(type(x) is Fraction for x in got)
+                    found += 1
+    assert found >= 40 and missed >= 40
 
 
 def test_search_result_evaluates_to_zero():

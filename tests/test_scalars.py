@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jordanquad.errors import FieldMismatchError
-from jordanquad.scalars import (PrimeField, Rationals, factor, field_from_spec,
-                                is_prime)
+from jordanquad.scalars import (MR_BOUND, PrimeField, Rationals, factor,
+                                field_from_spec, is_prime)
 
 from conftest import fp_elements, rationals
 
@@ -140,6 +140,20 @@ def test_factor_multiplies_back_to_primes(n):
     assert math.prod(q ** e for q, e in exponents.items()) == n
     assert all(_trial_division_is_prime(q) and e >= 1 for q, e in exponents.items())
     assert is_prime(n) == _trial_division_is_prime(n)
+
+
+def test_is_prime_large():
+    # Mersenne numbers, and the least strong pseudoprimes to the prime bases
+    # up to 23 and up to 31 (each base in turn would be fooled alone)
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 67 - 1)   # 193707721 * 761838257287
+    assert not is_prime(149491 * 747451 * 34233211)
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(MR_BOUND - 2) == (pow(2, MR_BOUND - 3, MR_BOUND - 2) == 1)
+    # the least strong pseudoprime to every base up to 41 is the bound itself
+    for n in (MR_BOUND, 1287836182261 * 2575672364521, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
 
 
 def test_factor_examples():
