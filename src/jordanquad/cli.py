@@ -17,7 +17,7 @@ from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
 from .config import ParseError, ValidationError, load_config
 from .errors import BasePointError, SamplingError
 from .quadform import QuadForm, evaluate, hilbert_symbol, invariants, witt_index
-from .scalars import field_from_spec
+from .scalars import field_from_spec, is_prime
 
 TARGETS = {
     "quadric": lambda r, n: motives.decompose_neighbour_quadric(r, n),
@@ -121,6 +121,8 @@ def cmd_witt(args):
 
 def cmd_hilbert(args):
     place = args.place if args.place == "inf" else int(args.place)
+    if place != "inf" and not is_prime(place):
+        raise ValueError(f"--place {place} is not a prime")
     print(hilbert_symbol(_scalar(args.a), _scalar(args.b), place))
     return 0
 

@@ -45,6 +45,7 @@ class JordanAlgebra:
         self._half_v = value(self.half)
         self._ratio_v = [[value(bi / bj) for bj in b] for bi in b]
         self._basis = None
+        self._swapped = None
 
     @property
     def dim(self):
@@ -52,9 +53,12 @@ class JordanAlgebra:
         return (1 << r) * n * (n - 1) // 2 + n
 
     def swap_last_two(self):
-        """The algebra with b_{n-1} and b_n exchanged (same C)."""
-        b = self.b[:-2] + (self.b[-1], self.b[-2])
-        return JordanAlgebra(self.cd, b)
+        """The algebra with b_{n-1} and b_n exchanged (same C), built on
+        first use and kept."""
+        if self._swapped is None:
+            b = self.b[:-2] + (self.b[-1], self.b[-2])
+            self._swapped = JordanAlgebra(self.cd, b)
+        return self._swapped
 
     # -- element constructors -------------------------------------------------
 

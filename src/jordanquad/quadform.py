@@ -125,6 +125,10 @@ def _unit_mod8(u):
 def hilbert_symbol(a, b, place):
     """The Hilbert symbol (a, b) at a place of Q: an odd prime, 2, or "inf".
 
+    The place must be prime.  That is not tested here, where the cost of
+    a primality test on every call would show; callers pass primes, and
+    the CLI rejects a --place that is not one.
+
     Computed by the valuation-and-Legendre formula at odd p, the mod-8
     epsilon/omega formula at 2, and the sign test at the real place.
     """

@@ -2,11 +2,13 @@
 
 Positive roots are enumerated explicitly (A: e_i - e_j; B: e_i, e_i +- e_j;
 C: 2e_i, e_i +- e_j; D: e_i +- e_j; F4: the standard 48-vector model) with
-Bourbaki simple-root numbering.  Parabolic dimensions come from
-dim G/P_theta = #Phi+ - #Phi+(levi on Delta minus theta), computed by
-expanding each positive root in the simple basis; Weyl orders use the
-classical closed forms, with Levi orders multiplied over connected
-components of the sub-diagram.
+Bourbaki simple-root numbering.  Coordinates are ints, with Fraction only
+for F4's half-integer roots.  Parabolic dimensions come from
+dim G/P_theta = #Phi+ - #Phi+(levi on Delta minus theta), computed from
+the simple-root support of each positive root, found by adding simple
+roots upward from the simple roots; Weyl orders use the classical closed
+forms, with Levi orders multiplied over connected components of the
+sub-diagram.
 """
 
 import math
@@ -34,8 +36,8 @@ class RootSystem:
 
 
 def _unit(dim, i, sign=1):
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(sign)
+    v = [0] * dim
+    v[i] = sign
     return v
 
 
@@ -47,17 +49,17 @@ def positive_roots(rs):
         for i in range(dim):
             for j in range(i + 1, dim):
                 v = _unit(dim, i)
-                v[j] = Fraction(-1)
+                v[j] = -1
                 roots.append(tuple(v))
         return roots
     if fam in ("B", "C", "D"):
         for i in range(m):
             for j in range(i + 1, m):
                 v = _unit(m, i)
-                v[j] = Fraction(1)
+                v[j] = 1
                 roots.append(tuple(v))
                 v = _unit(m, i)
-                v[j] = Fraction(-1)
+                v[j] = -1
                 roots.append(tuple(v))
         if fam == "B":
             roots += [tuple(_unit(m, i)) for i in range(m)]
@@ -70,7 +72,7 @@ def positive_roots(rs):
         for j in range(i + 1, 4):
             for s in (1, -1):
                 v = _unit(4, i)
-                v[j] = Fraction(s)
+                v[j] = s
                 roots.append(tuple(v))
     half = Fraction(1, 2)
     for s2 in (1, -1):
@@ -88,14 +90,14 @@ def simple_roots(rs):
         out = []
         for i in range(m):
             v = _unit(dim, i)
-            v[i + 1] = Fraction(-1)
+            v[i + 1] = -1
             out.append(tuple(v))
         return out
     if fam in ("B", "C", "D"):
         out = []
         for i in range(m - 1):
             v = _unit(m, i)
-            v[i + 1] = Fraction(-1)
+            v[i + 1] = -1
             out.append(tuple(v))
         if fam == "B":
             out.append(tuple(_unit(m, m - 1)))
@@ -103,57 +105,42 @@ def simple_roots(rs):
             out.append(tuple(_unit(m, m - 1, 2)))
         else:
             v = _unit(m, m - 2)
-            v[m - 1] = Fraction(1)
+            v[m - 1] = 1
             out.append(tuple(v))
         return out
-    return [
-        (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-        (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
-    ]
-
-
-def _solve_in_basis(basis, target):
-    """Coefficients expressing target in a linearly independent basis
-    (consistent, possibly overdetermined system), by exact elimination."""
-    k = len(basis)
-    dim = len(target)
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(dim)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, dim) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    coeffs = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = rows[i][k]
-    for i in range(r, dim):
-        if rows[i][k]:
-            raise ValueError("target not in the span of the basis")
-    return coeffs
+    half = Fraction(1, 2)
+    return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1),
+            (half, -half, -half, -half)]
 
 
 def _expansions(rs):
-    """Each positive root as (root, support) where support is the set of
-    simple-root indices (1-based) with nonzero coefficient."""
+    """Map each positive root to its support: the set of simple-root
+    indices (1-based) with nonzero coefficient.
+
+    Every positive root that is not simple is a positive root plus a
+    simple root (Humphreys, Introduction to Lie Algebras, 10.2), so adding
+    simple roots round by round from the simple roots reaches them all.
+    Coefficients are nonnegative, so beta + alpha_i has support
+    support(beta) | {i}."""
     simples = simple_roots(rs)
-    out = []
-    for root in positive_roots(rs):
-        coeffs = _solve_in_basis(simples, root)
-        support = frozenset(i + 1 for i, c in enumerate(coeffs) if c)
-        out.append((root, support))
-    return out
+    positive = set(positive_roots(rs))
+    support = {alpha: frozenset([i]) for i, alpha in enumerate(simples, 1)}
+    layer = list(support)
+    while layer:
+        found = []
+        for beta in layer:
+            for i, alpha in enumerate(simples, 1):
+                # tuple() of a list, not of a generator: CPython grows a
+                # generator's tuple by resizing, so discarded sums fill the
+                # tuple free list (2000 kept alive on A17)
+                gamma = tuple([x + y for x, y in zip(beta, alpha)])
+                if gamma in positive and gamma not in support:
+                    support[gamma] = support[beta] | {i}
+                    found.append(gamma)
+        layer = found
+    if support.keys() != positive:
+        raise AssertionError(f"{rs}: the simple roots do not generate the positive roots")
+    return support
 
 
 def positive_root_count(rs):
@@ -173,40 +160,21 @@ def dim_g_mod_p(rs, theta):
     theta = all nodes is the Borel case (all positive roots); theta empty
     gives 0."""
     theta = _check_theta(rs, theta)
-    return sum(1 for _, support in _expansions(rs) if support & theta)
+    return sum(1 for support in _expansions(rs).values() if support & theta)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _components(rs, nodes):
-    """Connected components of the sub-diagram on the given nodes
-    (adjacency = non-orthogonal simple roots)."""
-    simples = simple_roots(rs)
-    nodes = sorted(nodes)
-    adj = {i: set() for i in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i < j and _dot(simples[i - 1], simples[j - 1]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+def _components(expns, nodes):
+    """Connected components of the sub-diagram on the given nodes.  The
+    support of a root is connected, and nodes i and j are joined exactly
+    when alpha_i + alpha_j is a root, so merging the supports that lie in
+    nodes gives the components."""
+    comp = {i: frozenset([i]) for i in nodes}
+    for support in expns.values():
+        if support <= nodes:
+            merged = frozenset().union(*(comp[i] for i in support))
+            for i in merged:
+                comp[i] = merged
+    return set(comp.values())
 
 
 def _component_weyl_order(rank, pos_count):
@@ -242,8 +210,8 @@ def weyl_order(rs, theta=None):
         return 1
     expns = _expansions(rs)
     order = 1
-    for comp in _components(rs, nodes):
-        cnt = sum(1 for _, support in expns if support and support <= comp)
+    for comp in _components(expns, nodes):
+        cnt = sum(1 for support in expns.values() if support <= comp)
         order *= _component_weyl_order(len(comp), cnt)
     return order
 

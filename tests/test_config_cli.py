@@ -97,6 +97,15 @@ def test_cli_hilbert(capsys):
     assert out.strip() == "-1"
 
 
+@pytest.mark.parametrize("place", ["9", "4", "1", "3317044064679887385961981"])
+def test_cli_hilbert_non_prime_place_exits_2(capsys, place):
+    """(3, 3) at the place 9 used to print 1, though 9 is no place of Q."""
+    code, out, err = run_cli(capsys, "hilbert", "--a", "3", "--b", "3", "--place", place)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--place {place} is not a prime" in err or "too large" in err
+
+
 def test_cli_decompose_json(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--r", "2", "--n", "4",
                            "--target", "quadric")

@@ -39,6 +39,13 @@ def test_construction_constraints():
         JordanAlgebra(CDAlgebra(Q, []), (1, 1))  # n >= 3
 
 
+def test_swap_last_two_is_built_once():
+    alg = make_alg(r=1, n=4, b=(1, 2, 3, 5))
+    swapped = alg.swap_last_two()
+    assert swapped is alg.swap_last_two()
+    assert swapped == JordanAlgebra(alg.cd, (1, 2, 5, 3))
+
+
 def test_dimension_formula_by_basis():
     for r, n in [(0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 3)]:
         alg = make_alg(r=r, n=n, b=tuple(range(1, n + 1)))

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from jordanquad import rootsys
 from jordanquad.rootsys import (LineItem, RootSystem, check_orbit_dims,
                                 dim_g_mod_p, euler_characteristic,
                                 positive_root_count, positive_roots,
@@ -84,6 +86,42 @@ def test_dimension_examples():
     assert dim_g_mod_p(RootSystem("A", 2), {1, 2}) == 3  # full flags of A2
 
 
+def single_node_oracle(family, m, k):
+    """Closed forms (dim, chi) of G/P_k for one node k, None where no
+    closed form is listed; chi = |W|/|W_Levi|."""
+    if family == "A":
+        return k * (m + 1 - k), math.comb(m + 1, k)
+    if family in ("B", "C"):
+        return {1: (2 * m - 1, 2 * m), m: (m * (m + 1) // 2, 1 << m)}.get(k)
+    if family == "D":
+        return {1: (2 * m - 2, 2 * m), m: (m * (m - 1) // 2, 1 << (m - 1))}.get(k)
+    return {1: (15, 24), 2: (20, 96), 3: (20, 96), 4: (15, 24)}[k]
+
+
+def test_single_node_parabolics_closed_forms():
+    cases = [RootSystem("F4", 4)]
+    for m in range(1, 9):
+        cases += [RootSystem("A", m), RootSystem("B", m), RootSystem("C", m)]
+        if m >= 4:
+            cases.append(RootSystem("D", m))
+    checked = 0
+    for rs in cases:
+        for k in range(1, rs.rank + 1):
+            want = single_node_oracle(rs.family, rs.rank, k)
+            if want is not None:
+                assert (dim_g_mod_p(rs, {k}), euler_characteristic(rs, {k})) == want, (rs, k)
+                checked += 1
+    assert checked == 80
+
+
+def test_expansions_reject_simple_roots_that_miss_roots(monkeypatch):
+    # e1 - e3 in place of alpha_2 = e2 - e3: e2 - e3 and e2 - e4 are never reached
+    monkeypatch.setattr(rootsys, "simple_roots",
+                        lambda rs: [(1, -1, 0, 0), (1, 0, -1, 0), (0, 0, 1, -1)])
+    with pytest.raises(AssertionError, match="A3"):
+        rootsys._expansions(RootSystem("A", 3))
+
+
 def test_invalid_node():
     with pytest.raises(ValueError):
         dim_g_mod_p(RootSystem("A", 3), {0})
@@ -117,7 +155,7 @@ def test_xj_spaces():
 
 def test_xj_dimension_table():
     for r in (0, 1, 2):
-        for n in range(3, 11):
+        for n in range(3, 21):
             rs, theta = xj_space(r, n)
             assert dim_g_mod_p(rs, theta) == (1 << r) * (n - 1) - 1, (r, n)
     rs, theta = xj_space(3, 3)
@@ -148,7 +186,7 @@ def test_z1_model_dims():
 
 def test_check_orbit_dims_all_pass():
     for r in (0, 1, 2):
-        for n in range(3, 11):
+        for n in range(3, 21):
             items = check_orbit_dims(r, n)
             assert items and all(i.ok for i in items), (r, n)
     items33 = check_orbit_dims(3, 3)
