@@ -348,8 +348,16 @@ def run(argv=None):
         return args.func(args)
     except (ParseError, ValidationError, ValueError, ZeroDivisionError,
             KeyError, json.JSONDecodeError, OSError, SamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
+
+
+def _message(exc):
+    """The text of exc, or for one raised without text (an OSError() or a
+    TimeoutError(), perhaps given a file name) its class and file."""
+    if isinstance(exc, OSError) and exc.strerror is None and exc.filename is not None:
+        return f"{type(exc).__name__}: {exc.filename}"
+    return str(exc) or type(exc).__name__
 
 
 def entry():

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,21 @@ def test_cli_witt_prime_beyond_primality_bound_exits_2(capsys):
                              "--p", "3317044064679887385961987", "--form", "1,1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
+
+
+def test_cli_witt_q_coefficient_beyond_factor_limit_exits_2():
+    """A 31-digit prime coefficient used to send factoring by trial division
+    on for good; in a subprocess, so a hang fails by timing out."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jordanquad.cli", "witt", "--field", "Q",
+         "--form", "1,1000000000000000000000000000057"],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: factor: 1000000000000000000000000000057 ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_hilbert(capsys):
@@ -338,6 +357,28 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(vmod.SUITES, "blowup", fake_suite)
     code, out, _ = run_cli(capsys, "verify", "blowup")
     assert code == 1
+
+
+def _with_filename(exc, filename):
+    exc.filename = filename
+    return exc
+
+
+@pytest.mark.parametrize("exc, message", [
+    (OSError(), "OSError"),
+    (TimeoutError(), "TimeoutError"),
+    (_with_filename(OSError(), "form.toml"), "OSError: form.toml"),
+    (OSError(2, "No such file or directory", "form.toml"),
+     "[Errno 2] No such file or directory: 'form.toml'"),
+])
+def test_cli_error_without_text_names_its_class(capsys, monkeypatch, exc, message):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_witt", raising)
+    code, out, err = run_cli(capsys, "witt", "--field", "Q", "--form", "1,1")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_cli_output_byte_stable(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,63 @@ def test_factor_examples():
     for bad in (0, -4):
         with pytest.raises(ValueError):
             factor(bad)
+
+
+def _assert_factorization(n, exponents):
+    assert math.prod(q ** e for q, e in exponents.items()) == n
+    assert all(is_prime(q) and e >= 1 for q, e in exponents.items())
+    assert list(exponents) == sorted(exponents)
+
+
+def test_factor_oracle_cases():
+    # primes on both sides of the trial-division bound 2^10, products of
+    # them, squares and cubes of the first primes above it, Carmichael
+    # numbers, strong pseudoprimes, and large prime powers
+    below = (2, 3, 7, 1019, 1021)
+    above = (1031, 1033, 1039, 65537, 99999999977, 2 ** 31 - 1)
+    primes = below + above
+    cases = [p * q for p in primes for q in primes]
+    cases += [p * q * r for p, q, r in zip(primes, above, reversed(primes))]
+    cases += [p ** k for p in (1031, 1033, 1039) for k in (2, 3)]
+    cases += [561, 41041, 2 ** 67 - 1, 149491 * 747451 * 34233211,
+              399165290221 * 798330580441]
+    cases += [2 ** 100 * 3, 3 ** 1000 * 1021 ** 100, 1031 ** 7, (2 ** 31 - 1) ** 2,
+              (2 ** 61 - 1) * 1031 ** 2]
+    for n in cases:
+        _assert_factorization(n, factor(n))
+    assert factor(1031 ** 3 * 2) == {2: 1, 1031: 3}
+    assert factor(399165290221 * 798330580441) == {399165290221: 1,
+                                                   798330580441: 1}
+
+
+def test_factor_refuses_cofactors_beyond_primality_bound():
+    for n in (MR_BOUND, 2 ** 89 - 1, 10 ** 30 + 57, 1031 ** 9):
+        with pytest.raises(ValueError, match=f"factor: {n} is too large"):
+            factor(n)
+    assert factor(2 ** 200 * (MR_BOUND - 2)) == {2: 200, **factor(MR_BOUND - 2)}
+
+
+def _trial_division_factor(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_square_class_of_large_fraction():
+    num = 2 ** 3 * 1033 ** 2 * 999983          # about 8.5 * 10^12
+    den = 3 * 7 * 99999999977                 # about 2.1 * 10^12
+    a = Fraction(-num, den)
+    exponents = Counter(_trial_division_factor(num))
+    exponents.update(_trial_division_factor(den))
+    expected = -math.prod(q for q, e in exponents.items() if e % 2)
+    assert Rationals().square_class(a) == expected == -2 * 3 * 7 * 999983 * 99999999977
 
 
 def test_floats_rejected():
