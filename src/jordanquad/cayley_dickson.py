@@ -11,13 +11,15 @@ algebra carries a structure-constant table computed once and shared.
 Split algebras (isotropic norm) are fully supported; zero divisors are
 expected over F_p for r >= 2.
 
-Element arithmetic runs on plain values, not on scalar objects: over F_p
-it multiplies and adds int residues (the table is kept as ints too) and
-reduces mod p once per output coordinate, when the result is wrapped back
-into FpElems; over Q the values are the Fraction coordinates themselves.
-A product accumulates x_i y_j gamma(i, j) over the nonzero coordinates
-only.  The recursive doubling product _mul_rec builds the table and is
-the test oracle for the flat product.
+Element arithmetic runs on plain values, not on scalar objects: each
+operand is unwrapped to integers over one denominator (residues over 1 on
+F_p, numerators over the lcm of the denominators on Q), the table is kept
+as integers over one denominator too, and the integer result is wrapped
+back over the product of the denominators, so each output coordinate is
+reduced once (mod p, or by one gcd).  A product accumulates
+x_i y_j gamma(i, j) over the nonzero coordinates only.  The recursive
+doubling product _mul_rec builds the table and is the test oracle for the
+flat product.
 """
 
 from .errors import AlgebraMismatchError
@@ -70,11 +72,12 @@ class CDAlgebra:
         self.dim = 1 << self.r
         self.norm_form = pfister(field, params)
         self._gamma = self._build_table()
-        # plain values of the table, the norm form and 0 for the flat
-        # arithmetic: int residues over F_p, Fractions over Q
-        self._gamma_v = [field.unwrap(row) for row in self._gamma]
-        self._norm_v = field.unwrap(self.norm_form.coeffs)
-        self._zero_v = field.value(0)
+        # plain values of the table and of the norm form for the flat
+        # arithmetic, each as integers over one denominator
+        m = self.dim
+        flat, self._gamma_den = field.unwrap([g for row in self._gamma for g in row])
+        self._gamma_v = [flat[i * m:(i + 1) * m] for i in range(m)]
+        self._norm_v, self._norm_den = field.unwrap(self.norm_form.coeffs)
 
     def _build_table(self):
         """gamma[i][j] with e_i e_j = gamma[i][j] e_{i^j}, from the
@@ -150,18 +153,21 @@ class CDElem:
     def __add__(self, other):
         self._check(other)
         f = self.algebra.field
-        return CDElem(self.algebra, f.wrap([a + b for a, b in zip(
-            f.unwrap(self.coords), f.unwrap(other.coords))]))
+        (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
+        return CDElem(self.algebra, f.wrap([a * dv + b * du for a, b in zip(u, v)],
+                                           du * dv))
 
     def __sub__(self, other):
         self._check(other)
         f = self.algebra.field
-        return CDElem(self.algebra, f.wrap([a - b for a, b in zip(
-            f.unwrap(self.coords), f.unwrap(other.coords))]))
+        (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
+        return CDElem(self.algebra, f.wrap([a * dv - b * du for a, b in zip(u, v)],
+                                           du * dv))
 
     def __neg__(self):
         f = self.algebra.field
-        return CDElem(self.algebra, f.wrap([-a for a in f.unwrap(self.coords)]))
+        u, du = f.unwrap(self.coords)
+        return CDElem(self.algebra, f.wrap([-a for a in u], du))
 
     def __mul__(self, other):
         if not isinstance(other, CDElem):
@@ -169,32 +175,35 @@ class CDElem:
         self._check(other)
         alg = self.algebra
         f = alg.field
-        out = [alg._zero_v] * alg.dim
-        _mul_acc(alg._gamma_v, f.unwrap(self.coords), f.unwrap(other.coords), out)
-        return CDElem(alg, f.wrap(out))
+        (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
+        out = [0] * alg.dim
+        _mul_acc(alg._gamma_v, u, v, out)
+        return CDElem(alg, f.wrap(out, du * dv * alg._gamma_den))
 
     def _scaled(self, s):
         """Scalar action."""
         f = self.algebra.field
-        s = f.value(s)
-        return CDElem(self.algebra, f.wrap([s * a for a in f.unwrap(self.coords)]))
+        (sn, sd), (u, du) = f.value(s), f.unwrap(self.coords)
+        return CDElem(self.algebra, f.wrap([sn * a for a in u], sd * du))
 
     __rmul__ = _scaled
 
     def conj(self):
         f = self.algebra.field
-        v = f.unwrap(self.coords)
-        return CDElem(self.algebra, f.wrap([v[0]] + [-a for a in v[1:]]))
+        u, du = f.unwrap(self.coords)
+        return CDElem(self.algebra, f.wrap([u[0]] + [-a for a in u[1:]], du))
 
     def norm(self):
         """N(x), the Pfister norm form evaluated on the coordinates; equals
         the e_0 part of x * conj(x)."""
         alg = self.algebra
-        total = alg._zero_v
-        for d, c in zip(alg._norm_v, alg.field.unwrap(self.coords)):
+        f = alg.field
+        u, du = f.unwrap(self.coords)
+        total = 0
+        for d, c in zip(alg._norm_v, u):
             if c:
                 total += d * c * c
-        return alg.field.element(total)
+        return f.wrap([total], alg._norm_den * du * du)[0]
 
     def trace(self):
         """t(x) with x + conj(x) = t(x) e_0."""
@@ -204,20 +213,19 @@ class CDElem:
         return self.coords[0]
 
     def is_scalar(self):
-        return not any(self.algebra.field.unwrap(self.coords)[1:])
+        return not any(self.coords[1:])
 
     def __eq__(self, other):
         if not isinstance(other, CDElem):
             return NotImplemented
         a, b = self.algebra, other.algebra
-        return ((a is b or a == b)
-                and a.field.unwrap(self.coords) == b.field.unwrap(other.coords))
+        return (a is b or a == b) and self.coords == other.coords
 
     def __hash__(self):
         return hash((self.algebra, self.coords))
 
     def __bool__(self):
-        return any(self.algebra.field.unwrap(self.coords))
+        return any(self.coords)
 
     def __repr__(self):
         parts = []

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import diagram, motives, rootsys, verify
+from . import diagram, motives, rootsys, sweeps, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
                          transposition_map, veronese, veronese_inverse)
 from .config import ParseError, ValidationError, load_config
@@ -138,6 +138,8 @@ def cmd_verify(args):
         raise ValueError("--samples must be at least 1")
     if given.get("budget", 0) < 0:
         raise ValueError("--budget must be at least 0")
+    if given.get("budget", 0) > sweeps.MAX_BUDGET:
+        raise ValueError(f"--budget must be at most {sweeps.MAX_BUDGET}")
     if "n_range" in given:
         given["n_range"] = _parse_range(given["n_range"])
     report = verify.run_suite(args.suite, **given)

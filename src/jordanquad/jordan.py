@@ -10,10 +10,12 @@ diagonal slots plus a full copy of C per strict-upper-triangle slot (the
 lower triangle is determined by symmetry).
 
 Element arithmetic (jordan_mul, scale, sums and the symmetry test) works
-on the entries' plain values, as cayley_dickson does: an entry of x o y
-accumulates its composition-algebra products unreduced and is wrapped
-once per coordinate.  u_operator and trace_form are written with those
-operations and serve as the oracle of is_rank_one.
+on the entries' plain values, as cayley_dickson does: a matrix is
+unwrapped to integers over one common denominator, 1/2 and the ratios
+b_i / b_j are kept as (num, den) pairs, and an entry of x o y accumulates
+its composition-algebra products as integers and is wrapped once per
+coordinate.  u_operator and trace_form are written with those operations
+and serve as the oracle of is_rank_one.
 """
 
 from fractions import Fraction
@@ -40,10 +42,12 @@ class JordanAlgebra:
         self.b = b
         self.n = len(b)
         self.half = self.field.element(Fraction(1, 2))
-        # plain values of 1/2 and of b_i / b_j for the flat products
+        # b_i / b_j, and the plain values (num, den) of 1/2 and of those
+        # ratios for the flat products
+        self._ratio = [[bi / bj for bj in b] for bi in b]
         value = self.field.value
         self._half_v = value(self.half)
-        self._ratio_v = [[value(bi / bj) for bj in b] for bi in b]
+        self._ratio_v = [[value(r) for r in row] for row in self._ratio]
         self._basis = None
         self._swapped = None
 
@@ -103,7 +107,7 @@ class JordanAlgebra:
             if not isinstance(e, CDElem):
                 e = self.cd.element(e)
             rows[i][j] = e
-            rows[j][i] = e.conj() * self._ratio_v[i][j]
+            rows[j][i] = e.conj() * self._ratio[i][j]
         return self.element(rows, validate=False)
 
     def zero(self):
@@ -150,7 +154,7 @@ class JordanAlgebra:
             if not isinstance(c, CDElem):
                 c = self.cd.element(c)
             rows[j][i] = c
-            rows[i][j] = c.conj() * self._ratio_v[j][i]
+            rows[i][j] = c.conj() * self._ratio[j][i]
         return self.element(rows, validate=False)
 
     def __eq__(self, other):
@@ -185,32 +189,37 @@ class JordanElem:
             raise AlgebraMismatchError("elements of different Jordan algebras")
 
     def _values(self):
-        """Plain values of every entry, as a list of rows."""
-        unwrap = self.algebra.field.unwrap
-        return [[unwrap(e.coords) for e in row] for row in self.entries]
+        """Plain values of every entry over one common denominator: a list
+        of rows of coordinate tuples, and that denominator."""
+        alg = self.algebra
+        n = alg.n
+        flat, den = alg.field.unwrap(self.flatten())
+        entries = list(zip(*[iter(flat)] * alg.cd.dim))
+        return [entries[i:i + n] for i in range(0, n * n, n)], den
 
-    def _from_values(self, rows):
-        """The element of this algebra with entries of the given plain
-        values, each coordinate wrapped once."""
+    def _from_values(self, rows, den):
+        """The element of this algebra whose entries have the given plain
+        values over den, each coordinate wrapped once."""
         cd = self.algebra.cd
         wrap = cd.field.wrap
-        return JordanElem(self.algebra, tuple(tuple(CDElem(cd, wrap(v)) for v in row)
+        return JordanElem(self.algebra, tuple(tuple(CDElem(cd, wrap(v, den)) for v in row)
                                               for row in rows))
 
     def is_symmetric(self):
         """sigma_b(x) = x, i.e. x_ij = (b_j / b_i) conj(x_ji) for all i, j:
         a scalar diagonal, and the pairs i < j (the pair (j, i) states the
-        same equation times b_i / b_j)."""
+        same equation times b_i / b_j).  The entries share one denominator,
+        so the equations are tested on numerators."""
         alg = self.algebra
         reduce, ratio = alg.field.reduce, alg._ratio_v
-        x = self._values()
+        x, _ = self._values()
         for i in range(alg.n):
             if any(x[i][i][1:]):
                 return False
             for j in range(i + 1, alg.n):
-                r, u, v = ratio[j][i], x[i][j], x[j][i]
-                if any(reduce([u[0] - r * v[0]]
-                              + [a + r * c for a, c in zip(u[1:], v[1:])])):
+                (rn, rd), u, v = ratio[j][i], x[i][j], x[j][i]
+                if any(reduce([u[0] * rd - rn * v[0]]
+                              + [a * rd + rn * c for a, c in zip(u[1:], v[1:])])):
                     return False
         return True
 
@@ -231,10 +240,12 @@ class JordanElem:
         alg = self.algebra
         cd = alg.cd
         n, m, gamma = alg.n, cd.dim, cd._gamma_v
-        half, ratio, wrap = alg._half_v, alg._ratio_v, cd.field.wrap
+        ratio, wrap = alg._ratio_v, cd.field.wrap
         square = other is self
-        x = self._values()
-        y = x if square else other._values()
+        x, dx = self._values()
+        y, dy = (x, dx) if square else other._values()
+        hn, hd = (1, 1) if square else alg._half_v
+        den = dx * dy * cd._gamma_den * hd
         xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
         ys = xs if square else [{k for k, e in enumerate(row) if any(e)} for row in y]
         zero = cd.zero()
@@ -244,37 +255,43 @@ class JordanElem:
                 ks, ls = xs[i] & ys[j], () if square else ys[i] & xs[j]
                 if not ks and not ls:
                     continue
-                acc = [cd._zero_v] * m
+                acc = [0] * m
                 for k in ks:
                     _mul_acc(gamma, x[i][k], y[k][j], acc)
                 if not square:
                     for k in ls:
                         _mul_acc(gamma, y[i][k], x[k][j], acc)
-                    acc = [half * a for a in acc]
-                rows[i][j] = CDElem(cd, wrap(acc))
+                    acc = [hn * a for a in acc]
+                rows[i][j] = CDElem(cd, wrap(acc, den))
                 if i < j:
-                    r = ratio[i][j]
-                    rows[j][i] = CDElem(cd, wrap([r * acc[0]] + [-r * a for a in acc[1:]]))
+                    rn, rd = ratio[i][j]
+                    rows[j][i] = CDElem(cd, wrap([rn * acc[0]] + [-rn * a for a in acc[1:]],
+                                                 den * rd))
         return JordanElem(alg, tuple(tuple(row) for row in rows))
 
     def __add__(self, other):
         self._check(other)
-        return self._from_values([[[a + b for a, b in zip(u, v)] for u, v in zip(r1, r2)]
-                                  for r1, r2 in zip(self._values(), other._values())])
+        (x, dx), (y, dy) = self._values(), other._values()
+        return self._from_values([[[a * dy + b * dx for a, b in zip(u, v)]
+                                   for u, v in zip(r1, r2)] for r1, r2 in zip(x, y)],
+                                 dx * dy)
 
     def __sub__(self, other):
         self._check(other)
-        return self._from_values([[[a - b for a, b in zip(u, v)] for u, v in zip(r1, r2)]
-                                  for r1, r2 in zip(self._values(), other._values())])
+        (x, dx), (y, dy) = self._values(), other._values()
+        return self._from_values([[[a * dy - b * dx for a, b in zip(u, v)]
+                                   for u, v in zip(r1, r2)] for r1, r2 in zip(x, y)],
+                                 dx * dy)
 
     def __neg__(self):
         return JordanElem(self.algebra,
                           tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, s):
-        s = self.algebra.field.value(s)
-        return self._from_values([[[s * a for a in v] for v in row]
-                                  for row in self._values()])
+        sn, sd = self.algebra.field.value(s)
+        x, dx = self._values()
+        return self._from_values([[[sn * a for a in v] for v in row] for row in x],
+                                 sd * dx)
 
     def __rmul__(self, s):
         return self.scale(s)

@@ -125,15 +125,21 @@ def _expansions(rs):
     simples = simple_roots(rs)
     positive = set(positive_roots(rs))
     support = {alpha: frozenset([i]) for i, alpha in enumerate(simples, 1)}
+    # each simple root as its nonzero coordinates (two for A-D)
+    steps = [(i, [(k, c) for k, c in enumerate(alpha) if c])
+             for i, alpha in enumerate(simples, 1)]
     layer = list(support)
     while layer:
         found = []
         for beta in layer:
-            for i, alpha in enumerate(simples, 1):
+            for i, coords in steps:
+                g = list(beta)
+                for k, c in coords:
+                    g[k] += c
                 # tuple() of a list, not of a generator: CPython grows a
                 # generator's tuple by resizing, so discarded sums fill the
                 # tuple free list (2000 kept alive on A17)
-                gamma = tuple([x + y for x, y in zip(beta, alpha)])
+                gamma = tuple(g)
                 if gamma in positive and gamma not in support:
                     support[gamma] = support[beta] | {i}
                     found.append(gamma)

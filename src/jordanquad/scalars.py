@@ -8,13 +8,15 @@ downstream divides by 2.
 
 Both field classes also convert between scalars and plain values, for
 arithmetic that runs below the wrappers (the products of cayley_dickson and
-jordan): ``unwrap`` gives the plain values of a sequence of scalars (the
-int residues over F_p, the Fractions themselves over Q), ``value`` that of
-one scalar after coercing it into the field, ``reduce`` brings
-plain values to canonical form (mod p over F_p; Fractions already are),
-and ``wrap`` turns plain values back into a tuple of scalars, reducing each
-once.  Over Q all three hand the values on untouched, so the rational path
-pays no per-coordinate call.
+jordan).  Plain values are integers over a denominator, so both fields run
+the same integer arithmetic: ``unwrap`` gives a sequence of scalars as
+``(ints, den)``, the residues over 1 on F_p, the numerators brought over
+the lcm of the denominators on Q; ``value`` gives one scalar, after
+coercing it into the field, as a ``(num, den)`` pair; ``reduce`` brings
+integers to canonical form (mod p over F_p; unchanged over Q) for zero
+tests; and ``wrap(ints, den)`` builds each scalar once, ``FpElem(p, v)``
+or ``Fraction(v, den)``.  A rational result thus pays one gcd per output
+coordinate instead of one per product and sum.
 
 Square classes get canonical representatives: over F_p either 1 or a fixed
 least non-residue, over Q a square-free integer with sign.  Discriminants
@@ -255,6 +257,8 @@ class Rationals:
     def element(self, x):
         """Coerce ints, strings like '3/4', and Fractions to a Fraction.
         Floats are rejected: they are rarely the rational that was meant."""
+        if type(x) is Fraction:
+            return x
         if isinstance(x, FpElem):
             raise FieldMismatchError("got an F_p residue where a rational was expected")
         if isinstance(x, (bool, float)):
@@ -265,20 +269,23 @@ class Rationals:
         return Fraction(0)
 
     def value(self, x):
-        """Plain value of a scalar: the Fraction itself."""
-        return self.element(x)
+        """Plain value of a scalar: (numerator, denominator) in lowest terms."""
+        return self.element(x).as_integer_ratio()
 
     def unwrap(self, xs):
-        """Plain values of a sequence of Fractions: the sequence itself."""
-        return xs
+        """Plain values of a sequence of Fractions: the numerators brought
+        over the lcm of the denominators, and that lcm."""
+        pairs = [x.as_integer_ratio() for x in xs]
+        den = math.lcm(*[d for _, d in pairs])
+        return [v * (den // d) for v, d in pairs], den
 
     def reduce(self, vs):
-        """Fractions are always in lowest terms: the values themselves."""
+        """Integers are exact: the values themselves."""
         return vs
 
-    def wrap(self, vs):
-        """A tuple of the Fraction values."""
-        return tuple(vs)
+    def wrap(self, vs, den):
+        """A tuple of the Fractions v / den, each reduced once."""
+        return tuple([Fraction(v, den) for v in vs])
 
     def one(self):
         return Fraction(1)
@@ -300,8 +307,9 @@ class Rationals:
         a = self.element(a)
         if a == 0:
             raise ValueError("square_class: zero input")
-        exponents = factor(abs(a.numerator) * a.denominator)
-        sf = math.prod(q for q, e in exponents.items() if e % 2)
+        # numerator and denominator are coprime: each prime is in one part
+        sf = math.prod(q for part in (abs(a.numerator), a.denominator)
+                       for q, e in factor(part).items() if e % 2)
         return Fraction(sf if a > 0 else -sf)
 
     def same_square_class(self, a, b):
@@ -351,21 +359,25 @@ class PrimeField:
         return FpElem(self.p, 0)
 
     def value(self, x):
-        """Plain value of a scalar: its residue in [0, p)."""
-        return self.element(x).v
+        """Plain value of a scalar: (its residue in [0, p), 1)."""
+        return self.element(x).v, 1
 
     def unwrap(self, xs):
-        """Residues of a sequence of FpElems of this field."""
-        return [x.v for x in xs]
+        """Plain values of a sequence of FpElems of this field: their
+        residues, over the denominator 1."""
+        return [x.v for x in xs], 1
 
     def reduce(self, vs):
         """Ints reduced into [0, p)."""
         p = self.p
         return [v % p for v in vs]
 
-    def wrap(self, vs):
-        """FpElems of ints, each reduced mod p once."""
+    def wrap(self, vs, den):
+        """FpElems of the ints v / den, each reduced mod p once."""
         p = self.p
+        if den != 1:
+            inv = pow(den, -1, p)
+            vs = [v * inv for v in vs]
         return tuple([FpElem(p, v) for v in vs])
 
     def one(self):

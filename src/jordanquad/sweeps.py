@@ -29,6 +29,13 @@ from .quadform import (QuadForm, bilinear, evaluate, fp_projective_zero_count,
 from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
+# Largest exhaustive-sweep budget the command line accepts, ten times the
+# README's example.  The compiled quadric sweep ran 2.8-16 million points/s
+# on the birational spaces of a shared 2-core x86-64 VM (the 6.7M points of
+# (p, r, n) = (7, 2, 3) in 0.67 s, the 0.8M of (3, 2, 4) in 0.28 s), so a
+# sweep at this ceiling takes 6-35 s there; the pure kernels are 40-70x
+# slower.
+MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
 DEFAULT_RANK_CHECKS = 6
 DEFAULT_SEED = 1789
@@ -87,7 +94,7 @@ def kernel_inputs(alg):
     """(p, b, gamma) of the sweep kernels: the prime, the diagonal b and the
     flat structure-constant table of the composition algebra."""
     gamma = [g for row in alg.cd._gamma_v for g in row]
-    return alg.field.p, alg.field.unwrap(alg.b), gamma
+    return alg.field.p, alg.field.unwrap(alg.b)[0], gamma
 
 
 @dataclass

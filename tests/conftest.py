@@ -1,11 +1,12 @@
 """Shared strategies and fixtures."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from jordanquad.scalars import PrimeField, Rationals
+from jordanquad.scalars import FpElem, PrimeField, Rationals
 
 
 @pytest.fixture
@@ -55,3 +56,39 @@ def random_scalar(field, rng, zero_frac=0.3):
     if field.kind == "Q":
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9))
     return field.element(rng.randrange(1, field.p))
+
+
+# Primes near 10^6 and 10^9 for denominators: coprime, so the common
+# denominators of the integer arithmetic grow into products of several.
+LARGE_PRIMES = (999983, 1000003, 999999937, 1000000007)
+INTEGER_PATH_FIELDS = ("Q", 3, 13, 2**31 - 1)
+
+
+@pytest.fixture(params=INTEGER_PATH_FIELDS, ids=lambda f: f if f == "Q" else f"F{f}")
+def integer_path_field(request):
+    if request.param == "Q":
+        return Rationals()
+    return PrimeField(request.param)
+
+
+def large_scalar(field, rng, zero_frac=0.3):
+    """A seeded field scalar, 0 with probability zero_frac; over Q a
+    numerator of either sign below 10^9 over 1 or a product of one or two
+    LARGE_PRIMES, over F_p any residue."""
+    if rng.random() < zero_frac:
+        return field.zero()
+    if field.kind != "Q":
+        return field.element(rng.randrange(1, field.p))
+    den = math.prod(rng.sample(LARGE_PRIMES, rng.randint(0, 2)))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**9), den)
+
+
+def assert_canonical(scalars, field):
+    """Each scalar is a Fraction in lowest terms over Q, an FpElem with a
+    residue in [0, p) over F_p."""
+    for c in scalars:
+        if field.kind == "Q":
+            assert type(c) is Fraction
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        else:
+            assert type(c) is FpElem and c.p == field.p and 0 <= c.v < field.p

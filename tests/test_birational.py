@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import assert_canonical, large_scalar
 
 from jordanquad.birational import (ProjPointC, ProjPointJ,
                                    half_space_square_zero, in_z1, in_z2,
@@ -241,3 +242,35 @@ def test_zero_point_rejected():
     alg = alg_r0()
     with pytest.raises(ValueError):
         pt(alg, [[0], [0]], 0)
+
+
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_maps_with_large_denominators(integer_path_field, r, n):
+    """Round trips through veronese and veronese_inverse, and transposition
+    map against star formula, on points, b and doubling parameters over
+    large coprime denominators."""
+    field = integer_path_field
+    rng = random.Random(f"large:{field}:{r}:{n}")
+    cd = CDAlgebra(field, [large_scalar(field, rng, zero_frac=0) for _ in range(r)])
+    alg = JordanAlgebra(cd, [large_scalar(field, rng, zero_frac=0) for _ in range(n)])
+    round_trips = transpositions = 0
+    for _ in range(12):
+        cparts = [cd.element([large_scalar(field, rng) for _ in range(cd.dim)])
+                  for _ in range(n - 1)]
+        last = large_scalar(field, rng, zero_frac=0.2)
+        if not (last or any(cparts)):
+            continue
+        p = ProjPointC(alg, cparts, last)
+        assert_canonical(p.flatten(), field)
+        if p.last:
+            image = veronese(p)
+            assert_canonical(image.elem.flatten(), field)
+            back = veronese_inverse(image)
+            assert back == p and hash(back) == hash(p)
+            round_trips += 1
+        if p.cparts[n - 2]:
+            t1, star = transposition_map(p), transposition_star(p)
+            assert projective_eq(t1, star) and hash(t1) == hash(star)
+            assert_canonical(t1.flatten(), field)
+            transpositions += 1
+    assert round_trips >= 5 and transpositions >= 5

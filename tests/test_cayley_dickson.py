@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_scalar
+from conftest import assert_canonical, large_scalar, random_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,3 +189,38 @@ def test_flat_arithmetic_matches_doubling_oracle(oracle_field, r):
             assert x.conj().coords == _conj_rec(x.coords)
             assert x.norm() == _mul_rec(x.coords, _conj_rec(x.coords),
                                         alg.params, field)[0]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_integer_path_with_large_denominators(integer_path_field, r):
+    """Every operation equals its oracle (the doubling product, or the
+    scalar-by-scalar definition) on coordinates and parameters over large
+    coprime denominators, returns canonical scalars, and agrees in == and
+    hash with the element built from the expected scalars."""
+    field = integer_path_field
+    rng = random.Random(f"large:{field}:{r}")
+    for _ in range(3):
+        alg = CDAlgebra(field, [large_scalar(field, rng, zero_frac=0) for _ in range(r)])
+        for _ in range(6):
+            x, y = (alg.element([large_scalar(field, rng) for _ in range(alg.dim)])
+                    for _ in range(2))
+            s = large_scalar(field, rng)
+            cases = [
+                (x * y, _mul_rec(x.coords, y.coords, alg.params, field)),
+                (x + y, [a + b for a, b in zip(x.coords, y.coords)]),
+                (x - y, [a - b for a, b in zip(x.coords, y.coords)]),
+                (-x, [-a for a in x.coords]),
+                (s * x, [s * a for a in x.coords]),
+                (x * s, [a * s for a in x.coords]),
+                (x.conj(), _conj_rec(x.coords)),
+            ]
+            for got, want in cases:
+                assert got.coords == tuple(want)
+                assert_canonical(got.coords, field)
+                same = alg.element(want)
+                assert got == same and hash(got) == hash(same)
+            norm = x.norm()
+            assert norm == _mul_rec(x.coords, _conj_rec(x.coords), alg.params, field)[0]
+            assert_canonical([norm], field)
+            assert (x == y) == (x.coords == y.coords)
+            assert x == alg.element(list(x.coords)) and x != x + alg.one()

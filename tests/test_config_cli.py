@@ -321,6 +321,34 @@ def test_cli_verify_budget_below_0_exits_2(capsys, monkeypatch, suite, argv):
     assert err == "error: --budget must be at least 0\n"
 
 
+def test_cli_verify_budget_beyond_ceiling_exits_2():
+    """A budget of 10^20 asked for sweeps of about 10^12 points and ran
+    with no bound; in a subprocess, so a hang fails by timing out."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jordanquad.cli", "verify", "birational",
+         "--budget", "100000000000000000000"],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --budget must be at most 100000000\n"
+
+
+@pytest.mark.parametrize("suite", ["birational", "z1", "all"])
+def test_cli_verify_budget_ceiling(capsys, monkeypatch, suite):
+    from jordanquad import sweeps
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    code, out, err = run_cli(capsys, "verify", suite, "--budget", str(sweeps.MAX_BUDGET + 1))
+    assert code == 2 and not out and not calls
+    assert err == f"error: --budget must be at most {sweeps.MAX_BUDGET}\n"
+    code, _, _ = run_cli(capsys, "verify", suite, "--budget", str(sweeps.MAX_BUDGET))
+    assert code == 0 and calls["z1" if suite == "all" else suite]["budget"] == sweeps.MAX_BUDGET
+
+
 def test_cli_verify_budget_0_is_valid(capsys, monkeypatch):
     from jordanquad import verify as vmod
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_scalar
+from conftest import assert_canonical, large_scalar, random_scalar
 
 from jordanquad import sweeps
 from jordanquad.birational import veronese
@@ -320,3 +320,50 @@ def test_square_matches_product_with_a_copy(oracle_field, r, n):
     # through the general two-sided, halved sum
     for x in oracle_elements(oracle_field, r, n, 4):
         assert x.square() == x.jordan_mul(JordanElem(x.algebra, x.entries))
+
+
+@pytest.mark.parametrize("r,n", ORACLE_SHAPES)
+def test_integer_path_with_large_denominators(integer_path_field, r, n):
+    """jordan_mul (x o y and x o x), scale, sums and the symmetry test on
+    entries, b and doubling parameters over large coprime denominators:
+    equal to their oracles, canonical, and equal in == and hash to the
+    element built from the expected scalars."""
+    field = integer_path_field
+    rng = random.Random(f"large:{field}:{r}:{n}")
+    cd = CDAlgebra(field, [large_scalar(field, rng, zero_frac=0) for _ in range(r)])
+    alg = JordanAlgebra(cd, [large_scalar(field, rng, zero_frac=0) for _ in range(n)])
+
+    def element():
+        upper = {(i, j): cd.element([large_scalar(field, rng) for _ in range(cd.dim)])
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
+        return alg.from_parts([large_scalar(field, rng) for _ in range(n)], upper)
+
+    def check(got, want):
+        assert coords(got) == want
+        for row in got.entries:
+            for e in row:
+                assert_canonical(e.coords, field)
+        same = alg.element([[list(c) for c in row] for row in want])
+        assert got == same and hash(got) == hash(same)
+
+    elems = [element() for _ in range(4)]
+    for x, y in zip(elems, elems[1:]):
+        s = large_scalar(field, rng)
+        for u, v in ((x, y), (x, x)):
+            check(u.jordan_mul(v), reference_jordan_mul(u, v))
+        check(x.scale(s), [[tuple(s * c for c in e.coords) for e in row]
+                           for row in x.entries])
+        check(x + y, [[tuple(a + b for a, b in zip(e.coords, f.coords))
+                       for e, f in zip(r1, r2)] for r1, r2 in zip(x.entries, y.entries)])
+        check(x - y, [[tuple(a - b for a, b in zip(e.coords, f.coords))
+                       for e, f in zip(r1, r2)] for r1, r2 in zip(x.entries, y.entries)])
+    # sigma_b-symmetry is x_ij = (b_j / b_i) conj(x_ji), slot by slot
+    x = elems[0]
+    t = field.element(Fraction(1, 999983))
+    for i, j, slot in ((0, 1, 0), (n - 1, 0, cd.dim - 1), (1, 1, cd.dim - 1)):
+        if (i, j) == (1, 1) and cd.dim == 1:
+            continue
+        rows = [list(row) for row in x.entries]
+        rows[i][j] = rows[i][j] + cd.basis(slot) * t
+        assert not alg.element(rows, validate=False).is_symmetric()
+    assert all(e.is_symmetric() for e in elems)

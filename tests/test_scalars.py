@@ -10,7 +10,7 @@ from jordanquad.errors import FieldMismatchError
 from jordanquad.scalars import (MR_BOUND, PrimeField, Rationals, factor,
                                 field_from_spec, is_prime)
 
-from conftest import fp_elements, rationals
+from conftest import LARGE_PRIMES, fp_elements, rationals
 
 
 def test_rational_arithmetic_exact():
@@ -221,6 +221,43 @@ def test_square_class_of_large_fraction():
     exponents.update(_trial_division_factor(den))
     expected = -math.prod(q for q, e in exponents.items() if e % 2)
     assert Rationals().square_class(a) == expected == -2 * 3 * 7 * 999983 * 99999999977
+
+
+@pytest.mark.parametrize("sign, num_primes, den_primes", [
+    (1, {10 ** 13 + 37: 1}, {10 ** 13 + 51: 1}),
+    (-1, {2 ** 61 - 1: 1, 1033: 2}, {3: 3, 10 ** 13 + 51: 1}),
+    (1, {5: 1, 7: 2, 10 ** 13 + 37: 1}, {2 ** 31 - 1: 2}),
+])
+def test_square_class_factors_numerator_and_denominator_apart(sign, num_primes, den_primes):
+    """Each part is below the factoring limit but their product is not, so
+    factoring abs(numerator) * denominator refused these."""
+    assert all(is_prime(q) for q in {**num_primes, **den_primes})
+    num = math.prod(q ** e for q, e in num_primes.items())
+    den = math.prod(q ** e for q, e in den_primes.items())
+    assert num * den >= MR_BOUND
+    odd = [q for q, e in {**num_primes, **den_primes}.items() if e % 2]
+    assert Rationals().square_class(Fraction(sign * num, den)) == sign * math.prod(odd)
+
+
+def test_plain_value_protocol():
+    """unwrap gives integers over one common denominator, value a
+    (num, den) pair, and wrap builds the scalars back, each reduced."""
+    Q = Rationals()
+    xs = [Fraction(3, LARGE_PRIMES[0]), Fraction(-7, LARGE_PRIMES[0] * LARGE_PRIMES[2]),
+          Fraction(0), Fraction(5), Fraction(1, 6)]
+    ints, den = Q.unwrap(xs)
+    assert den == LARGE_PRIMES[0] * LARGE_PRIMES[2] * 6
+    assert [Fraction(v, den) for v in ints] == xs and Q.wrap(ints, den) == tuple(xs)
+    assert Q.wrap([v * 35 for v in ints], den * 35) == tuple(xs)
+    assert Q.value("-4/6") == (-2, 3) and Q.unwrap([]) == ([], 1)
+    for p in (3, 13, 2**31 - 1):
+        F = PrimeField(p)
+        ys = [F.element(v) for v in (0, 1, p - 1, 2, p + 5)]
+        assert F.unwrap(ys) == ([y.v for y in ys], 1)
+        assert F.wrap(*F.unwrap(ys)) == tuple(ys)
+        assert F.value(Fraction(1, 2)) == ((p + 1) // 2, 1)
+        # a denominator other than 1 divides, as it does over Q
+        assert F.wrap([1, -3, 7], 2) == tuple(F.element(Fraction(v, 2)) for v in (1, -3, 7))
 
 
 def test_floats_rejected():
