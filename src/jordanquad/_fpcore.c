@@ -3,10 +3,11 @@
 Same API and counter semantics as _fpcore_py; see that module for the
 documentation.  A sweep takes (p, b, gamma, limit) and derives n = len(b),
 m from len(gamma) = m^2 and the norm form from the diagonal of gamma; it
-raises ValueError for a b_i = 0 mod p.  Unlike the pure kernels, which
-skip points that cannot pass the first test, these test every canonical
-projective point in odometer order, so the agreement tests check one walk
-against the other.
+raises ValueError for a b_i = 0 mod p.  Every kernel raises the ValueError
+of the pure kernels unless p is an odd prime below 2^31.  Unlike the pure
+kernels, which skip points that cannot pass the first test, these test
+every canonical projective point in odometer order, so the agreement tests
+check one walk against the other.
 
 Sizes are bounded (dim C <= 8, n*n*dim C <= 576) so everything runs on
 stack buffers.  Residues lie in [0, p) with p < 2^31, and a product of two
@@ -38,15 +39,30 @@ mul3mod(u64 a, u64 b, u64 c, u64 p)
     return p < SMALLP ? a * b * c % p : mulmod(mulmod(a, b, p), c, p);
 }
 
+/* *p = obj when obj is an odd prime below 2^31; otherwise the ValueError
+   of the pure kernels (a TypeError when obj is no integer). */
+static int
+modulus(PyObject *obj, long long *p)
+{
+    int big = 0;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &big);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    int prime = !big && v > 2 && v < MAXP && v % 2;
+    for (long long d = 3; prime && d * d <= v; d += 2)
+        prime = v % d != 0;
+    if (!prime) {
+        PyErr_SetString(PyExc_ValueError, "p must be an odd prime below 2^31");
+        return -1;
+    }
+    *p = v;
+    return 0;
+}
+
 /* out[i] = seq[i] % p for i < count, with Python's sign convention. */
 static int
 load(PyObject *seq, Py_ssize_t count, long long p, u64 *out)
 {
-    if (p < 2 || p >= MAXP) {
-        PyErr_SetString(PyExc_ValueError,
-                        "p must lie in [2, 2^31) for the compiled kernel");
-        return -1;
-    }
     for (Py_ssize_t i = 0; i < count; i++) {
         PyObject *item = PySequence_GetItem(seq, i);
         int big = 0;
@@ -127,8 +143,8 @@ isotropic_vector(PyObject *Py_UNUSED(module), PyObject *const *args,
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError,
                             "isotropic_vector() takes exactly 2 arguments");
-    long long p = PyLong_AsLongLong(args[0]);
-    Py_ssize_t N = p == -1 && PyErr_Occurred() ? -1 : PySequence_Size(args[1]);
+    long long p = 0;
+    Py_ssize_t N = modulus(args[0], &p) < 0 ? -1 : PySequence_Size(args[1]);
     if (N < 0)
         return NULL;
     if (N > MAXC)
@@ -172,11 +188,12 @@ parse_sweep(PyObject *args, PyObject *kwds, const char *format, sweep *S,
             int quadric)
 {
     static char *kwlist[] = {"p", "b", "gamma", "limit", NULL};
-    long long p;
-    PyObject *b, *gamma;
+    long long p = 0;
+    PyObject *pobj, *b, *gamma;
     S->limit = -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, kwlist, &p, &b,
-                                     &gamma, &S->limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, kwlist, &pobj, &b,
+                                     &gamma, &S->limit)
+            || modulus(pobj, &p) < 0)
         return -1;
     Py_ssize_t n = PySequence_Size(b), g = PySequence_Size(gamma);
     if (n < 0 || g < 0)
@@ -241,7 +258,7 @@ static PyObject *
 quadric_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
 {
     sweep S;
-    if (parse_sweep(args, kwds, "LOO|L:quadric_sweep", &S, 1) < 0)
+    if (parse_sweep(args, kwds, "OOO|L:quadric_sweep", &S, 1) < 0)
         return NULL;
     const u64 p = S.p;
     const int n = S.n, m = S.m, N = m * (n - 1) + 1;
@@ -338,7 +355,7 @@ static PyObject *
 z1_sweep(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwds)
 {
     sweep S;
-    if (parse_sweep(args, kwds, "LOO|L:z1_sweep", &S, 0) < 0)
+    if (parse_sweep(args, kwds, "OOO|L:z1_sweep", &S, 0) < 0)
         return NULL;
     const u64 p = S.p;
     const int m = S.m, nn = S.n - 1, N = m * nn;

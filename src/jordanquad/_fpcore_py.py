@@ -1,10 +1,15 @@
 """Pure-Python mod-p kernels; the compiled module _fpcore mirrors these.
 
-All three functions operate on plain ints modulo a small odd prime and are
-the hot loops of the verification sweeps: exhaustive isotropic-vector
+All three functions operate on plain ints modulo an odd prime p < 2^31 and
+are the hot loops of the verification sweeps: exhaustive isotropic-vector
 search and full projective sweeps of the source quadric and of the base
 locus.  Semantics of every counter must stay identical between this module
 and the compiled twin in _fpcore.c; tests compare the two directly.
+
+Both twins check the modulus before building anything: p must be an odd
+prime below 2^31, and any other p raises the same ValueError.  The counters
+below rely on p being prime (a nonzero residue is a unit), and the root
+tables hold p entries.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -23,21 +28,44 @@ so the counters (including `scanned`, the number of points below the
 limit) are identical while far fewer points are visited:
 
 - quadric points are walked fibre by fibre: the points sharing their first
-  N-1 coordinates differ only in the last one, and the value of the form
-  on that prefix picks the last coordinate's roots from a table;
+  N-1 coordinates (the prefix) differ only in the last one, and the value
+  of the form on that prefix picks the last coordinate's roots from a
+  table;
 - a base-locus point has c_i conj(c_i) = 0 for every block, so only tuples
   of such null blocks are walked.
+
+The quadric sweep also does its algebra once per fibre.  On a fibre the
+blocks c_0..c_{n-2} are fixed and the last block is x e_0, x a root.  The
+matrix entries c_i conj(c_j) b_j with i, j < n-1 (the corner) depend on
+the prefix alone.  The table product is bilinear, so column n-1 is
+x c_i conj(e_0) b_n, row n-1 is x e_0 conj(c_j) b_j and the last diagonal
+entry is x^2 gamma_00 b_n e_0, for any table.  Every b_i and every x != 0
+is a unit because p is prime, so a check of x v = 0, or of x v = x w, is a
+check of v = 0, or of v = w, and the b_i factor out of the same way: each
+check splits into a part on the fibre's products, done once, and a test
+of x = 0 and of the trace, done per point.
 """
 
+import functools
 import itertools
+import math
+import operator
+
+
+def _check_modulus(p):
+    """ValueError unless p is an odd prime below 2^31."""
+    if not (2 < p < 1 << 31 and p % 2
+            and all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+        raise ValueError("p must be an odd prime below 2^31")
 
 
 def isotropic_vector(p, coeffs):
     """First canonical projective vector v with sum coeffs[i] v_i^2 = 0
     (mod p), in (leading position, odometer) order; None if the form is
     anisotropic."""
-    for v in _zeros(p, coeffs):
-        return list(v)
+    _check_modulus(p)
+    for prefix, xs in _fibres(p, coeffs):
+        return [*prefix, xs[0]]
     return None
 
 
@@ -48,45 +76,31 @@ def _points(p, N):
             yield (0,) * lead + (1,) + tail
 
 
-def _cd_mul(p, m, gamma, x, xoff, y, yoff, conj_y, out):
-    """out = (x block) * (conj? y block), coordinates mod p."""
-    for k in range(m):
-        out[k] = 0
-    for s in range(m):
-        xs = x[xoff + s]
-        if not xs:
-            continue
-        for t in range(m):
-            yt = y[yoff + t]
-            if not yt:
-                continue
-            if conj_y and t:
-                yt = p - yt
-            k = s ^ t
-            out[k] = (out[k] + xs * yt * gamma[s * m + t]) % p
+def _fibres(p, w, limit=-1):
+    """Yield, in canonical order, (prefix, xs) for every fibre holding zeros
+    of sum w[i] v_i^2 (mod p) among the first `limit` canonical points (all
+    when limit < 0): the zeros are prefix + (x,) for x in xs, increasing.
 
-
-def _zeros(p, w, limit=-1):
-    """Yield, in canonical order, the canonical projective points v with
-    sum w[i] v_i^2 = 0 (mod p) among the first `limit` points (all when
-    limit < 0).
-
-    The walk is fibred over the first N-1 coordinates: the p points of a
-    fibre occupy consecutive indices, and the last coordinate's solutions
-    are read from a table of roots of w[N-1] x^2 = -v, in increasing
-    order.  The final point e_N is its own fibre.  The yielded list is
-    reused; copy it to keep it."""
+    A fibre is the set of points sharing their first N-1 coordinates; its
+    p points occupy consecutive indices, and the last coordinate's
+    solutions are read from a table of roots of w[N-1] x^2 = -v.  The
+    final point e_N is its own fibre, yielded as the zero prefix with
+    xs = [1]."""
     N = len(w)
     if not N:
         return
     if limit < 0:
         limit = (p ** N - 1) // (p - 1)
+    # roots[v]: the x, increasing, with w[N-1] x^2 = -v; for a unit w[N-1]
+    # these are x and p - x, and p prime gives distinct squares to
+    # x = 1 .. (p - 1)/2
     wl = w[N - 1] % p
-    roots = [[] for _ in range(p)]
-    for x in range(p):
-        roots[-wl * x * x % p].append(x)
+    if wl:
+        roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
+        roots[0] = [0]
+    else:
+        roots = {0: list(range(p))}
     head = w[:N - 1]
-    v = [0] * N
     start = 0                   # canonical index of the fibre's x = 0 point
     for prefix in _points(p, N - 1):
         if start >= limit:
@@ -95,24 +109,46 @@ def _zeros(p, w, limit=-1):
         for wi, x in zip(head, prefix):
             if x:
                 s += wi * x * x
-        xs = roots[s % p]
+        xs = roots.get(s % p)
         if xs:
-            v[:N - 1] = prefix
-            for x in xs:
-                if start + x >= limit:
-                    break
-                v[N - 1] = x
-                yield v
+            if start + p > limit:
+                xs = [x for x in xs if start + x < limit]
+            if xs:
+                yield prefix, xs
         start += p
     if start < limit and not wl:
-        v[:N - 1] = [0] * (N - 1)
-        v[N - 1] = 1
-        yield v
+        yield (0,) * (N - 1), [1]
 
 
-def _null_block_points(p, m, nn, gamma, limit):
+def _conj_product(p, m, gamma):
+    """The product x conj(y) of two m-coordinate blocks, as a function
+    returning the list of residues.  It runs over the nonzero terms
+    (s, t, s XOR t, +-gamma[s*m+t]) of the table, the sign from the
+    conjugation of y, grouped by s so that a zero x_s skips its terms."""
+    rows = [(s, [(t, s ^ t, -g if t else g) for t in range(m)
+                 if (g := gamma[s * m + t] % p)]) for s in range(m)]
+
+    def mul(x, y):
+        out = [0] * m
+        for s, row in rows:
+            xs = x[s]
+            if xs:
+                for t, k, g in row:
+                    out[k] += xs * y[t] * g
+        return [v % p for v in out]
+
+    return mul
+
+
+def _conj(p, v):
+    """The conjugate of a block: coordinates 1.. negated mod p."""
+    return [v[0] % p, *(-x % p for x in v[1:])]
+
+
+def _null_block_points(p, m, nn, mul, limit):
     """Yield, in canonical order, the canonical points of P(C^nn) among the
-    first `limit` whose every block c_i has c_i conj(c_i) = 0.
+    first `limit` whose every block c_i has c_i conj(c_i) = 0, as lists of
+    nn blocks, with mul the product x conj(y) of _conj_product.
 
     The points whose first nonzero block is block i0 hold consecutive
     indices; within them the order is by that block's own canonical index
@@ -121,18 +157,16 @@ def _null_block_points(p, m, nn, gamma, limit):
     index, nor does k), so a small limit builds small tables.  The
     yielded list is reused; copy it to keep it."""
     N = m * nn
-    tmp = [0] * m
 
     def null(blk):
-        _cd_mul(p, m, gamma, blk, 0, blk, 0, True, tmp)
-        return not any(tmp)
+        return not any(mul(blk, blk))
 
-    leads = [(k, list(blk)) for k, blk in zip(range(limit), _points(p, m))
+    leads = [(k, blk) for k, blk in zip(range(limit), _points(p, m))
              if null(blk)]
-    rest = [(val, list(blk)) for val, blk in
+    rest = [(val, blk) for val, blk in
             zip(range(limit), itertools.product(range(p), repeat=m))
             if null(blk)]
-    c = [0] * N
+    c = [(0,) * m] * nn
     for i0 in range(nn):
         first = (p ** N - p ** (N - i0 * m)) // (p - 1)
         later = nn - 1 - i0
@@ -142,23 +176,24 @@ def _null_block_points(p, m, nn, gamma, limit):
             start = first + k * step
             if start >= limit:
                 break
-            c[:i0 * m] = [0] * (i0 * m)
-            c[i0 * m:(i0 + 1) * m] = lead
+            c[i0] = lead
             for combo in itertools.product(rest, repeat=later):
                 idx = start
                 for (val, blk), wt in zip(combo, weights):
                     idx += val * wt
                 if idx >= limit:
                     break
-                for j, (val, blk) in enumerate(combo):
-                    off = (i0 + 1 + j) * m
-                    c[off:off + m] = blk
+                for j, (val, blk) in enumerate(combo, i0 + 1):
+                    c[j] = blk
                 yield c
+        c[i0] = (0,) * m
 
 
 def _sweep_shape(p, b, gamma):
-    """(n, m) of a sweep's inputs; ValueError unless len(gamma) = m^2 with
-    m in {1, 2, 4, 8} and every b_i is nonzero mod p."""
+    """(n, m) of a sweep's inputs; ValueError unless p is an odd prime
+    below 2^31, len(gamma) = m^2 with m in {1, 2, 4, 8} and every b_i is
+    nonzero mod p."""
+    _check_modulus(p)
     m = {1: 1, 4: 2, 16: 4, 64: 8}.get(len(gamma))
     if m is None:
         raise ValueError("len(gamma) must be 1, 4, 16 or 64")
@@ -174,7 +209,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     Returns (scanned, on_quadric, base_points, zslice_points,
     roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail).
     A nonnegative limit keeps the points of canonical index below it; only
-    the points on the quadric are visited.
+    the points on the quadric are visited, one fibre at a time.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -183,78 +218,65 @@ def quadric_sweep(p, b, gamma, limit=-1):
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
-    cc = [0] * (n * m)          # all n blocks, scalar block embedded
-    mat = [0] * (n * n * m)
-    tmp = [0] * m
+    mul = _conj_product(p, m, gamma)
+    e0 = (1,) + (0,) * (m - 1)
     pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
     w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
-    for c in _zeros(p, w, scanned):
-        on_quadric += 1
-        cc[:N] = c
-        # mat[i][j] = c_i * conj(c_j) * b[j]
-        for i in range(n):
-            for j in range(n):
-                _cd_mul(p, m, gamma, cc, i * m, cc, j * m, True, tmp)
-                base_off = (i * n + j) * m
-                for k in range(m):
-                    mat[base_off + k] = (tmp[k] * b[j]) % p
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)]
+    # the last block is x e_0 and its diagonal entry x^2 g e_0, which for a
+    # unit x is the round trip's b_n x (x e_0) exactly when gamma_00 = 1
+    g = gamma[0] * b[n - 1] % p
+    last_ok = gamma[0] % p == 1
+
+    @functools.lru_cache(maxsize=1 << 12)
+    def block(ci):
+        """What block c_i alone gives the checks: whether c_i conj(c_i) is
+        not scalar, its scalar part N(c_i), whether it is 0, whether
+        C_i = conj(R_i) and whether C_i = c_i, where C_i = c_i conj(e_0)
+        and R_i = e_0 conj(c_i)."""
+        d = mul(ci, ci)
+        col, row = mul(ci, e0), mul(e0, ci)
+        return any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci)
+
+    for prefix, xs in _fibres(p, w, scanned):
+        on_quadric += len(xs)
+        c = [prefix[i * m:(i + 1) * m] for i in range(n - 1)]
+        # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
+        # x R_j b_j; the b_j are units, so the products without them decide
+        # every check but the trace
+        nonscalar, d0, null, sym_x, col_ok = zip(*map(block, c))
         # diagonal entries scalar; trace equals the quadric value (0 here)
-        tr = 0
-        for i in range(n):
-            off = (i * n + i) * m
-            tr += mat[off]
-            for k in range(1, m):
-                if mat[off + k]:
-                    diag_fail += 1
-                    break
-        if tr % p:
-            trace_fail += 1
-        # sigma_b symmetry: b[i] mat[i][j] = b[j] conj(mat[j][i]), where conj
-        # negates coordinates 1..m-1
-        ok = True
-        for i in range(n):
-            bi = b[i]
-            for j in range(i + 1, n):
-                bj = b[j]
-                oij = (i * n + j) * m
-                oji = (j * n + i) * m
-                if (bi * mat[oij] - bj * mat[oji]) % p:
-                    ok = False
-                    break
-                for k in range(1, m):
-                    if (bi * mat[oij + k] + bj * mat[oji + k]) % p:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            sym_fail += 1
-        # a zero matrix is a base point, with nothing more to test: the b_j
-        # are units, so every c_i conj(c_j) = 0, and on the quadric the
-        # first n-1 diagonal entries sum to -b_n c_N^2, so c_N = 0
-        if not any(mat[k] for k in range(n * n * m)):
-            base_points += 1
-            continue
-        # column n of the matrix, c_i conj(c_N) b_n, is the inverse map's
-        # slice; c_N = 0 makes it vanish: the inverse base locus
-        if c[N - 1] == 0:
-            zslice_points += 1
-            continue
-        roundtrip_checked += 1
-        lam = (b[n - 1] * c[N - 1]) % p
-        good = True
-        for i in range(n):
-            off = (i * n + (n - 1)) * m
-            for k in range(m):
-                if mat[off + k] != (lam * cc[i * m + k]) % p:
-                    good = False
-                    break
-            if not good:
-                break
-        if not good:
-            roundtrip_fail += 1
+        diag_fail += len(xs) * sum(nonscalar)
+        tr = sum(map(operator.mul, b, d0))
+        # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that is
+        # c_i conj(c_j) = conj(c_j conj(c_i)); on the corner (i, j < n-1)
+        # for all x, on row and column n-1 for a unit x
+        sym, zero = True, all(null)
+        for i, j in pairs:
+            u, v = mul(c[i], c[j]), mul(c[j], c[i])
+            sym = sym and u == _conj(p, v)
+            zero = zero and not (any(u) or any(v))
+        sym_x = all(sym_x)
+        good = last_ok and all(col_ok)
+        for x in xs:
+            if (tr + g * x * x) % p:
+                trace_fail += 1
+            if not (sym and (sym_x or not x)):
+                sym_fail += 1
+            # a zero matrix is a base point, with nothing more to test: the
+            # b_j are units, so every c_i conj(c_j) = 0, and on the quadric
+            # the first n-1 diagonal entries sum to -b_n x^2, so x = 0; the
+            # corner is zero exactly then
+            if zero:
+                base_points += 1
+            # column n of the matrix, c_i conj(x) b_n, is the inverse map's
+            # slice; x = 0 makes it vanish: the inverse base locus
+            elif not x:
+                zslice_points += 1
+            else:
+                # column n equals b_n x c, block by block
+                roundtrip_checked += 1
+                roundtrip_fail += not good
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
@@ -272,38 +294,31 @@ def z1_sweep(p, b, gamma, limit=-1):
     space = (p ** N - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
-    tmp = [0] * m
-    tmp2 = [0] * m
+    mul = _conj_product(p, m, gamma)
     # Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
     # entries include the b_j c_i conj(c_j), and the b_j are units), so the
     # predicates agree with nothing left to verify.  A point with a block
     # of nonzero norm c_i conj(c_i) is such a point and is not visited.
-    for c in _null_block_points(p, m, nn, gamma, scanned):
+    pairs = [(i, j) for i in range(nn) for j in range(i + 1, nn)]
+    for c in _null_block_points(p, m, nn, mul, scanned):
         # all products c_i conj(c_j) = 0?  The walk has made the diagonal
         # ones 0, and c_j conj(c_i) is the conjugate of c_i conj(c_j), so
         # the pairs i < j decide it
-        s1 = True
-        for i in range(nn):
-            for j in range(i + 1, nn):
-                _cd_mul(p, m, gamma, c, i * m, c, j * m, True, tmp)
-                if any(tmp):
-                    s1 = False
-                    break
-            if not s1:
+        on_locus = True
+        for i, j in pairs:
+            if any(mul(c[i], c[j])):
+                on_locus = False
                 break
-        if not s1:
+        if not on_locus:
             continue
         z1_points += 1
         # the only remaining entry of x(c)^2 is the corner, b_n^{-1} times
         # sum_k b_k conj(c_k) c_k; it must vanish on the locus
         corner = [0] * m
-        for k in range(nn):
-            for t in range(m):
-                v = c[k * m + t]
-                tmp2[t] = (p - v) % p if t else v
-            _cd_mul(p, m, gamma, tmp2, 0, c, k * m, False, tmp)
-            for t in range(m):
-                corner[t] = (corner[t] + b[k] * tmp[t]) % p
-        if any(corner):
+        for bk, ck in zip(b, c):
+            ck = _conj(p, ck)
+            for t, v in enumerate(mul(ck, ck)):
+                corner[t] += bk * v
+        if any(v % p for v in corner):
             equiv_fail += 1
     return scanned, z1_points, equiv_fail

@@ -77,7 +77,13 @@ def _elem_to_json(elem):
                        for row in elem.entries]}
 
 
+def _check_n(n):
+    if n > motives.MAX_N:
+        raise ValueError(f"n = {n} is above MAX_N = {motives.MAX_N}")
+
+
 def _decomposition(args):
+    _check_n(args.n)
     target = TARGETS[args.target]
     return target(args.r, args.n)
 
@@ -136,6 +142,8 @@ def cmd_verify(args):
                 raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
     if given.get("samples", 1) < 1:
         raise ValueError("--samples must be at least 1")
+    if given.get("samples", 1) > sweeps.MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {sweeps.MAX_SAMPLES}")
     if given.get("budget", 0) < 0:
         raise ValueError("--budget must be at least 0")
     if given.get("budget", 0) > sweeps.MAX_BUDGET:
@@ -162,6 +170,7 @@ def _parse_range(spec):
         r = range(int(spec), int(spec) + 1)
     if not r:
         raise ValueError(f"--n-range {spec} is empty")
+    _check_n(r[-1])
     return r
 
 

@@ -217,11 +217,20 @@ class MotiveExpr:
         return " + ".join(s.label() for s in self.summands) or "0"
 
 
+# The largest n accepted by the checks of a configuration (r, n), here, in
+# `rootsys.check_orbit_dims` and on the command line.  Their cost grows as
+# a power of n: on a shared 2-core x86-64 VM `orbits dims --r 2` took
+# 0.26 s at n = 30, 2.9 s at n = 60 and 18 s at n = 100, and
+# `verify blowup --n-range 3..N` 2.3 s at N = 30 and 5.8 s at N = 40.  At
+# 30 every such command answers within a few seconds.
+MAX_N = 30
+
+
 def _check_rn(r, n):
     if r not in (0, 1, 2, 3):
         raise ValueError(f"r must be 0..3, got {r}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"need 3 <= n <= MAX_N = {MAX_N}, got {n}")
     if r == 3 and n != 3:
         raise ValueError("r = 3 requires n = 3")
 

@@ -266,6 +266,28 @@ def test_cli_verify_octonion_case_only_when_3_in_range(capsys):
     assert cases == [f"blowup r={r} n=4" for r in (0, 1, 2)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbits", "dims", "--r", "2", "--n", "31"],
+    ["decompose", "--r", "2", "--n", "31"],
+    ["decompose", "--r", "1", "--n", "31", "--target", "pfister-multiple"],
+    ["profile", "--r", "2", "--n", "31", "--target", "xj"],
+    ["diagram", "--r", "1", "--n", "31", "--target", "z1"],
+    ["verify", "euler", "--n-range", "3..31"],
+    ["verify", "krashen", "--n-range", "31"],
+])
+def test_cli_n_above_max_n_exits_2(capsys, argv):
+    """n runs up to motives.MAX_N = 30; one more is refused on one line."""
+    from jordanquad import motives, rootsys
+    assert motives.MAX_N == 30
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "30" in err
+    with pytest.raises(ValueError, match="MAX_N"):
+        rootsys.check_orbit_dims(2, 31)
+    with pytest.raises(ValueError, match="MAX_N"):
+        motives.decompose_xj(1, 31)
+
+
 @pytest.mark.parametrize("suite", ["krashen", "blowup"])
 def test_cli_verify_empty_n_range_exits_2(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--n-range", "5..3")
@@ -347,6 +369,23 @@ def test_cli_verify_budget_ceiling(capsys, monkeypatch, suite):
     assert err == f"error: --budget must be at most {sweeps.MAX_BUDGET}\n"
     code, _, _ = run_cli(capsys, "verify", suite, "--budget", str(sweeps.MAX_BUDGET))
     assert code == 0 and calls["z1" if suite == "all" else suite]["budget"] == sweeps.MAX_BUDGET
+
+
+@pytest.mark.parametrize("suite", ["birational", "z1", "all"])
+def test_cli_verify_samples_ceiling(capsys, monkeypatch, suite):
+    """A case with no more quadric points than --samples sweeps them all,
+    so 10^40 samples ran sweeps far past MAX_BUDGET with no bound."""
+    from jordanquad import sweeps
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    for samples in (sweeps.MAX_SAMPLES + 1, 10 ** 40):
+        code, out, err = run_cli(capsys, "verify", suite, "--samples", str(samples))
+        assert code == 2 and not out and not calls
+        assert err == f"error: --samples must be at most {sweeps.MAX_SAMPLES}\n"
+    code, _, _ = run_cli(capsys, "verify", suite, "--samples", str(sweeps.MAX_SAMPLES))
+    assert code == 0 and calls["z1" if suite == "all" else suite]["samples"] == sweeps.MAX_SAMPLES
 
 
 def test_cli_verify_budget_0_is_valid(capsys, monkeypatch):

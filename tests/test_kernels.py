@@ -4,7 +4,9 @@ match the exact cardinality oracles on complete sweeps."""
 import importlib.util
 import inspect
 import itertools
+import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -225,6 +227,24 @@ def test_sweeps_reject_zero_b_and_bad_gamma(request, impl):
                 sweep(p, b, [1] * size)
 
 
+@pytest.mark.parametrize("impl", ["pure", "compiled"])
+@pytest.mark.parametrize("p", [1, 9, 15, 2 ** 31 + 11])
+def test_kernels_reject_a_modulus_that_is_not_an_odd_prime(request, impl, p):
+    """Both twins check p before they build anything: the per-fibre checks
+    of the pure quadric sweep rest on every nonzero residue being a unit,
+    and its root table holds p entries."""
+    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
+    _, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
+    msg = "p must be an odd prime below 2"
+    with pytest.raises(ValueError, match=msg):
+        kernels.isotropic_vector(p, [1, 1, 1])
+    for sweep in (kernels.quadric_sweep, kernels.z1_sweep):
+        with pytest.raises(ValueError, match=msg):
+            sweep(p, [1, 1, 1], gamma, 50)
+        with pytest.raises(ValueError, match=msg):
+            sweep(p, b, gamma)
+
+
 def test_compiled_sweep_signatures_match_pure(compiled):
     for name in ("quadric_sweep", "z1_sweep"):
         assert (inspect.signature(getattr(compiled, name))
@@ -263,6 +283,94 @@ def test_every_failure_counter_fires_on_a_corrupted_gamma(request, impl):
     fired |= {k for k, v in zip(sweeps._Z1_COUNTERS, raw, strict=True) if v}
     assert fired >= {k for k in sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS
                      if k.endswith("_fail")}
+
+
+def _quadric_sweep_per_point(p, b, gamma, limits):
+    """The quadric sweep evaluated point by point, as {limit: counters} for
+    each limit in limits: every canonical point is taken in turn, the
+    matrix mat[i][j] = c_i conj(c_j) b_j of each point on the quadric is
+    built in full, and each check is made on that matrix."""
+    n, m = len(b), math.isqrt(len(gamma))
+    N = m * (n - 1) + 1
+
+    def mul_conj(x, y):
+        out = [0] * m
+        for s, t in itertools.product(range(m), repeat=2):
+            out[s ^ t] += x[s] * (-y[t] if t else y[t]) * gamma[s * m + t]
+        return [v % p for v in out]
+
+    def conj(v):
+        return [v[0]] + [-x % p for x in v[1:]]
+
+    pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
+    w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[-1]]
+    counts = dict.fromkeys(sweeps._QUADRIC_COUNTERS, 0)
+    out = {}
+    for c in _fpcore_py._points(p, N):
+        out.update((lim, tuple(counts.values())) for lim in limits
+                   if lim == counts["scanned"])
+        counts["scanned"] += 1
+        if sum(wi * x * x for wi, x in zip(w, c)) % p:
+            continue
+        counts["on_quadric"] += 1
+        blocks = [list(c[i * m:(i + 1) * m]) for i in range(n - 1)]
+        blocks.append([c[-1]] + [0] * (m - 1))
+        mat = [[[v * b[j] % p for v in mul_conj(ci, cj)] for j, cj in enumerate(blocks)]
+               for ci in blocks]
+        counts["diag_fail"] += sum(any(mat[i][i][1:]) for i in range(n))
+        counts["trace_fail"] += sum(mat[i][i][0] for i in range(n)) % p != 0
+        counts["sym_fail"] += not all(
+            [b[i] * v % p for v in mat[i][j]] == [b[j] * v % p for v in conj(mat[j][i])]
+            for i in range(n) for j in range(i + 1, n))
+        if not any(v for row in mat for e in row for v in e):
+            counts["base_points"] += 1
+        elif c[-1] == 0:
+            counts["zslice_points"] += 1
+        else:
+            counts["roundtrip_checked"] += 1
+            lam = b[-1] * c[-1]
+            counts["roundtrip_fail"] += any(
+                mat[i][n - 1] != [lam * v % p for v in blocks[i]] for i in range(n))
+    return {lim: out.get(lim, tuple(counts.values())) for lim in limits}
+
+
+# (p, m, n) of the corrupted-table agreement test: every composition
+# dimension, complete spaces of 121 to 9841 points
+CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2, 3),
+                    (3, 2, 4), (3, 4, 2), (3, 4, 3), (3, 8, 2)]
+
+
+def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
+    """On random tables and b, zero entries included, the pure sweep gives
+    the counters of the per-point evaluation, complete and with limits that
+    cut a fibre; so does the compiled twin where it is built."""
+    try:
+        compiled = request.getfixturevalue("compiled")
+    except pytest.skip.Exception:
+        compiled = None
+    rng = random.Random(14)
+    fired = set()
+    for p, m, n in CORRUPTED_SHAPES:
+        r = m.bit_length() - 1
+        _, _, table = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, 3))
+        N = m * (n - 1) + 1
+        space = sweeps.projective_size(p, N)
+        for draw in range(3):
+            # draw 0 keeps the true table, draw 1 changes 1 to m entries and
+            # gamma_00, draw 2 1 to m entries
+            gamma = list(table)
+            keys = rng.sample(range(m * m), rng.randint(1, m)) + [0] * (draw == 1)
+            for k in keys if draw else ():
+                gamma[k] = rng.choice((0, rng.randrange(2, p)))
+            b = [rng.randrange(1, p) for _ in range(n)]
+            limits = (-1, p * rng.randrange(space // p) + 3, space - 1)
+            for limit, want in _quadric_sweep_per_point(p, b, gamma, limits).items():
+                got = _fpcore_py.quadric_sweep(p, b, gamma, limit)
+                assert got == want, (p, m, n, b, gamma, limit)
+                if compiled is not None:
+                    assert compiled.quadric_sweep(p, b, gamma, limit) == want
+                fired |= {k for k, v in zip(sweeps._QUADRIC_COUNTERS, got) if v}
+    assert fired == set(sweeps._QUADRIC_COUNTERS)
 
 
 def _kernel_point(alg, c, last):
@@ -342,15 +450,20 @@ def test_small_limit_builds_no_large_table(monkeypatch):
     alg = sweeps.fp_algebra(7, 3, 3)
     ki = sweeps.kernel_inputs(alg)
     calls = [0]
-    cd_mul = _fpcore_py._cd_mul
+    conj_product = _fpcore_py._conj_product
 
-    def counting(*args):
-        calls[0] += 1
-        if calls[0] > 10 * 1000:
-            raise AssertionError("the limit did not bound the tables")
-        cd_mul(*args)
+    def counting_product(*args):
+        mul = conj_product(*args)
 
-    monkeypatch.setattr(_fpcore_py, "_cd_mul", counting)
+        def counting(x, y):
+            calls[0] += 1
+            if calls[0] > 10 * 1000:
+                raise AssertionError("the limit did not bound the tables")
+            return mul(x, y)
+
+        return counting
+
+    monkeypatch.setattr(_fpcore_py, "_conj_product", counting_product)
     assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0)
     assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
