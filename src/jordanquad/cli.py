@@ -53,6 +53,15 @@ def _cd_coords(cd, data):
     return cd.element([_scalar(x) for x in data])
 
 
+def _json(text):
+    """json.loads, refusing a value nested too deeply for the parser as bad
+    input rather than letting its RecursionError escape."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _point_from_json(alg, data):
     if not (isinstance(data, dict) and isinstance(data.get("c"), list)):
         raise ValueError('point must be an object with a list "c"')
@@ -77,13 +86,8 @@ def _elem_to_json(elem):
                        for row in elem.entries]}
 
 
-def _check_n(n):
-    if n > motives.MAX_N:
-        raise ValueError(f"n = {n} is above MAX_N = {motives.MAX_N}")
-
-
 def _decomposition(args):
-    _check_n(args.n)
+    motives.check_rn(args.r, args.n)
     target = TARGETS[args.target]
     return target(args.r, args.n)
 
@@ -170,13 +174,14 @@ def _parse_range(spec):
         r = range(int(spec), int(spec) + 1)
     if not r:
         raise ValueError(f"--n-range {spec} is empty")
-    _check_n(r[-1])
+    if r[-1] > motives.MAX_N:
+        raise ValueError(f"--n-range {spec} goes past MAX_N = {motives.MAX_N}")
     return r
 
 
 def cmd_veronese(args):
     alg = load_config(args.config).algebra()
-    data = json.loads(args.point)
+    data = _json(args.point)
     if args.action == "map":
         pt = _point_from_json(alg, data)
         out = {"on_quadric": on_quadric(pt), "in_z1": in_z1(pt)}
@@ -218,7 +223,7 @@ def cmd_veronese(args):
 
 def cmd_rank(args):
     alg = load_config(args.config).algebra()
-    elem = _elem_from_json(alg, json.loads(args.elem))
+    elem = _elem_from_json(alg, _json(args.elem))
     out = {"rank_one": elem.is_rank_one()}
     if alg.n == 3:
         out["sharp_zero"] = elem.adjoint_sharp().is_zero()

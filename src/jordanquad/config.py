@@ -86,7 +86,8 @@ def parse_config_text(text):
         key = key.strip()
         try:
             raw[key] = json.loads(value.strip())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested too deeply for the parser
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return raw
 

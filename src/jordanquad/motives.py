@@ -217,8 +217,8 @@ class MotiveExpr:
         return " + ".join(s.label() for s in self.summands) or "0"
 
 
-# The largest n accepted by the checks of a configuration (r, n), here, in
-# `rootsys.check_orbit_dims` and on the command line.  Their cost grows as
+# The largest n accepted by the checks of a configuration (r, n): check_rn,
+# `rootsys.check_orbit_dims` and the command line.  Their cost grows as
 # a power of n: on a shared 2-core x86-64 VM `orbits dims --r 2` took
 # 0.26 s at n = 30, 2.9 s at n = 60 and 18 s at n = 100, and
 # `verify blowup --n-range 3..N` 2.3 s at N = 30 and 5.8 s at N = 40.  At
@@ -226,7 +226,9 @@ class MotiveExpr:
 MAX_N = 30
 
 
-def _check_rn(r, n):
+def check_rn(r, n):
+    """ValueError unless (r, n) is a configuration the package handles:
+    r in 0..3, 3 <= n <= MAX_N, and n = 3 when r = 3."""
     if r not in (0, 1, 2, 3):
         raise ValueError(f"r must be 0..3, got {r}")
     if not 3 <= n <= MAX_N:
@@ -275,7 +277,7 @@ def decompose_z1(r, n):
     For r = 1 the top twist is n - 2, matching the geometric model, two
     disjoint copies of P^{n-2}; the competing upper bound n - 1 overshoots
     the class count (see verify_krashen)."""
-    _check_rn(r, n)
+    check_rn(r, n)
     if r == 0:
         return MotiveExpr()
     if r == 1:
@@ -290,7 +292,7 @@ def decompose_z1(r, n):
 def decompose_xj(r, n):
     """The rank-one variety X(J): a quadric for r = 0, else one higher-form
     summand F(r, n) plus a block of twisted Rost summands."""
-    _check_rn(r, n)
+    check_rn(r, n)
     if r == 0:
         return MotiveExpr([split_quadric(n - 2)])
     terms = [F(r, n)]
@@ -357,7 +359,7 @@ def verify_blowup(r, n):
     codimension, of the base locus at n = 3) in place of c1; it does not
     balance.
     """
-    _check_rn(r, n)
+    check_rn(r, n)
     if r == 0:
         qprof = TateProfile(split_quadric(n - 2).profile().counts)
         rhs = decompose_xj(0, n).profile()
@@ -386,7 +388,7 @@ def poincare_xj_recursive(r, n):
 
     base case X(J_2) the split (2^r - 1)-dimensional quadric.  Strict
     subtraction: a negative coefficient raises."""
-    _check_rn(r, n)
+    check_rn(r, n)
     if r == 0:
         return split_quadric(n - 2).profile()
 

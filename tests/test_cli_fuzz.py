@@ -12,7 +12,8 @@ from jordanquad import cli
 
 HOSTILE = ["", " ", "0", "-1", "-7", "1e3", "1/0", "nan", "inf", "-inf", "2.5",
            "9" * 40, "-" + "9" * 40, "0x10", "3..", "..", "5..3", "{", "[1,",
-           "null", "[]", "{}", '{"c": []}', '"x"', "true", "\x00", "é"]
+           "null", "[]", "{}", '{"c": []}', '"x"', "true", "\x00", "é",
+           "[" * 100000 + "]" * 100000]
 
 
 def values(*good):

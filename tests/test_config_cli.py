@@ -165,6 +165,37 @@ def test_cli_invalid_r(capsys):
     assert "r" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--r", "4", "--n", "3"],
+    ["decompose", "--r", "4", "--n", "3", "--target", "pfister-multiple"],
+    ["diagram", "--r", "9" * 40, "--n", "4"],
+    ["decompose", "--r", "3", "--n", "4", "--target", "quadric"],
+    ["profile", "--r", "1", "--n", "2"],
+])
+def test_cli_decompose_targets_check_the_configuration(capsys, argv):
+    """Every target takes r in 0..3, n >= 3 and n = 3 when r = 3, as the
+    README says; the quadric and Pfister targets took any r, and a
+    40-digit r raised OverflowError."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_deeply_nested_json_exits_2(capsys, tmp_path):
+    """JSON nested past the parser's recursion limit raised RecursionError
+    out of cli.run."""
+    deep = "[" * 100000 + "]" * 100000
+    cfg = write_config(tmp_path, 'field = "Q"\nr = 1\na = [-1]\nn = 3\nb = [1, 1, -1]\n')
+    deep_cfg = tmp_path / "deep.toml"
+    deep_cfg.write_text(f"n = 3\nb = {deep}\n", encoding="utf-8")
+    for argv, msg in ((["rank", "--config", cfg, "--elem", deep], "nested too deeply"),
+                      (["veronese", "map", "--config", cfg, "--point", deep], "nested too deeply"),
+                      (["rank", "--config", str(deep_cfg), "--elem", "[]"], "line 2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1 and msg in err
+
+
 def test_cli_orbits(capsys):
     code, out, _ = run_cli(capsys, "orbits", "dims", "--r", "2", "--n", "5")
     assert code == 0
