@@ -8,8 +8,11 @@ and the compiled twin in _fpcore.c; tests compare the two directly.
 
 Both twins check the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
-below rely on p being prime (a nonzero residue is a unit), and the root
-tables hold p entries.
+below rely on p being prime (a nonzero residue is a unit), and so do the
+square roots: the sweeps read the last coordinate's roots from a table of
+the (p - 1)/2 nonzero squares, which their p^N points pay for, while
+isotropic_vector, which stops at the first zero, takes one square root
+mod p per fibre and stores nothing of size p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -62,44 +65,94 @@ def _check_modulus(p):
 def isotropic_vector(p, coeffs):
     """First canonical projective vector v with sum coeffs[i] v_i^2 = 0
     (mod p), in (leading position, odometer) order; None if the form is
-    anisotropic."""
+    anisotropic.  Each fibre's root comes from a square root mod p, so the
+    search builds no table of size p."""
     _check_modulus(p)
-    for prefix, xs in _fibres(p, coeffs):
+    for prefix, xs in _fibres(p, coeffs, _root_by_sqrt):
         return [*prefix, xs[0]]
     return None
 
 
+def _sqrt_mod(a, p):
+    """The least x with x^2 = a (mod p) for an odd prime p, or None when a
+    is not a square: Euler's criterion, then Tonelli-Shanks."""
+    a %= p
+    if not a:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q % 2:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariant x^2 = a t; t has order a power of 2, below 2^s, and each
+    # round makes it smaller
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return min(x, p - x)
+
+
+def _root_by_sqrt(p, wl):
+    """The roots lookup of _fibres by one square root per fibre: for
+    isotropic_vector, which visits few fibres."""
+    c = -pow(wl, -1, p)
+
+    def roots(v):
+        x = _sqrt_mod(c * v, p)
+        if x is None:
+            return None
+        return [x, p - x] if x else [0]
+
+    return roots
+
+
+def _root_table(p, wl):
+    """The roots lookup of _fibres from a table of the (p - 1)/2 nonzero
+    squares: for the sweeps, whose p^(N-1) fibres pay for it.  p prime
+    gives distinct squares to x = 1 .. (p - 1)/2."""
+    roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
+    roots[0] = [0]
+    return roots.get
+
+
 def _points(p, N):
-    """Yield canonical projective representatives of P^{N-1}(F_p)."""
+    """Yield canonical projective representatives of P^{N-1}(F_p).  The
+    walk is lazy in p too: itertools.product would first store range(p)
+    as a tuple of p ints."""
     for lead in range(N):
-        for tail in itertools.product(range(p), repeat=N - lead - 1):
-            yield (0,) * lead + (1,) + tail
+        pts = [(0,) * lead + (1,)]
+        for _ in range(N - lead - 1):
+            pts = (h + (x,) for h in pts for x in range(p))
+        yield from pts
 
 
-def _fibres(p, w, limit=-1):
+def _fibres(p, w, roots, limit=-1):
     """Yield, in canonical order, (prefix, xs) for every fibre holding zeros
     of sum w[i] v_i^2 (mod p) among the first `limit` canonical points (all
     when limit < 0): the zeros are prefix + (x,) for x in xs, increasing.
 
     A fibre is the set of points sharing their first N-1 coordinates; its
     p points occupy consecutive indices, and the last coordinate's
-    solutions are read from a table of roots of w[N-1] x^2 = -v.  The
-    final point e_N is its own fibre, yielded as the zero prefix with
-    xs = [1]."""
+    solutions are the roots of w[N-1] x^2 = -v, v the prefix's value.  For
+    a unit w[N-1], roots(p, w[N-1] mod p) is the lookup v -> those roots,
+    x and p - x (or [0], or None when there is none): _root_table or
+    _root_by_sqrt.  The final point e_N is its own fibre, yielded as the
+    zero prefix with xs = [1]."""
     N = len(w)
     if not N:
         return
     if limit < 0:
         limit = (p ** N - 1) // (p - 1)
-    # roots[v]: the x, increasing, with w[N-1] x^2 = -v; for a unit w[N-1]
-    # these are x and p - x, and p prime gives distinct squares to
-    # x = 1 .. (p - 1)/2
     wl = w[N - 1] % p
-    if wl:
-        roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
-        roots[0] = [0]
-    else:
-        roots = {0: list(range(p))}
+    lookup = roots(p, wl) if wl else {0: range(p)}.get
     head = w[:N - 1]
     start = 0                   # canonical index of the fibre's x = 0 point
     for prefix in _points(p, N - 1):
@@ -109,7 +162,7 @@ def _fibres(p, w, limit=-1):
         for wi, x in zip(head, prefix):
             if x:
                 s += wi * x * x
-        xs = roots.get(s % p)
+        xs = lookup(s % p)
         if xs:
             if start + p > limit:
                 xs = [x for x in xs if start + x < limit]
@@ -238,7 +291,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
         col, row = mul(ci, e0), mul(e0, ci)
         return any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci)
 
-    for prefix, xs in _fibres(p, w, scanned):
+    for prefix, xs in _fibres(p, w, _root_table, scanned):
         on_quadric += len(xs)
         c = [prefix[i * m:(i + 1) * m] for i in range(n - 1)]
         # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1

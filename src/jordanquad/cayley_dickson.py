@@ -7,7 +7,14 @@ pairs by (a, b)(c, d) = (ac + lam * conj(d) b, da + b conj(c)) with
 lam = a_level, which makes e_level^2 = a_level.
 
 Basis products are monomial, e_i e_j = gamma(i, j) e_{i XOR j}, so each
-algebra carries a structure-constant table computed once and shared.
+algebra carries a structure-constant table computed once and shared.  The
+table has a closed form (Springer-Veldkamp, Octonions, Jordan Algebras and
+Exceptional Groups, 1.5): write i = i' + eps h and j = j' + delta h with h
+the top bit of level k.  Then gamma_k(i, j) is gamma_{k-1}(i', j') for
+(eps, delta) = (0, 0), gamma_{k-1}(j', i') for (0, 1), s gamma_{k-1}(i', j')
+for (1, 0) and s a_k gamma_{k-1}(j', i') for (1, 1), where s = -1 if
+j' != 0 and 1 otherwise.  So gamma(i, j) = +-(a product of distinct a_k),
+and the table is built level by level with no product of elements.
 Split algebras (isotropic norm) are fully supported; zero divisors are
 expected over F_p for r >= 2.
 
@@ -18,8 +25,8 @@ as integers over one denominator too, and the integer result is wrapped
 back over the product of the denominators, so each output coordinate is
 reduced once (mod p, or by one gcd).  A product accumulates
 x_i y_j gamma(i, j) over the nonzero coordinates only.  The recursive
-doubling product _mul_rec builds the table and is the test oracle for the
-flat product.
+doubling product _mul_rec is the test oracle for the table and for the
+flat product; the algebra itself never calls it.
 """
 
 from .errors import AlgebraMismatchError
@@ -80,21 +87,19 @@ class CDAlgebra:
         self._norm_v, self._norm_den = field.unwrap(self.norm_form.coeffs)
 
     def _build_table(self):
-        """gamma[i][j] with e_i e_j = gamma[i][j] e_{i^j}, from the
-        recursive doubling product on basis tuples."""
-        m = self.dim
-        zero, one = self.field.zero(), self.field.one()
-        gamma = [[zero] * m for _ in range(m)]
-        for i in range(m):
-            ei = tuple(one if t == i else zero for t in range(m))
-            for j in range(m):
-                ej = tuple(one if t == j else zero for t in range(m))
-                prod = _mul_rec(ei, ej, self.params, self.field)
-                k = i ^ j
-                for t, c in enumerate(prod):
-                    if t != k and c:
-                        raise AssertionError("doubling product is not monomial")
-                gamma[i][j] = prod[k]
+        """gamma[i][j] with e_i e_j = gamma[i][j] e_{i^j}, by the closed
+        form of the module docstring: row i' of each level's table is row i'
+        of the previous one, gamma(i', .), followed by its column i',
+        gamma(., i'); row i' + h is the same two with the signs s and the
+        factor a_k."""
+        gamma = [[self.field.one()]]
+        for a in self.params:
+            top, bottom = [], []
+            for row, col in zip(gamma, zip(*gamma)):
+                top.append([*row, *col])
+                bottom.append([row[0], *(-g for g in row[1:]),
+                               a * col[0], *(-a * g for g in col[1:])])
+            gamma = top + bottom
         return gamma
 
     # -- element constructors -------------------------------------------------

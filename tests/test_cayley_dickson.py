@@ -6,8 +6,10 @@ from conftest import assert_canonical, large_scalar, random_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanquad import cayley_dickson
 from jordanquad.cayley_dickson import CDAlgebra, _conj_rec, _mul_rec
 from jordanquad.errors import AlgebraMismatchError
+from jordanquad.jordan import JordanAlgebra
 from jordanquad.quadform import pfister
 from jordanquad.scalars import PrimeField, Rationals
 
@@ -175,6 +177,12 @@ def test_flat_arithmetic_matches_doubling_oracle(oracle_field, r):
     for _ in range(4):
         params = [random_scalar(field, rng, zero_frac=0) for _ in range(r)]
         alg = CDAlgebra(field, params)
+        # the closed-form table against the doubling product of basis
+        # elements, which must be monomial
+        basis = [alg.basis(i).coords for i in range(alg.dim)]
+        assert [[_mul_rec(ei, ej, alg.params, field) for ej in basis] for ei in basis] == [
+            [tuple(alg._gamma[i][j] if t == i ^ j else field.zero() for t in range(alg.dim))
+             for j in range(alg.dim)] for i in range(alg.dim)]
         for _ in range(12):
             x, y = (alg.element([random_scalar(field, rng) for _ in range(alg.dim)])
                     for _ in range(2))
@@ -224,3 +232,16 @@ def test_integer_path_with_large_denominators(integer_path_field, r):
             assert_canonical([norm], field)
             assert (x == y) == (x.coords == y.coords)
             assert x == alg.element(list(x.coords)) and x != x + alg.one()
+
+
+def test_construction_makes_no_doubling_product(monkeypatch):
+    """The table comes from its closed form: building an algebra, and a
+    Jordan algebra and its basis on top of it, never runs _mul_rec."""
+    def refuse(*args):
+        raise AssertionError("_mul_rec called while building an algebra")
+
+    monkeypatch.setattr(cayley_dickson, "_mul_rec", refuse)
+    for field in (Q, PrimeField(13)):
+        for r in range(4):
+            J = JordanAlgebra(CDAlgebra(field, [-1, 2, 3][:r]), [1, 2, 3])
+            assert len(J.basis()) == J.dim

@@ -211,6 +211,18 @@ def test_cli_algebra_table(capsys):
     assert data["norm_form"] == ["1", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("--field", "Q", "--a", "1/2,-3,5"), "algebra_table_q.json"),
+    (("--field", "Fp", "--p", "7", "--a", "3,5,6"), "algebra_table_f7.json"),
+])
+def test_cli_algebra_table_golden(capsys, argv, golden):
+    """The whole r = 3 table, fractional and negative coefficients over Q
+    and residues over F_7, byte for byte."""
+    code, out, _ = run_cli(capsys, "algebra", "table", *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_cli_veronese_map(capsys, tmp_path):
     cfg = write_config(tmp_path, GOOD)
     point = json.dumps({"c": [[1, 0, 0, 0], [0, 1, 0, 0]], "last": 1})

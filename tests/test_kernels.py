@@ -113,6 +113,28 @@ def test_isotropic_vector_is_first_zero_of_the_walk():
     assert anisotropic >= 8
 
 
+def test_sqrt_mod_matches_bruteforce():
+    """Euler's criterion and Tonelli-Shanks against a table of squares, on
+    primes with p - 1 divisible by 2 up to 2^8."""
+    for p in (3, 5, 7, 13, 17, 41, 97, 193, 257):
+        least = {}
+        for x in range(p):
+            least.setdefault(x * x % p, x)
+        assert [_fpcore_py._sqrt_mod(a, p) for a in range(-p, p)] == [
+            least.get(a % p) for a in range(-p, p)]
+
+
+def test_pure_isotropic_vector_at_large_p():
+    """A square root per fibre: no table of size p, so p near 2^31 answers
+    at once, with the vectors of the walk."""
+    p, x0 = 2 ** 31 - 1, 2 ** 17
+    c = -pow(x0 * x0, -1, p) % p
+    assert _fpcore_py.isotropic_vector(p, [1, c]) == [1, x0]
+    p = 10_000_019
+    v = isotropic_vector_search(QuadForm(PrimeField(p), [1, 1, 1]))
+    assert [x.v for x in v] == [1, 1, 2824754]
+
+
 def test_isotropic_vector_agreement(compiled):
     for p in (3, 5, 7, 11):
         for coeffs in [(1, 1), (1, p - 1), (1, 2, 2), (1, 1, 1, 1, 2), (2, 1)]:
