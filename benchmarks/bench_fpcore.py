@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Benchmark the compiled mod-p kernels against the pure-Python fallback.
 
-Runs the two sweep kernels and the isotropic-vector search on identical
-inputs through both implementations and reports points/second plus the
-speedup.  Each sweep exhausts its whole projective space (about 1e5 to
-3e5 points) on both paths, so both time the same points -- a prefix of
-the odometer order would hold only points with lead coordinate 0.  It
-exits 1 if a pure sweep sets a `*_fail` counter or the compiled counters
-differ from the pure ones.  A compiled sweep or search loop takes 30 ms at
-most, so its time is the best of COMPILED_RUNS runs; each pure one runs
-once.  The compiled kernels are built from the C source `_fpcore.c`.
+Runs the two sweep kernels on identical inputs through both
+implementations and reports points/second plus the speedup.  Each sweep
+exhausts its whole projective space (about 1e5 to 3e5 points) on both
+paths, so both time the same points -- a prefix of the odometer order
+would hold only points with lead coordinate 0.  It exits 1 if a pure
+sweep sets a `*_fail` counter or the compiled counters differ from the
+pure ones.  A compiled sweep takes 30 ms at most, so its time is the best
+of COMPILED_RUNS runs; each pure one runs once.  The compiled kernels are
+built from the C source `_fpcore.c`; the isotropic-vector search has no
+compiled twin.
 Usage:
 
     python setup.py build_ext --inplace
@@ -58,21 +59,6 @@ def bench_sweep(name, names, alg):
                          f"{out_c} != {out_p}")
 
 
-def bench_isotropic(p, coeffs, loops):
-    out_p, dt_p = timed(lambda: [_fpcore_py.isotropic_vector(p, coeffs)
-                                 for _ in range(loops)])
-    print(f"{'isotropic_vector':24s} pure-python: {loops:>9d} runs in {dt_p * 1e3:9.4f}ms")
-    if fpkernels.compiled is None:
-        print(f"{'isotropic_vector':24s} compiled:    {NOT_BUILT}")
-        return
-    out_c, dt_c = timed(lambda: [fpkernels.compiled.isotropic_vector(p, coeffs)
-                                 for _ in range(loops)], runs=COMPILED_RUNS)
-    print(f"{'isotropic_vector':24s} compiled:    {loops:>9d} runs in {dt_c * 1e3:9.4f}ms"
-          f"  speedup x{dt_p / dt_c:,.0f}")
-    if out_c != out_p:
-        raise SystemExit("isotropic_vector: compiled and pure kernels disagree")
-
-
 def main():
     print(f"active backend: {fpkernels.backend_name()}")
     alg = sweeps.fp_algebra(7, 1, 4)
@@ -83,8 +69,6 @@ def main():
     space2 = sweeps.projective_size(3, alg2.cd.dim * (alg2.n - 1))
     print(f"\nbase-locus sweep, p=3 r=2 n=4 (projective space: {space2:,} points)")
     bench_sweep("z1_sweep", sweeps._Z1_COUNTERS, alg2)
-    print("\nanisotropic exhaustive search, p=13 dim=2")
-    bench_isotropic(13, [1, 2], 2_000)
     return 0
 
 

@@ -1,8 +1,9 @@
-/* Compiled mod-p kernels.
+/* Compiled twins of the two mod-p sweeps, quadric_sweep and z1_sweep.
 
 Same API and counter semantics as _fpcore_py; see that module for the
-documentation.  A sweep takes (p, b, gamma, limit) and derives n = len(b),
-m from len(gamma) = m^2 and the norm form from the diagonal of gamma; it
+documentation, and for why the isotropic-vector search has no twin here.
+A sweep takes (p, b, gamma, limit) and derives n = len(b), m from
+len(gamma) = m^2 and the norm form from the diagonal of gamma; it
 raises ValueError for a b_i = 0 mod p.  Every kernel raises the ValueError
 of the pure kernels unless p is an odd prime below 2^31.  Unlike the pure
 kernels, which skip points that cannot pass the first test, these test
@@ -128,50 +129,6 @@ any_nonzero(const u64 *v, int len)
         if (v[k])
             return 1;
     return 0;
-}
-
-PyDoc_STRVAR(isotropic_vector_doc,
-"isotropic_vector($module, p, coeffs, /)\n--\n\n"
-"First canonical projective vector v with sum coeffs[i] v_i^2 = 0 (mod p),\n"
-"or None if the form is anisotropic.");
-
-static PyObject *
-isotropic_vector(PyObject *Py_UNUSED(module), PyObject *const *args,
-                 Py_ssize_t nargs)
-{
-    u64 d[MAXC];
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "isotropic_vector() takes exactly 2 arguments");
-    long long p = 0;
-    Py_ssize_t N = modulus(args[0], &p) < 0 ? -1 : PySequence_Size(args[1]);
-    if (N < 0)
-        return NULL;
-    if (N > MAXC)
-        return PyErr_Format(PyExc_ValueError, "form dimension too large for "
-                            "the compiled kernel");
-    if (load(args[1], N, p, d) < 0)
-        return NULL;
-    walk W;             /* an initializer would clear all of c and diff */
-    W.N = (int)N;
-    W.p = p;
-    W.w = d;
-    for (int lead = 0; lead < N; lead++) {
-        walk_start(&W, lead);
-        do {
-            if (W.q != 0)
-                continue;
-            PyObject *out = PyList_New(N);
-            for (int i = 0; out != NULL && i < N; i++) {
-                PyObject *x = PyLong_FromUnsignedLongLong(W.c[i]);
-                PyList_SET_ITEM(out, i, x);
-                if (x == NULL)
-                    Py_CLEAR(out);
-            }
-            return out;
-        } while (walk_next(&W));
-    }
-    Py_RETURN_NONE;
 }
 
 /* The arguments of a sweep, reduced mod p, with n = len(b) and
@@ -400,8 +357,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"isotropic_vector", (PyCFunction)(void (*)(void))isotropic_vector,
-     METH_FASTCALL, isotropic_vector_doc},
     {"quadric_sweep", (PyCFunction)(void (*)(void))quadric_sweep,
      METH_VARARGS | METH_KEYWORDS, quadric_sweep_doc},
     {"z1_sweep", (PyCFunction)(void (*)(void))z1_sweep,
@@ -411,7 +366,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_fpcore",
-    "Compiled mod-p kernels; see jordanquad._fpcore_py for the semantics.",
+    "Compiled mod-p sweeps; see jordanquad._fpcore_py for the semantics.",
     -1, methods, NULL, NULL, NULL, NULL
 };
 

@@ -1,18 +1,20 @@
-"""Pure-Python mod-p kernels; the compiled module _fpcore mirrors these.
+"""Pure-Python mod-p kernels; the compiled module _fpcore mirrors the sweeps.
 
-All three functions operate on plain ints modulo an odd prime p < 2^31 and
-are the hot loops of the verification sweeps: exhaustive isotropic-vector
-search and full projective sweeps of the source quadric and of the base
-locus.  Semantics of every counter must stay identical between this module
-and the compiled twin in _fpcore.c; tests compare the two directly.
+All three functions operate on plain ints modulo an odd prime p < 2^31:
+the exhaustive isotropic-vector search, and the full projective sweeps of
+the source quadric and of the base locus, the hot loops of the
+verification suites.  The sweeps have compiled twins in _fpcore.c, whose
+counters must stay identical to these; tests compare the two directly.
+The search has no compiled twin, for the reason below.
 
-Both twins check the modulus before building anything: p must be an odd
+Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
 below rely on p being prime (a nonzero residue is a unit), and so do the
 square roots: the sweeps read the last coordinate's roots from a table of
 the (p - 1)/2 nonzero squares, which their p^N points pay for, while
 isotropic_vector, which stops at the first zero, takes one square root
-mod p per fibre and stores nothing of size p.
+mod p per fibre and stores nothing of size p.  At p near 2^31 that answers
+in milliseconds, where a walk over every point can take a minute.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -25,7 +27,7 @@ N(e_0) = gamma[0], N(e_t) = -gamma[t*m+t] (t >= 1).  Products are table
 driven: e_i e_j = gamma[i*m+j] e_{i XOR j}, conjugation negates
 coordinates 1..m-1.  Every b_i must be a unit mod p.
 
-The compiled twin tests every point of the space.  This module instead
+The compiled sweeps test every point of the space.  This module instead
 skips points that cannot pass the first test, in the same canonical order,
 so the counters (including `scanned`, the number of points below the
 limit) are identical while far fewer points are visited:
@@ -51,14 +53,14 @@ of x = 0 and of the trace, done per point.
 
 import functools
 import itertools
-import math
 import operator
+
+from .scalars import is_prime
 
 
 def _check_modulus(p):
     """ValueError unless p is an odd prime below 2^31."""
-    if not (2 < p < 1 << 31 and p % 2
-            and all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+    if not (2 < p < 1 << 31 and is_prime(p)):
         raise ValueError("p must be an odd prime below 2^31")
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .motives import MAX_N
+from .motives import check_rn
 
 
 @dataclass(frozen=True)
@@ -295,9 +295,7 @@ def check_orbit_dims(r, n):
       (stabilizer dimension = dim G - orbit dimension, with the stated
       closed forms).
     """
-    if r not in (0, 1, 2, 3) or not 3 <= n <= MAX_N or (r == 3 and n != 3):
-        raise ValueError(f"invalid configuration r={r}, n={n} "
-                         f"(n runs from 3 to MAX_N = {MAX_N})")
+    check_rn(r, n)
     items = []
     rs, theta = xj_space(r, n)
     items.append(LineItem(f"dim X(J) = 2^{r}(n-1)-1 via {rs}/P{sorted(theta)}",
