@@ -68,10 +68,28 @@ def isotropic_vector(p, coeffs):
     """First canonical projective vector v with sum coeffs[i] v_i^2 = 0
     (mod p), in (leading position, odometer) order; None if the form is
     anisotropic.  Each fibre's root comes from a square root mod p, so the
-    search builds no table of size p."""
+    search builds no table of size p.
+
+    The leading positions are tried in turn.  A zero coefficient there makes
+    e_L the answer.  Otherwise a later coordinate whose coefficient is zero
+    does not change the form, so the first zero with that lead, if there is
+    one, has it 0, and the walk runs on the form without those coordinates.
+    What it walks has only unit coefficients: with two or more coordinates
+    after the lead it has a zero there (a nondegenerate binary form
+    represents every nonzero residue), found within a few fibres, and
+    with fewer it is one fibre or none.  No lead costs a walk of length p."""
     _check_modulus(p)
-    for prefix, xs in _fibres(p, coeffs, _root_by_sqrt):
-        return [*prefix, xs[0]]
+    w = [c % p for c in coeffs]
+    for lead, wl in enumerate(w):
+        v = [0] * len(w)
+        v[lead] = 1
+        if not wl:
+            return v
+        live = [i for i in range(lead + 1, len(w)) if w[i]]
+        for prefix, xs in _fibres(p, [wl] + [w[i] for i in live], _root_by_sqrt):
+            for i, x in zip(live, [*prefix[1:], xs[0]]):
+                v[i] = x
+            return v
     return None
 
 

@@ -14,8 +14,10 @@ on the entries' plain values, as cayley_dickson does: a matrix is
 unwrapped to integers over one common denominator, 1/2 and the ratios
 b_i / b_j are kept as (num, den) pairs, and an entry of x o y accumulates
 its composition-algebra products as integers and is wrapped once per
-coordinate.  u_operator and trace_form are written with those operations
-and serve as the oracle of is_rank_one.
+coordinate.  At n = 3 the rank-one test and the cubic adjoint x^# share
+one helper that computes the six independent entries of x^# the same way;
+u_operator and trace_form are written with those operations, serve as
+the rank-one test for n >= 4 and as its oracle in the tests.
 """
 
 from fractions import Fraction
@@ -316,16 +318,48 @@ class JordanElem:
         a = self.jordan_mul(self.jordan_mul(y)).scale(2)
         return a - self.square().jordan_mul(y)
 
-    def is_rank_one(self):
-        """U_x y = tau(x, y) x for every y in a fixed k-basis of J.
+    def _sharp_values(self):
+        """The six independent entries of the cubic adjoint x^# (n = 3) as
+        plain values over one denominator: the diagonal scalars
+        (x^#)_kk = x_ii x_jj - x_ij x_ji, the upper entries
+        (x^#)_ij = x_ik x_kj - x_kk x_ij as coordinate lists keyed by (i, j),
+        for {i, j, k} = {0, 1, 2} and i < j, and that denominator.
 
-        This pins the usual rank-one notion (U_x J is the line through x)
-        with the scalar forced by the trace form; cross-validated against
-        the cubic adjoint for n = 3.  U_x y is expanded as in u_operator,
-        with x^2 formed once and x o y shared with tau(x, y) = trace(x o y).
+        These are the entries of x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1
+        worked out on a symmetric 3 x 3 matrix.  x_ij x_ji is a scalar, so
+        only its e_0 coordinate is kept; the scalar terms are brought over
+        the table's denominator to stand with the products."""
+        cd = self.algebra.cd
+        gamma, g = cd._gamma_v, cd._gamma_den
+        x, den = self._values()
+        diag, upper = [0] * 3, {}
+        for i, j, k in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
+            acc = [0] * cd.dim
+            _mul_acc(gamma, x[i][j], x[j][i], acc)
+            diag[k] = x[i][i][0] * x[j][j][0] * g - acc[0]
+            acc = [0] * cd.dim
+            _mul_acc(gamma, x[i][k], x[k][j], acc)
+            s = x[k][k][0] * g
+            upper[i, j] = [a - s * c for a, c in zip(acc, x[i][j])]
+        return diag, upper, den * den * g
+
+    def is_rank_one(self):
+        """U_x y = tau(x, y) x for every y in a fixed k-basis of J: U_x J is
+        the line through x, with the scalar forced by the trace form.
+
+        At n = 3 this is x^# = 0 on x != 0: in a cubic algebra
+        U_x y = T(x, y) x - x^# * y, * the cross product of the adjoint, and
+        x^# * 1 = T(x^#) 1 - x^# vanishes only at x^# = 0 outside
+        characteristic 2.  The six entries of _sharp_values are tested.  At
+        n >= 4 U_x y is expanded as in u_operator, with x^2 formed once and
+        x o y shared with tau(x, y) = trace(x o y).
         """
         if self.is_zero():
             raise ValueError("rank of the zero element is undefined")
+        if self.algebra.n == 3:
+            diag, upper, _ = self._sharp_values()
+            return not any(self.algebra.field.reduce(
+                diag + [a for u in upper.values() for a in u]))
         x2 = self.square()
         for y in self.algebra.basis():
             xy = self.jordan_mul(y)
@@ -335,15 +369,17 @@ class JordanElem:
         return True
 
     def adjoint_sharp(self):
-        """Cubic adjoint x^# = x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1; the
-        rank-one locus for n = 3 is exactly x^# = 0."""
-        if self.algebra.n != 3:
+        """Cubic adjoint x^# = x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1 (n = 3),
+        the entries of _sharp_values wrapped once; x^# is sigma_b-symmetric,
+        and from_parts fills its lower triangle.  The rank-one locus is
+        exactly x^# = 0."""
+        alg = self.algebra
+        if alg.n != 3:
             raise ValueError("the cubic adjoint needs n = 3")
-        x2 = self.square()
-        t, t2 = self.trace(), x2.trace()
-        half = self.algebra.half
-        const = half * (t * t - t2)
-        return x2 - self.scale(t) + self.algebra.identity().scale(const)
+        wrap = alg.field.wrap
+        diag, upper, den = self._sharp_values()
+        return alg.from_parts(wrap(diag, den),
+                              {ij: CDElem(alg.cd, wrap(u, den)) for ij, u in upper.items()})
 
     def row(self, i):
         return self.entries[i]

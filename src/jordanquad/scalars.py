@@ -45,7 +45,8 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n):
     """Deterministic Miller-Rabin; ValueError for n >= MR_BOUND, where
-    these bases no longer prove primality."""
+    these bases no longer prove primality.  The bases are the primes up to
+    41, so below 43^2 a number none of them divides is prime."""
     if n >= MR_BOUND:
         raise ValueError(f"is_prime: {n} is too large to decide "
                          f"(the limit is {MR_BOUND})")
@@ -54,6 +55,8 @@ def is_prime(n):
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
+    if n < 43 * 43:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -295,7 +295,12 @@ def test_criterion_10_algebra_laws():
     e1, e2, e4 = O.basis(1), O.basis(2), O.basis(4)
     if (e1 * e2) * e4 == e1 * (e2 * e4):
         failures.append("octonion associativity witness")
-    # rank-one <-> adjoint-sharp-zero on >= 100 seeded elements (n = 3)
+    # rank-one <-> adjoint-sharp-zero <-> the U-operator oracle on >= 100
+    # seeded elements (n = 3)
+    def u_rank_one(x):
+        return all(x.u_operator(y) == x.scale(x.trace_form(y))
+                   for y in x.algebra.basis())
+
     agreements = 0
     suites = [(PrimeField(7), [1, 1], (1, 2, 6), 40),
               (Q, [-1, -1], (1, 1, -3), 20),
@@ -307,7 +312,7 @@ def test_criterion_10_algebra_laws():
             x = _random_jordan(alg, rng)
             if x.is_zero():
                 continue
-            if x.is_rank_one() != x.adjoint_sharp().is_zero():
+            if not x.is_rank_one() == x.adjoint_sharp().is_zero() == u_rank_one(x):
                 failures.append(("rank/sharp", str(fld)))
             agreements += 1
     # rank-one positives: map images over each configuration
@@ -318,7 +323,8 @@ def test_criterion_10_algebra_laws():
                 img = veronese(pt)
             except BasePointError:
                 continue
-            if not (img.elem.is_rank_one() and img.elem.adjoint_sharp().is_zero()):
+            if not (img.elem.is_rank_one() and img.elem.adjoint_sharp().is_zero()
+                    and u_rank_one(img.elem)):
                 failures.append(("image rank/sharp", r))
             agreements += 1
     ok = not failures and agreements >= 100

@@ -261,6 +261,22 @@ def test_cli_rank(capsys, tmp_path):
     assert data["rank_one"] is True and data["sharp_zero"] is True
 
 
+def test_cli_rank_zero_diagonal(capsys, tmp_path):
+    """A rank-one point of the split (3, 1, 3) algebra whose diagonal is
+    zero, and the same point with x_22 = 1, which is not rank one."""
+    cfg = write_config(tmp_path, 'field = "Fp"\np = 3\nr = 1\na = [1]\nn = 3\n'
+                                 'b = [1, 2, 1]\n')
+    x = [[[0, 0], [1, 1], [0, 0]],
+         [[2, 1], [0, 0], [0, 0]],
+         [[0, 0], [0, 0], [0, 0]]]
+    for diag, want in ((0, True), (1, False)):
+        x[2][2] = [diag, 0]
+        code, out, _ = run_cli(capsys, "rank", "--config", cfg, "--elem",
+                               json.dumps({"matrix": x}))
+        assert code == 0
+        assert json.loads(out) == {"rank_one": want, "sharp_zero": want}
+
+
 def test_cli_verify_krashen(capsys):
     code, out, _ = run_cli(capsys, "verify", "krashen", "--n-range", "3..4")
     assert code == 0

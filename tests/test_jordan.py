@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from conftest import assert_canonical, large_scalar, random_scalar
 
-from jordanquad import sweeps
+from jordanquad import _fpcore_py, sweeps
 from jordanquad.birational import veronese
 from jordanquad.cayley_dickson import CDAlgebra, _mul_rec
 from jordanquad.errors import AlgebraMismatchError, BasePointError
@@ -136,8 +136,8 @@ def test_adjoint_examples():
 
 
 def test_rank_one_iff_sharp_zero():
-    """On a mixed bag of elements of a cubic algebra the two rank-one
-    detectors agree."""
+    """On a mixed bag of elements of a cubic algebra the rank-one test, the
+    cubic adjoint and the U-operator oracle agree."""
     for field, params, b in [(Q, [-1, -1], (1, 1, -3)),
                              (PrimeField(7), [1, 1], (1, 2, 6)),
                              (Q, [-1, -1, -1], (1, 2, -3))]:
@@ -149,12 +149,12 @@ def test_rank_one_iff_sharp_zero():
             x = random_element(alg, rng, -2, 2)
             if x.is_zero():
                 continue
-            assert x.is_rank_one() == x.adjoint_sharp().is_zero()
+            assert x.is_rank_one() == x.adjoint_sharp().is_zero() == literal_rank_one(x)
             checked += 1
         # idempotents are rank one; their sharp vanishes
         for i in range(3):
             e = alg.basis_idempotent(i)
-            assert e.is_rank_one() and e.adjoint_sharp().is_zero()
+            assert e.is_rank_one() and e.adjoint_sharp().is_zero() and literal_rank_one(e)
         assert checked >= 8
 
 
@@ -284,6 +284,77 @@ def test_is_rank_one_matches_literal_check(field, r):
         assert x.is_rank_one() and literal_rank_one(x)
     for x in [images[0] + images[1], E11 + E22]:
         assert not x.is_rank_one() and not literal_rank_one(x)
+
+
+def test_rank_one_calls_no_jordan_product_at_n3(monkeypatch):
+    """At n = 3 the rank-one test and the adjoint work on entries alone."""
+    alg = shape_alg(PrimeField(7), 3, 3)
+    xs = [alg.basis_idempotent(0), alg.identity(), random_element(alg, random.Random(4))]
+
+    def refuse(*args):
+        raise AssertionError("Jordan product at n = 3")
+
+    monkeypatch.setattr(JordanElem, "jordan_mul", refuse)
+    monkeypatch.setattr(JordanElem, "u_operator", refuse)
+    assert [x.is_rank_one() for x in xs] == [True, False, False]
+    assert [x.adjoint_sharp().is_zero() for x in xs] == [True, False, False]
+
+
+def p3_points(alg):
+    """Every point of P(J) over F_3, one canonical representative each."""
+    m = alg.cd.dim
+    for v in _fpcore_py._points(3, alg.dim):
+        yield alg.from_parts(v[:3], {(0, 1): v[3:3 + m], (0, 2): v[3 + m:3 + 2 * m],
+                                     (1, 2): v[3 + 2 * m:]})
+
+
+@pytest.mark.parametrize("params,b,points,rank_one,zero_diagonal", [
+    ([], (1, 1, 1), 364, 3 ** 2 + 3 + 1, 0),             # P^2 by the Veronese
+    ([1], (1, 2, 1), 9841, (3 ** 2 + 3 + 1) ** 2, 18),    # split: P^2 x P^2
+    ([2], (1, 1, 2), 9841, 3 ** 4 + 3 ** 2 + 1, 0),       # C = F_9: P^2(F_9)
+])
+def test_rank_one_on_every_point_at_p3(params, b, points, rank_one, zero_diagonal):
+    """The entry test against the U-operator oracle on all of P(J), with
+    the rank-one counts of the closed forms; the split algebra has rank-one
+    points whose diagonal is zero."""
+    alg = JordanAlgebra(CDAlgebra(PrimeField(3), params), b)
+    seen = found = no_diagonal = 0
+    for x in p3_points(alg):
+        got = x.is_rank_one()
+        assert got == literal_rank_one(x), x
+        seen += 1
+        found += got
+        no_diagonal += got and not any(x.entries[i][i] for i in range(3))
+    assert (seen, found, no_diagonal) == (points, rank_one, zero_diagonal)
+
+
+def test_rank_one_octonions_at_p7():
+    """(7, 3, 3): Veronese images are rank one, and each image with one
+    coordinate moved is not, by the entry test and by the oracle alike."""
+    alg = shape_alg(PrimeField(7), 3, 3)
+    rng = random.Random(733)
+    images = []
+    for pt in sweeps.sample_quadric_points(alg, 12, seed=73):
+        try:
+            images.append(veronese(pt).elem)
+        except BasePointError:
+            continue
+    assert len(images) >= 8
+    moved = 0
+    for x in images:
+        assert x.is_rank_one() and literal_rank_one(x)
+        diag = [x.entries[i][i].coords[0] for i in range(3)]
+        upper = {(i, j): list(x.entries[i][j].coords) for i in range(3) for j in range(i + 1, 3)}
+        slot = rng.randrange(3 + 3 * alg.cd.dim)
+        if slot < 3:
+            diag[slot] += 1
+        else:
+            (i, j), t = [(0, 1), (0, 2), (1, 2)][(slot - 3) // alg.cd.dim], (slot - 3) % alg.cd.dim
+            upper[i, j][t] += 1
+        y = alg.from_parts(diag, upper)
+        assert y.is_rank_one() == literal_rank_one(y) == y.adjoint_sharp().is_zero()
+        moved += not y.is_rank_one()
+    assert moved == len(images)
 
 
 ORACLE_SHAPES = [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)]

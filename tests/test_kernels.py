@@ -114,6 +114,42 @@ def test_isotropic_vector_is_first_zero_of_the_walk():
     assert anisotropic >= 8
 
 
+def test_isotropic_vector_with_zero_coefficients_matches_bruteforce():
+    """Forms with a coefficient divisible by p, each coefficient shifted by
+    a multiple of p: the first zero of an independent walk by leading
+    position, then the trailing coordinates in lexicographic order."""
+    def first_zero(p, w):
+        for lead in range(len(w)):
+            for tail in itertools.product(range(p), repeat=len(w) - lead - 1):
+                v = [0] * lead + [1, *tail]
+                if sum(c * x * x for c, x in zip(w, v)) % p == 0:
+                    return v
+        return None
+
+    checked = 0
+    for p, top in ((3, 5), (5, 4), (7, 3)):
+        for N in range(1, top + 1):
+            for w in itertools.product(range(p), repeat=N):
+                if all(w):
+                    continue
+                shifted = [c + p * (i - 1) for i, c in enumerate(w)]
+                assert _fpcore_py.isotropic_vector(p, shifted) == first_zero(p, w), (p, w)
+                checked += 1
+    assert checked == 882
+
+
+def test_isotropic_vector_with_zero_coefficients_at_large_p():
+    """A zero coefficient leaves no walk of length p: at p = 1,000,003 each
+    answer comes at once, the same first canonical zero."""
+    p = 1_000_003
+    x = _fpcore_py._sqrt_mod(-pow(2, -1, p), p)
+    for coeffs, want in (([1, 0, 1], [0, 1, 0]), ([1, 1, 0], [0, 0, 1]),
+                         ([1, 2, 0, 0], [1, x, 0, 0])):
+        t0 = time.perf_counter()
+        assert _fpcore_py.isotropic_vector(p, coeffs) == want
+        assert time.perf_counter() - t0 < 0.1, coeffs
+
+
 def test_sqrt_mod_matches_bruteforce():
     """Euler's criterion and Tonelli-Shanks against a table of squares, on
     primes with p - 1 divisible by 2 up to 2^8."""

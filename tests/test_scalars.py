@@ -143,6 +143,12 @@ def test_factor_multiplies_back_to_primes(n):
     assert is_prime(n) == _trial_division_is_prime(n)
 
 
+def test_is_prime_small_against_trial_division():
+    # below 43^2 the divisibility loop over the bases decides alone
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(3000) if _trial_division_is_prime(n)]
+
+
 def test_is_prime_large():
     # Mersenne numbers, and the least strong pseudoprimes to the prime bases
     # up to 23 and up to 31 (each base in turn would be fooled alone)
