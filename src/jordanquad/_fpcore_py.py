@@ -10,11 +10,13 @@ The search has no compiled twin, for the reason below.
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
 below rely on p being prime (a nonzero residue is a unit), and so do the
-square roots: the sweeps read the last coordinate's roots from a table of
-the (p - 1)/2 nonzero squares, which their p^N points pay for, while
-isotropic_vector, which stops at the first zero, takes one square root
-mod p per fibre and stores nothing of size p.  At p near 2^31 that answers
-in milliseconds, where a walk over every point can take a minute.
+square roots: a quadric sweep through at least (p - 1)/2 fibres reads the
+last coordinate's roots from a table of the (p - 1)/2 nonzero squares,
+which those fibres pay for, while isotropic_vector, which stops at the
+first zero, and a shorter sweep take one square root mod p per fibre and
+store nothing of size p.  At p near 2^31 that answers in milliseconds,
+where a walk over every point can take a minute.  No walk stores range(p)
+either: the odometers are nested generators.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -122,7 +124,7 @@ def _sqrt_mod(a, p):
 
 def _root_by_sqrt(p, wl):
     """The roots lookup of _fibres by one square root per fibre: for
-    isotropic_vector, which visits few fibres."""
+    isotropic_vector and short sweeps, which visit few fibres."""
     c = -pow(wl, -1, p)
 
     def roots(v):
@@ -136,22 +138,27 @@ def _root_by_sqrt(p, wl):
 
 def _root_table(p, wl):
     """The roots lookup of _fibres from a table of the (p - 1)/2 nonzero
-    squares: for the sweeps, whose p^(N-1) fibres pay for it.  p prime
-    gives distinct squares to x = 1 .. (p - 1)/2."""
+    squares: for sweeps that visit at least that many fibres, which pay
+    for it.  p prime gives distinct squares to x = 1 .. (p - 1)/2."""
     roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
     roots[0] = [0]
     return roots.get
 
 
+def _tuples(p, k, head=()):
+    """Yield head + t for every t in F_p^k, in lexicographic order.  The
+    walk is lazy in p: itertools.product would first store range(p) as a
+    tuple of p ints."""
+    pts = [head]
+    for _ in range(k):
+        pts = (h + (x,) for h in pts for x in range(p))
+    return pts
+
+
 def _points(p, N):
-    """Yield canonical projective representatives of P^{N-1}(F_p).  The
-    walk is lazy in p too: itertools.product would first store range(p)
-    as a tuple of p ints."""
+    """Yield canonical projective representatives of P^{N-1}(F_p)."""
     for lead in range(N):
-        pts = [(0,) * lead + (1,)]
-        for _ in range(N - lead - 1):
-            pts = (h + (x,) for h in pts for x in range(p))
-        yield from pts
+        yield from _tuples(p, N - lead - 1, (0,) * lead + (1,))
 
 
 def _fibres(p, w, roots, limit=-1):
@@ -236,8 +243,7 @@ def _null_block_points(p, m, nn, mul, limit):
 
     leads = [(k, blk) for k, blk in zip(range(limit), _points(p, m))
              if null(blk)]
-    rest = [(val, blk) for val, blk in
-            zip(range(limit), itertools.product(range(p), repeat=m))
+    rest = [(val, blk) for val, blk in zip(range(limit), _tuples(p, m))
             if null(blk)]
     c = [(0,) * m] * nn
     for i0 in range(nn):
@@ -311,7 +317,10 @@ def quadric_sweep(p, b, gamma, limit=-1):
         col, row = mul(ci, e0), mul(e0, ci)
         return any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci)
 
-    for prefix, xs in _fibres(p, w, _root_table, scanned):
+    # the table of squares costs (p - 1)/2 entries; a sweep through fewer
+    # fibres than that takes a square root per fibre instead
+    roots = _root_table if -(-scanned // p) >= (p - 1) // 2 else _root_by_sqrt
+    for prefix, xs in _fibres(p, w, roots, scanned):
         on_quadric += len(xs)
         c = [prefix[i * m:(i + 1) * m] for i in range(n - 1)]
         # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1

@@ -50,6 +50,11 @@ class JordanAlgebra:
         value = self.field.value
         self._half_v = value(self.half)
         self._ratio_v = [[value(r) for r in row] for row in self._ratio]
+        # b as integers over one denominator, for half_space_element and
+        # the maps of birational; the trace quadric, which
+        # birational.q_form builds on first use
+        self._b_v = self.field.unwrap(b)
+        self._q_form = None
         self._basis = None
         self._swapped = None
 
@@ -145,19 +150,27 @@ class JordanAlgebra:
 
     def half_space_element(self, cvec):
         """The element of J_{1/2}(E_ii), i = n-1, whose column i is the given
-        vector of C-coordinates (listed over the rows j < i, in order)."""
-        i = self.n - 1
-        cvec = list(cvec)
+        vector of C-coordinates (listed over the rows j < i, in order).  Row
+        i, x_ij = (b_j / b_i) conj(c_j), is built from one unwrap of the
+        vector, each coordinate wrapped once over den * b_i."""
+        i, cd = self.n - 1, self.cd
+        cvec = [c if isinstance(c, CDElem) else cd.element(c) for c in cvec]
         if len(cvec) != i:
             raise ValueError(f"need {i} coordinates")
-        zero = self.cd.zero()
+        if any(c.algebra is not cd and c.algebra != cd for c in cvec):
+            raise AlgebraMismatchError("entry from a different composition algebra")
+        m, wrap = cd.dim, self.field.wrap
+        u, den = self.field.unwrap([x for c in cvec for x in c.coords])
+        bv, _ = self._b_v
+        den *= bv[i]
+        zero = cd.zero()
         rows = [[zero] * self.n for _ in range(self.n)]
         for j, c in enumerate(cvec):
-            if not isinstance(c, CDElem):
-                c = self.cd.element(c)
+            cj = u[j * m:(j + 1) * m]
             rows[j][i] = c
-            rows[i][j] = c.conj() * self._ratio[j][i]
-        return self.element(rows, validate=False)
+            rows[i][j] = CDElem(cd, wrap([bv[j] * cj[0], *(-bv[j] * a for a in cj[1:])],
+                                         den))
+        return JordanElem(self, tuple(tuple(row) for row in rows))
 
     def __eq__(self, other):
         return (isinstance(other, JordanAlgebra) and other.cd == self.cd

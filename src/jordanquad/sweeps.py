@@ -13,6 +13,7 @@ other; rank-one checks ride on a subsample because they cost a full basis
 sweep of U-operator evaluations per point.
 """
 
+import operator
 import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
 from .cayley_dickson import CDAlgebra
 from .errors import BasePointError, SamplingError
 from .jordan import JordanAlgebra
-from .quadform import (QuadForm, bilinear, evaluate, fp_projective_zero_count,
+from .quadform import (QuadForm, evaluate, fp_projective_zero_count,
                        isotropic_vector_search, tensor)
 from .scalars import PrimeField
 
@@ -216,13 +217,25 @@ def base_quadric_vector(alg):
 
 def sample_quadric_points(alg, count, seed=DEFAULT_SEED):
     """Distinct projective points on the trace quadric, generated by lines
-    through a fixed base point (t e + v with t = -q(v) / 2B(e, v))."""
+    through a fixed base point e: the line through e and a random vector v
+    meets the quadric again at t e + v with t = -q(v) / 2B(e, v).
+
+    One integer path for both fields: that point is taken as the vector
+    -q(v) e + 2B(e, v) v, the same projective point, with q and B summed
+    as integers on the form's coefficients and e unwrapped once (their
+    denominators only scale the vector), reduced mod p over F_p when the
+    point is built.  The draws from the seeded generator are the same on
+    either path, so a seed gives the same points as the division by
+    2B(e, v)."""
     fld = alg.field
-    qf = q_form(alg)
-    e = base_quadric_vector(alg)
+    coeffs, _ = fld.unwrap(q_form(alg).coeffs)
+    e, _ = fld.unwrap(base_quadric_vector(alg))
+    ce = [c * a for c, a in zip(coeffs, e)]
     N = flat_dim(alg)
+    nn = alg.n - 1
+    # ProjPointC's block-major order from the form's slot-major one
+    order = [s * nn + i for i in range(nn) for s in range(alg.cd.dim)] + [N - 1]
     rng = random.Random(seed)
-    two = fld.element(2)
     points, seen = [], set()
     draws = 0
     while len(points) < count:
@@ -231,22 +244,20 @@ def sample_quadric_points(alg, count, seed=DEFAULT_SEED):
             raise SamplingError(f"sampling stalled: {len(points)} of {count} "
                                 "distinct points found")
         if isinstance(fld, PrimeField):
-            v = [fld.element(rng.randrange(fld.p)) for _ in range(N)]
+            v = [rng.randrange(fld.p) for _ in range(N)]
         else:
             # widen the coordinate box as draws accumulate, so small
             # projective spaces (a conic has few low-height points) still
             # yield `count` distinct points deterministically
             hi = 5 + draws // (20 * count) * 5
-            v = [Fraction(rng.randint(-hi, hi)) for _ in range(N)]
-        denom = two * bilinear(qf, e, v)
-        if not denom:
+            v = [rng.randint(-hi, hi) for _ in range(N)]
+        bev = fld.reduce([sum(map(operator.mul, ce, v))])[0]
+        if not bev:
             continue
-        t = -evaluate(qf, v) / denom
-        w = [t * a + fld.element(x) for a, x in zip(e, v)]
-        if all(not x for x in w):
-            continue
-        pt = unflatten(alg, w)
-        if pt in seen:
+        qv = sum(c * x * x for c, x in zip(coeffs, v))
+        w = [2 * bev * x - qv * a for a, x in zip(e, v)]
+        pt = ProjPointC._from_values(alg, [w[k] for k in order])
+        if pt is None or pt in seen:
             continue
         seen.add(pt)
         points.append(pt)

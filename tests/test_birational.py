@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import assert_canonical, large_scalar
@@ -11,7 +13,7 @@ from jordanquad.birational import (ProjPointC, ProjPointJ,
 from jordanquad.cayley_dickson import CDAlgebra
 from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra
-from jordanquad.quadform import evaluate
+from jordanquad.quadform import bilinear, evaluate
 from jordanquad.scalars import PrimeField, Rationals
 from jordanquad import sweeps
 
@@ -274,3 +276,169 @@ def test_maps_with_large_denominators(integer_path_field, r, n):
             assert_canonical(t1.flatten(), field)
             transpositions += 1
     assert round_trips >= 5 and transpositions >= 5
+
+
+# -- the value path against the object arithmetic ----------------------------
+#
+# The maps run on plain integer values; these references compute the same
+# objects with CDElem products, conjugates and scalar divisions only.
+
+
+def reference_matrix(point):
+    """[c_i conj(c_j) b_j], every entry a CDElem product."""
+    alg = point.algebra
+    coords = list(point.cparts) + [alg.cd.from_scalar(point.last)]
+    return [[ci * (cj.conj() * bj) for cj, bj in zip(coords, alg.b)] for ci in coords]
+
+
+def reference_point(alg, cparts, last):
+    """(cparts, last) divided by the first nonzero coordinate, each block
+    scaled by the inverse of that lead."""
+    flat = [x for c in cparts for x in c.coords] + [alg.field.element(last)]
+    inv = alg.field.one() / next(x for x in flat if x)
+    return tuple(inv * c for c in cparts), inv * alg.field.element(last)
+
+
+def reference_elem(elem):
+    """The element divided by its first nonzero coordinate."""
+    lead = next(x for x in elem.flatten() if x)
+    return elem.scale(elem.algebra.field.one() / lead)
+
+
+def reference_half_space(alg, cparts):
+    """x(c) with x_ji = c_j and x_ij = conj(c_j) b_j / b_i, i = n - 1."""
+    n, cd = alg.n, alg.cd
+    rows = [[cd.zero()] * n for _ in range(n)]
+    for j, c in enumerate(cparts):
+        rows[j][n - 1] = c
+        rows[n - 1][j] = c.conj() * (alg.b[j] / alg.b[n - 1])
+    return alg.element(rows)
+
+
+def check_point_against_references(p):
+    """Every map of the module at p against the references above."""
+    alg, n = p.algebra, p.algebra.n
+    cparts, last = reference_point(alg, p.cparts, p.last)
+    assert (p.cparts, p.last) == (cparts, last)
+    assert repr(p) == "[" + ", ".join(map(repr, cparts)) + f"; {last}]"
+    rows = reference_matrix(p)
+    assert veronese_matrix(p) == rows
+    assert in_z1(p) == (not p.last and all(not ci * cj.conj()
+                                           for ci in p.cparts for cj in p.cparts))
+    assert alg.half_space_element(p.cparts).entries == reference_half_space(alg, p.cparts).entries
+    if all(not e for row in rows for e in row):
+        with pytest.raises(BasePointError):
+            veronese(p)
+    else:
+        want = reference_elem(alg.element(rows))
+        img = veronese(p)
+        assert img.elem == want and repr(img) == f"P{want!r}" and hash(img) == hash(ProjPointJ(want))
+        assert ProjPointJ(alg.element(rows)) == img
+        if p.last:
+            col = [row[n - 1] for row in rows]
+            back = veronese_inverse(img)
+            assert (back.cparts, back.last) == reference_point(alg, col[:-1],
+                                                             col[-1].scalar_part())
+    col = [row[n - 2] for row in rows]
+    swapped = alg.swap_last_two()
+    if all(not e for e in col):
+        with pytest.raises(BasePointError):
+            transposition_map(p)
+    else:
+        t = transposition_map(p)
+        assert t.algebra == swapped
+        assert (t.cparts, t.last) == reference_point(swapped, col[:n - 2] + [col[n - 1]],
+                                                     col[n - 2].scalar_part())
+    w = p.cparts[n - 2]
+    star = [c * w.conj() for c in p.cparts[:n - 2]] + [p.last * w.conj()]
+    if not w or not (w.norm() or any(star)):
+        with pytest.raises(BasePointError):
+            transposition_star(p)
+    else:
+        s = transposition_star(p)
+        assert (s.cparts, s.last) == reference_point(swapped, star, w.norm())
+
+
+@pytest.mark.parametrize("r,n,split", [(1, 3, True), (1, 3, False), (0, 4, True)])
+def test_maps_on_every_point_at_p3(r, n, split):
+    """Every nonzero vector of C^{n-1} x k over F_3, each scaling of each
+    point included: the canonical form, the matrix, the image, the round
+    trip, both transpositions and the half-space element agree with the
+    object arithmetic."""
+    alg = sweeps.fp_algebra(3, r, n, split=split)
+    m = alg.cd.dim
+    N = m * (n - 1) + 1
+    seen, base = set(), 0
+    for v in itertools.product(range(3), repeat=N):
+        if not any(v):
+            continue
+        p = ProjPointC(alg, [v[i * m:(i + 1) * m] for i in range(n - 1)], v[-1])
+        check_point_against_references(p)
+        seen.add(p)
+        base += all(not e for row in reference_matrix(p) for e in row)
+    assert len(seen) == sweeps.projective_size(3, N)
+    # Z1 has points exactly when C is split
+    assert (base > 0) == (r == 1 and split)
+
+
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_maps_on_rational_points_with_denominators(r, n):
+    """Seeded points over Q whose coordinates have denominators and whose
+    lead is negative, with fractional b and doubling parameters."""
+    rng = random.Random(f"values:{r}:{n}")
+    b = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+         for _ in range(n - 1)]
+    b.append(-sum(b) or Fraction(1))     # the sampler needs an isotropic vector
+    alg = JordanAlgebra(CDAlgebra(Q, [Fraction(-1, 2), 3, Fraction(-5, 7)][:r]), b)
+    m = alg.cd.dim
+    for t in range(10):
+        flat = [rng.choice((0, Fraction(rng.randint(-40, 40), rng.randint(1, 12))))
+                for _ in range(m * (n - 1) + 1)]
+        k = t % len(flat)
+        flat[:k + 1] = [0] * k + [-Fraction(rng.randint(1, 30), rng.choice((31, 37, 41)))]
+        p = ProjPointC(alg, [flat[i * m:(i + 1) * m] for i in range(n - 1)], flat[-1])
+        lead = next(x for x in flat if x)
+        assert lead < 0 and lead.denominator > 1
+        check_point_against_references(p)
+        for q in sweeps.sample_quadric_points(alg, 2, seed=t):
+            check_point_against_references(q)
+
+
+def reference_samples(alg, count, seed):
+    """The sampler by t = -q(v) / 2B(e, v): the point t e + v, divided out
+    in the field."""
+    fld = alg.field
+    qf, e = q_form(alg), sweeps.base_quadric_vector(alg)
+    N = sweeps.flat_dim(alg)
+    rng = random.Random(seed)
+    points, draws = [], 0
+    while len(points) < count:
+        draws += 1
+        if isinstance(fld, PrimeField):
+            v = [fld.element(rng.randrange(fld.p)) for _ in range(N)]
+        else:
+            hi = 5 + draws // (20 * count) * 5
+            v = [Fraction(rng.randint(-hi, hi)) for _ in range(N)]
+        denom = 2 * bilinear(qf, e, v)
+        if not denom:
+            continue
+        t = -evaluate(qf, v) / denom
+        w = [t * a + x for a, x in zip(e, v)]
+        if any(w):
+            pt = sweeps.unflatten(alg, w)
+            if pt not in points:
+                points.append(pt)
+    return points
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=str)
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_sampler_matches_division_formula(field, r, n):
+    """The integer vector -q(v) e + 2B(e, v) v gives the points of the
+    t = -q(v) / 2B(e, v) formula, in the same order, for each seed."""
+    alg = JordanAlgebra(CDAlgebra(field, [-1, 2, 3][:r]), (1, 2, -3, 5)[:n])
+    for seed in (0, 1, 17, 1789):
+        got = sweeps.sample_quadric_points(alg, 6, seed)
+        want = reference_samples(alg, 6, seed)
+        assert got == want and list(map(repr, got)) == list(map(repr, want))
+        assert all(on_quadric(pt) for pt in got)

@@ -5,7 +5,7 @@ one-line refusal: exit 0, 1 or 2 and never a traceback."""
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jordanquad import cli
@@ -36,6 +36,8 @@ def options(required=None, **optional):
     return subsets.flatmap(lambda names: tokens([*required, *names]))
 
 
+# primes the modulus check accepts, where a cost linear in p would show
+LARGE_PRIMES = ("1000003", "2147483647")
 R = values("0", "1", "2", "3")
 N = values("3", "4", "5", "30", "31")
 TARGET = {"--target": values("quadric", "xj", "z1", "pfister-multiple")}
@@ -68,8 +70,9 @@ def argv_strategy(config):
         options({"--r": R, "--n": N}, **TARGET, **{"--format": values("ascii", "svg")}).map(
             lambda a: ["diagram", *a]),
         VERIFY,
-        options({"--form": values("1,1,1", "1,-1", "-1,-1,-1,-1,-7", "3,0,5")},
-                **{"--field": values("Q", "Fp"), "--p": values("3", "7", "9", "2147483659")}).map(
+        options({"--form": values("1,1,1", "1,-1", "-1,-1,-1,-1,-7", "3,0,5", "0,1,1", "1,0")},
+                **{"--field": values("Q", "Fp"),
+                   "--p": values("3", "7", "9", "2147483659", *LARGE_PRIMES)}).map(
             lambda a: ["witt", *a]),
         options({"--a": values("-1", "2", "3/4"), "--b": values("-1", "5", "-10"),
                  "--place": values("inf", "2", "3", "5", "9")}).map(lambda a: ["hilbert", *a]),
@@ -79,8 +82,9 @@ def argv_strategy(config):
         options({"--config": cfg, "--elem": MATRIX}).map(lambda a: ["rank", *a]),
         options({"--r": values("0", "2", "3"), "--n": values("3", "5", "31")}).map(
             lambda a: ["orbits", "dims", *a]),
-        options(**{"--r": values("0", "1", "3"), "--a": values("-1", "-1,-1", "1,2,3,4"),
-                   "--field": values("Q", "Fp"), "--p": values("5", "15")}).map(
+        options(**{"--r": values("0", "1", "3"),
+                   "--a": values("-1", "-1,-1", "1,2,3,4", "0,1,1", "1,0"),
+                   "--field": values("Q", "Fp"), "--p": values("5", "15", *LARGE_PRIMES)}).map(
             lambda a: ["algebra", "table", *a]),
     )
 
@@ -94,6 +98,10 @@ def config(tmp_path_factory):
 
 def test_cli_fuzz(config, capsys):
     @given(argv=argv_strategy(config))
+    @example(argv=["witt", "--form", "1,1,1", "--field", "Fp", "--p", "2147483647"])
+    @example(argv=["witt", "--form", "0,1,1", "--field", "Fp", "--p", "1000003"])
+    @example(argv=["algebra", "table", "--a", "-1,-1", "--field", "Fp", "--p", "2147483647"])
+    @example(argv=["algebra", "table", "--a", "1,0", "--field", "Fp", "--p", "1000003"])
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def check(argv):

@@ -537,6 +537,41 @@ def test_small_limit_builds_no_large_table(monkeypatch):
     assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
 
+def test_short_pure_sweeps_at_large_p():
+    """A sweep of 100 points at p = 1,000,003 builds nothing of size p: the
+    quadric sweep takes a square root per fibre instead of a table of the
+    (p - 1)/2 squares, and the base-locus walk stores no range(p)."""
+    import tracemalloc
+    args = (1_000_003, [1, 2, 1_000_002], [1, 1, 1, 1], 100)
+    for sweep, want in ((_fpcore_py.quadric_sweep, (100, 1, 0, 0, 1, 0, 0, 0, 0)),
+                        (_fpcore_py.z1_sweep, (100, 0, 0))):
+        t0 = time.perf_counter()
+        assert sweep(*args) == want
+        assert time.perf_counter() - t0 < 0.5, sweep.__name__
+        tracemalloc.start()
+        try:
+            sweep(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (sweep.__name__, peak)
+
+
+def test_short_quadric_sweep_roots_match_table(monkeypatch):
+    """Below (p - 1)/2 fibres the quadric sweep takes square roots; with the
+    table put in their place every counter is the same."""
+    cases = [(31, 0, 3), (29, 1, 3), (23, 2, 3), (19, 1, 4)]
+    limits = {}
+    for p, r, n in cases:
+        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
+        limits[p] = [(L, _fpcore_py.quadric_sweep(*ki, L))
+                     for L in range(0, p * (p - 1) // 2, 5)]
+    monkeypatch.setattr(_fpcore_py, "_root_by_sqrt", _fpcore_py._root_table)
+    for p, r, n in cases:
+        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
+        assert [(L, _fpcore_py.quadric_sweep(*ki, L)) for L, _ in limits[p]] == limits[p]
+
+
 def test_quadric_sweep_oracles_pure():
     """The pure kernel against the exact counting oracles (the compiled
     kernel is covered by agreement above)."""
