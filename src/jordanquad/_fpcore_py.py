@@ -36,21 +36,28 @@ limit) are identical while far fewer points are visited:
 
 - quadric points are walked fibre by fibre: the points sharing their first
   N-1 coordinates (the prefix) differ only in the last one, and the value
-  of the form on that prefix picks the last coordinate's roots from a
-  table;
+  of the form on that prefix picks the last coordinate's roots;
 - a base-locus point has c_i conj(c_i) = 0 for every block, so only tuples
   of such null blocks are walked.
 
-The quadric sweep also does its algebra once per fibre.  On a fibre the
-blocks c_0..c_{n-2} are fixed and the last block is x e_0, x a root.  The
-matrix entries c_i conj(c_j) b_j with i, j < n-1 (the corner) depend on
-the prefix alone.  The table product is bilinear, so column n-1 is
+The quadric sweep walks the prefixes block by block, and makes each check
+at the outermost level where everything it reads is fixed.  On a fibre
+the blocks c_0..c_{n-2} are fixed and the last block is x e_0, x a root.
+The matrix entries c_i conj(c_j) b_j with i, j < n-1 (the corner) depend
+on the prefix alone.  The table product is bilinear, so column n-1 is
 x c_i conj(e_0) b_n, row n-1 is x e_0 conj(c_j) b_j and the last diagonal
 entry is x^2 gamma_00 b_n e_0, for any table.  Every b_i and every x != 0
 is a unit because p is prime, so a check of x v = 0, or of x v = x w, is a
 check of v = 0, or of v = w, and the b_i factor out of the same way: each
-check splits into a part on the fibre's products, done once, and a test
-of x = 0 and of the trace, done per point.
+check splits into a part on the prefix's products and a test of x = 0 and
+of the trace, made per point.  The prefix's part is an AND over its
+blocks and its pairs of blocks.  The level that fixes block j reads that
+block's facts from a cache and checks each pair (c_i, c_j), i < j, by
+linear maps of c_j built at the level that fixed c_i; it passes the sums
+and ANDs down, so an outer block is paid for once for all the fibres
+below it.  The odometer's innermost step moves only the last prefix
+block: it adds that block's norm to the quadric value and looks up the
+roots, and only a fibre with roots pays for that block's checks.
 """
 
 import functools
@@ -88,7 +95,7 @@ def isotropic_vector(p, coeffs):
         if not wl:
             return v
         live = [i for i in range(lead + 1, len(w)) if w[i]]
-        for prefix, xs in _fibres(p, [wl] + [w[i] for i in live], _root_by_sqrt):
+        for prefix, xs in _fibres(p, [wl] + [w[i] for i in live]):
             for i, x in zip(live, [*prefix[1:], xs[0]]):
                 v[i] = x
             return v
@@ -123,8 +130,9 @@ def _sqrt_mod(a, p):
 
 
 def _root_by_sqrt(p, wl):
-    """The roots lookup of _fibres by one square root per fibre: for
-    isotropic_vector and short sweeps, which visit few fibres."""
+    """The lookup v -> roots of wl x^2 = -v (x and p - x, or [0], or None
+    when there is none) by one square root per fibre: for isotropic_vector
+    and short quadric sweeps, which visit few fibres."""
     c = -pow(wl, -1, p)
 
     def roots(v):
@@ -137,7 +145,7 @@ def _root_by_sqrt(p, wl):
 
 
 def _root_table(p, wl):
-    """The roots lookup of _fibres from a table of the (p - 1)/2 nonzero
+    """The lookup of _root_by_sqrt from a table of the (p - 1)/2 nonzero
     squares: for sweeps that visit at least that many fibres, which pay
     for it.  p prime gives distinct squares to x = 1 .. (p - 1)/2."""
     roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
@@ -161,43 +169,20 @@ def _points(p, N):
         yield from _tuples(p, N - lead - 1, (0,) * lead + (1,))
 
 
-def _fibres(p, w, roots, limit=-1):
+def _fibres(p, w):
     """Yield, in canonical order, (prefix, xs) for every fibre holding zeros
-    of sum w[i] v_i^2 (mod p) among the first `limit` canonical points (all
-    when limit < 0): the zeros are prefix + (x,) for x in xs, increasing.
+    of sum w[i] v_i^2 (mod p), for a unit w[N-1]: the zeros are
+    prefix + (x,) for x in xs, increasing.
 
-    A fibre is the set of points sharing their first N-1 coordinates; its
-    p points occupy consecutive indices, and the last coordinate's
-    solutions are the roots of w[N-1] x^2 = -v, v the prefix's value.  For
-    a unit w[N-1], roots(p, w[N-1] mod p) is the lookup v -> those roots,
-    x and p - x (or [0], or None when there is none): _root_table or
-    _root_by_sqrt.  The final point e_N is its own fibre, yielded as the
-    zero prefix with xs = [1]."""
-    N = len(w)
-    if not N:
-        return
-    if limit < 0:
-        limit = (p ** N - 1) // (p - 1)
-    wl = w[N - 1] % p
-    lookup = roots(p, wl) if wl else {0: range(p)}.get
-    head = w[:N - 1]
-    start = 0                   # canonical index of the fibre's x = 0 point
-    for prefix in _points(p, N - 1):
-        if start >= limit:
-            return
-        s = 0
-        for wi, x in zip(head, prefix):
-            if x:
-                s += wi * x * x
-        xs = lookup(s % p)
+    A fibre is the set of points sharing their first N-1 coordinates, the
+    prefix canonical; the last coordinate's solutions are the roots of
+    w[N-1] x^2 = -v, v the prefix's value, found by one square root per
+    fibre.  The point e_N is not a zero, since w[N-1] is a unit."""
+    lookup = _root_by_sqrt(p, w[-1] % p)
+    for prefix in _points(p, len(w) - 1):
+        xs = lookup(sum(wi * x * x for wi, x in zip(w, prefix)) % p)
         if xs:
-            if start + p > limit:
-                xs = [x for x in xs if start + x < limit]
-            if xs:
-                yield prefix, xs
-        start += p
-    if start < limit and not wl:
-        yield (0,) * (N - 1), [1]
+            yield prefix, xs
 
 
 def _conj_product(p, m, gamma):
@@ -281,6 +266,14 @@ def _sweep_shape(p, b, gamma):
     return len(b), m
 
 
+def _in_kernel(rows, y, p):
+    """Whether every row of a linear map mod p vanishes on the vector y."""
+    for row in rows:
+        if sum(map(operator.mul, row, y)) % p:
+            return False
+    return True
+
+
 def quadric_sweep(p, b, gamma, limit=-1):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
@@ -289,6 +282,16 @@ def quadric_sweep(p, b, gamma, limit=-1):
     roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail).
     A nonnegative limit keeps the points of canonical index below it; only
     the points on the quadric are visited, one fibre at a time.
+
+    The fibres' prefixes c_0..c_{n-2} are walked block by block in
+    canonical order: a lead block c_{i0} from _points, the blocks before it
+    zero, then each later block from _tuples, lexicographically.  The level
+    that fixes block j adds its quadric and trace terms, checks its own
+    facts and the pairs (c_i, c_j), i < j, and passes the sums and ANDs
+    down.  The last prefix block adds its quadric term and looks up the
+    roots; only a fibre with roots checks that block and its pairs.  The
+    checks that read x (the trace, the symmetry of row and column n-1, the
+    base point and the round trip) are made per point.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -298,67 +301,119 @@ def quadric_sweep(p, b, gamma, limit=-1):
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
     mul = _conj_product(p, m, gamma)
-    e0 = (1,) + (0,) * (m - 1)
+    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
+    e0 = basis[0]
     pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
-    w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[n - 1]]
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)]
     # the last block is x e_0 and its diagonal entry x^2 g e_0, which for a
     # unit x is the round trip's b_n x (x e_0) exactly when gamma_00 = 1
     g = gamma[0] * b[n - 1] % p
-    last_ok = gamma[0] % p == 1
+    last = n - 2                # the last prefix block
+    # fibres holding a point below the limit; the table of squares costs
+    # (p - 1)/2 entries, and a sweep through fewer fibres than that takes a
+    # square root per fibre instead
+    nfib = -(-scanned // p)
+    roots = _root_table if nfib >= (p - 1) // 2 else _root_by_sqrt
+    lookup = roots(p, b[n - 1] % p)
 
     @functools.lru_cache(maxsize=1 << 12)
     def block(ci):
-        """What block c_i alone gives the checks: whether c_i conj(c_i) is
-        not scalar, its scalar part N(c_i), whether it is 0, whether
-        C_i = conj(R_i) and whether C_i = c_i, where C_i = c_i conj(e_0)
-        and R_i = e_0 conj(c_i)."""
+        """What block c_i alone gives the checks: its norm N(c_i), whether
+        c_i conj(c_i) is not scalar, its scalar part, whether it is 0,
+        whether C_i = conj(R_i) and whether C_i = c_i, where
+        C_i = c_i conj(e_0) and R_i = e_0 conj(c_i)."""
         d = mul(ci, ci)
         col, row = mul(ci, e0), mul(e0, ci)
-        return any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci)
+        return (sum(map(operator.mul, pf, map(operator.mul, ci, ci))),
+                any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci))
 
-    # the table of squares costs (p - 1)/2 entries; a sweep through fewer
-    # fibres than that takes a square root per fibre instead
-    roots = _root_table if -(-scanned // p) >= (p - 1) // 2 else _root_by_sqrt
-    for prefix, xs in _fibres(p, w, roots, scanned):
-        on_quadric += len(xs)
-        c = [prefix[i * m:(i + 1) * m] for i in range(n - 1)]
-        # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
-        # x R_j b_j; the b_j are units, so the products without them decide
-        # every check but the trace
-        nonscalar, d0, null, sym_x, col_ok = zip(*map(block, c))
-        # diagonal entries scalar; trace equals the quadric value (0 here)
-        diag_fail += len(xs) * sum(nonscalar)
-        tr = sum(map(operator.mul, b, d0))
-        # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that is
-        # c_i conj(c_j) = conj(c_j conj(c_i)); on the corner (i, j < n-1)
-        # for all x, on row and column n-1 for a unit x
-        sym, zero = True, all(null)
-        for i, j in pairs:
-            u, v = mul(c[i], c[j]), mul(c[j], c[i])
-            sym = sym and u == _conj(p, v)
-            zero = zero and not (any(u) or any(v))
-        sym_x = all(sym_x)
-        good = last_ok and all(col_ok)
-        for x in xs:
-            if (tr + g * x * x) % p:
-                trace_fail += 1
-            if not (sym and (sym_x or not x)):
-                sym_fail += 1
-            # a zero matrix is a base point, with nothing more to test: the
-            # b_j are units, so every c_i conj(c_j) = 0, and on the quadric
-            # the first n-1 diagonal entries sum to -b_n x^2, so x = 0; the
-            # corner is zero exactly then
-            if zero:
-                base_points += 1
-            # column n of the matrix, c_i conj(x) b_n, is the inverse map's
-            # slice; x = 0 makes it vanish: the inverse base locus
-            elif not x:
-                zslice_points += 1
-            else:
-                # column n equals b_n x c, block by block
-                roundtrip_checked += 1
-                roundtrip_fail += not good
+    def pair_rows(ci):
+        """The nonzero rows of two linear maps of a later block y, whose
+        kernels are the checks of the pair (c_i, y): y -> c_i conj(y) -
+        conj(y conj(c_i)) for the symmetry, and y -> (c_i conj(y),
+        y conj(c_i)) for both products 0.  The table product is bilinear,
+        so column t of each map is its value at the basis vector e_t."""
+        us = [mul(ci, et) for et in basis]
+        vs = [mul(et, ci) for et in basis]
+        sym = [[(u[k] - (v[k] if k == 0 else -v[k])) % p for u, v in zip(us, vs)]
+               for k in range(m)]
+        zero = [[w[k] for w in ws] for ws in (us, vs) for k in range(m)]
+        return [r for r in sym if any(r)], [r for r in zero if any(r)]
+
+    # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
+    # x R_j b_j; the b_j are units, so the products without them decide
+    # every check but the trace.  What the fixed blocks give: the quadric
+    # value s, the trace tr, the nonscalar diagonal entries, zero (every
+    # c_i conj(c_j) = 0), sym (sigma_b symmetry on the corner), sym_x (on
+    # row and column n-1), good (column n-1 is b_n x c) and the rows that
+    # check a later block against them.  Zero blocks pass every check and
+    # add nothing, so the blocks before the lead are left out.
+    def walk(j, values, f0, s, tr, nonscalar, zero, sym, sym_x, good,
+             sym_rows, zero_rows):
+        """Fix block j to each of `values` in turn; f0 is the canonical
+        index of the first fibre of the first value."""
+        nonlocal on_quadric, base_points, zslice_points, roundtrip_checked
+        nonlocal roundtrip_fail, sym_fail, trace_fail, diag_fail
+        bj = b[j]
+        if j < last:
+            stride = p ** (m * (last - j))      # fibres per value of block j
+            for f, cj in zip(range(f0, nfib, stride), values):
+                nrm, ns, d0, null, sx, col = block(cj)
+                srows, zrows = pair_rows(cj)
+                walk(j + 1, _tuples(p, m), f, s + bj * nrm, tr + bj * d0,
+                     nonscalar + ns,
+                     zero and null and _in_kernel(zero_rows, cj, p),
+                     sym and _in_kernel(sym_rows, cj, p),
+                     sym_x and sx, good and col,
+                     sym_rows + srows, zero_rows + zrows)
+            return
+        # the last block's quadric term is summed here, and its cached facts
+        # are read only on a fibre with roots
+        w = [bj * x for x in pf]
+        for f, cj in zip(range(f0, nfib), values):
+            xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, cj, cj)))) % p)
+            if not xs:
+                continue
+            if (f + 1) * p > scanned:
+                xs = [x for x in xs if f * p + x < scanned]
+                if not xs:
+                    continue
+            _, ns, d0, null, sx, col = block(cj)
+            z = zero and null and _in_kernel(zero_rows, cj, p)
+            sy = sym and _in_kernel(sym_rows, cj, p)
+            sx = sym_x and sx
+            ok = good and col
+            t = tr + bj * d0
+            on_quadric += len(xs)
+            # diagonal entries scalar; trace equals the quadric value (0 here)
+            diag_fail += len(xs) * (nonscalar + ns)
+            for x in xs:
+                if (t + g * x * x) % p:
+                    trace_fail += 1
+                # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
+                # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
+                # (i, j < n-1) for all x, on row and column n-1 for a unit x
+                if not (sy and (sx or not x)):
+                    sym_fail += 1
+                # a zero matrix is a base point, with nothing more to test:
+                # the b_j are units, so every c_i conj(c_j) = 0, and on the
+                # quadric the first n-1 diagonal entries sum to -b_n x^2, so
+                # x = 0; the corner is zero exactly then
+                if z:
+                    base_points += 1
+                # column n of the matrix, c_i conj(x) b_n, is the inverse
+                # map's slice; x = 0 makes it vanish: the inverse base locus
+                elif not x:
+                    zslice_points += 1
+                else:
+                    # column n equals b_n x c, block by block
+                    roundtrip_checked += 1
+                    roundtrip_fail += not ok
+
+    f0 = 0                      # canonical index of the lead block's first fibre
+    for i0 in range(n - 1):
+        walk(i0, _points(p, m), f0, 0, 0, 0, True, True, True,
+             gamma[0] % p == 1, [], [])
+        f0 += (p ** m - 1) // (p - 1) * p ** (m * (last - i0))
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)

@@ -85,6 +85,8 @@ class CDAlgebra:
         flat, self._gamma_den = field.unwrap([g for row in self._gamma for g in row])
         self._gamma_v = [flat[i * m:(i + 1) * m] for i in range(m)]
         self._norm_v, self._norm_den = field.unwrap(self.norm_form.coeffs)
+        # immutable, so hashed once: a point's hash reaches every block's
+        self._hash = hash((field, params))
 
     def _build_table(self):
         """gamma[i][j] with e_i e_j = gamma[i][j] e_{i^j}, by the closed
@@ -134,7 +136,7 @@ class CDAlgebra:
                 and other.params == self.params)
 
     def __hash__(self):
-        return hash((self.field, self.params))
+        return self._hash
 
     def __repr__(self):
         return f"CD({self.field}, r={self.r}, a={list(self.params)})"

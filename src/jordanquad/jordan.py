@@ -57,6 +57,8 @@ class JordanAlgebra:
         self._q_form = None
         self._basis = None
         self._swapped = None
+        # immutable, so hashed once: every point hash reaches it
+        self._hash = hash((cd, b))
 
     @property
     def dim(self):
@@ -177,7 +179,7 @@ class JordanAlgebra:
                 and other.b == self.b)
 
     def __hash__(self):
-        return hash((self.cd, self.b))
+        return self._hash
 
     def __repr__(self):
         return f"Jordan(n={self.n}, r={self.cd.r}, b={list(self.b)})"

@@ -251,6 +251,9 @@ class FpElem:
         return f"{self.v}"
 
 
+_ZERO = Fraction(0)
+
+
 class Rationals:
     """The rational field; scalars are Fractions."""
 
@@ -287,8 +290,9 @@ class Rationals:
         return vs
 
     def wrap(self, vs, den):
-        """A tuple of the Fractions v / den, each reduced once."""
-        return tuple([Fraction(v, den) for v in vs])
+        """A tuple of the Fractions v / den, each reduced once; every zero
+        is the one shared Fraction(0)."""
+        return tuple([Fraction(v, den) if v else _ZERO for v in vs])
 
     def one(self):
         return Fraction(1)

@@ -46,6 +46,21 @@ def test_swap_last_two_is_built_once():
     assert swapped == JordanAlgebra(alg.cd, (1, 2, 5, 3))
 
 
+def test_equal_algebras_built_apart_hash_equal():
+    """Each algebra hashes once, when it is built; algebras built apart
+    from equal parameters are equal and hash alike, over Q and F_p."""
+    for field, params, b in ((Q, [Fraction(-1, 3), 2], (1, Fraction(2, 5), -3)),
+                             (PrimeField(13), [5], (1, 2, 12, 7))):
+        cd1, cd2 = CDAlgebra(field, params), CDAlgebra(field, list(params))
+        assert cd1 is not cd2 and cd1 == cd2 and hash(cd1) == hash(cd2)
+        a1, a2 = JordanAlgebra(cd1, b), JordanAlgebra(cd2, list(b))
+        assert a1 == a2 and hash(a1) == hash(a2)
+        assert len({a1, a2, JordanAlgebra(cd1, b[::-1])}) == 2
+        # the values of the parameter-tuple hashes, so no set of algebras
+        # changes its order
+        assert hash(a1) == hash((cd1, a1.b)) and hash(cd1) == hash((field, cd1.params))
+
+
 def test_dimension_formula_by_basis():
     for r, n in [(0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 3)]:
         alg = make_alg(r=r, n=n, b=tuple(range(1, n + 1)))

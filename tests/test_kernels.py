@@ -376,8 +376,8 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
     counts = dict.fromkeys(sweeps._QUADRIC_COUNTERS, 0)
     out = {}
     for c in _fpcore_py._points(p, N):
-        out.update((lim, tuple(counts.values())) for lim in limits
-                   if lim == counts["scanned"])
+        if counts["scanned"] in limits:
+            out[counts["scanned"]] = tuple(counts.values())
         counts["scanned"] += 1
         if sum(wi * x * x for wi, x in zip(w, c)) % p:
             continue
@@ -409,10 +409,31 @@ CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2
                     (3, 2, 4), (3, 4, 2), (3, 4, 3), (3, 8, 2)]
 
 
+def _block_boundaries(p, m, n, rng):
+    """Limits on the edges of the pure sweep's block walk, each exactly and
+    one point either side: the first fibre of each lead block i0 and, for
+    each block j from the lead on, the fibres where it first steps and
+    where it takes a random step k, the blocks after it rolling over from
+    p - 1 to 0.  The limit p f stops the walk just before fibre f."""
+    limits = set()
+    f0 = 0
+    for i0 in range(n - 1):
+        fibres = (p ** m - 1) // (p - 1) * p ** (m * (n - 2 - i0))
+        starts = {f0}
+        for j in range(i0, n - 1):
+            stride = p ** (m * (n - 2 - j))     # fibres per step of block j
+            if fibres > stride:
+                starts |= {f0 + k * stride for k in (1, rng.randrange(1, fibres // stride))}
+        limits |= {p * f + e for f in starts for e in (-1, 0, 1)}
+        f0 += fibres
+    return sorted(lim for lim in limits if lim >= 0)
+
+
 def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
     """On random tables and b, zero entries included, the pure sweep gives
-    the counters of the per-point evaluation, complete and with limits that
-    cut a fibre; so does the compiled twin where it is built."""
+    the counters of the per-point evaluation, complete, with limits that
+    cut a fibre and with limits on the edges of its block walk; so does the
+    compiled twin where it is built."""
     try:
         compiled = request.getfixturevalue("compiled")
     except pytest.skip.Exception:
@@ -432,7 +453,8 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
             for k in keys if draw else ():
                 gamma[k] = rng.choice((0, rng.randrange(2, p)))
             b = [rng.randrange(1, p) for _ in range(n)]
-            limits = (-1, p * rng.randrange(space // p) + 3, space - 1)
+            limits = (-1, p * rng.randrange(space // p) + 3, space - 1,
+                      *_block_boundaries(p, m, n, rng))
             for limit, want in _quadric_sweep_per_point(p, b, gamma, limits).items():
                 got = _fpcore_py.quadric_sweep(p, b, gamma, limit)
                 assert got == want, (p, m, n, b, gamma, limit)
@@ -542,19 +564,24 @@ def test_short_pure_sweeps_at_large_p():
     quadric sweep takes a square root per fibre instead of a table of the
     (p - 1)/2 squares, and the base-locus walk stores no range(p)."""
     import tracemalloc
-    args = (1_000_003, [1, 2, 1_000_002], [1, 1, 1, 1], 100)
-    for sweep, want in ((_fpcore_py.quadric_sweep, (100, 1, 0, 0, 1, 0, 0, 0, 0)),
-                        (_fpcore_py.z1_sweep, (100, 0, 0))):
+    three = (1_000_003, [1, 2, 1_000_002], [1, 1, 1, 1], 100)
+    # five blocks of one coordinate: every level of the quadric sweep's
+    # block walk must stop at the limit without walking its p values
+    five = (1_000_003, [1, 2, 3, 4, 5], [1], 100)
+    for sweep, args, want in (
+            (_fpcore_py.quadric_sweep, three, (100, 1, 0, 0, 1, 0, 0, 0, 0)),
+            (_fpcore_py.z1_sweep, three, (100, 0, 0)),
+            (_fpcore_py.quadric_sweep, five, (100, 0, 0, 0, 0, 0, 0, 0, 0))):
         t0 = time.perf_counter()
         assert sweep(*args) == want
-        assert time.perf_counter() - t0 < 0.5, sweep.__name__
+        assert time.perf_counter() - t0 < 0.5, (sweep.__name__, args)
         tracemalloc.start()
         try:
             sweep(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, (sweep.__name__, peak)
+        assert peak < 1 << 20, (sweep.__name__, args, peak)
 
 
 def test_short_quadric_sweep_roots_match_table(monkeypatch):

@@ -256,6 +256,12 @@ def test_plain_value_protocol():
     assert [Fraction(v, den) for v in ints] == xs and Q.wrap(ints, den) == tuple(xs)
     assert Q.wrap([v * 35 for v in ints], den * 35) == tuple(xs)
     assert Q.value("-4/6") == (-2, 3) and Q.unwrap([]) == ([], 1)
+    # zeros, which wrap to one shared Fraction(0), among the values
+    for vs, den in (([0, 3, 0, -4, 0], 6), ([0, 0], 1), ([0, 5], -35)):
+        got = Q.wrap(vs, den)
+        assert got == tuple(Fraction(v, den) for v in vs)
+        assert [x.as_integer_ratio() for x in got] == [
+            Fraction(v, den).as_integer_ratio() for v in vs]
     for p in (3, 13, 2**31 - 1):
         F = PrimeField(p)
         ys = [F.element(v) for v in (0, 1, p - 1, 2, p + 5)]
