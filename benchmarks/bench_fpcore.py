@@ -53,7 +53,7 @@ def bench_sweep(name, names, alg):
                         runs=COMPILED_RUNS)
     rate_c = out_c[0] / dt_c
     print(f"{name:24s} compiled:    {out_c[0]:>9d} pts in {dt_c:7.3f}s "
-          f"({rate_c:12,.0f} pts/s)  speedup x{rate_c / rate_p:,.0f}")
+          f"({rate_c:12,.0f} pts/s)  speedup x{rate_c / rate_p:,.1f}")
     if out_c != out_p:
         raise SystemExit(f"{name}: compiled and pure kernels disagree: "
                          f"{out_c} != {out_p}")

@@ -32,19 +32,27 @@ coordinates 1..m-1.  Every b_i must be a unit mod p.
 The compiled sweeps test every point of the space.  This module instead
 skips points that cannot pass the first test, in the same canonical order,
 so the counters (including `scanned`, the number of points below the
-limit) are identical while far fewer points are visited:
+limit) are identical while far fewer points are visited.  Both sweeps run
+on one walk, _block_walk, of the canonical points of P(C^{n-1}) as blocks
+c_0..c_{n-2} of m coordinates: the lead block (the first nonzero one)
+from _points, each later block from _tuples.  The walk fixes the blocks
+one level at a time and passes down what the fixed blocks give the sweep,
+so an outer block is paid for once for all the points below it; each
+sweep loops over the last block itself.
 
-- quadric points are walked fibre by fibre: the points sharing their first
-  N-1 coordinates (the prefix) differ only in the last one, and the value
-  of the form on that prefix picks the last coordinate's roots;
-- a base-locus point has c_i conj(c_i) = 0 for every block, so only tuples
-  of such null blocks are walked.
+- Quadric points are walked fibre by fibre: the points sharing their
+  first N-1 coordinates (the prefix) differ only in the last one, and the
+  value of the form on the prefix picks the last coordinate's roots.
+  The prefixes are the points of the walk, every block a candidate.
+- A base-locus point has c_i conj(c_i) = 0 for every block, so only null
+  blocks are candidates, and a level whose block fails a pair check
+  skips every point below it.
 
-The quadric sweep walks the prefixes block by block, and makes each check
-at the outermost level where everything it reads is fixed.  On a fibre
-the blocks c_0..c_{n-2} are fixed and the last block is x e_0, x a root.
-The matrix entries c_i conj(c_j) b_j with i, j < n-1 (the corner) depend
-on the prefix alone.  The table product is bilinear, so column n-1 is
+The quadric sweep makes each check at the outermost level where
+everything it reads is fixed.  On a fibre the blocks c_0..c_{n-2} are
+fixed and the last block is x e_0, x a root.  The matrix entries
+c_i conj(c_j) b_j with i, j < n-1 (the corner) depend on the prefix
+alone.  The table product is bilinear, so column n-1 is
 x c_i conj(e_0) b_n, row n-1 is x e_0 conj(c_j) b_j and the last diagonal
 entry is x^2 gamma_00 b_n e_0, for any table.  Every b_i and every x != 0
 is a unit because p is prime, so a check of x v = 0, or of x v = x w, is a
@@ -53,11 +61,12 @@ check splits into a part on the prefix's products and a test of x = 0 and
 of the trace, made per point.  The prefix's part is an AND over its
 blocks and its pairs of blocks.  The level that fixes block j reads that
 block's facts from a cache and checks each pair (c_i, c_j), i < j, by
-linear maps of c_j built at the level that fixed c_i; it passes the sums
-and ANDs down, so an outer block is paid for once for all the fibres
-below it.  The odometer's innermost step moves only the last prefix
-block: it adds that block's norm to the quadric value and looks up the
-roots, and only a fibre with roots pays for that block's checks.
+linear maps of c_j built at the level that fixed c_i.  The innermost
+step moves only the last prefix block: it adds that block's norm to the
+quadric value and looks up the roots, and only a fibre with roots pays
+for that block's checks.  The base-locus sweep checks its pairs the same
+way, one product c_i conj(c_j) per pair, and sums the corner of x(c)^2
+level by level.
 """
 
 import functools
@@ -210,47 +219,57 @@ def _conj(p, v):
     return [v[0] % p, *(-x % p for x in v[1:])]
 
 
-def _null_block_points(p, m, nn, mul, limit):
-    """Yield, in canonical order, the canonical points of P(C^nn) among the
-    first `limit` whose every block c_i has c_i conj(c_i) = 0, as lists of
-    nn blocks, with mul the product x conj(y) of _conj_product.
+def _rows(cols):
+    """The nonzero rows of the linear map whose column t is cols[t]."""
+    return [r for r in zip(*cols) if any(r)]
 
-    The points whose first nonzero block is block i0 hold consecutive
-    indices; within them the order is by that block's own canonical index
-    k, then lexicographic on the later blocks.  Each block value tabulated
-    is below `limit` (a later block's lex value never exceeds the point's
-    index, nor does k), so a small limit builds small tables.  The
-    yielded list is reused; copy it to keep it."""
-    N = m * nn
 
-    def null(blk):
-        return not any(mul(blk, blk))
+def _in_kernel(rows, y, p):
+    """Whether every row of a linear map mod p vanishes on the vector y."""
+    for row in rows:
+        if sum(map(operator.mul, row, y)) % p:
+            return False
+    return True
 
-    leads = [(k, blk) for k, blk in zip(range(limit), _points(p, m))
-             if null(blk)]
-    rest = [(val, blk) for val, blk in zip(range(limit), _tuples(p, m))
-            if null(blk)]
-    c = [(0,) * m] * nn
+
+def _block_walk(p, m, nn, limit, candidates, fix, state):
+    """Walk the canonical points of P(F_p^{m nn}) of index below `limit`,
+    as nn blocks of m coordinates, fixing every block but the last: yield
+    (f0, values, state) for each choice of blocks 0..nn-2 that is kept,
+    values the last block's candidates, the point whose last block has
+    index k having canonical index f0 + k.
+
+    The first nonzero block, the lead, runs through _points(p, m), and
+    each later block through _tuples(p, m).  The blocks before the lead
+    are zero and left out, so fixing a zero block must leave a sweep's
+    state as it was.  candidates(lead) gives a level's (k, value)
+    pairs in increasing k, k the index of a block in that order and value
+    the block or what the sweep keeps of it; a sweep may leave blocks out.
+    Fixing block j calls fix(state, j, value), which returns the state
+    passed down, or None to skip every point below.  A level stops at its
+    first block past the limit, so the walk is as lazy in p as its
+    candidates."""
+    last = nn - 1
+
+    def walk(j, values, f0, state):
+        if j == last:
+            yield f0, values, state
+            return
+        stride = p ** (m * (last - j))      # points per value of block j
+        for k, cj in values:
+            f = f0 + k * stride
+            if f >= limit:
+                return
+            s = fix(state, j, cj)
+            if s is not None:
+                yield from walk(j + 1, candidates(False), f, s)
+
+    f0 = 0                      # canonical index of the lead block's first point
     for i0 in range(nn):
-        first = (p ** N - p ** (N - i0 * m)) // (p - 1)
-        later = nn - 1 - i0
-        step = p ** (m * later)
-        weights = [p ** (m * (later - 1 - j)) for j in range(later)]
-        for k, lead in leads:
-            start = first + k * step
-            if start >= limit:
-                break
-            c[i0] = lead
-            for combo in itertools.product(rest, repeat=later):
-                idx = start
-                for (val, blk), wt in zip(combo, weights):
-                    idx += val * wt
-                if idx >= limit:
-                    break
-                for j, (val, blk) in enumerate(combo, i0 + 1):
-                    c[j] = blk
-                yield c
-        c[i0] = (0,) * m
+        if f0 >= limit:
+            return
+        yield from walk(i0, candidates(True), f0, state)
+        f0 += (p ** m - 1) // (p - 1) * p ** (m * (last - i0))
 
 
 def _sweep_shape(p, b, gamma):
@@ -266,14 +285,6 @@ def _sweep_shape(p, b, gamma):
     return len(b), m
 
 
-def _in_kernel(rows, y, p):
-    """Whether every row of a linear map mod p vanishes on the vector y."""
-    for row in rows:
-        if sum(map(operator.mul, row, y)) % p:
-            return False
-    return True
-
-
 def quadric_sweep(p, b, gamma, limit=-1):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
@@ -283,15 +294,15 @@ def quadric_sweep(p, b, gamma, limit=-1):
     A nonnegative limit keeps the points of canonical index below it; only
     the points on the quadric are visited, one fibre at a time.
 
-    The fibres' prefixes c_0..c_{n-2} are walked block by block in
-    canonical order: a lead block c_{i0} from _points, the blocks before it
-    zero, then each later block from _tuples, lexicographically.  The level
-    that fixes block j adds its quadric and trace terms, checks its own
-    facts and the pairs (c_i, c_j), i < j, and passes the sums and ANDs
-    down.  The last prefix block adds its quadric term and looks up the
-    roots; only a fibre with roots checks that block and its pairs.  The
-    checks that read x (the trace, the symmetry of row and column n-1, the
-    base point and the round trip) are made per point.
+    The fibres' prefixes c_0..c_{n-2} are the points of _block_walk, every
+    block a candidate.  The level that fixes block j adds its quadric and
+    trace terms, ANDs its cached facts and checks the pairs (c_i, c_j),
+    i < j, for the symmetry and for both products zero, and passes the
+    sums and ANDs down.  The last prefix block adds its quadric term and
+    looks up the roots; only a fibre with roots reads that block's facts
+    and checks its pairs.  The checks that read x (the trace, the symmetry
+    of row and column n-1, the base point and the round trip) are made
+    per point.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -307,7 +318,6 @@ def quadric_sweep(p, b, gamma, limit=-1):
     # the last block is x e_0 and its diagonal entry x^2 g e_0, which for a
     # unit x is the round trip's b_n x (x e_0) exactly when gamma_00 = 1
     g = gamma[0] * b[n - 1] % p
-    last = n - 2                # the last prefix block
     # fibres holding a point below the limit; the table of squares costs
     # (p - 1)/2 entries, and a sweep through fewer fibres than that takes a
     # square root per fibre instead
@@ -326,53 +336,41 @@ def quadric_sweep(p, b, gamma, limit=-1):
         return (sum(map(operator.mul, pf, map(operator.mul, ci, ci))),
                 any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci))
 
-    def pair_rows(ci):
-        """The nonzero rows of two linear maps of a later block y, whose
-        kernels are the checks of the pair (c_i, y): y -> c_i conj(y) -
-        conj(y conj(c_i)) for the symmetry, and y -> (c_i conj(y),
-        y conj(c_i)) for both products 0.  The table product is bilinear,
-        so column t of each map is its value at the basis vector e_t."""
-        us = [mul(ci, et) for et in basis]
-        vs = [mul(et, ci) for et in basis]
-        sym = [[(u[k] - (v[k] if k == 0 else -v[k])) % p for u, v in zip(us, vs)]
-               for k in range(m)]
-        zero = [[w[k] for w in ws] for ws in (us, vs) for k in range(m)]
-        return [r for r in sym if any(r)], [r for r in zero if any(r)]
-
     # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
     # x R_j b_j; the b_j are units, so the products without them decide
     # every check but the trace.  What the fixed blocks give: the quadric
     # value s, the trace tr, the nonscalar diagonal entries, zero (every
     # c_i conj(c_j) = 0), sym (sigma_b symmetry on the corner), sym_x (on
     # row and column n-1), good (column n-1 is b_n x c) and the rows that
-    # check a later block against them.  Zero blocks pass every check and
-    # add nothing, so the blocks before the lead are left out.
-    def walk(j, values, f0, s, tr, nonscalar, zero, sym, sym_x, good,
-             sym_rows, zero_rows):
-        """Fix block j to each of `values` in turn; f0 is the canonical
-        index of the first fibre of the first value."""
-        nonlocal on_quadric, base_points, zslice_points, roundtrip_checked
-        nonlocal roundtrip_fail, sym_fail, trace_fail, diag_fail
-        bj = b[j]
-        if j < last:
-            stride = p ** (m * (last - j))      # fibres per value of block j
-            for f, cj in zip(range(f0, nfib, stride), values):
-                nrm, ns, d0, null, sx, col = block(cj)
-                srows, zrows = pair_rows(cj)
-                walk(j + 1, _tuples(p, m), f, s + bj * nrm, tr + bj * d0,
-                     nonscalar + ns,
-                     zero and null and _in_kernel(zero_rows, cj, p),
-                     sym and _in_kernel(sym_rows, cj, p),
-                     sym_x and sx, good and col,
-                     sym_rows + srows, zero_rows + zrows)
-            return
+    # check a later block y against them.  The rows are those of two
+    # linear maps of y, whose column t is their value at e_t since the
+    # table product is bilinear: y -> c_i conj(y) - conj(y conj(c_i)) for
+    # the symmetry, and y -> (c_i conj(y), y conj(c_i)) for both products 0.
+    def fix(state, j, cj):
+        s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
+        nrm, ns, d0, null, sx, col = block(cj)
+        us = [mul(cj, et) for et in basis]
+        vs = [mul(et, cj) for et in basis]
+        sym_cols = [[(u[0] - v[0]) % p, *((x + y) % p for x, y in zip(u[1:], v[1:]))]
+                    for u, v in zip(us, vs)]
+        return (s + b[j] * nrm, tr + b[j] * d0, nonscalar + ns,
+                zero and null and _in_kernel(zero_rows, cj, p),
+                sym and _in_kernel(sym_rows, cj, p), sym_x and sx, good and col,
+                sym_rows + _rows(sym_cols), zero_rows + _rows(us) + _rows(vs))
+
+    bl = b[n - 2]               # the last prefix block's b
+    w = [bl * x for x in pf]
+    walk = _block_walk(p, m, n - 1, nfib,
+                       lambda lead: enumerate(_points(p, m) if lead else _tuples(p, m)),
+                       fix, (0, 0, 0, True, True, True, gamma[0] % p == 1, [], []))
+    for f0, values, (s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
         # the last block's quadric term is summed here, and its cached facts
         # are read only on a fibre with roots
-        w = [bj * x for x in pf]
-        for f, cj in zip(range(f0, nfib), values):
+        for k, cj in itertools.islice(values, nfib - f0):
             xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, cj, cj)))) % p)
             if not xs:
                 continue
+            f = f0 + k
             if (f + 1) * p > scanned:
                 xs = [x for x in xs if f * p + x < scanned]
                 if not xs:
@@ -382,7 +380,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
             sy = sym and _in_kernel(sym_rows, cj, p)
             sx = sym_x and sx
             ok = good and col
-            t = tr + bj * d0
+            t = tr + bl * d0
             on_quadric += len(xs)
             # diagonal entries scalar; trace equals the quadric value (0 here)
             diag_fail += len(xs) * (nonscalar + ns)
@@ -408,12 +406,6 @@ def quadric_sweep(p, b, gamma, limit=-1):
                     # column n equals b_n x c, block by block
                     roundtrip_checked += 1
                     roundtrip_fail += not ok
-
-    f0 = 0                      # canonical index of the lead block's first fibre
-    for i0 in range(n - 1):
-        walk(i0, _points(p, m), f0, 0, 0, 0, True, True, True,
-             gamma[0] % p == 1, [], [])
-        f0 += (p ** m - 1) // (p - 1) * p ** (m * (last - i0))
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
@@ -424,38 +416,56 @@ def z1_sweep(p, b, gamma, limit=-1):
     the source base locus: all products c_i conj(c_j) = 0, and the square
     of the half-space element x(c) vanishing.  Returns (scanned, z1_points,
     equiv_fail).  A nonnegative limit keeps the points of canonical index
-    below it."""
+    below it.
+
+    Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
+    entries include the b_j c_i conj(c_j), and the b_j are units), so the
+    predicates agree with nothing left to verify.  The points are those of
+    _block_walk whose every block c_i is null, c_i conj(c_i) = 0: the
+    candidates are the null blocks among the first `scanned` of each
+    order, as a block's index never exceeds that of a point holding it.
+    c_j conj(c_i) is the conjugate of c_i conj(c_j), so the pairs i < j
+    decide the rest: the level that fixes c_j checks c_i conj(c_j) = 0 for
+    each fixed c_i, by the rows of y -> c_i conj(y) built where c_i was
+    fixed, and skips every point below at the first that fails.  The
+    remaining entry of x(c)^2 is the corner, b_n^{-1} times
+    sum_k b_k conj(c_k) c_k, summed level by level; it must vanish on the
+    locus.
+    """
     n, m = _sweep_shape(p, b, gamma)
-    N = m * (n - 1)
     nn = n - 1
-    space = (p ** N - 1) // (p - 1)
+    space = (p ** (m * nn) - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
     mul = _conj_product(p, m, gamma)
-    # Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
-    # entries include the b_j c_i conj(c_j), and the b_j are units), so the
-    # predicates agree with nothing left to verify.  A point with a block
-    # of nonzero norm c_i conj(c_i) is such a point and is not visited.
-    pairs = [(i, j) for i in range(nn) for j in range(i + 1, nn)]
-    for c in _null_block_points(p, m, nn, mul, scanned):
-        # all products c_i conj(c_j) = 0?  The walk has made the diagonal
-        # ones 0, and c_j conj(c_i) is the conjugate of c_i conj(c_j), so
-        # the pairs i < j decide it
-        on_locus = True
-        for i, j in pairs:
-            if any(mul(c[i], c[j])):
-                on_locus = False
+    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
+
+    def null(blocks):
+        """(k, (c, conj(c) c, rows of y -> c conj(y))) for each null block
+        c of index k < scanned in `blocks`."""
+        out = []
+        for k, c in zip(range(scanned), blocks):
+            if not any(mul(c, c)):
+                cc = _conj(p, c)
+                out.append((k, (c, mul(cc, cc), _rows([mul(c, et) for et in basis]))))
+        return out
+
+    leads, rest = null(_points(p, m)), null(_tuples(p, m))
+
+    def fix(state, j, blk):
+        corner, rows = state
+        c, term, c_rows = blk
+        if not _in_kernel(rows, c, p):
+            return None
+        return [u + b[j] * v for u, v in zip(corner, term)], rows + c_rows
+
+    walk = _block_walk(p, m, nn, scanned, lambda lead: leads if lead else rest,
+                       fix, ([0] * m, []))
+    for f0, values, (corner, rows) in walk:
+        for k, (c, term, _) in values:
+            if f0 + k >= scanned:
                 break
-        if not on_locus:
-            continue
-        z1_points += 1
-        # the only remaining entry of x(c)^2 is the corner, b_n^{-1} times
-        # sum_k b_k conj(c_k) c_k; it must vanish on the locus
-        corner = [0] * m
-        for bk, ck in zip(b, c):
-            ck = _conj(p, ck)
-            for t, v in enumerate(mul(ck, ck)):
-                corner[t] += bk * v
-        if any(v % p for v in corner):
-            equiv_fail += 1
+            if _in_kernel(rows, c, p):
+                z1_points += 1
+                equiv_fail += any((u + b[nn - 1] * v) % p for u, v in zip(corner, term))
     return scanned, z1_points, equiv_fail

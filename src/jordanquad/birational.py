@@ -91,9 +91,6 @@ class ProjPointC:
         out.append(self.last)
         return out
 
-    def blocks(self):
-        return list(self.cparts) + [self.last]
-
     def __eq__(self, other):
         if not isinstance(other, ProjPointC):
             return NotImplemented

@@ -39,9 +39,11 @@ class AlgebraConfig:
             raise ValidationError("p: required when field = \"Fp\"")
         if self.field == "Q" and self.p is not None:
             raise ValidationError("p: only allowed when field = \"Fp\"")
-        if not isinstance(self.r, int) or not 0 <= self.r <= 3:
+        if isinstance(self.r, bool) or not isinstance(self.r, int) or not 0 <= self.r <= 3:
             raise ValidationError(f"r: must be 0..3, got {self.r!r}")
         a = self.a if self.a is not None else []
+        if not isinstance(a, list):
+            raise ValidationError(f"a: expected a list of {self.r} entries, got {a!r}")
         if len(a) != self.r:
             raise ValidationError(f"a: expected {self.r} entries, got {len(a)}")
         if not isinstance(self.n, int) or self.n < 3:
@@ -49,8 +51,8 @@ class AlgebraConfig:
         if self.r == 3 and self.n != 3:
             raise ValidationError("n: must be 3 when r=3")
         b = self.b
-        if b is None or len(b) != self.n:
-            raise ValidationError(f"b: expected {self.n} entries")
+        if not isinstance(b, list) or len(b) != self.n:
+            raise ValidationError(f"b: expected a list of {self.n} entries")
         for key, vals in (("a", a), ("b", b)):
             for x in vals:
                 try:

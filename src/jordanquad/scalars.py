@@ -412,9 +412,6 @@ class PrimeField:
     def same_square_class(self, a, b):
         return self.square_class(a) == self.square_class(b)
 
-    def elements(self):
-        return [FpElem(self.p, v) for v in range(self.p)]
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -9,8 +9,9 @@ no rational points at all when the norm form is anisotropic).
 
 The sampled path goes through the exact high-level objects (CDElem,
 JordanElem) rather than the kernels, so the two routes validate each
-other; rank-one checks ride on a subsample because they cost a full basis
-sweep of U-operator evaluations per point.
+other; rank-one checks ride on a subsample because they are the dearest
+test per point: the entries of x^# at n = 3, and a full basis sweep of
+U-operator evaluations at n >= 4.
 """
 
 import operator
@@ -34,8 +35,10 @@ DEFAULT_BUDGET = 20000
 # README's example.  The compiled quadric sweep ran 2.8-16 million points/s
 # on the birational spaces of a shared 2-core x86-64 VM (the 6.7M points of
 # (p, r, n) = (7, 2, 3) in 0.67 s, the 0.8M of (3, 2, 4) in 0.28 s), so a
-# sweep at this ceiling takes 6-35 s there; the pure kernels are 40-70x
-# slower.
+# sweep at this ceiling takes 6-35 s there.  On benchmarks/bench_fpcore.py
+# the pure quadric sweep takes about 3x as long as the compiled one (3.2x,
+# median of 10 runs), and the pure z1 sweep, which skips every point below
+# a block that fails a pair check, less (0.7x).
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
 # Largest sample count the command line accepts.  A case samples that many

@@ -55,6 +55,24 @@ def test_validation_errors_name_keys():
         config_from_dict({"n": 3, "b": [1, 0, 1]})
 
 
+@pytest.mark.parametrize("text, key", [
+    ('r = 0\nn = 3\nb = 5\n', "b"),
+    ('r = 1\na = -1\nn = 3\nb = [1, 1, -1]\n', "a"),
+    ('r = true\na = [-1]\nn = 3\nb = [1, 1, -1]\n', "r"),
+], ids=["b-scalar", "a-scalar", "r-true"])
+def test_config_scalar_for_a_list_or_bool_for_r_exits_2(capsys, tmp_path, text, key):
+    """A JSON scalar where a list is due, or true for r, is one line and
+    exit 2 from every command that reads a config."""
+    with pytest.raises(ValidationError, match=f"^{key}:"):
+        config_from_dict(parse_config_text(text))
+    cfg = write_config(tmp_path, text)
+    for argv in (["rank", "--config", cfg, "--elem", "[]"],
+                 ["veronese", "map", "--config", cfg, "--point", '{"c": []}']):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith(f"error: {key}:") and err.count("\n") == 1, err
+
+
 def test_fp_config(tmp_path):
     path = write_config(tmp_path, 'field = "Fp"\np = 7\nr = 1\na = [3]\nn = 3\nb = [1, 1, 6]\n')
     alg = load_config(path).algebra()

@@ -354,6 +354,19 @@ def test_every_failure_counter_fires_on_a_corrupted_gamma(request, impl):
                      if k.endswith("_fail")}
 
 
+def _mul_conj(p, gamma, x, y):
+    """x conj(y) by the table gamma, term by term."""
+    m = len(x)
+    out = [0] * m
+    for s, t in itertools.product(range(m), repeat=2):
+        out[s ^ t] += x[s] * (-y[t] if t else y[t]) * gamma[s * m + t]
+    return [v % p for v in out]
+
+
+def _conj(p, v):
+    return [v[0]] + [-x % p for x in v[1:]]
+
+
 def _quadric_sweep_per_point(p, b, gamma, limits):
     """The quadric sweep evaluated point by point, as {limit: counters} for
     each limit in limits: every canonical point is taken in turn, the
@@ -361,16 +374,6 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
     built in full, and each check is made on that matrix."""
     n, m = len(b), math.isqrt(len(gamma))
     N = m * (n - 1) + 1
-
-    def mul_conj(x, y):
-        out = [0] * m
-        for s, t in itertools.product(range(m), repeat=2):
-            out[s ^ t] += x[s] * (-y[t] if t else y[t]) * gamma[s * m + t]
-        return [v % p for v in out]
-
-    def conj(v):
-        return [v[0]] + [-x % p for x in v[1:]]
-
     pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
     w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[-1]]
     counts = dict.fromkeys(sweeps._QUADRIC_COUNTERS, 0)
@@ -384,12 +387,12 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
         counts["on_quadric"] += 1
         blocks = [list(c[i * m:(i + 1) * m]) for i in range(n - 1)]
         blocks.append([c[-1]] + [0] * (m - 1))
-        mat = [[[v * b[j] % p for v in mul_conj(ci, cj)] for j, cj in enumerate(blocks)]
-               for ci in blocks]
+        mat = [[[v * b[j] % p for v in _mul_conj(p, gamma, ci, cj)]
+                for j, cj in enumerate(blocks)] for ci in blocks]
         counts["diag_fail"] += sum(any(mat[i][i][1:]) for i in range(n))
         counts["trace_fail"] += sum(mat[i][i][0] for i in range(n)) % p != 0
         counts["sym_fail"] += not all(
-            [b[i] * v % p for v in mat[i][j]] == [b[j] * v % p for v in conj(mat[j][i])]
+            [b[i] * v % p for v in mat[i][j]] == [b[j] * v % p for v in _conj(p, mat[j][i])]
             for i in range(n) for j in range(i + 1, n))
         if not any(v for row in mat for e in row for v in e):
             counts["base_points"] += 1
@@ -403,6 +406,30 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
     return {lim: out.get(lim, tuple(counts.values())) for lim in limits}
 
 
+def _z1_sweep_per_point(p, b, gamma, limits):
+    """The base-locus sweep evaluated point by point, as {limit: counters}
+    for each limit in limits: every canonical point of P(C^{n-1}) is on
+    the locus when its norms c_i conj(c_i) and its pairs c_i conj(c_j),
+    i < j, are all zero, and fails there when its corner
+    sum_k b_k conj(c_k) c_k is not."""
+    n, m = len(b), math.isqrt(len(gamma))
+    counts = dict.fromkeys(sweeps._Z1_COUNTERS, 0)
+    out = {}
+    for c in _fpcore_py._points(p, m * (n - 1)):
+        if counts["scanned"] in limits:
+            out[counts["scanned"]] = tuple(counts.values())
+        counts["scanned"] += 1
+        blocks = [list(c[i * m:(i + 1) * m]) for i in range(n - 1)]
+        if any(any(_mul_conj(p, gamma, ci, cj))
+               for i, ci in enumerate(blocks) for cj in blocks[i:]):
+            continue
+        counts["z1_points"] += 1
+        terms = [_mul_conj(p, gamma, _conj(p, ck), _conj(p, ck)) for ck in blocks]
+        counts["equiv_fail"] += any(
+            sum(bk * term[t] for bk, term in zip(b, terms)) % p for t in range(m))
+    return {lim: out.get(lim, tuple(counts.values())) for lim in limits}
+
+
 # (p, m, n) of the corrupted-table agreement test: every composition
 # dimension, complete spaces of 121 to 9841 points
 CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2, 3),
@@ -410,30 +437,35 @@ CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2
 
 
 def _block_boundaries(p, m, n, rng):
-    """Limits on the edges of the pure sweep's block walk, each exactly and
-    one point either side: the first fibre of each lead block i0 and, for
-    each block j from the lead on, the fibres where it first steps and
-    where it takes a random step k, the blocks after it rolling over from
-    p - 1 to 0.  The limit p f stops the walk just before fibre f."""
-    limits = set()
+    """Indices of points of P(C^{n-1}) on the edges of the pure sweeps'
+    block walk: the first point of each lead block i0 and, for each block
+    j from the lead on, the points where it first steps and where it
+    takes a random step k, the blocks after it rolling over from p - 1 to
+    0.  As a z1 limit the index f stops the walk just before point f; as a
+    quadric limit p f stops it just before fibre f."""
+    starts = set()
     f0 = 0
     for i0 in range(n - 1):
-        fibres = (p ** m - 1) // (p - 1) * p ** (m * (n - 2 - i0))
-        starts = {f0}
+        points = (p ** m - 1) // (p - 1) * p ** (m * (n - 2 - i0))
+        starts.add(f0)
         for j in range(i0, n - 1):
-            stride = p ** (m * (n - 2 - j))     # fibres per step of block j
-            if fibres > stride:
-                starts |= {f0 + k * stride for k in (1, rng.randrange(1, fibres // stride))}
-        limits |= {p * f + e for f in starts for e in (-1, 0, 1)}
-        f0 += fibres
-    return sorted(lim for lim in limits if lim >= 0)
+            stride = p ** (m * (n - 2 - j))     # points per step of block j
+            if points > stride:
+                starts |= {f0 + k * stride for k in (1, rng.randrange(1, points // stride))}
+        f0 += points
+    return sorted(starts)
+
+
+def _around(limits):
+    """Each limit exactly and one point either side."""
+    return sorted({lim + e for lim in limits for e in (-1, 0, 1) if lim + e >= 0})
 
 
 def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
-    """On random tables and b, zero entries included, the pure sweep gives
-    the counters of the per-point evaluation, complete, with limits that
-    cut a fibre and with limits on the edges of its block walk; so does the
-    compiled twin where it is built."""
+    """On random tables and b, zero entries included, the pure quadric and
+    z1 sweeps give the counters of their per-point evaluations, complete,
+    with limits that cut a fibre and with limits on the edges of their
+    block walk; so do the compiled twins where they are built."""
     try:
         compiled = request.getfixturevalue("compiled")
     except pytest.skip.Exception:
@@ -453,15 +485,20 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
             for k in keys if draw else ():
                 gamma[k] = rng.choice((0, rng.randrange(2, p)))
             b = [rng.randrange(1, p) for _ in range(n)]
-            limits = (-1, p * rng.randrange(space // p) + 3, space - 1,
-                      *_block_boundaries(p, m, n, rng))
-            for limit, want in _quadric_sweep_per_point(p, b, gamma, limits).items():
-                got = _fpcore_py.quadric_sweep(p, b, gamma, limit)
-                assert got == want, (p, m, n, b, gamma, limit)
-                if compiled is not None:
-                    assert compiled.quadric_sweep(p, b, gamma, limit) == want
-                fired |= {k for k, v in zip(sweeps._QUADRIC_COUNTERS, got) if v}
-    assert fired == set(sweeps._QUADRIC_COUNTERS)
+            fibre = rng.randrange(space // p)
+            edges = _block_boundaries(p, m, n, rng)
+            for name, names, per_point, limits in (
+                    ("quadric_sweep", sweeps._QUADRIC_COUNTERS, _quadric_sweep_per_point,
+                     (-1, p * fibre + 3, space - 1, *_around(p * f for f in edges))),
+                    ("z1_sweep", sweeps._Z1_COUNTERS, _z1_sweep_per_point,
+                     (-1, fibre, sweeps.projective_size(p, N - 1) - 1, *_around(edges)))):
+                for limit, want in per_point(p, b, gamma, limits).items():
+                    got = getattr(_fpcore_py, name)(p, b, gamma, limit)
+                    assert got == want, (name, p, m, n, b, gamma, limit)
+                    if compiled is not None:
+                        assert getattr(compiled, name)(p, b, gamma, limit) == want
+                    fired |= {k for k, v in zip(names, got) if v}
+    assert fired == set(sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS)
 
 
 def _kernel_point(alg, c, last):
