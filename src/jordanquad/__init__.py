@@ -6,10 +6,9 @@ Layers, bottom up: exact scalars (Q and odd F_p), diagonal quadratic forms
 with local-global invariants and Witt indices, Cayley-Dickson composition
 algebras, reduced Jordan algebras Sym(M_n(C), sigma_b), the degree-2
 rank-one birational map with its base loci, formal motive decompositions
-with Tate profiles, and root-system dimension checks.  Hot mod-p sweep
-kernels live in a C extension that setup.py compiles from the hand-written
-_fpcore.c whenever a C compiler works, with a pure-Python twin otherwise
-(see jordanquad.fpkernels.backend_name()).
+with Tate profiles, and root-system dimension checks.  The hot mod-p
+kernels, the isotropic-vector search and the two projective sweeps, are
+pure Python, in jordanquad._fpcore_py.
 """
 
 from .cayley_dickson import CDAlgebra, CDElem

@@ -1,11 +1,9 @@
-"""Pure-Python mod-p kernels; the compiled module _fpcore mirrors the sweeps.
+"""The mod-p kernels, in pure Python.
 
 All three functions operate on plain ints modulo an odd prime p < 2^31:
 the exhaustive isotropic-vector search, and the full projective sweeps of
 the source quadric and of the base locus, the hot loops of the
-verification suites.  The sweeps have compiled twins in _fpcore.c, whose
-counters must stay identical to these; tests compare the two directly.
-The search has no compiled twin, for the reason below.
+verification suites.
 
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
@@ -29,16 +27,16 @@ N(e_0) = gamma[0], N(e_t) = -gamma[t*m+t] (t >= 1).  Products are table
 driven: e_i e_j = gamma[i*m+j] e_{i XOR j}, conjugation negates
 coordinates 1..m-1.  Every b_i must be a unit mod p.
 
-The compiled sweeps test every point of the space.  This module instead
-skips points that cannot pass the first test, in the same canonical order,
-so the counters (including `scanned`, the number of points below the
-limit) are identical while far fewer points are visited.  Both sweeps run
-on one walk, _block_walk, of the canonical points of P(C^{n-1}) as blocks
-c_0..c_{n-2} of m coordinates: the lead block (the first nonzero one)
-from _points, each later block from _tuples.  The walk fixes the blocks
-one level at a time and passes down what the fixed blocks give the sweep,
-so an outer block is paid for once for all the points below it; each
-sweep loops over the last block itself.
+The sweeps skip the points that cannot pass the first test, so far fewer
+points are visited than the space holds, while the counters (including
+`scanned`, the number of points below the limit) are those of a test of
+every point in canonical order; the tests compare them with per-point
+evaluators.  Both sweeps run on one walk, _block_walk, of the canonical
+points of P(C^{n-1}) as blocks c_0..c_{n-2} of m coordinates: the lead
+block (the first nonzero one) from _points, each later block from
+_tuples.  The walk fixes the blocks one level at a time and passes down
+what the fixed blocks give the sweep, so an outer block is paid for once
+for all the points below it; each sweep loops over the last block itself.
 
 - Quadric points are walked fibre by fibre: the points sharing their
   first N-1 coordinates (the prefix) differ only in the last one, and the
@@ -325,7 +323,10 @@ def quadric_sweep(p, b, gamma, limit=-1):
     roots = _root_table if nfib >= (p - 1) // 2 else _root_by_sqrt
     lookup = roots(p, b[n - 1] % p)
 
-    @functools.lru_cache(maxsize=1 << 12)
+    # the last prefix block runs through all p^m values in order, so a
+    # cache smaller than that evicts each entry before its next use; at
+    # about 250 bytes an entry the cap holds it near 16 MiB
+    @functools.lru_cache(maxsize=min(p ** m, 1 << 16))
     def block(ci):
         """What block c_i alone gives the checks: its norm N(c_i), whether
         c_i conj(c_i) is not scalar, its scalar part, whether it is 0,

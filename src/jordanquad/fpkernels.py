@@ -1,25 +1,15 @@
-"""Kernel selection: the compiled _fpcore when it imports, pure Python otherwise.
+"""The names perfbench reads to report and trace the mod-p kernels.
 
-`setup.py` builds _fpcore from the hand-written `_fpcore.c` whenever a C
-compiler works; everything works (just slower) on the pure-Python twin.
-The compiled module holds the two sweeps only; `active.isotropic_vector` is
-the pure search on either backend.
+The kernels have one implementation, `_fpcore_py`, which `sweeps` and
+`quadform` call directly.  This module stays only because `perfbench/`
+looks the kernels up on `active` and reports `backend_name()` and whether
+a `compiled` module agrees with them; it can go together with those lines.
 """
 
-from . import _fpcore_py as pure
+from . import _fpcore_py as active
 
-try:
-    from . import _fpcore as compiled
-except ImportError:
-    compiled = None
-else:
-    # callers look the search up on `active`; it has no compiled twin,
-    # because the pure one takes a square root per fibre where a walk over
-    # every point costs time linear in p
-    compiled.isotropic_vector = pure.isotropic_vector
-
-active = compiled if compiled is not None else pure
+compiled = None
 
 
 def backend_name():
-    return "compiled" if active is compiled else "pure-python"
+    return "pure-python"

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _fpcore_py
 from .errors import FieldMismatchError
 from .scalars import FpElem, PrimeField, Rationals, factor
 
@@ -351,8 +352,7 @@ def isotropic_vector_search(f, bound=3):
     """
     field = f.field
     if isinstance(field, PrimeField):
-        from . import fpkernels
-        v = fpkernels.active.isotropic_vector(field.p, [c.v for c in f.coeffs])
+        v = _fpcore_py.isotropic_vector(field.p, [c.v for c in f.coeffs])
         if v is None:
             return None
         return tuple(FpElem(field.p, x) for x in v)

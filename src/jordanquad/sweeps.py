@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
-from . import fpkernels, motives
+from . import _fpcore_py, motives
 from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
                          on_quadric, projective_eq, q_form, transposition_map,
                          transposition_star, veronese, veronese_inverse)
@@ -32,13 +32,13 @@ from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
 # Largest exhaustive-sweep budget the command line accepts, ten times the
-# README's example.  The compiled quadric sweep ran 2.8-16 million points/s
-# on the birational spaces of a shared 2-core x86-64 VM (the 6.7M points of
-# (p, r, n) = (7, 2, 3) in 0.67 s, the 0.8M of (3, 2, 4) in 0.28 s), so a
-# sweep at this ceiling takes 6-35 s there.  On benchmarks/bench_fpcore.py
-# the pure quadric sweep takes about 3x as long as the compiled one (3.2x,
-# median of 10 runs), and the pure z1 sweep, which skips every point below
-# a block that fails a pair check, less (0.7x).
+# README's example.  The quadric sweep ran 1.2-5.4 million points/s on the
+# birational spaces of a shared 2-core x86-64 VM (the 1.9M points of
+# (p, r, n) = (11, 1, 4) in 0.36 s, the 6.7M of (7, 2, 3) in 1.8 s, the
+# 0.8M of (3, 2, 4) in 0.53 s, the 64.6M of (3, 3, 3) in 55 s), so a sweep
+# at this ceiling takes 20-85 s there.  The z1 sweep, which skips every
+# point below a block that fails a pair check, ran 7-86 million points/s
+# on the base loci of the same shapes.
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
 # Largest sample count the command line accepts.  A case samples that many
@@ -170,7 +170,7 @@ def exhaustive_quadric_sweep(alg, limit=-1):
                 "zslice_points": exp_slice,
                 "roundtrip_checked": exp_quadric - exp_base - exp_slice}
 
-    raw = fpkernels.active.quadric_sweep(*kernel_inputs(alg), limit)
+    raw = _fpcore_py.quadric_sweep(*kernel_inputs(alg), limit)
     return _kernel_report("quadric", alg, _QUADRIC_COUNTERS, raw,
                           flat_dim(alg), limit, oracle)
 
@@ -178,7 +178,7 @@ def exhaustive_quadric_sweep(alg, limit=-1):
 def exhaustive_z1_sweep(alg, limit=-1):
     """Kernel sweep of P(C^{n-1}) comparing the two base-locus predicates
     pointwise, with the exact point-count oracle."""
-    raw = fpkernels.active.z1_sweep(*kernel_inputs(alg), limit)
+    raw = _fpcore_py.z1_sweep(*kernel_inputs(alg), limit)
     return _kernel_report("z1", alg, _Z1_COUNTERS, raw, flat_dim(alg) - 1,
                           limit, lambda: {"z1_points": z1_expected_count(alg)})
 

@@ -1,70 +1,19 @@
-"""Compiled and pure kernels must agree counter for counter, and both must
-match the exact cardinality oracles on complete sweeps."""
+"""The mod-p kernels against the exact cardinality oracles on complete
+sweeps, and against per-point evaluators on true and corrupted tables,
+complete and cut at a limit."""
 
-import importlib.util
-import inspect
 import itertools
 import math
-import os
 import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
 import time
-from pathlib import Path
 
 import pytest
 
 from jordanquad import _fpcore_py, fpkernels, motives, sweeps
 from jordanquad.birational import ProjPointC, in_z1, q_form
 from jordanquad.quadform import (QuadForm, evaluate, fp_projective_zero_count,
-                                 isotropic_vector_search)
+                                 isotropic_vector_search, tensor)
 from jordanquad.scalars import PrimeField
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0])
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernels: the installed module if it imports, otherwise
-    one built by the repository's setup.py into a temporary directory.  A
-    compiler that yields no module fails the test, since setup.py downgrades
-    build errors to a notice."""
-    if fpkernels.compiled is not None:
-        return fpkernels.compiled
-    if _c_compiler() is None:
-        pytest.skip("no C compiler")
-    out = tmp_path_factory.mktemp("fpcore")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
-         "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True, text=True, timeout=600)
-    built = sorted((out / "lib" / "jordanquad").glob("_fpcore*"))
-    if proc.returncode or not built:
-        pytest.fail(f"setup.py built no _fpcore module:\n{proc.stdout}{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("jordanquad._fpcore", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_fpcore_c_compiles_without_warnings():
-    cc = _c_compiler()
-    if cc is None:
-        pytest.skip("no C compiler")
-    proc = subprocess.run(
-        [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         "-I", sysconfig.get_paths()["include"],
-         str(ROOT / "src" / "jordanquad" / "_fpcore.c")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 CONFIGS = [(5, 0, 3), (5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3), (5, 2, 3)]
@@ -172,28 +121,6 @@ def test_pure_isotropic_vector_at_large_p():
     assert [x.v for x in v] == [1, 1, 2824754]
 
 
-def test_sweep_agreement_full(compiled):
-    for p, r, n in CONFIGS:
-        alg = sweeps.fp_algebra(p, r, n)
-        ki = sweeps.kernel_inputs(alg)
-        assert compiled.quadric_sweep(*ki) == _fpcore_py.quadric_sweep(*ki)
-        assert compiled.z1_sweep(*ki) == _fpcore_py.z1_sweep(*ki)
-
-
-def test_sweep_agreement_with_limit(compiled):
-    alg = sweeps.fp_algebra(5, 2, 3)
-    ki = sweeps.kernel_inputs(alg)
-    p, m = 5, alg.cd.dim
-    # p*k + 3 and a space minus one cut a fibre of the pure walk
-    for limit in (0, 1, 17, 400, p * 7 + 3, p * 80 + 3,
-                  sweeps.projective_size(p, 2 * m) - 1,
-                  sweeps.projective_size(p, 2 * m + 1) - 1):
-        assert (compiled.quadric_sweep(*ki, limit)
-                == _fpcore_py.quadric_sweep(*ki, limit))
-        assert (compiled.z1_sweep(*ki, limit)
-                == _fpcore_py.z1_sweep(*ki, limit))
-
-
 def _head_zeros(p, w, limit):
     """Zeros of sum w_i c_i^2 among the first `limit` < p^2 canonical
     points: the fibres (1, 0, .., 0, k, x) over x in F_p, k = 0, 1, ...
@@ -211,35 +138,21 @@ def _head_zeros(p, w, limit):
 
 @pytest.mark.parametrize("p", [2097143, 2097169])
 @pytest.mark.parametrize("r", [0, 1])
-def test_compiled_quadric_sweep_past_2_21(compiled, p, r):
-    """Around p = 2^21 the form's unreduced terms b_i pf_t x^2 outgrow
-    int64."""
+def test_pure_quadric_sweep_past_2_21(p, r):
+    """At p around 2^21 a short sweep takes a square root per fibre; its
+    first zeros are those of the fibres counted by Euler's criterion."""
     alg = sweeps.fp_algebra(p, r, 3)
     ki = sweeps.kernel_inputs(alg)
     b, pf = ki[1], [c.v for c in alg.cd.norm_form.coeffs]
     w = [bi * ft for bi in b[:-1] for ft in pf] + [b[-1]]
-    raw = compiled.quadric_sweep(*ki, 3 * p + 7)
+    raw = _fpcore_py.quadric_sweep(*ki, 3 * p + 7)
     assert raw[:2] == (3 * p + 7, _head_zeros(p, w, 3 * p + 7))
     assert not any(raw[5:]), raw
 
 
-def test_compiled_z1_sweep_products_of_three(compiled):
-    """With one block (n = 2) a point is on the base locus exactly when its
-    norm vanishes.  In c conj(c) the last coordinate x meets p - x and the
-    structure constant -1 of e_3 e_3: a product of three residues near
-    2^67 at this p."""
-    p = 2 ** 23 + 9
-    alg = sweeps.fp_algebra(p, 2, 3)
-    _, b, gamma = sweeps.kernel_inputs(alg)
-    pf = [c.v for c in alg.cd.norm_form.coeffs]
-    raw = compiled.z1_sweep(p, b[:2], gamma, p + 7)
-    assert raw == (p + 7, _head_zeros(p, pf, p + 7), 0)
-
-
-def test_compiled_kernels_reduce_big_integers(compiled):
-    """Entries beyond 64 bits, of either sign, are reduced by Python: b and
-    gamma shifted by such multiples of p give the counters of the reduced
-    inputs."""
+def test_pure_kernels_reduce_big_integers():
+    """b and gamma shifted by multiples of p beyond 64 bits, of either
+    sign, give the counters of the reduced inputs."""
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
     shifts = (10 ** 30, -(2 ** 64), 2 ** 70, -(10 ** 25))
     big_b = [x + p * shifts[i % 4] for i, x in enumerate(b)]
@@ -247,43 +160,14 @@ def test_compiled_kernels_reduce_big_integers(compiled):
     assert all(abs(x) >= 2 ** 64 for x in big_b + big_gamma)
     for name in ("quadric_sweep", "z1_sweep"):
         want = getattr(_fpcore_py, name)(p, b, gamma)
-        assert getattr(compiled, name)(p, big_b, big_gamma) == want, name
+        assert getattr(_fpcore_py, name)(p, big_b, big_gamma) == want, name
 
 
-def test_compiled_backend_searches_with_the_pure_kernel(compiled, monkeypatch):
-    """The compiled module holds the sweeps only.  With it active, the
-    search is the pure one, which takes a square root per fibre: at
-    2^31 - 1 it answers at once, where a compiled walk over every point of
-    <1, 1, 1> took 18 s on a shared 2-core x86-64 VM."""
-    pure_fn = _fpcore_py.isotropic_vector
-    assert getattr(compiled, "isotropic_vector", pure_fn) is pure_fn
-    for name in ("compiled", "active"):
-        monkeypatch.setattr(fpkernels, name, getattr(fpkernels, name))
-    monkeypatch.setitem(sys.modules, "jordanquad._fpcore", compiled)
-    importlib.reload(fpkernels)
-    assert fpkernels.active is compiled
-    assert fpkernels.active.isotropic_vector is pure_fn
-    t0 = time.perf_counter()
-    v = isotropic_vector_search(QuadForm(PrimeField(2 ** 31 - 1), (1, 1, 1)))
-    assert time.perf_counter() - t0 < 1
-    assert [x.v for x in v] == [1, 2, 105948780]
-
-
-def test_compiled_kernels_reject_p_from_2_31(compiled):
-    ki = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
-    for p in (2 ** 31, 2 ** 31 + 11, 2 ** 40):
-        with pytest.raises(ValueError):
-            compiled.quadric_sweep(p, *ki[1:], 10)
-        with pytest.raises(ValueError):
-            compiled.z1_sweep(p, *ki[1:], 10)
-
-
-@pytest.mark.parametrize("impl", ["pure", "compiled"])
-def test_sweeps_reject_zero_b_and_bad_gamma(request, impl):
+@pytest.mark.parametrize("kernels", [_fpcore_py], ids=["pure"])
+def test_sweeps_reject_zero_b_and_bad_gamma(kernels):
     """n and m are read off b and gamma, so a gamma that is no m x m table
     is an error, as is a b_i = 0 mod p, which would make the symmetry and
     base-locus checks vacuous."""
-    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(7, 1, 3))
     for sweep in (kernels.quadric_sweep, kernels.z1_sweep):
         for bad_b in ([1, 0, 6], [1, 2, -7], [14, 2, 6]):
@@ -294,30 +178,21 @@ def test_sweeps_reject_zero_b_and_bad_gamma(request, impl):
                 sweep(p, b, [1] * size)
 
 
-@pytest.mark.parametrize("impl", ["pure", "compiled"])
+@pytest.mark.parametrize("kernels", [_fpcore_py], ids=["pure"])
 @pytest.mark.parametrize("p", [1, 9, 15, 2 ** 31 + 11])
-def test_kernels_reject_a_modulus_that_is_not_an_odd_prime(request, impl, p):
-    """Both twins check p before they build anything: the per-fibre checks
-    of the pure quadric sweep rest on every nonzero residue being a unit,
-    and its root table holds p entries.  The search has the pure twin
-    only."""
-    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
+def test_kernels_reject_a_modulus_that_is_not_an_odd_prime(kernels, p):
+    """The kernels check p before they build anything: the per-fibre checks
+    of the quadric sweep rest on every nonzero residue being a unit, and
+    its root table holds p entries."""
     _, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
     msg = "p must be an odd prime below 2"
-    if impl == "pure":
-        with pytest.raises(ValueError, match=msg):
-            kernels.isotropic_vector(p, [1, 1, 1])
+    with pytest.raises(ValueError, match=msg):
+        kernels.isotropic_vector(p, [1, 1, 1])
     for sweep in (kernels.quadric_sweep, kernels.z1_sweep):
         with pytest.raises(ValueError, match=msg):
             sweep(p, [1, 1, 1], gamma, 50)
         with pytest.raises(ValueError, match=msg):
             sweep(p, b, gamma)
-
-
-def test_compiled_sweep_signatures_match_pure(compiled):
-    for name in ("quadric_sweep", "z1_sweep"):
-        assert (inspect.signature(getattr(compiled, name))
-                == inspect.signature(getattr(_fpcore_py, name)))
 
 
 def test_kernel_report_rejects_a_tuple_of_the_wrong_length():
@@ -328,12 +203,11 @@ def test_kernel_report_rejects_a_tuple_of_the_wrong_length():
                                   limit=1, oracle=dict)
 
 
-@pytest.mark.parametrize("impl", ["pure", "compiled"])
-def test_every_failure_counter_fires_on_a_corrupted_gamma(request, impl):
+@pytest.mark.parametrize("kernels", [_fpcore_py], ids=["pure"])
+def test_every_failure_counter_fires_on_a_corrupted_gamma(kernels):
     """A wrong structure constant breaks the identities each `*_fail`
-    counter tests, so each one can fail; both twins give these tuples, one
+    counter tests, so each one can fail; the sweeps give these tuples, one
     counter for each name in sweeps."""
-    kernels = _fpcore_py if impl == "pure" else request.getfixturevalue("compiled")
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
     m = 2
     fired = set()
@@ -433,7 +307,7 @@ def _z1_sweep_per_point(p, b, gamma, limits):
 # (p, m, n) of the corrupted-table agreement test: every composition
 # dimension, complete spaces of 121 to 9841 points
 CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2, 3),
-                    (3, 2, 4), (3, 4, 2), (3, 4, 3), (3, 8, 2)]
+                    (3, 2, 4), (3, 4, 2), (3, 4, 3), (3, 8, 2), (5, 1, 3)]
 
 
 def _block_boundaries(p, m, n, rng):
@@ -461,15 +335,11 @@ def _around(limits):
     return sorted({lim + e for lim in limits for e in (-1, 0, 1) if lim + e >= 0})
 
 
-def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
-    """On random tables and b, zero entries included, the pure quadric and
-    z1 sweeps give the counters of their per-point evaluations, complete,
+def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
+    """On random tables and b, zero entries included, the quadric and z1
+    sweeps give the counters of their per-point evaluations, complete,
     with limits that cut a fibre and with limits on the edges of their
-    block walk; so do the compiled twins where they are built."""
-    try:
-        compiled = request.getfixturevalue("compiled")
-    except pytest.skip.Exception:
-        compiled = None
+    block walk."""
     rng = random.Random(14)
     fired = set()
     for p, m, n in CORRUPTED_SHAPES:
@@ -495,8 +365,6 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(request):
                 for limit, want in per_point(p, b, gamma, limits).items():
                     got = getattr(_fpcore_py, name)(p, b, gamma, limit)
                     assert got == want, (name, p, m, n, b, gamma, limit)
-                    if compiled is not None:
-                        assert getattr(compiled, name)(p, b, gamma, limit) == want
                     fired |= {k for k, v in zip(names, got) if v}
     assert fired == set(sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS)
 
@@ -555,12 +423,10 @@ def test_partial_sweeps_match_per_point_reference(p, r, n, split):
     m = alg.cd.dim
     for kind, N in (("quadric", m * (n - 1) + 1), ("z1", m * (n - 1))):
         space = sweeps.projective_size(p, N)
-        limits = {0, 1, p - 1, p, p + 1, 17, 400, 3 * p + 3}
+        limits = {0, 1, p - 1, p, p + 1, 17, 400, 3 * p + 3, 7 * p + 3, 80 * p + 3,
+                  space - 1, space, space + 5}
         if space <= 10 ** 4:
             limits.add(space // 3)      # cuts between the blocks after a lead
-        # a complete pure quadric sweep of (5, 2, 3) takes seconds
-        if space <= 10 ** 5:
-            limits |= {space - 1, space, space + 5}
         for limit in sorted(limits):
             if kind == "quadric":
                 raw = _fpcore_py.quadric_sweep(*ki, limit)
@@ -637,19 +503,22 @@ def test_short_quadric_sweep_roots_match_table(monkeypatch):
 
 
 def test_quadric_sweep_oracles_pure():
-    """The pure kernel against the exact counting oracles (the compiled
-    kernel is covered by agreement above)."""
-    for p, r, n in [(5, 0, 3), (5, 1, 3), (3, 2, 3)]:
+    """Complete sweeps against the exact counting oracles that
+    sweeps.exhaustive_*_sweep check: every counter of both sweeps."""
+    for p, r, n in CONFIGS:
         alg = sweeps.fp_algebra(p, r, n)
         ki = sweeps.kernel_inputs(alg)
-        raw = _fpcore_py.quadric_sweep(*ki)
-        counts = dict(zip(sweeps._QUADRIC_COUNTERS, raw))
-        from jordanquad.birational import q_form
-        assert counts["scanned"] == sweeps.projective_size(p, alg.cd.dim * (n - 1) + 1)
-        assert counts["on_quadric"] == fp_projective_zero_count(q_form(alg))
-        assert counts["base_points"] == sweeps.z1_expected_count(alg)
-        for key in ("roundtrip_fail", "sym_fail", "trace_fail", "diag_fail"):
-            assert counts[key] == 0
+        N = alg.cd.dim * (n - 1) + 1
+        on_quadric = fp_projective_zero_count(q_form(alg))
+        base = sweeps.z1_expected_count(alg)
+        zslice = fp_projective_zero_count(
+            tensor(alg.cd.norm_form, QuadForm(alg.field, alg.b[:-1]))) - base
+        assert dict(zip(sweeps._QUADRIC_COUNTERS, _fpcore_py.quadric_sweep(*ki))) == {
+            "scanned": sweeps.projective_size(p, N), "on_quadric": on_quadric,
+            "base_points": base, "zslice_points": zslice,
+            "roundtrip_checked": on_quadric - base - zslice, "roundtrip_fail": 0,
+            "sym_fail": 0, "trace_fail": 0, "diag_fail": 0}, (p, r, n)
+        assert _fpcore_py.z1_sweep(*ki) == (sweeps.projective_size(p, N - 1), base, 0)
 
 
 def test_z1_sweep_against_naive_membership():
@@ -686,7 +555,8 @@ def test_budget_dispatch():
 
 
 def test_backend_name():
-    assert fpkernels.backend_name() in ("compiled", "pure-python")
+    assert fpkernels.active is _fpcore_py and fpkernels.compiled is None
+    assert fpkernels.backend_name() == "pure-python"
 
 
 def test_isotropic_search_delegates_to_kernel():
