@@ -10,6 +10,7 @@ independent oracle over F_p.
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,7 +204,12 @@ class FormInvariants:
 
 def invariants(f):
     """dim, discriminant mod squares, and over Q signature plus the Hasse
-    symbols prod_{i<j} (d_i, d_j)_v at the relevant places."""
+    symbols prod_{i<j} (d_i, d_j)_v at the relevant places.
+
+    The Hilbert symbol is multiplicative in each argument, so
+    prod_{i<j} (d_i, d_j)_v = prod_{j>=2} (d_1 ... d_{j-1}, d_j)_v: each
+    place takes one symbol per coefficient, on the running prefix product,
+    rather than one per pair."""
     field = f.field
     if isinstance(field, PrimeField):
         prod = math.prod(f.coeffs, start=field.one())
@@ -213,12 +219,9 @@ def invariants(f):
     exponents = _prime_exponents(f)
     neg = sum(1 for c in f.coeffs if c < 0)
     disc = Fraction((-1) ** neg * math.prod(p for p, e in exponents.items() if e % 2))
-    hasse = {}
-    for v in _places(exponents):
-        s = 1
-        for i, j in itertools.combinations(range(f.dim), 2):
-            s *= hilbert_symbol(f.coeffs[i], f.coeffs[j], v)
-        hasse[v] = s
+    pairs = list(zip(itertools.accumulate(f.coeffs[:-1], operator.mul), f.coeffs[1:]))
+    hasse = {v: math.prod(hilbert_symbol(a, d, v) for a, d in pairs)
+             for v in _places(exponents)}
     return FormInvariants(dim=f.dim, disc=disc, signature=(f.dim - neg, neg), hasse=hasse)
 
 
@@ -371,9 +374,9 @@ def isotropic_vector_search(f, bound=3):
     return None
 
 
-def _diagonalize_gram(field, gram):
-    """Diagonal coefficients of a symmetric matrix over a field of odd
-    characteristic, by the standard pivot/clear algorithm."""
+def _diagonalize_gram(p, gram):
+    """Diagonal coefficients, as residues, of a symmetric matrix of
+    residues mod an odd prime p, by the standard pivot/clear algorithm."""
     m = [row[:] for row in gram]
     k = len(m)
     diag = []
@@ -391,9 +394,9 @@ def _diagonalize_gram(field, gram):
                 for j in rows:
                     if i != j and m[i][j]:
                         for t in rows:
-                            m[i][t] = m[i][t] + m[j][t]
+                            m[i][t] = (m[i][t] + m[j][t]) % p
                         for t in rows:
-                            m[t][i] = m[t][i] + m[t][j]
+                            m[t][i] = (m[t][i] + m[t][j]) % p
                         piv = i
                         found = True
                         break
@@ -404,13 +407,14 @@ def _diagonalize_gram(field, gram):
         d = m[piv][piv]
         diag.append(d)
         rows.remove(piv)
+        d_inv = pow(d, -1, p)
         for i in rows:
             if m[i][piv]:
-                lam = m[i][piv] / d
+                lam = m[i][piv] * d_inv % p
                 for t in range(k):
-                    m[i][t] = m[i][t] - lam * m[piv][t]
+                    m[i][t] = (m[i][t] - lam * m[piv][t]) % p
                 for t in range(k):
-                    m[t][i] = m[t][i] - lam * m[t][piv]
+                    m[t][i] = (m[t][i] - lam * m[t][piv]) % p
     return diag
 
 
@@ -418,73 +422,69 @@ def witt_index_by_search(f):
     """Witt index over F_p computed with no classification input:
     repeatedly find an isotropic vector by exhaustion, split off the
     hyperbolic plane it spans with a polar-form partner, and recurse on a
-    re-diagonalized orthogonal complement."""
+    re-diagonalized orthogonal complement.
+
+    Vectors, Gram matrices and coefficients are residues in [0, p) held as
+    plain ints; each isotropic vector comes from isotropic_vector_search."""
     field = f.field
     if not isinstance(field, PrimeField):
         raise ValueError("search-based Witt decomposition is F_p only")
-    coeffs = list(f.coeffs)
+    p = field.p
+    coeffs = [c.v for c in f.coeffs]
+
+    def polar(x, y):
+        return sum(d * a * b for d, a, b in zip(coeffs, x, y)) % p
+
     index = 0
     while len(coeffs) >= 2:
-        g = QuadForm(field, tuple(coeffs))
-        v = isotropic_vector_search(g)
+        v = isotropic_vector_search(QuadForm(field, tuple(coeffs)))
         if v is None:
             break
+        v = [x.v for x in v]
         # partner u with B(v, u) != 0 exists by non-degeneracy
         k = len(coeffs)
-        partner = None
-        for i in range(k):
-            u = [field.zero()] * k
-            u[i] = field.one()
-            if bilinear(g, v, u):
-                partner = u
-                break
-        basis = [list(v), partner]
+        units = [[int(t == i) for t in range(k)] for i in range(k)]
+        partner = next(u for u in units if polar(v, u))
+        basis = [v, partner]
         # complete to a basis, project away the plane via the polar form
-        for i in range(k):
-            e = [field.zero()] * k
-            e[i] = field.one()
+        for e in units:
             cand = basis + [e]
-            if _rank(field, cand) == len(cand):
+            if _rank(p, cand) == len(cand):
                 basis.append(e)
-        plane = basis[:2]
+        gram_vu_inv = pow(polar(v, partner), -1, p)
+        quu = polar(partner, partner)
         comp = []
-        gram_vu = bilinear(g, plane[0], plane[1])
         for w in basis[2:]:
             # subtract the plane components: w' = w - a*v - b*u with
             # B(w', v) = B(w', u) = 0
-            bv = bilinear(g, w, plane[0])
-            bu = bilinear(g, w, plane[1])
-            quu = evaluate(g, plane[1])
-            # solve for w' orthogonal to the (regular) plane
-            b_coef = bv / gram_vu
-            a_coef = (bu - b_coef * quu) / gram_vu
-            wp = [w[t] - a_coef * plane[0][t] - b_coef * plane[1][t] for t in range(k)]
-            comp.append(wp)
-        gram = [[bilinear(g, x, y) for y in comp] for x in comp]
-        coeffs = _diagonalize_gram(field, gram)
+            b_coef = polar(w, v) * gram_vu_inv % p
+            a_coef = (polar(w, partner) - b_coef * quu) * gram_vu_inv % p
+            comp.append([(x - a_coef * y - b_coef * z) % p
+                         for x, y, z in zip(w, v, partner)])
+        coeffs = _diagonalize_gram(p, [[polar(x, y) for y in comp] for x in comp])
         index += 1
     return index
 
 
-def _rank(field, vectors):
+def _rank(p, vectors):
+    """Rank of a list of residue vectors mod an odd prime p."""
     m = [list(v) for v in vectors]
     rank = 0
     cols = len(m[0]) if m else 0
-    row = 0
     for col in range(cols):
         piv = None
-        for i in range(row, len(m)):
+        for i in range(rank, len(m)):
             if m[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
         for i in range(len(m)):
-            if i != row and m[i][col]:
-                lam = m[i][col] / m[row][col]
-                m[i] = [a - lam * b for a, b in zip(m[i], m[row])]
-        row += 1
+            if i != rank and m[i][col]:
+                lam = m[i][col] * inv % p
+                m[i] = [(a - lam * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
 

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+from jordanquad import cli, motives, rootsys
 from jordanquad.errors import NegativeCoefficientError
 from jordanquad.motives import (F, MotiveExpr, R, Summand, TateProfile,
                                 codim_z1, decompose_neighbour_quadric,
@@ -7,7 +11,6 @@ from jordanquad.motives import (F, MotiveExpr, R, Summand, TateProfile,
                                 decompose_z1, pfister_quadric_expr,
                                 poincare_xj_recursive, split_quadric,
                                 verify_blowup, verify_krashen)
-from jordanquad import rootsys
 
 
 def split_quadric_profile(D):
@@ -221,3 +224,45 @@ def test_as_dict_schema():
     assert d["summands"][0] == {"kind": "F", "r": 2, "n": 4, "twist": 0}
     assert d["summands"][-1] == {"kind": "R", "r": 2, "twist": 5}
     assert d["profile"] == [1] * 12
+
+
+def test_shifted_sum_matches_chained_shifts():
+    rng = random.Random("shifted-sum")
+    for _ in range(40):
+        p = TateProfile([rng.randint(0, 12) for _ in range(rng.randint(0, 10))])
+        lo = rng.randint(0, 5)
+        shifts = range(lo, lo + rng.randint(0, 8))
+        chained = TateProfile()
+        for i in shifts:
+            chained = chained + p.shift(i)
+        assert p.shifted_sum(shifts) == chained
+    assert TateProfile([0, 1, 1]).shifted_sum(range(1, 1)) == TateProfile()
+    assert TateProfile().shifted_sum(range(1, 4)) == TateProfile()
+    assert TateProfile([0, 2]).shifted_sum([1, 3]).as_multiset() == [1, 3, 3, 5]
+
+
+def test_recursion_raises_when_a_subtraction_goes_negative(monkeypatch):
+    """With Z1 taken as empty, the recursion subtracts more than it holds
+    for r >= 2, and the strict subtraction refuses; for r = 1 every count
+    stays nonnegative."""
+    monkeypatch.setattr(motives, "decompose_z1", lambda r, n: MotiveExpr())
+    for n in range(3, 9):
+        poincare_xj_recursive(1, n)
+    for r, n in ((2, 3), (2, 6), (3, 3)):
+        with pytest.raises(NegativeCoefficientError):
+            poincare_xj_recursive(r, n)
+
+
+# sha256 of `jordanquad verify blowup|krashen --n-range 3..30`, recorded
+# when every profile sum still added one shifted profile at a time
+VERIFY_DIGESTS = {
+    "blowup": "2539434f8557a4c7e4e73fedbf094a4fab261097f0bc50cb06df9e907ea9f210",
+    "krashen": "01221762b022d872cae729920c660ce5616de3ea9a07ed3070a43c4b856977b3",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_profile_suites_are_unchanged(capsys, suite):
+    assert cli.run(["verify", suite, "--n-range", "3..30"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[suite]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jordanquad import quadform
 from jordanquad.quadform import (QuadForm, bilinear, evaluate,
                                  fp_projective_zero_count, hilbert_symbol,
                                  invariants, is_isotropic,
@@ -112,6 +113,79 @@ def test_invariants_fp():
     assert F7.same_square_class(inv.disc, F7.element(6))
     assert not F7.is_square(6)
     assert inv.signature is None and inv.hasse is None
+
+
+BIG_PRIME = 100000000003  # the least prime above 10^11
+
+
+def hasse_forms():
+    """Seeded Q forms: three of each dim 1..16 with negative, fractional and
+    repeated coefficients, the first of each three carrying BIG_PRIME, then
+    Pfister multiples tensor(pfister(Q, params), b) with r = 2, 3 and
+    dim b = 1, 2, 3."""
+    rng = random.Random("hasse-oracle")
+    forms = []
+    for dim in range(1, 17):
+        for k in range(3):
+            coeffs = []
+            for _ in range(dim):
+                if coeffs and rng.random() < 0.25:
+                    coeffs.append(rng.choice(coeffs))
+                else:
+                    coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 60),
+                                           rng.choice((1, 1, 2, 3, 4, 9, 10, 12))))
+            if k == 0:
+                coeffs[rng.randrange(dim)] *= BIG_PRIME
+            forms.append(QuadForm(Q, tuple(coeffs)))
+    for r in (2, 3):
+        for m in (1, 2, 3):
+            params = [rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(r)]
+            b = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 5))
+                 for _ in range(m)]
+            forms.append(tensor(pfister(Q, params), QuadForm(Q, tuple(b))))
+    return forms
+
+
+def test_hasse_matches_pairwise_product():
+    """invariants(f).hasse, taken from prefix products, against the
+    definition prod_{i<j} (d_i, d_j)_v, place by place."""
+    for f in hasse_forms():
+        oracle = {}
+        for v in relevant_places(f):
+            s = 1
+            for a, b in itertools.combinations(f.coeffs, 2):
+                s *= hilbert_symbol(a, b, v)
+            oracle[v] = s
+        hasse = invariants(f).hasse
+        assert list(hasse) == list(oracle) and hasse == oracle, f
+
+
+# witt_index of the last 20 hasse_forms (dims 12-16 and the six Pfister
+# multiples), recorded when the Hasse invariants still took one symbol
+# per pair of coefficients
+RECORDED_WITT_INDICES = [5, 4, 5, 5, 5, 5, 5, 3, 5, 5, 4, 3, 5, 7, 2, 4, 6, 4, 8, 0]
+
+
+def test_witt_index_matches_recorded_answers():
+    assert [witt_index(f) for f in hasse_forms()[-20:]] == RECORDED_WITT_INDICES
+
+
+def test_hasse_invariants_take_one_symbol_per_coefficient(monkeypatch):
+    """invariants makes at most dim - 1 Hilbert-symbol calls per place; the
+    pairwise product took dim (dim - 1) / 2 = 276 here."""
+    calls = []
+    real = quadform.hilbert_symbol
+
+    def counting(a, b, place):
+        calls.append(place)
+        return real(a, b, place)
+
+    f = tensor(pfister(Q, [-1, 3, -5]), QuadForm(Q, (1, -2, Fraction(7, 3))))
+    assert f.dim == 24
+    places = relevant_places(f)
+    monkeypatch.setattr(quadform, "hilbert_symbol", counting)
+    invariants(f)
+    assert 0 < len(calls) <= (f.dim - 1) * len(places)
 
 
 # -- isotropy ---------------------------------------------------------------
@@ -229,6 +303,58 @@ def test_witt_bound_q(coeffs):
 def test_witt_matches_search_fp(coeffs):
     f = QuadForm(F7, tuple(coeffs))
     assert witt_index(f) == witt_index_by_search(f)
+
+
+def test_witt_search_on_residues_matches_classification():
+    """witt_index_by_search against the dim/disc classification on 432
+    seeded forms, coefficients given as ints of either sign, many >= p."""
+    rng = random.Random("witt-search")
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        fld = PrimeField(p)
+        for dim in range(1, 10):
+            for _ in range(6):
+                coeffs = []
+                while len(coeffs) < dim:
+                    c = rng.randint(-3 * p, 3 * p)
+                    if c % p:
+                        coeffs.append(c)
+                f = QuadForm(fld, tuple(coeffs))
+                assert witt_index_by_search(f) == witt_index(f), (p, coeffs)
+
+
+def test_residue_rank_and_diagonalization_by_brute_force():
+    """The search's residue helpers: p^rank is the size of the span, and a
+    diagonalized Gram matrix keeps its dimension and, up to squares, its
+    determinant (the two invariants that classify forms over F_p).  The
+    determinant is the Leibniz sum over permutations."""
+    rng = random.Random("residue-helpers")
+    for p in (3, 5):
+        for _ in range(60):
+            vecs = [[rng.randrange(p) for _ in range(4)] for _ in range(rng.randint(1, 4))]
+            span = {tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*vecs))
+                    for cs in itertools.product(range(p), repeat=len(vecs))}
+            assert p ** quadform._rank(p, vecs) == len(span)
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(60):
+            k = rng.randint(1, 5)
+            m = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    m[i][j] = m[j][i] = rng.randrange(p)
+            det = 0
+            for perm in itertools.permutations(range(k)):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                det += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(k))
+            if det % p == 0:
+                continue
+            diag = quadform._diagonalize_gram(p, m)
+            assert len(diag) == k and all(0 < d < p for d in diag), (p, m, diag)
+            assert PrimeField(p).is_square(math.prod(diag) * det), (p, m, diag)
+
+
+def test_witt_search_is_fp_only():
+    with pytest.raises(ValueError):
+        witt_index_by_search(QuadForm(Q, (1, -1)))
 
 
 def test_pfister_dichotomy():
