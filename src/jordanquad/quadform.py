@@ -242,27 +242,18 @@ def _square_in_Qv(a, place):
 
 
 def _locally_isotropic(dim, disc, hasse_v, place, signature=None):
-    """Isotropy of a form over the completion at place, from invariants.
-
-    dim 2: disc = -1; dim 3: (-1,-disc) = hasse; dim 4: disc != 1 or
-    hasse = (-1,-1); dim >= 5: automatic at finite places.
+    """Isotropy of a form of dim 3 or 4 over the completion at place, from
+    invariants: dim 3: (-1,-disc) = hasse; dim 4: disc != 1 or
+    hasse = (-1,-1).  _InvState.isotropic settles the other dims itself.
     """
     if place == INF:
         pos, neg = signature
-        if dim == 1:
-            return False
         return pos > 0 and neg > 0
-    if dim == 1:
-        return False
-    if dim == 2:
-        return _square_in_Qv(-disc, place)
     if dim == 3:
         return hilbert_symbol(Fraction(-1), -disc, place) == hasse_v
-    if dim == 4:
-        if not _square_in_Qv(disc, place):
-            return True
-        return hasse_v == hilbert_symbol(Fraction(-1), Fraction(-1), place)
-    return True
+    if not _square_in_Qv(disc, place):
+        return True
+    return hasse_v == hilbert_symbol(Fraction(-1), Fraction(-1), place)
 
 
 class _InvState:

@@ -3,14 +3,20 @@
 Positive roots are enumerated explicitly (A: e_i - e_j; B: e_i, e_i +- e_j;
 C: 2e_i, e_i +- e_j; D: e_i +- e_j; F4: the standard 48-vector model) with
 Bourbaki simple-root numbering.  Coordinates are ints, with Fraction only
-for F4's half-integer roots.  Parabolic dimensions come from
-dim G/P_theta = #Phi+ - #Phi+(levi on Delta minus theta), computed from
-the simple-root support of each positive root, found by adding simple
-roots upward from the simple roots; Weyl orders use the classical closed
-forms, with Levi orders multiplied over connected components of the
-sub-diagram.
+for F4's half-integer roots.
+
+Every count reads one table per root system, built by adding simple roots
+upward from the simple roots: each positive root's support (the simple
+roots with nonzero coefficient) and height (the sum of its coefficients).
+dim G/P_theta is the number of roots whose support meets theta.  Weyl
+orders come from Macdonald's product formula (The Poincare series of a
+Coxeter group, Math. Ann. 1972) at q = 1: |W_S| is the product of
+(ht a + 1) / ht a over the positive roots a with support in S, so |W| takes
+every root and chi(G/P_theta) = |W| / |W_{Delta - theta}| takes the roots
+whose support meets theta.  No family has a closed form here.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,22 +122,26 @@ def simple_roots(rs):
 
 
 def _expansions(rs):
-    """Map each positive root to its support: the set of simple-root
-    indices (1-based) with nonzero coefficient.
+    """One (support, height) pair per positive root.  The support is a
+    bitmask with bit i set when simple root i (1-based) has a nonzero
+    coefficient; the height is the sum of the coefficients.
 
     Every positive root that is not simple is a positive root plus a
     simple root (Humphreys, Introduction to Lie Algebras, 10.2), so adding
     simple roots round by round from the simple roots reaches them all.
     Coefficients are nonnegative, so beta + alpha_i has support
-    support(beta) | {i}."""
+    support(beta) | {i}, and its height is one more: a root reached in
+    round k has height k + 1."""
     simples = simple_roots(rs)
     positive = set(positive_roots(rs))
-    support = {alpha: frozenset([i]) for i, alpha in enumerate(simples, 1)}
+    table = {alpha: (1 << i, 1) for i, alpha in enumerate(simples, 1)}
     # each simple root as its nonzero coordinates (two for A-D)
     steps = [(i, [(k, c) for k, c in enumerate(alpha) if c])
              for i, alpha in enumerate(simples, 1)]
-    layer = list(support)
+    layer = list(table)
+    height = 1
     while layer:
+        height += 1
         found = []
         for beta in layer:
             for i, coords in steps:
@@ -142,13 +152,18 @@ def _expansions(rs):
                 # generator's tuple by resizing, so discarded sums fill the
                 # tuple free list (2000 kept alive on A17)
                 gamma = tuple(g)
-                if gamma in positive and gamma not in support:
-                    support[gamma] = support[beta] | {i}
+                if gamma in positive and gamma not in table:
+                    table[gamma] = (table[beta][0] | 1 << i, height)
                     found.append(gamma)
         layer = found
-    if support.keys() != positive:
+    if table.keys() != positive:
         raise AssertionError(f"{rs}: the simple roots do not generate the positive roots")
-    return support
+    return tuple(table.values())
+
+
+# the table of each root system, built once per process; it keeps no
+# roots, only their supports and heights
+_root_table = functools.cache(_expansions)
 
 
 def positive_root_count(rs):
@@ -156,11 +171,13 @@ def positive_root_count(rs):
 
 
 def _check_theta(rs, theta):
-    theta = frozenset(theta)
+    """theta as a bitmask of its 1-based nodes."""
+    mask = 0
     for i in theta:
         if not isinstance(i, int) or not 1 <= i <= rs.rank:
             raise ValueError(f"node {i!r} is not in 1..{rs.rank}")
-    return theta
+        mask |= 1 << i
+    return mask
 
 
 def dim_g_mod_p(rs, theta):
@@ -168,66 +185,31 @@ def dim_g_mod_p(rs, theta):
     theta = all nodes is the Borel case (all positive roots); theta empty
     gives 0."""
     theta = _check_theta(rs, theta)
-    return sum(1 for support in _expansions(rs).values() if support & theta)
+    return sum(1 for support, _ in _root_table(rs) if support & theta)
 
 
-def _components(expns, nodes):
-    """Connected components of the sub-diagram on the given nodes.  The
-    support of a root is connected, and nodes i and j are joined exactly
-    when alpha_i + alpha_j is a root, so merging the supports that lie in
-    nodes gives the components."""
-    comp = {i: frozenset([i]) for i in nodes}
-    for support in expns.values():
-        if support <= nodes:
-            merged = frozenset().union(*(comp[i] for i in support))
-            for i in merged:
-                comp[i] = merged
-    return set(comp.values())
-
-
-def _component_weyl_order(rank, pos_count):
-    """Weyl order of a connected diagram from its rank and positive-root
-    count; the (rank, count) pairs occurring for A/B/C/D/F4 sub-diagrams
-    determine the order uniquely."""
-    if pos_count == rank * (rank + 1) // 2:
-        return math.factorial(rank + 1)
-    if pos_count == rank * rank:
-        return (1 << rank) * math.factorial(rank)
-    if pos_count == rank * (rank - 1):
-        return (1 << (rank - 1)) * math.factorial(rank)
-    if (rank, pos_count) == (4, 24):
-        return 1152
-    raise ValueError(f"unrecognized component: rank {rank}, {pos_count} positive roots")
+def _height_ratio(heights):
+    """prod (h + 1) // prod h.  Exact for the heights of the roots with
+    support in S, where it is |W_S|, and for those of the roots whose
+    support meets theta, where it is |W| / |W_{Delta - theta}|."""
+    heights = list(heights)
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def weyl_order(rs, theta=None):
-    """|W| for theta None; otherwise the Weyl order of the Levi on
-    Delta minus theta (product over connected components)."""
-    fam, m = rs.family, rs.rank
-    if theta is None:
-        if fam == "A":
-            return math.factorial(m + 1)
-        if fam in ("B", "C"):
-            return (1 << m) * math.factorial(m)
-        if fam == "D":
-            return (1 << (m - 1)) * math.factorial(m)
-        return 1152
-    theta = _check_theta(rs, theta)
-    nodes = set(range(1, m + 1)) - theta
-    if not nodes:
-        return 1
-    expns = _expansions(rs)
-    order = 1
-    for comp in _components(expns, nodes):
-        cnt = sum(1 for support in expns.values() if support <= comp)
-        order *= _component_weyl_order(len(comp), cnt)
-    return order
+    """|W| for theta None; otherwise |W_{Delta - theta}|, the Weyl order
+    of the Levi: Macdonald's product over the roots whose support misses
+    theta (1 when theta is every node)."""
+    theta = 0 if theta is None else _check_theta(rs, theta)
+    return _height_ratio(h for support, h in _root_table(rs) if not support & theta)
 
 
 def euler_characteristic(rs, theta):
-    """chi(G/P_theta) = |W| / |W_Levi| (the Tate-class count of the split
-    form)."""
-    return weyl_order(rs) // weyl_order(rs, theta)
+    """chi(G/P_theta) = |W| / |W_{Delta - theta}| (the Tate-class count of
+    the split form): Macdonald's product over the roots whose support
+    meets theta."""
+    theta = _check_theta(rs, theta)
+    return _height_ratio(h for support, h in _root_table(rs) if support & theta)
 
 
 # ---------------------------------------------------------------------------

@@ -423,8 +423,11 @@ class PrimeField:
 
 
 def field_from_spec(kind, p=None):
-    """Build a field from config data: kind 'Q' or 'Fp' (p required)."""
+    """Build a field from config data: kind 'Q' (no p) or 'Fp' (p
+    required)."""
     if kind == "Q":
+        if p is not None:
+            raise ValueError('p: only allowed when field = "Fp"')
         return Rationals()
     if kind == "Fp":
         if p is None:

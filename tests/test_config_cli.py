@@ -125,6 +125,18 @@ def test_cli_witt_q_coefficient_beyond_factor_limit_exits_2():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("witt", "--form", "1,2,3", "--p", "5"),
+    ("witt", "--field", "Q", "--form", "1,2,3", "--p", "5"),
+    ("algebra", "table", "--a", "-1", "--p", "5"),
+])
+def test_cli_p_without_field_fp_exits_2(capsys, argv):
+    """--p over Q used to be ignored, with exit 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: p: only allowed") and err.count("\n") == 1
+
+
 def test_cli_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--a", "-1", "--b", "-1", "--place", "2")
     assert code == 0 and out.strip() == "-1"

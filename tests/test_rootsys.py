@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from jordanquad import rootsys
+from jordanquad.motives import decompose_xj, decompose_z1
 from jordanquad.rootsys import (LineItem, RootSystem, check_orbit_dims,
                                 dim_g_mod_p, euler_characteristic,
                                 positive_root_count, positive_roots,
@@ -11,9 +13,10 @@ from jordanquad.rootsys import (LineItem, RootSystem, check_orbit_dims,
                                 xj_space, z1_model_dim)
 
 
-def brute_force_weyl_order(rs):
-    """Oracle: order of the group generated by the simple reflections,
-    acting as permutations on the full (positive and negative) root set."""
+def brute_force_weyl_order(rs, simples=None):
+    """Oracle: order of the group generated by the reflections in simples
+    (default: all simple roots), acting as permutations on the full
+    (positive and negative) root set."""
     roots = positive_roots(rs)
     all_roots = [r for r in roots] + [tuple(-x for x in r) for r in roots]
     index = {r: i for i, r in enumerate(all_roots)}
@@ -25,7 +28,7 @@ def brute_force_weyl_order(rs):
         return tuple(x - c * a for x, a in zip(v, alpha))
 
     gens = []
-    for alpha in simple_roots(rs):
+    for alpha in simple_roots(rs) if simples is None else simples:
         perm = tuple(index[reflect(alpha, v)] for v in all_roots)
         gens.append(perm)
     seen = {tuple(range(len(all_roots)))}
@@ -140,6 +143,88 @@ def test_levi_orders():
     assert weyl_order(RootSystem("A", 4), {1, 4}) == 6
     assert euler_characteristic(RootSystem("A", 4), {1, 4}) == 20
     assert weyl_order(RootSystem("B", 4), {1}) == weyl_order(RootSystem("B", 3))
+
+
+@pytest.mark.parametrize("rs", [RootSystem("A", 4), RootSystem("B", 3), RootSystem("C", 3),
+                                RootSystem("D", 4), RootSystem("F4", 4)], ids=repr)
+def test_every_levi_order_vs_brute_force(rs):
+    """Every theta, against the group generated by the reflections in
+    Delta minus theta."""
+    simples = simple_roots(rs)
+    order = brute_force_weyl_order(rs)
+    nodes = range(1, rs.rank + 1)
+    for k in range(rs.rank + 1):
+        for theta in map(set, itertools.combinations(nodes, k)):
+            levi = brute_force_weyl_order(
+                rs, [alpha for i, alpha in enumerate(simples, 1) if i not in theta])
+            assert weyl_order(rs, theta) == levi, (rs, theta)
+            assert euler_characteristic(rs, theta) == order // levi, (rs, theta)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def macdonald_q_product(rs, theta):
+    """Prod [ht a + 1]_q / [ht a]_q over the positive roots whose support
+    meets theta, by exact long division: the Poincare polynomial of
+    G/P_theta (Macdonald)."""
+    mask = sum(1 << i for i in theta)
+    num = den = [1]
+    for support, height in rootsys._expansions(rs):
+        if support & mask:
+            num = poly_mul(num, [1] * (height + 1))
+            den = poly_mul(den, [1] * height)
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = num[k + len(den) - 1]   # den is monic
+        for j, d in enumerate(den):
+            num[k + j] -= quot[k] * d
+    assert not any(num), (rs, theta)
+    return quot
+
+
+def test_root_heights_give_the_motive_profiles():
+    """Macdonald's product from the heights equals the Tate profile of X(J)
+    and of the base locus's homogeneous models."""
+    cases = [(r, n) for r in (0, 1, 2) for n in range(3, 11)] + [(3, 3)]
+    for r, n in cases:
+        rs, theta = xj_space(r, n)
+        assert (macdonald_q_product(rs, theta)
+                == decompose_xj(r, n).profile().coefficients()), (r, n)
+
+    def z1_model(r, n):
+        if r == 1:
+            return [2 * c for c in macdonald_q_product(RootSystem("A", n - 2), {1})]
+        if r == 2:
+            return poly_mul(macdonald_q_product(RootSystem("A", 1), {1}),
+                            macdonald_q_product(RootSystem("A", 2 * n - 3), {1}))
+        return macdonald_q_product(RootSystem("B", 4), {4})
+
+    cases = [(r, n) for r in (1, 2) for n in range(3, 11)] + [(3, 3)]
+    for r, n in cases:
+        assert z1_model(r, n) == decompose_z1(r, n).profile().coefficients(), (r, n)
+
+
+def test_check_orbit_dims_builds_each_root_table_once(monkeypatch):
+    calls = []
+    real = rootsys.positive_roots
+
+    def counting(rs):
+        calls.append(rs)
+        return real(rs)
+
+    monkeypatch.setattr(rootsys, "positive_roots", counting)
+    rootsys._root_table.cache_clear()
+    first = [i.as_dict() for i in check_orbit_dims(2, 10)]
+    built = len(calls)
+    assert built > 0
+    assert [i.as_dict() for i in check_orbit_dims(2, 10)] == first
+    assert len(calls) == built, calls[built:]
 
 
 def test_xj_spaces():

@@ -122,6 +122,8 @@ def test_field_from_spec():
         field_from_spec("Fp")
     with pytest.raises(ValueError):
         field_from_spec("R")
+    with pytest.raises(ValueError, match="only allowed"):
+        field_from_spec("Q", 5)
 
 
 def test_fp_coercion_of_fractions():
