@@ -2,9 +2,9 @@
 
 Simple key-value text (one `key = value` per line, values as JSON
 literals, # comments).  Keys: field ("Q" or "Fp"), p (odd prime, Fp only),
-r (0..3), a (list of r nonzero scalars), n (>= 3), b (list of n nonzero
-scalars).  Scalars may be integers or strings like "1/2"; floats are
-rejected.
+r (0..3), a (list of r nonzero scalars), n (3..motives.MAX_N), b (list of
+n nonzero scalars).  Scalars may be integers or strings like "1/2"; floats
+are rejected.
 """
 
 import json
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .cayley_dickson import CDAlgebra
 from .jordan import JordanAlgebra
+from .motives import MAX_N
 from .scalars import Rationals, field_from_spec
 
 
@@ -46,8 +47,9 @@ class AlgebraConfig:
             raise ValidationError(f"a: expected a list of {self.r} entries, got {a!r}")
         if len(a) != self.r:
             raise ValidationError(f"a: expected {self.r} entries, got {len(a)}")
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValidationError(f"n: must be an integer >= 3, got {self.n!r}")
+        if not isinstance(self.n, int) or not 3 <= self.n <= MAX_N:
+            raise ValidationError(f"n: must be an integer with 3 <= n <= MAX_N = {MAX_N}, "
+                                  f"got {self.n!r}")
         if self.r == 3 and self.n != 3:
             raise ValidationError("n: must be 3 when r=3")
         b = self.b

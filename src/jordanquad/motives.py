@@ -145,9 +145,6 @@ class Summand:
             return out
         return [0]
 
-    def base_profile(self):
-        return TateProfile(self._base_degrees())
-
     def profile(self):
         return TateProfile([d + self.twist for d in self._base_degrees()])
 
@@ -227,11 +224,13 @@ class MotiveExpr:
 
 
 # The largest n accepted by the checks of a configuration (r, n): check_rn,
-# `rootsys.check_orbit_dims` and the command line.  Their cost grows as
-# a power of n: on a shared 2-core x86-64 VM `orbits dims --r 2` took
-# 0.26 s at n = 30, 2.9 s at n = 60 and 18 s at n = 100, and
-# `verify blowup --n-range 3..30` 0.4 s.  At 30 every such command answers
-# within a few seconds.
+# `rootsys.check_orbit_dims`, config files and the command line.  Their
+# cost grows as a power of n: on a shared 2-core x86-64 VM `orbits dims
+# --r 2` took 0.26 s at n = 30, 2.9 s at n = 60 and 18 s at n = 100, and
+# `verify blowup --n-range 3..30` 0.4 s; `rank --config` on a rank-one
+# element with r = 1, whose U-operator test grows about as n^4, took 0.5 s
+# at n = 12 and 12 s at n = 30.  At 30 every such command answers within
+# seconds.
 MAX_N = 30
 
 
@@ -327,13 +326,11 @@ def codim_z1(r, n):
 
 
 def _xj_prev_profile(r, n):
-    """Profile of X(J_{n-1}); for n - 1 = 2 this is the quadric
+    """Profile of X(J_{n-1}) for r >= 1; for n - 1 = 2 this is the quadric
     phi tensor <b_1> perp <b_2>, the split (2^r - 1)-dimensional quadric."""
     if n - 1 >= 3:
         return decompose_xj(r, n - 1).profile()
-    if r >= 1:
-        return decompose_neighbour_quadric(r, 2).profile()
-    return TateProfile([0, 0])  # the 0-dimensional split quadric: two points
+    return decompose_neighbour_quadric(r, 2).profile()
 
 
 @dataclass
@@ -370,7 +367,7 @@ def verify_blowup(r, n):
     """
     check_rn(r, n)
     if r == 0:
-        qprof = TateProfile(split_quadric(n - 2).profile().counts)
+        qprof = split_quadric(n - 2).profile()
         rhs = decompose_xj(0, n).profile()
         return BlowupReport(r, n, qprof, rhs, qprof == rhs)
     qprof = decompose_neighbour_quadric(r, n).profile()

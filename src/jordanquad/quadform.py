@@ -102,26 +102,18 @@ def bilinear(f, u, v):
 
 
 def _valuation(a, p):
-    """v_p of a nonzero rational, and the unit part a / p^v."""
-    num, den = a.numerator, a.denominator
+    """v_p of a nonzero int a, and its unit part a / p^v, an int."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while a % p == 0:
+        a //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, a
 
 
-def _legendre_unit(u, p):
-    """Legendre symbol of a rational unit at an odd prime p."""
-    r = (u.numerator * pow(u.denominator, p - 2, p)) % p
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
-
-
-def _unit_mod8(u):
-    return (u.numerator * pow(u.denominator, -1, 8)) % 8
+def _legendre(u, p):
+    """Legendre symbol of an int u prime to the odd prime p, by Euler's
+    criterion."""
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
 def hilbert_symbol(a, b, place):
@@ -131,8 +123,11 @@ def hilbert_symbol(a, b, place):
     a primality test on every call would show; callers pass primes, and
     the CLI rejects a --place that is not one.
 
-    Computed by the valuation-and-Legendre formula at odd p, the mod-8
-    epsilon/omega formula at 2, and the sign test at the real place.
+    The symbol depends only on the square classes of a and b, so a
+    rational n/d is replaced by the integer n*d = (n/d) d^2.  Then, with
+    a = p^alpha u and b = p^beta v (Serre, A Course in Arithmetic, III.1):
+    at odd p the valuation-and-Legendre formula, at 2 the epsilon/omega
+    formula on u and v mod 8, and the sign test at the real place.
     """
     Q = Rationals()
     a, b = Q.element(a), Q.element(b)
@@ -143,22 +138,18 @@ def hilbert_symbol(a, b, place):
     p = place
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"bad place {place!r}")
-    alpha, u = _valuation(a, p)
-    beta, v = _valuation(b, p)
+    alpha, u = _valuation(a.numerator * a.denominator, p)
+    beta, v = _valuation(b.numerator * b.denominator, p)
     if p == 2:
-        eps_u = (_unit_mod8(u) - 1) // 2 % 2
-        eps_v = (_unit_mod8(v) - 1) // 2 % 2
-        om_u = (_unit_mod8(u) ** 2 - 1) // 8 % 2
-        om_v = (_unit_mod8(v) ** 2 - 1) // 8 % 2
-        e = eps_u * eps_v + alpha * om_v + beta * om_u
+        u, v = u % 8, v % 8
+        e = ((u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
         return -1 if e % 2 else 1
-    sign = 1
-    if (alpha * beta) % 2 and p % 4 == 3:
-        sign = -sign
-    if beta % 2 and _legendre_unit(u, p) == -1:
-        sign = -sign
-    if alpha % 2 and _legendre_unit(v, p) == -1:
-        sign = -sign
+    sign = -1 if alpha * beta % 2 and p % 4 == 3 else 1
+    if beta % 2:
+        sign *= _legendre(u, p)
+    if alpha % 2:
+        sign *= _legendre(v, p)
     return sign
 
 
@@ -233,12 +224,10 @@ def _square_in_Qv(a, place):
     """Is the nonzero rational a a square in the completion at place?"""
     if place == INF:
         return a > 0
-    v, u = _valuation(a, place)
+    v, u = _valuation(a.numerator * a.denominator, place)
     if v % 2:
         return False
-    if place == 2:
-        return _unit_mod8(u) == 1
-    return _legendre_unit(u, place) == 1
+    return u % 8 == 1 if place == 2 else _legendre(u, place) == 1
 
 
 def _locally_isotropic(dim, disc, hasse_v, place, signature=None):
@@ -250,10 +239,10 @@ def _locally_isotropic(dim, disc, hasse_v, place, signature=None):
         pos, neg = signature
         return pos > 0 and neg > 0
     if dim == 3:
-        return hilbert_symbol(Fraction(-1), -disc, place) == hasse_v
+        return hilbert_symbol(-1, -disc, place) == hasse_v
     if not _square_in_Qv(disc, place):
         return True
-    return hasse_v == hilbert_symbol(Fraction(-1), Fraction(-1), place)
+    return hasse_v == hilbert_symbol(-1, -1, place)
 
 
 class _InvState:
@@ -287,7 +276,7 @@ class _InvState:
         self.disc = -self.disc
         if self.dim >= 1:
             for place in self.hasse:
-                self.hasse[place] *= hilbert_symbol(Fraction(-1), self.disc, place)
+                self.hasse[place] *= hilbert_symbol(-1, self.disc, place)
 
 
 def is_isotropic(f):
@@ -411,9 +400,16 @@ def _diagonalize_gram(p, gram):
 
 def witt_index_by_search(f):
     """Witt index over F_p computed with no classification input:
-    repeatedly find an isotropic vector by exhaustion, split off the
-    hyperbolic plane it spans with a polar-form partner, and recurse on a
-    re-diagonalized orthogonal complement.
+    repeatedly find an isotropic vector v by exhaustion, split off the
+    hyperbolic plane through it, and recurse on v^perp / v, which is
+    isometric to the plane's orthogonal complement (Lam, Introduction to
+    Quadratic Forms over Fields, I.3).
+
+    For <d_1, ..., d_k> and L, M the first two indices with v_i != 0, the
+    vectors w_i = e_i - (d_i v_i / d_L v_L) e_L, i not in {L, M}, lie in
+    v^perp and have zero M-coordinate, so they span a complement of v
+    there.  Their Gram matrix d_i [i = j] + c d_i v_i d_j v_j, with
+    c = 1 / (d_L v_L^2), is re-diagonalized for the next round.
 
     Vectors, Gram matrices and coefficients are residues in [0, p) held as
     plain ints; each isotropic vector comes from isotropic_vector_search."""
@@ -422,62 +418,20 @@ def witt_index_by_search(f):
         raise ValueError("search-based Witt decomposition is F_p only")
     p = field.p
     coeffs = [c.v for c in f.coeffs]
-
-    def polar(x, y):
-        return sum(d * a * b for d, a, b in zip(coeffs, x, y)) % p
-
     index = 0
     while len(coeffs) >= 2:
         v = isotropic_vector_search(QuadForm(field, tuple(coeffs)))
         if v is None:
             break
-        v = [x.v for x in v]
-        # partner u with B(v, u) != 0 exists by non-degeneracy
-        k = len(coeffs)
-        units = [[int(t == i) for t in range(k)] for i in range(k)]
-        partner = next(u for u in units if polar(v, u))
-        basis = [v, partner]
-        # complete to a basis, project away the plane via the polar form
-        for e in units:
-            cand = basis + [e]
-            if _rank(p, cand) == len(cand):
-                basis.append(e)
-        gram_vu_inv = pow(polar(v, partner), -1, p)
-        quu = polar(partner, partner)
-        comp = []
-        for w in basis[2:]:
-            # subtract the plane components: w' = w - a*v - b*u with
-            # B(w', v) = B(w', u) = 0
-            b_coef = polar(w, v) * gram_vu_inv % p
-            a_coef = (polar(w, partner) - b_coef * quu) * gram_vu_inv % p
-            comp.append([(x - a_coef * y - b_coef * z) % p
-                         for x, y, z in zip(w, v, partner)])
-        coeffs = _diagonalize_gram(p, [[polar(x, y) for y in comp] for x in comp])
+        # q(v) = 0 with all d_i nonzero: v has at least two nonzero entries
+        dv = [d * x.v % p for d, x in zip(coeffs, v)]
+        L, M = [i for i, x in enumerate(dv) if x][:2]
+        c = pow(dv[L] * v[L].v, -1, p)
+        rest = [i for i in range(len(coeffs)) if i not in (L, M)]
+        coeffs = _diagonalize_gram(p, [[(coeffs[i] * (i == j) + c * dv[i] * dv[j]) % p
+                                        for j in rest] for i in rest])
         index += 1
     return index
-
-
-def _rank(p, vectors):
-    """Rank of a list of residue vectors mod an odd prime p."""
-    m = [list(v) for v in vectors]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                lam = m[i][col] * inv % p
-                m[i] = [(a - lam * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def fp_projective_zero_count(f):

@@ -27,7 +27,7 @@ from .cayley_dickson import CDAlgebra
 from .errors import BasePointError, SamplingError
 from .jordan import JordanAlgebra
 from .quadform import (QuadForm, evaluate, fp_projective_zero_count,
-                       isotropic_vector_search, tensor)
+                       is_isotropic, isotropic_vector_search, tensor)
 from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
@@ -78,26 +78,13 @@ def fp_algebra(p, r, n, split=True):
     return JordanAlgebra(CDAlgebra(fld, params), standard_b(fld, n))
 
 
-def norm_is_split(alg):
-    """Over F_p the norm form is split unless r <= 1 with a non-square
-    parameter; over Q, definite Pfister parameters give anisotropy."""
-    cd = alg.cd
-    if cd.r == 0:
-        return True
-    from .quadform import is_isotropic
-    return is_isotropic(cd.norm_form)
-
-
 def z1_expected_count(alg):
     """Exact number of F_p-points of the base locus: zero when the norm
-    form is anisotropic, else the Tate profile evaluated at p."""
-    fld = alg.field
-    r, n = alg.cd.r, alg.n
-    if r == 0:
+    form is anisotropic (r = 0, where it is <1>, or r = 1 with a
+    non-square parameter), else the Tate profile evaluated at p."""
+    if not is_isotropic(alg.cd.norm_form):
         return 0
-    if not norm_is_split(alg):
-        return 0
-    return motives.decompose_z1(r, n).profile().eval_at(fld.p)
+    return motives.decompose_z1(alg.cd.r, alg.n).profile().eval_at(alg.field.p)
 
 
 def kernel_inputs(alg):
@@ -273,7 +260,7 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     """Round-trip, trace, symmetry, base-locus and transposition identities
     on seeded quadric points; rank-one on the first rank_checks images."""
     fld = alg.field
-    p = fld.p if isinstance(fld, PrimeField) else 0
+    p = fld.characteristic
     report = SweepReport("quadric-sampled", p, alg.cd.r, alg.n, "sampled",
                          0, 0)
     counts = report.counts
@@ -379,7 +366,7 @@ def sampled_z1_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     divisors."""
     fld = alg.field
     cd, n = alg.cd, alg.n
-    p = fld.p if isinstance(fld, PrimeField) else 0
+    p = fld.characteristic
     report = SweepReport("z1-sampled", p, cd.r, n, "sampled", 0, 0)
     counts = report.counts
     counts.update(checked=0, z1_members=0)

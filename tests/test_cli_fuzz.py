@@ -38,6 +38,16 @@ def options(required=None, **optional):
 
 # primes the modulus check accepts, where a cost linear in p would show
 LARGE_PRIMES = ("1000003", "2147483647")
+
+
+def field_options(*primes):
+    """No field, --field alone, or --field Fp with --p: --p is drawn only
+    together with Fp, since it is refused over Q and would stop the example
+    before the Q path."""
+    return st.one_of(st.just([]), values("Q", "Fp").map(lambda f: ["--field", f]),
+                     values(*primes).map(lambda p: ["--field", "Fp", "--p", p]))
+
+
 R = values("0", "1", "2", "3")
 N = values("3", "4", "5", "30", "31")
 TARGET = {"--target": values("quadric", "xj", "z1", "pfister-multiple")}
@@ -70,10 +80,10 @@ def argv_strategy(config):
         options({"--r": R, "--n": N}, **TARGET, **{"--format": values("ascii", "svg")}).map(
             lambda a: ["diagram", *a]),
         VERIFY,
-        options({"--form": values("1,1,1", "1,-1", "-1,-1,-1,-1,-7", "3,0,5", "0,1,1", "1,0")},
-                **{"--field": values("Q", "Fp"),
-                   "--p": values("3", "7", "9", "2147483659", *LARGE_PRIMES)}).map(
-            lambda a: ["witt", *a]),
+        st.tuples(options({"--form": values("1,1,1", "1,-1", "-1,-1,-1,-1,-7", "3,0,5",
+                                            "0,1,1", "1,0")}),
+                  field_options("3", "7", "9", "2147483659", *LARGE_PRIMES)).map(
+            lambda t: ["witt", *t[0], *t[1]]),
         options({"--a": values("-1", "2", "3/4"), "--b": values("-1", "5", "-10"),
                  "--place": values("inf", "2", "3", "5", "9")}).map(lambda a: ["hilbert", *a]),
         st.tuples(values("map", "inverse", "transpose"),
@@ -82,10 +92,10 @@ def argv_strategy(config):
         options({"--config": cfg, "--elem": MATRIX}).map(lambda a: ["rank", *a]),
         options({"--r": values("0", "2", "3"), "--n": values("3", "5", "31")}).map(
             lambda a: ["orbits", "dims", *a]),
-        options(**{"--r": values("0", "1", "3"),
-                   "--a": values("-1", "-1,-1", "1,2,3,4", "0,1,1", "1,0"),
-                   "--field": values("Q", "Fp"), "--p": values("5", "15", *LARGE_PRIMES)}).map(
-            lambda a: ["algebra", "table", *a]),
+        st.tuples(options(**{"--r": values("0", "1", "3"),
+                             "--a": values("-1", "-1,-1", "1,2,3,4", "0,1,1", "1,0")}),
+                  field_options("5", "15", *LARGE_PRIMES)).map(
+            lambda t: ["algebra", "table", *t[0], *t[1]]),
     )
 
 

@@ -377,6 +377,21 @@ def test_cli_n_above_max_n_exits_2(capsys, argv):
         motives.decompose_xj(1, 31)
 
 
+def test_config_n_above_max_n_exits_2(capsys, tmp_path):
+    """A configuration file obeys the same bound on n as the command line:
+    n = 30 is accepted, and rank on n = 31 stops at the config, on one
+    line, before it reads the element."""
+    from jordanquad import motives
+
+    n = motives.MAX_N
+    assert config_from_dict({"n": n, "b": [1] * n}).n == n
+    cfg = write_config(tmp_path, f'field = "Q"\nr = 1\na = [-1]\nn = {n + 1}\n'
+                                 f'b = {[1] * (n + 1)}\n')
+    code, out, err = run_cli(capsys, "rank", "--config", cfg, "--elem", "[[[1, 0]]]")
+    assert code == 2 and not out
+    assert err.startswith("error: n: ") and err.count("\n") == 1 and str(n) in err
+
+
 @pytest.mark.parametrize("suite", ["krashen", "blowup"])
 def test_cli_verify_empty_n_range_exits_2(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--n-range", "5..3")

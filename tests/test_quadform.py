@@ -94,6 +94,83 @@ def test_hilbert_zero_input():
         hilbert_symbol(0, 1, 2)
 
 
+SYMBOL_PLACES = ("inf", 2, 3, 5, 7, 11, 13)
+
+
+def seeded_rationals(seed, count):
+    """Nonzero rationals whose reduced denominators are multiples of 2, 4,
+    3, 9 and 5 in turn: each numerator, of either sign, is prime to its
+    base."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        base = (2, 4, 3, 9, 5)[i % 5]
+        num = rng.choice([x for x in range(-399, 400) if math.gcd(x, base) == 1])
+        out.append(Fraction(num, base * rng.randint(1, 30)))
+        assert out[-1].denominator % base == 0
+    return out
+
+
+def test_hilbert_square_class_invariance_on_rationals():
+    """(a, b)_v = (a s^2, b t^2)_v: the symbol reads only square classes,
+    also through denominators."""
+    a_s = seeded_rationals("hilbert-a", 60)
+    b_s = seeded_rationals("hilbert-b", 60)
+    squares = seeded_rationals("hilbert-squares", 60)
+    for a, b, s, t in zip(a_s, b_s, squares, reversed(squares)):
+        for place in SYMBOL_PLACES:
+            assert (hilbert_symbol(a, b, place)
+                    == hilbert_symbol(a * s * s, b * t * t, place)), (a, b, s, t, place)
+
+
+def test_hilbert_reciprocity_on_rationals():
+    """The product over relevant_places is 1, and the symbol is 1 at a
+    place outside them."""
+    a_s = seeded_rationals("reciprocity-a", 80)
+    b_s = seeded_rationals("reciprocity-b", 80)
+    for a, b in zip(a_s, b_s):
+        places = relevant_places(QuadForm(Q, (a, b)))
+        assert math.prod(hilbert_symbol(a, b, v) for v in places) == 1, (a, b)
+        outside = next(q for q in (7, 11, 13, 17, 19, 23, 29, 31) if q not in places)
+        assert hilbert_symbol(a, b, outside) == 1, (a, b, outside)
+
+
+# (a, b, the symbols at SYMBOL_PLACES in order), recorded when each
+# valuation still built a Fraction unit
+RECORDED_SYMBOLS = [
+    ("1/2", "-3/8", "+--++++"),
+    ("1/2", "-7/12", "+--++++"),
+    ("1/2", "3/25", "+--++++"),
+    ("1/2", "-6/35", "++--+++"),
+    ("1/2", "11/98", "+-+++-+"),
+    ("-3/8", "5/6", "+--++++"),
+    ("-3/8", "-7/12", "--+++++"),
+    ("-3/8", "-6/35", "--+++++"),
+    ("5/6", "-2/9", "+-+-+++"),
+    ("5/6", "-6/35", "+-+-+++"),
+    ("5/6", "11/98", "+++-+-+"),
+    ("5/6", "13/20", "++--+++"),
+    ("5/6", "-4/45", "+++++++"),
+    ("-7/12", "-2/9", "-+++-++"),
+    ("-7/12", "-6/35", "-+-++++"),
+    ("-7/12", "11/98", "+++++++"),
+    ("-7/12", "-4/45", "--+++++"),
+    ("-2/9", "10/27", "+-+-+++"),
+    ("-2/9", "3/25", "+++++++"),
+    ("-2/9", "-6/35", "--+--++"),
+    ("3/25", "13/20", "++--+++"),
+    ("11/98", "-1/50", "+++++++"),
+    ("11/98", "-4/45", "+++-+-+"),
+    ("-1/50", "-4/45", "-++-+++"),
+]
+
+
+def test_hilbert_symbols_on_rationals_match_recorded_answers():
+    for a, b, signs in RECORDED_SYMBOLS:
+        got = "".join("+" if hilbert_symbol(a, b, v) == 1 else "-" for v in SYMBOL_PLACES)
+        assert got == signs, (a, b)
+
+
 # -- invariants -------------------------------------------------------------
 
 def test_invariants_hyperbolic_plane():
@@ -323,17 +400,11 @@ def test_witt_search_on_residues_matches_classification():
 
 
 def test_residue_rank_and_diagonalization_by_brute_force():
-    """The search's residue helpers: p^rank is the size of the span, and a
-    diagonalized Gram matrix keeps its dimension and, up to squares, its
-    determinant (the two invariants that classify forms over F_p).  The
-    determinant is the Leibniz sum over permutations."""
+    """The search's residue helper: a diagonalized Gram matrix keeps its
+    dimension and, up to squares, its determinant (the two invariants that
+    classify forms over F_p).  The determinant is the Leibniz sum over
+    permutations."""
     rng = random.Random("residue-helpers")
-    for p in (3, 5):
-        for _ in range(60):
-            vecs = [[rng.randrange(p) for _ in range(4)] for _ in range(rng.randint(1, 4))]
-            span = {tuple(sum(c * x for c, x in zip(cs, col)) % p for col in zip(*vecs))
-                    for cs in itertools.product(range(p), repeat=len(vecs))}
-            assert p ** quadform._rank(p, vecs) == len(span)
     for p in (3, 5, 7, 11, 13):
         for _ in range(60):
             k = rng.randint(1, 5)
