@@ -28,7 +28,7 @@ coordinate is wrapped once.
 
 from .cayley_dickson import CDElem, _mul_acc
 from .errors import AlgebraMismatchError, BasePointError
-from .jordan import JordanAlgebra, JordanElem
+from .jordan import JordanAlgebra, JordanElem, _jordan_values
 from .quadform import QuadForm, evaluate, perp, tensor
 
 
@@ -255,10 +255,14 @@ def veronese_inverse(pj):
 
 def half_space_square_zero(point):
     """x(c)^2 = 0 for the half-space element with column n = c (the
-    independent matrix-equation form of Z1 membership)."""
+    independent matrix-equation form of Z1 membership): x(c) is built on
+    the point's plain values and squared by the Jordan product on values,
+    whose reduced result is tested for zero."""
     alg = point.algebra
-    x = alg.half_space_element(point.cparts)
-    return x.square().is_zero()
+    c, den = _values(point)
+    x, dx = alg._half_space_values(c[:-1], den)
+    square, _ = _jordan_values(alg, x, dx, x, dx)
+    return not any(a for row in square for v in row for a in v)
 
 
 def in_z1(point):

@@ -13,17 +13,68 @@ Element arithmetic (jordan_mul, scale, sums and the symmetry test) works
 on the entries' plain values, as cayley_dickson does: a matrix is
 unwrapped to integers over one common denominator, 1/2 and the ratios
 b_i / b_j are kept as (num, den) pairs, and an entry of x o y accumulates
-its composition-algebra products as integers and is wrapped once per
-coordinate.  At n = 3 the rank-one test and the cubic adjoint x^# share
-one helper that computes the six independent entries of x^# the same way;
-u_operator and trace_form are written with those operations, serve as
-the rank-one test for n >= 4 and as its oracle in the tests.
+its composition-algebra products as integers.  The product itself,
+_jordan_values, takes and returns such matrices of values (reduced mod p
+on F_p); jordan_mul unwraps, calls it and wraps each coordinate once.
+The rank-one test for n >= 4 and birational's x(c)^2 = 0 test chain it on
+values and build no scalar.  At n = 3 the rank-one test and the cubic
+adjoint x^# share one helper that computes the six independent entries of
+x^# the same way.  u_operator and trace_form are written with the wrapped
+operations and serve as the rank-one oracle in the tests.
 """
 
+import math
 from fractions import Fraction
 
 from .cayley_dickson import CDAlgebra, CDElem, _mul_acc
 from .errors import AlgebraMismatchError
+
+
+def _jordan_values(alg, x, dx, y, dy):
+    """x o y = (xy + yx)/2 on plain values: x and y are n x n matrices of
+    coordinate lists of sigma_b-symmetric elements of alg, over the
+    denominators dx and dy, and so is the result, reduced (mod p on F_p),
+    with its denominator.  y is x gives x o x.
+
+    Only the entries i <= j are multiplied out.  Conjugation reverses
+    products in every composition algebra, octonions included, so
+    sigma_b(xy) = sigma_b(y) sigma_b(x) = yx for sigma_b-symmetric x and y:
+    x o y is sigma_b-symmetric, and its lower triangle is
+    (x o y)_ji = (b_i / b_j) conj((x o y)_ij), brought over the common
+    denominator by the lcm of the ratios' denominators.  Products with a
+    zero factor are skipped; a symmetric matrix has a symmetric zero
+    pattern, so the nonzero y_kj are the nonzero y_jk of row j.  For x o x
+    the two halves xy and yx are the same sum, so each product is taken
+    once and nothing is halved.  Zero entries share one list, which callers
+    must not change.
+    """
+    cd = alg.cd
+    n, m, gamma = alg.n, cd.dim, cd._gamma_v
+    ratio, reduce = alg._ratio_v, alg.field.reduce
+    square = y is x
+    hn, hd = (1, 1) if square else alg._half_v
+    lcm = math.lcm(*[ratio[i][j][1] for i in range(n) for j in range(i + 1, n)])
+    upper = hn * lcm
+    xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
+    ys = xs if square else [{k for k, e in enumerate(row) if any(e)} for row in y]
+    zero = [0] * m
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ks, ls = xs[i] & ys[j], () if square else ys[i] & xs[j]
+            if not ks and not ls:
+                continue
+            acc = [0] * m
+            for k in ks:
+                _mul_acc(gamma, x[i][k], y[k][j], acc)
+            for k in ls:
+                _mul_acc(gamma, y[i][k], x[k][j], acc)
+            rows[i][j] = reduce([upper * a for a in acc])
+            if i < j:
+                rn, rd = ratio[i][j]
+                f = hn * rn * (lcm // rd)
+                rows[j][i] = reduce([f * acc[0]] + [-f * a for a in acc[1:]])
+    return rows, dx * dy * cd._gamma_den * hd * lcm
 
 
 class JordanAlgebra:
@@ -153,8 +204,8 @@ class JordanAlgebra:
     def half_space_element(self, cvec):
         """The element of J_{1/2}(E_ii), i = n-1, whose column i is the given
         vector of C-coordinates (listed over the rows j < i, in order).  Row
-        i, x_ij = (b_j / b_i) conj(c_j), is built from one unwrap of the
-        vector, each coordinate wrapped once over den * b_i."""
+        i, x_ij = (b_j / b_i) conj(c_j), comes from _half_space_values on one
+        unwrap of the vector, each coordinate wrapped once."""
         i, cd = self.n - 1, self.cd
         cvec = [c if isinstance(c, CDElem) else cd.element(c) for c in cvec]
         if len(cvec) != i:
@@ -163,16 +214,27 @@ class JordanAlgebra:
             raise AlgebraMismatchError("entry from a different composition algebra")
         m, wrap = cd.dim, self.field.wrap
         u, den = self.field.unwrap([x for c in cvec for x in c.coords])
-        bv, _ = self._b_v
-        den *= bv[i]
+        x, den = self._half_space_values([u[k:k + m] for k in range(0, len(u), m)], den)
         zero = cd.zero()
         rows = [[zero] * self.n for _ in range(self.n)]
         for j, c in enumerate(cvec):
-            cj = u[j * m:(j + 1) * m]
             rows[j][i] = c
-            rows[i][j] = CDElem(cd, wrap([bv[j] * cj[0], *(-bv[j] * a for a in cj[1:])],
-                                         den))
+            rows[i][j] = CDElem(cd, wrap(x[i][j], den))
         return JordanElem(self, tuple(tuple(row) for row in rows))
+
+    def _half_space_values(self, c, den):
+        """The plain values of the half-space element whose column n-1 is
+        c, n-1 coordinate lists over den: column n-1 is b_{n-1} c_j and row
+        n-1 is b_j conj(c_j), over den b_{n-1}, with zero entries sharing
+        one list."""
+        n, i = self.n, self.n - 1
+        bv, _ = self._b_v
+        zero = [0] * self.cd.dim
+        rows = [[zero] * n for _ in range(n)]
+        for j, cj in enumerate(c):
+            rows[j][i] = [bv[i] * a for a in cj]
+            rows[i][j] = [bv[j] * cj[0], *(-bv[j] * a for a in cj[1:])]
+        return rows, den * bv[i]
 
     def __eq__(self, other):
         return (isinstance(other, JordanAlgebra) and other.cd == self.cd
@@ -216,11 +278,12 @@ class JordanElem:
 
     def _from_values(self, rows, den):
         """The element of this algebra whose entries have the given plain
-        values over den, each coordinate wrapped once."""
+        values over den, each coordinate of a nonzero entry wrapped once
+        and the zero entries sharing one zero."""
         cd = self.algebra.cd
-        wrap = cd.field.wrap
-        return JordanElem(self.algebra, tuple(tuple(CDElem(cd, wrap(v, den)) for v in row)
-                                              for row in rows))
+        wrap, zero = cd.field.wrap, cd.zero()
+        return JordanElem(self.algebra, tuple(tuple(CDElem(cd, wrap(v, den)) if any(v) else zero
+                                                    for v in row) for row in rows))
 
     def is_symmetric(self):
         """sigma_b(x) = x, i.e. x_ij = (b_j / b_i) conj(x_ji) for all i, j:
@@ -241,50 +304,13 @@ class JordanElem:
         return True
 
     def jordan_mul(self, other):
-        """x o y = (xy + yx)/2; commutative, symmetry-preserving.
-
-        Only the entries i <= j are multiplied out.  Conjugation reverses
-        products in every composition algebra, octonions included, so
-        sigma_b(xy) = sigma_b(y) sigma_b(x) = yx for sigma_b-symmetric x and
-        y: x o y is sigma_b-symmetric, and its lower triangle is
-        (x o y)_ji = (b_i / b_j) conj((x o y)_ij).  Products with a zero
-        factor are skipped; a symmetric matrix has a symmetric zero
-        pattern, so the nonzero y_kj are the nonzero y_jk of row j.
-        For x o x (other is self) the two halves xy and yx are the same
-        sum, so each product is taken once and nothing is halved.
-        """
+        """x o y = (xy + yx)/2; commutative, symmetry-preserving.  The
+        entries are unwrapped once, multiplied by _jordan_values and wrapped
+        once; x o x (other is self) takes each product once."""
         self._check(other)
-        alg = self.algebra
-        cd = alg.cd
-        n, m, gamma = alg.n, cd.dim, cd._gamma_v
-        ratio, wrap = alg._ratio_v, cd.field.wrap
-        square = other is self
         x, dx = self._values()
-        y, dy = (x, dx) if square else other._values()
-        hn, hd = (1, 1) if square else alg._half_v
-        den = dx * dy * cd._gamma_den * hd
-        xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
-        ys = xs if square else [{k for k, e in enumerate(row) if any(e)} for row in y]
-        zero = cd.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                ks, ls = xs[i] & ys[j], () if square else ys[i] & xs[j]
-                if not ks and not ls:
-                    continue
-                acc = [0] * m
-                for k in ks:
-                    _mul_acc(gamma, x[i][k], y[k][j], acc)
-                if not square:
-                    for k in ls:
-                        _mul_acc(gamma, y[i][k], x[k][j], acc)
-                    acc = [hn * a for a in acc]
-                rows[i][j] = CDElem(cd, wrap(acc, den))
-                if i < j:
-                    rn, rd = ratio[i][j]
-                    rows[j][i] = CDElem(cd, wrap([rn * acc[0]] + [-rn * a for a in acc[1:]],
-                                                 den * rd))
-        return JordanElem(alg, tuple(tuple(row) for row in rows))
+        y, dy = (x, dx) if other is self else other._values()
+        return self._from_values(*_jordan_values(self.algebra, x, dx, y, dy))
 
     def __add__(self, other):
         self._check(other)
@@ -366,21 +392,35 @@ class JordanElem:
         U_x y = T(x, y) x - x^# * y, * the cross product of the adjoint, and
         x^# * 1 = T(x^#) 1 - x^# vanishes only at x^# = 0 outside
         characteristic 2.  The six entries of _sharp_values are tested.  At
-        n >= 4 U_x y is expanded as in u_operator, with x^2 formed once and
-        x o y shared with tau(x, y) = trace(x o y).
+        n >= 4 U_x y = 2 x o (x o y) - x^2 o y is expanded as in u_operator,
+        on plain values through _jordan_values: x and x^2 once, then for
+        each y the products x o y, x o (x o y) and x^2 o y, and
+        tau(x, y) = trace(x o y) from the diagonal's e_0 values.  Both sides
+        are sigma_b-symmetric, so the upper triangle is compared, with the
+        four denominators cross-multiplied; the first failure answers.
         """
         if self.is_zero():
             raise ValueError("rank of the zero element is undefined")
-        if self.algebra.n == 3:
+        alg = self.algebra
+        n, reduce = alg.n, alg.field.reduce
+        if n == 3:
             diag, upper, _ = self._sharp_values()
-            return not any(self.algebra.field.reduce(
-                diag + [a for u in upper.values() for a in u]))
-        x2 = self.square()
-        for y in self.algebra.basis():
-            xy = self.jordan_mul(y)
-            if (self.jordan_mul(xy).scale(2) - x2.jordan_mul(y)
-                    != self.scale(xy.trace())):
-                return False
+            return not any(reduce(diag + [a for u in upper.values() for a in u]))
+        x, dx = self._values()
+        x2, d2 = _jordan_values(alg, x, dx, x, dx)
+        for e in alg.basis():
+            y, dy = e._values()
+            xy, dxy = _jordan_values(alg, x, dx, y, dy)
+            a, da = _jordan_values(alg, x, dx, xy, dxy)
+            c, dc = _jordan_values(alg, x2, d2, y, dy)
+            t = sum(xy[i][i][0] for i in range(n))
+            # 2 a / da - c / dc = (t / dxy) x / dx, times da dc dxy dx
+            fa, fc, fx = 2 * dc * dxy * dx, da * dxy * dx, t * da * dc
+            for i in range(n):
+                for j in range(i, n):
+                    if any(reduce([fa * u - fc * v - fx * w
+                                   for u, v, w in zip(a[i][j], c[i][j], x[i][j])])):
+                        return False
         return True
 
     def adjoint_sharp(self):

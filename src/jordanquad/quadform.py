@@ -77,24 +77,26 @@ def perp(f, g):
 
 
 def evaluate(f, v):
-    """q(v) = sum d_i v_i^2."""
+    """q(v) = sum d_i v_i^2, summed as integers over one denominator from
+    one unwrap of the coefficients and of the coordinates (each coerced
+    into the field once), and wrapped once."""
     if len(v) != f.dim:
         raise ValueError(f"vector length {len(v)} != dim {f.dim}")
-    total = f.field.zero()
-    for d, x in zip(f.coeffs, v):
-        x = f.field.element(x)
-        total = total + d * x * x
-    return total
+    field = f.field
+    (d, dd), (x, dx) = field.unwrap(f.coeffs), field.unwrap([field.element(a) for a in v])
+    return field.wrap([sum(c * a * a for c, a in zip(d, x))], dd * dx * dx)[0]
 
 
 def bilinear(f, u, v):
-    """B(u, v) = sum d_i u_i v_i, so that q(u+v) = q(u) + q(v) + 2B(u,v)."""
+    """B(u, v) = sum d_i u_i v_i, so that q(u+v) = q(u) + q(v) + 2B(u,v);
+    summed on plain values as in evaluate."""
     if len(u) != f.dim or len(v) != f.dim:
         raise ValueError("vector length mismatch")
-    total = f.field.zero()
-    for d, x, y in zip(f.coeffs, u, v):
-        total = total + d * f.field.element(x) * f.field.element(y)
-    return total
+    field = f.field
+    (d, dd), (x, dx), (y, dy) = (field.unwrap(f.coeffs),
+                                 field.unwrap([field.element(a) for a in u]),
+                                 field.unwrap([field.element(a) for a in v]))
+    return field.wrap([sum(c * a * b for c, a, b in zip(d, x, y))], dd * dx * dy)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra
 from jordanquad.quadform import bilinear, evaluate
 from jordanquad.scalars import PrimeField, Rationals
-from jordanquad import sweeps
+from jordanquad import _fpcore_py, sweeps
 
 Q = Rationals()
 
@@ -135,6 +135,69 @@ def test_in_z1_anisotropic_is_empty():
         assert not in_z1(p)
         assert not half_space_square_zero(p)
     assert sweeps.z1_rational_box_search(alg, bound=1) == 0
+
+
+@pytest.mark.parametrize("params,b", [([1], (1, 2, 1)), ([2], (1, 1, 2)),
+                                      ([], (1, 1, 1, 1)), ([1, 1], (1, 2, 1))],
+                         ids=["3-1-3-split", "3-1-3-nonsplit", "3-0-4", "3-2-3-split"])
+def test_half_space_square_zero_on_every_c_n_zero_point(params, b):
+    """Every point of P(C^{n-1} x k) over F_3 with c_n = 0: the values
+    square of x(c), its square through JordanElem and in_z1 agree, and
+    the members are the base locus's closed-form count."""
+    alg = JordanAlgebra(CDAlgebra(PrimeField(3), params), b)
+    m = alg.cd.dim
+    members = 0
+    for v in _fpcore_py._points(3, m * (alg.n - 1)):
+        p = ProjPointC(alg, [v[k:k + m] for k in range(0, len(v), m)], 0)
+        got = half_space_square_zero(p)
+        assert got == alg.half_space_element(p.cparts).square().is_zero() == in_z1(p), p
+        members += got
+    assert members == sweeps.z1_expected_count(alg)
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (1, 4)])
+def test_half_space_square_zero_on_rational_points(r, n):
+    """Seeded points of a split algebra over Q with denominators: c_j = l_j z
+    for a null z (members of Z1) and random c (not, with c_n = 0 or not)."""
+    alg = JordanAlgebra(CDAlgebra(Q, [1] * r), (Fraction(1, 3), -2, Fraction(5, 4), 7)[:n])
+    cd, rng = alg.cd, random.Random(f"hs:{r}:{n}")
+    z = cd.one() + cd.basis(1)      # N(z) = 1 - 1 = 0
+
+    def scalar():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    members = 0
+    for t in range(30):
+        if t % 3 == 0:
+            cparts, last = [z * Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                            for _ in range(n - 1)], 0
+        else:
+            cparts = [[scalar() for _ in range(cd.dim)] for _ in range(n - 1)]
+            last = 0 if t % 3 == 1 else scalar()
+        p = ProjPointC(alg, cparts, last)
+        got = half_space_square_zero(p)
+        assert got == alg.half_space_element(p.cparts).square().is_zero(), p
+        if p.last == 0:
+            assert got == in_z1(p), p
+        members += got
+    assert members >= 10
+
+
+def test_half_space_square_zero_builds_no_scalar(monkeypatch):
+    """x(c)^2 = 0 is decided on plain values: with PrimeField.wrap
+    refusing, it still answers on (7, 3, 3) points in and out of Z1."""
+    alg = sweeps.fp_algebra(7, 3, 3)
+    cd = alg.cd
+    z = cd.one() + cd.basis(1)
+    points = [ProjPointC(alg, [z, z * 3], 0), ProjPointC(alg, [cd.basis(2), z], 0),
+              ProjPointC(alg, [cd.one(), cd.basis(3)], 0)]
+    want = [in_z1(p) for p in points]
+
+    def refuse(*args):
+        raise AssertionError("F_p scalar built for x(c)^2")
+
+    monkeypatch.setattr(PrimeField, "wrap", refuse)
+    assert [half_space_square_zero(p) for p in points] == want == [True, False, False]
 
 
 def test_z1_membership_equivalences_sampled():

@@ -301,6 +301,56 @@ def test_is_rank_one_matches_literal_check(field, r):
         assert not x.is_rank_one() and not literal_rank_one(x)
 
 
+# n >= 4 against the U-operator oracle: per field its doubling parameters
+# and b, fractional over Q and units mod 3 and mod 7 over F_p (<b_1, b_2,
+# b_3> is isotropic over Q, at (2, 3, 5), so the sampler finds points)
+RANK_FIELDS = [
+    (Q, (Fraction(-1, 2), Fraction(3, 5)),
+     (Fraction(1, 4), Fraction(2, 9), Fraction(-3, 25), Fraction(5, 7), Fraction(-1, 2))),
+    (PrimeField(3), (-1, 2), (1, 2, 1, 2, 1)),
+    (PrimeField(7), (-1, 2), (1, 2, -3, 5, 4)),
+]
+
+
+@pytest.mark.parametrize("field,params,b", RANK_FIELDS, ids=["Q", "F3", "F7"])
+@pytest.mark.parametrize("r,n", [(0, 4), (1, 4), (2, 4), (1, 5)])
+def test_is_rank_one_matches_literal_check_at_n4(field, params, b, r, n):
+    """Veronese images, each with one basis element added, the sums of two
+    images and E_11 + E_22: the values loop agrees with the U-operator and
+    trace-form oracle."""
+    alg = JordanAlgebra(CDAlgebra(field, params[:r]), b[:n])
+    rng = random.Random(f"rank:{field}:{r}:{n}")
+    images = []
+    for pt in sweeps.sample_quadric_points(alg, 3, seed=rng.randrange(1000)):
+        try:
+            images.append(veronese(pt).elem)
+        except BasePointError:
+            continue
+    assert len(images) >= 2
+    basis = alg.basis()
+    for x in images:
+        assert x.is_rank_one() and literal_rank_one(x)
+        y = x + basis[rng.randrange(len(basis))]
+        if not y.is_zero():
+            assert y.is_rank_one() == literal_rank_one(y), y
+    sums = [x + y for k, x in enumerate(images) for y in images[k + 1:]]
+    for x in sums + [alg.basis_idempotent(0) + alg.basis_idempotent(1)]:
+        assert not x.is_rank_one() and not literal_rank_one(x), x
+
+
+def test_principal_blocks_do_not_decide_rank_one():
+    """At (3, 2, 4) with b = (1, 2, 1, 2), split quaternions: x_03 = (1, 0, 2, 0)
+    and x_12 = (0, 0, 1, 1) are isotropic on disjoint index pairs, so every
+    principal 3 x 3 block has zero cubic adjoint, yet x is not rank one."""
+    alg = JordanAlgebra(CDAlgebra(PrimeField(3), [1, 1]), (1, 2, 1, 2))
+    x = alg.from_parts([0] * 4, {(0, 3): [1, 0, 2, 0], (1, 2): [0, 0, 1, 1]})
+    for block in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        sub = JordanAlgebra(alg.cd, [alg.b[i] for i in block])
+        entries = [[x.entries[i][j] for j in block] for i in block]
+        assert sub.element(entries).adjoint_sharp().is_zero()
+    assert not x.is_rank_one() and not literal_rank_one(x)
+
+
 def test_rank_one_calls_no_jordan_product_at_n3(monkeypatch):
     """At n = 3 the rank-one test and the adjoint work on entries alone."""
     alg = shape_alg(PrimeField(7), 3, 3)
@@ -313,6 +363,21 @@ def test_rank_one_calls_no_jordan_product_at_n3(monkeypatch):
     monkeypatch.setattr(JordanElem, "u_operator", refuse)
     assert [x.is_rank_one() for x in xs] == [True, False, False]
     assert [x.adjoint_sharp().is_zero() for x in xs] == [True, False, False]
+
+
+def test_rank_one_builds_no_scalar_at_n4(monkeypatch):
+    """At n >= 4 the rank-one loop runs on plain values: with
+    PrimeField.wrap refusing, it still answers on (7, 2, 4)."""
+    alg = shape_alg(PrimeField(7), 2, 4)
+    images = [veronese(pt).elem for pt in sweeps.sample_quadric_points(alg, 3, seed=8)]
+    xs = images + [images[0] + images[1], alg.basis_idempotent(0) + alg.basis_idempotent(1)]
+    alg.basis()
+
+    def refuse(*args):
+        raise AssertionError("F_p scalar built in the rank-one loop")
+
+    monkeypatch.setattr(PrimeField, "wrap", refuse)
+    assert [x.is_rank_one() for x in xs] == [True, True, True, False, False]
 
 
 def p3_points(alg):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import random_scalar
 
 from jordanquad import quadform
 from jordanquad.quadform import (QuadForm, bilinear, evaluate,
@@ -48,6 +49,28 @@ def test_tensor_perp_evaluate():
         tensor(f, QuadForm(F7, (1,)))
     with pytest.raises(ValueError):
         evaluate(f, (1, 2, 3))
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F7, PrimeField(2**61 - 1)], ids=str)
+def test_evaluate_and_bilinear_match_scalar_sums(field):
+    """q(v) and B(u, v), summed on plain values, equal the sums of field
+    scalars, with the field's scalar type, on vectors of scalars, ints and
+    strings; a length mismatch raises ValueError."""
+    rng = random.Random(f"evaluate:{field}")
+    for dim in (1, 3, 6):
+        f = QuadForm(field, [random_scalar(field, rng, zero_frac=0) for _ in range(dim)])
+        u, v = ([random_scalar(field, rng) for _ in range(dim)] for _ in range(2))
+        want_q = sum((d * x * x for d, x in zip(f.coeffs, v)), field.zero())
+        want_b = sum((d * x * y for d, x, y in zip(f.coeffs, u, v)), field.zero())
+        for got, want in ((evaluate(f, v), want_q), (bilinear(f, u, v), want_b),
+                          (evaluate(f, [str(x) for x in v]), want_q),
+                          (bilinear(f, [x.v if field.kind == "Fp" else x for x in u],
+                                    [str(y) for y in v]), want_b)):
+            assert got == want and type(got) is type(field.zero())
+        with pytest.raises(ValueError):
+            evaluate(f, v + [0])
+        with pytest.raises(ValueError):
+            bilinear(f, u, v[1:])
 
 
 # -- Hilbert symbols --------------------------------------------------------
