@@ -52,7 +52,7 @@ class ProjPointC:
             raise TypeError("algebra must be a JordanAlgebra")
         cd, field = algebra.cd, algebra.field
         cparts = [c if isinstance(c, CDElem) else cd.element(c) for c in cparts]
-        if any(c.algebra != cd for c in cparts):
+        if any(c.algebra is not cd and c.algebra != cd for c in cparts):
             raise AlgebraMismatchError("coordinate from the wrong composition algebra")
         if len(cparts) != algebra.n - 1:
             raise ValueError(f"need {algebra.n - 1} C-coordinates")

@@ -15,12 +15,24 @@ unwrapped to integers over one common denominator, 1/2 and the ratios
 b_i / b_j are kept as (num, den) pairs, and an entry of x o y accumulates
 its composition-algebra products as integers.  The product itself,
 _jordan_values, takes and returns such matrices of values (reduced mod p
-on F_p); jordan_mul unwraps, calls it and wraps each coordinate once.
-The rank-one test for n >= 4 and birational's x(c)^2 = 0 test chain it on
-values and build no scalar.  At n = 3 the rank-one test and the cubic
+on F_p); jordan_mul unwraps, calls it and wraps each coordinate once, and
+birational's x(c)^2 = 0 test squares on values without building a scalar.
+
+The rank-one test reads entries, not products.  At n = 3 it and the cubic
 adjoint x^# share one helper that computes the six independent entries of
-x^# the same way.  u_operator and trace_form are written with the wrapped
-operations and serve as the rank-one oracle in the tests.
+x^# on values.  At n >= 4 C is associative (octonions need n = 3), and x
+is rank one exactly when the 2^r n x 2^r n matrix Lambda(x) of x acting
+on C^n by left multiplication has rank at most 2^r over F: a rank-one
+x_ij = c_i conj(c_j) b_j gives Lambda(x_ij) = Lambda(c_i)
+Lambda(conj(c_j) b_j), so Lambda(x) factors through 2^r columns.  For
+split C, J is Sym_n(F), M_n(F) or Alt_2n(F) and this is the matrix rank
+test, whose loci are the quadric, the point-hyperplane incidence variety
+and the isotropic Grassmannian IG(2, 2n) (Landsberg-Manivel, "The
+projective geometry of Freudenthal's magic square", J. Algebra 239, 2001).
+_rank_at_most answers it by one fraction-free elimination on the values.
+u_operator and trace_form are written with the wrapped operations and
+state the criterion U_x J = F x literally (McCrimmon); the tests check
+both tests, and the converse of the rank bound, against them.
 """
 
 import math
@@ -75,6 +87,53 @@ def _jordan_values(alg, x, dx, y, dy):
                 f = hn * rn * (lcm // rd)
                 rows[j][i] = reduce([f * acc[0]] + [-f * a for a in acc[1:]])
     return rows, dx * dy * cd._gamma_den * hd * lcm
+
+
+def _rank_at_most(alg, x, bound):
+    """rank_F Lambda(x) <= bound, for x the n x n matrix of coordinate
+    lists of an element of alg over any common denominator (scaling does
+    not change the rank), C associative.
+
+    Lambda(x) has the left-regular matrix of x_ij as its (i, j) block:
+    e_s e_t = gamma(s, t) e_{s XOR t} puts (x_ij)_s gamma(s, t) at row
+    i m + (s XOR t), column j m + t, with the table's numerators.  The
+    elimination is fraction-free and the same on both fields: each row with
+    a nonzero entry in the pivot's column is cross-multiplied with the
+    pivot, reduced (mod p on F_p) and divided by the gcd of its entries (a
+    unit mod p, since the residues of a nonzero row lie below p).  Zero rows
+    drop out, and the first pivot past the bound answers.
+    """
+    n, m, gamma, reduce = alg.n, alg.cd.dim, alg.cd._gamma_v, alg.field.reduce
+    rows = []
+    for xi in x:
+        block = [[0] * (n * m) for _ in range(m)]
+        for j, e in enumerate(xi):
+            for s, a in enumerate(e):
+                if a:
+                    g = gamma[s]
+                    for t in range(m):
+                        block[s ^ t][j * m + t] = a * g[t]
+        rows += [row for row in map(reduce, block) if any(row)]
+    rank = 0
+    while rows:
+        if rank == bound:
+            return False
+        pivot = rows.pop()
+        c = next(k for k, a in enumerate(pivot) if a)
+        lead, kept = pivot[c], []
+        for row in rows:
+            a = row[c]
+            if a:
+                row = reduce([lead * u - a * v for u, v in zip(row, pivot)])
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                if g > 1:
+                    row = [u // g for u in row]
+            kept.append(row)
+        rows = kept
+        rank += 1
+    return True
 
 
 class JordanAlgebra:
@@ -140,7 +199,7 @@ class JordanAlgebra:
                 e = entries[i][j]
                 if not isinstance(e, CDElem):
                     e = self.cd.element(e)
-                elif e.algebra != self.cd:
+                elif e.algebra is not self.cd and e.algebra != self.cd:
                     raise AlgebraMismatchError("entry from a different composition algebra")
                 row.append(e)
             rows.append(tuple(row))
@@ -385,43 +444,34 @@ class JordanElem:
         return diag, upper, den * den * g
 
     def is_rank_one(self):
-        """U_x y = tau(x, y) x for every y in a fixed k-basis of J: U_x J is
-        the line through x, with the scalar forced by the trace form.
+        """x lies on the rank-one locus: U_x J is the line through x
+        (McCrimmon), which u_operator and trace_form state literally and the
+        tests check against.
 
         At n = 3 this is x^# = 0 on x != 0: in a cubic algebra
         U_x y = T(x, y) x - x^# * y, * the cross product of the adjoint, and
         x^# * 1 = T(x^#) 1 - x^# vanishes only at x^# = 0 outside
-        characteristic 2.  The six entries of _sharp_values are tested.  At
-        n >= 4 U_x y = 2 x o (x o y) - x^2 o y is expanded as in u_operator,
-        on plain values through _jordan_values: x and x^2 once, then for
-        each y the products x o y, x o (x o y) and x^2 o y, and
-        tau(x, y) = trace(x o y) from the diagonal's e_0 values.  Both sides
-        are sigma_b-symmetric, so the upper triangle is compared, with the
-        four denominators cross-multiplied; the first failure answers.
+        characteristic 2.  The six entries of _sharp_values are tested.
+
+        At n >= 4 C is associative (r <= 2) and the test is
+        rank_F Lambda(x) <= 2^r, by _rank_at_most: Lambda(x) is the
+        2^r n x 2^r n matrix of x acting on C^n by left multiplication.  A
+        rank-one x has entries x_ij = c_i conj(c_j) b_j, and since left
+        multiplication is multiplicative on an associative C, Lambda(x) is
+        the product of the column of the Lambda(c_i) and the row of the
+        Lambda(conj(c_j) b_j), which factors through 2^r columns.  For split
+        C, J is Sym_n(F), M_n(F) or Alt_2n(F) and the bound is the matrix
+        rank test there (Landsberg-Manivel, "The projective geometry of
+        Freudenthal's magic square", J. Algebra 239, 2001); that the bound
+        implies rank one is what the tests check against the U-operator.
         """
         if self.is_zero():
             raise ValueError("rank of the zero element is undefined")
         alg = self.algebra
-        n, reduce = alg.n, alg.field.reduce
-        if n == 3:
+        if alg.n == 3:
             diag, upper, _ = self._sharp_values()
-            return not any(reduce(diag + [a for u in upper.values() for a in u]))
-        x, dx = self._values()
-        x2, d2 = _jordan_values(alg, x, dx, x, dx)
-        for e in alg.basis():
-            y, dy = e._values()
-            xy, dxy = _jordan_values(alg, x, dx, y, dy)
-            a, da = _jordan_values(alg, x, dx, xy, dxy)
-            c, dc = _jordan_values(alg, x2, d2, y, dy)
-            t = sum(xy[i][i][0] for i in range(n))
-            # 2 a / da - c / dc = (t / dxy) x / dx, times da dc dxy dx
-            fa, fc, fx = 2 * dc * dxy * dx, da * dxy * dx, t * da * dc
-            for i in range(n):
-                for j in range(i, n):
-                    if any(reduce([fa * u - fc * v - fx * w
-                                   for u, v, w in zip(a[i][j], c[i][j], x[i][j])])):
-                        return False
-        return True
+            return not any(alg.field.reduce(diag + [a for u in upper.values() for a in u]))
+        return _rank_at_most(alg, self._values()[0], alg.cd.dim)
 
     def adjoint_sharp(self):
         """Cubic adjoint x^# = x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1 (n = 3),

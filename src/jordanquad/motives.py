@@ -228,9 +228,8 @@ class MotiveExpr:
 # cost grows as a power of n: on a shared 2-core x86-64 VM `orbits dims
 # --r 2` took 0.26 s at n = 30, 2.9 s at n = 60 and 18 s at n = 100, and
 # `verify blowup --n-range 3..30` 0.4 s; `rank --config` on a rank-one
-# element with r = 1 over Q, whose U-operator test grows about as n^4, took
-# 0.23 s at n = 12, 1.2 s at n = 20 and 5-7 s at n = 30.  At 30 every such
-# command answers within seconds.
+# element with r = 1 over Q took 0.09-0.15 s at n = 30, its rank-one test
+# 3 ms.  At 30 every such command answers within seconds.
 MAX_N = 30
 
 

@@ -9,9 +9,9 @@ no rational points at all when the norm form is anisotropic).
 
 The sampled path goes through the exact high-level objects (CDElem,
 JordanElem) rather than the kernels, so the two routes validate each
-other; rank-one checks ride on a subsample because they are the dearest
-test per point: the entries of x^# at n = 3, and a full basis sweep of
-U-operator evaluations at n >= 4.
+other; rank-one checks ride on a subsample: the entries of x^# at n = 3,
+and at n >= 4 a rank bound on the 2^r n square matrix of left
+multiplication by x.
 """
 
 import operator

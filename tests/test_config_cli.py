@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -390,6 +391,26 @@ def test_config_n_above_max_n_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rank", "--config", cfg, "--elem", "[[[1, 0]]]")
     assert code == 2 and not out
     assert err.startswith("error: n: ") and err.count("\n") == 1 and str(n) in err
+
+
+def test_cli_rank_at_max_n(capsys, tmp_path):
+    """rank at n = MAX_N, r = 1 over Q: the image of c_i = (1, i mod 3),
+    c_n = 1 with b all 1 is rank one, and the same matrix plus E_11 is
+    not."""
+    from jordanquad import motives
+    from jordanquad.birational import ProjPointC, veronese
+
+    n = motives.MAX_N
+    cfg = write_config(tmp_path, f'field = "Q"\nr = 1\na = [-1]\nn = {n}\nb = {[1] * n}\n')
+    alg = load_config(cfg).algebra()
+    x = veronese(ProjPointC(alg, [[1, i % 3] for i in range(1, n)], 1)).elem
+    matrix = [[[str(c) for c in e.coords] for e in row] for row in x.entries]
+    for want in (True, False):
+        code, out, _ = run_cli(capsys, "rank", "--config", cfg, "--elem",
+                               json.dumps({"matrix": matrix}))
+        assert code == 0
+        assert json.loads(out) == {"rank_one": want, "sharp_zero": None}
+        matrix[0][0][0] = str(Fraction(matrix[0][0][0]) + 1)
 
 
 @pytest.mark.parametrize("suite", ["krashen", "blowup"])

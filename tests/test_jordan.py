@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from conftest import assert_canonical, large_scalar, random_scalar
 
-from jordanquad import _fpcore_py, sweeps
+from jordanquad import _fpcore_py, jordan, sweeps
 from jordanquad.birational import veronese
 from jordanquad.cayley_dickson import CDAlgebra, _mul_rec
 from jordanquad.errors import AlgebraMismatchError, BasePointError
-from jordanquad.jordan import JordanAlgebra, JordanElem
+from jordanquad.jordan import JordanAlgebra, JordanElem, _rank_at_most
+from jordanquad.quadform import QuadForm, fp_projective_zero_count
 from jordanquad.scalars import PrimeField, Rationals
 
 Q = Rationals()
@@ -366,18 +367,32 @@ def test_rank_one_calls_no_jordan_product_at_n3(monkeypatch):
 
 
 def test_rank_one_builds_no_scalar_at_n4(monkeypatch):
-    """At n >= 4 the rank-one loop runs on plain values: with
-    PrimeField.wrap refusing, it still answers on (7, 2, 4)."""
-    alg = shape_alg(PrimeField(7), 2, 4)
-    images = [veronese(pt).elem for pt in sweeps.sample_quadric_points(alg, 3, seed=8)]
-    xs = images + [images[0] + images[1], alg.basis_idempotent(0) + alg.basis_idempotent(1)]
-    alg.basis()
+    """At n >= 4 the rank-one test is one elimination on plain values: with
+    the fields' wrap, the basis and the Jordan product on values refusing,
+    it still answers on (7, 2, 4) and on the fractional (Q, 1, 4)."""
+    cases = []
+    for field, params, b, r in [(PrimeField(7), (-1, 2), (1, 2, -3, 5), 2),
+                                (*RANK_FIELDS[0], 1)]:
+        alg = JordanAlgebra(CDAlgebra(field, params[:r]), b[:4])
+        images = []
+        for pt in sweeps.sample_quadric_points(alg, 4, seed=8):
+            try:
+                images.append(veronese(pt).elem)
+            except BasePointError:
+                continue
+        assert len(images) >= 3
+        cases.append(images[:3] + [images[0] + images[1],
+                                   alg.basis_idempotent(0) + alg.basis_idempotent(1)])
 
     def refuse(*args):
-        raise AssertionError("F_p scalar built in the rank-one loop")
+        raise AssertionError("scalar, basis or Jordan product in the rank-one test")
 
     monkeypatch.setattr(PrimeField, "wrap", refuse)
-    assert [x.is_rank_one() for x in xs] == [True, True, True, False, False]
+    monkeypatch.setattr(Rationals, "wrap", refuse)
+    monkeypatch.setattr(JordanAlgebra, "basis", refuse)
+    monkeypatch.setattr(jordan, "_jordan_values", refuse)
+    for xs in cases:
+        assert [x.is_rank_one() for x in xs] == [True, True, True, False, False]
 
 
 def p3_points(alg):
@@ -394,18 +409,33 @@ def p3_points(alg):
     ([2], (1, 1, 2), 9841, 3 ** 4 + 3 ** 2 + 1, 0),       # C = F_9: P^2(F_9)
 ])
 def test_rank_one_on_every_point_at_p3(params, b, points, rank_one, zero_diagonal):
-    """The entry test against the U-operator oracle on all of P(J), with
-    the rank-one counts of the closed forms; the split algebra has rank-one
-    points whose diagonal is zero."""
+    """The entry test against the U-operator oracle and the rank bound of
+    Lambda(x) on all of P(J), with the rank-one counts of the closed forms;
+    the split algebra has rank-one points whose diagonal is zero."""
     alg = JordanAlgebra(CDAlgebra(PrimeField(3), params), b)
     seen = found = no_diagonal = 0
     for x in p3_points(alg):
         got = x.is_rank_one()
-        assert got == literal_rank_one(x), x
+        assert got == literal_rank_one(x) == _rank_at_most(alg, x._values()[0], alg.cd.dim), x
         seen += 1
         found += got
         no_diagonal += got and not any(x.entries[i][i] for i in range(3))
     assert (seen, found, no_diagonal) == (points, rank_one, zero_diagonal)
+
+
+def test_traceless_rank_one_points_at_n4_count_the_quadric():
+    """(3, 0, 4), b = (1, 2, 1, 2): the traceless rank-one points of P(J)
+    are the images x_ij = c_i c_j b_j of the zeros of <b> in P^3, so
+    is_rank_one, run on every point of the traceless hyperplane (x_33 is
+    minus the other three diagonal entries), counts the quadric."""
+    b = (1, 2, 1, 2)
+    alg = JordanAlgebra(CDAlgebra(PrimeField(3), []), b)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    count = 0
+    for v in _fpcore_py._points(3, alg.dim - 1):
+        x = alg.from_parts([*v[:3], -sum(v[:3])], {ij: [a] for ij, a in zip(pairs, v[3:])})
+        count += x.is_rank_one()
+    assert count == fp_projective_zero_count(QuadForm(alg.field, b)) == 16
 
 
 def test_rank_one_octonions_at_p7():
