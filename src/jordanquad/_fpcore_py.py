@@ -14,7 +14,10 @@ which those fibres pay for, while isotropic_vector, which stops at the
 first zero, and a shorter sweep take one square root mod p per fibre and
 store nothing of size p.  At p near 2^31 that answers in milliseconds,
 where a walk over every point can take a minute.  No walk stores range(p)
-either: the odometers are nested generators.
+either: the odometers are nested generators.  The quadric sweep's other
+table, of the last prefix block's quadric terms, holds one entry per
+fibre at most and is built only when a level has at most _BLOCK_CAP =
+2^16 blocks, so it is bounded by the sweep and by the cap, never by p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -44,7 +47,9 @@ for all the points below it; each sweep loops over the last block itself.
   The prefixes are the points of the walk, every block a candidate.
 - A base-locus point has c_i conj(c_i) = 0 for every block, so only null
   blocks are candidates, and a level whose block fails a pair check
-  skips every point below it.
+  skips every point below it.  The null blocks are found once per sweep,
+  and only a block whose norm, the e_0 coordinate of c_i conj(c_i),
+  vanishes pays for the whole product.
 
 The quadric sweep makes each check at the outermost level where
 everything it reads is fixed.  On a fibre the blocks c_0..c_{n-2} are
@@ -60,11 +65,14 @@ of the trace, made per point.  The prefix's part is an AND over its
 blocks and its pairs of blocks.  The level that fixes block j reads that
 block's facts from a cache and checks each pair (c_i, c_j), i < j, by
 linear maps of c_j built at the level that fixed c_i.  The innermost
-step moves only the last prefix block: it adds that block's norm to the
-quadric value and looks up the roots, and only a fibre with roots pays
-for that block's checks.  The base-locus sweep checks its pairs the same
-way, one product c_i conj(c_j) per pair, and sums the corner of x(c)^2
-level by level.
+step moves only the last prefix block, whose quadric term depends on
+that block alone.  The sweep groups the blocks of that level by term
+once, the lead level and the later levels apart, and for each choice of
+the outer blocks looks up the roots once per class; only the blocks of
+a class with roots pay for their checks.  Past _BLOCK_CAP blocks each
+block is a class of its own, its term summed as it is read.  The
+base-locus sweep checks its pairs the same way, one product
+c_i conj(c_j) per pair, and sums the corner of x(c)^2 level by level.
 """
 
 import functools
@@ -72,6 +80,10 @@ import itertools
 import operator
 
 from .scalars import is_prime
+
+# at most this many blocks are held per sweep level: the quadric sweep's
+# block cache and its table of the last prefix block's terms
+_BLOCK_CAP = 1 << 16
 
 
 def _check_modulus(p):
@@ -160,6 +172,16 @@ def _root_table(p, wl):
     return roots.get
 
 
+def _norm_classes(terms):
+    """The classes (v, blocks) of `terms` merged by v, as a list of pairs
+    in the order of each v's first class, each one's blocks in the order
+    given."""
+    classes = {}
+    for v, blocks in terms:
+        classes.setdefault(v, []).extend(blocks)
+    return list(classes.items())
+
+
 def _tuples(p, k, head=()):
     """Yield head + t for every t in F_p^k, in lexicographic order.  The
     walk is lazy in p: itertools.product would first store range(p) as a
@@ -233,9 +255,9 @@ def _in_kernel(rows, y, p):
 def _block_walk(p, m, nn, limit, candidates, fix, state):
     """Walk the canonical points of P(F_p^{m nn}) of index below `limit`,
     as nn blocks of m coordinates, fixing every block but the last: yield
-    (f0, values, state) for each choice of blocks 0..nn-2 that is kept,
-    values the last block's candidates, the point whose last block has
-    index k having canonical index f0 + k.
+    (f0, lead, state) for each choice of blocks 0..nn-2 that is kept, lead
+    whether the last block is the first nonzero one, the point whose last
+    block has index k having canonical index f0 + k.
 
     The first nonzero block, the lead, runs through _points(p, m), and
     each later block through _tuples(p, m).  The blocks before the lead
@@ -249,24 +271,24 @@ def _block_walk(p, m, nn, limit, candidates, fix, state):
     candidates."""
     last = nn - 1
 
-    def walk(j, values, f0, state):
+    def walk(j, lead, f0, state):
         if j == last:
-            yield f0, values, state
+            yield f0, lead, state
             return
         stride = p ** (m * (last - j))      # points per value of block j
-        for k, cj in values:
+        for k, cj in candidates(lead):
             f = f0 + k * stride
             if f >= limit:
                 return
             s = fix(state, j, cj)
             if s is not None:
-                yield from walk(j + 1, candidates(False), f, s)
+                yield from walk(j + 1, False, f, s)
 
     f0 = 0                      # canonical index of the lead block's first point
     for i0 in range(nn):
         if f0 >= limit:
             return
-        yield from walk(i0, candidates(True), f0, state)
+        yield from walk(i0, True, f0, state)
         f0 += (p ** m - 1) // (p - 1) * p ** (m * (last - i0))
 
 
@@ -283,6 +305,12 @@ def _sweep_shape(p, b, gamma):
     return len(b), m
 
 
+def _norm_form(gamma, m):
+    """The norm form's coefficients N(e_t), read from the table's diagonal:
+    the e_0 coordinate of c conj(c) is sum_t N(e_t) c_t^2, for any table."""
+    return [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
+
+
 def quadric_sweep(p, b, gamma, limit=-1):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
@@ -296,11 +324,12 @@ def quadric_sweep(p, b, gamma, limit=-1):
     block a candidate.  The level that fixes block j adds its quadric and
     trace terms, ANDs its cached facts and checks the pairs (c_i, c_j),
     i < j, for the symmetry and for both products zero, and passes the
-    sums and ANDs down.  The last prefix block adds its quadric term and
-    looks up the roots; only a fibre with roots reads that block's facts
-    and checks its pairs.  The checks that read x (the trace, the symmetry
-    of row and column n-1, the base point and the round trip) are made
-    per point.
+    sums and ANDs down.  The last prefix block's candidates are grouped
+    by their quadric term once per sweep, and each choice of the outer
+    blocks looks up the roots once per class; only the blocks of a class
+    with roots read their facts and check their pairs.  The checks that
+    read x (the trace, the symmetry of row and column n-1, the base point
+    and the round trip) are made per point.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -312,7 +341,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     mul = _conj_product(p, m, gamma)
     basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
     e0 = basis[0]
-    pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
+    pf = _norm_form(gamma, m)
     # the last block is x e_0 and its diagonal entry x^2 g e_0, which for a
     # unit x is the round trip's b_n x (x e_0) exactly when gamma_00 = 1
     g = gamma[0] * b[n - 1] % p
@@ -323,10 +352,10 @@ def quadric_sweep(p, b, gamma, limit=-1):
     roots = _root_table if nfib >= (p - 1) // 2 else _root_by_sqrt
     lookup = roots(p, b[n - 1] % p)
 
-    # the last prefix block runs through all p^m values in order, so a
-    # cache smaller than that evicts each entry before its next use; at
+    # each outer state reads the facts of up to p^m last prefix blocks, so
+    # a cache smaller than that evicts each entry before its next use; at
     # about 250 bytes an entry the cap holds it near 16 MiB
-    @functools.lru_cache(maxsize=min(p ** m, 1 << 16))
+    @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
     def block(ci):
         """What block c_i alone gives the checks: its norm N(c_i), whether
         c_i conj(c_i) is not scalar, its scalar part, whether it is 0,
@@ -361,52 +390,74 @@ def quadric_sweep(p, b, gamma, limit=-1):
 
     bl = b[n - 2]               # the last prefix block's b
     w = [bl * x for x in pf]
-    walk = _block_walk(p, m, n - 1, nfib,
-                       lambda lead: enumerate(_points(p, m) if lead else _tuples(p, m)),
-                       fix, (0, 0, 0, True, True, True, gamma[0] % p == 1, [], []))
-    for f0, values, (s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
-        # the last block's quadric term is summed here, and its cached facts
-        # are read only on a fibre with roots
-        for k, cj in itertools.islice(values, nfib - f0):
-            xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, cj, cj)))) % p)
-            if not xs:
+
+    def candidates(lead):
+        return enumerate(_points(p, m) if lead else _tuples(p, m))
+
+    def terms(lead, stop):
+        """Each candidate (k, c) of the last prefix block with k < stop as a
+        class of its own, (v, ((k, c),)), v = b_{n-2} N(c) its quadric term."""
+        return ((sum(map(operator.mul, w, map(operator.mul, c, c))) % p, ((k, c),))
+                for k, c in itertools.islice(candidates(lead), stop))
+
+    # the term depends on the block alone, so up to the cap each kind of
+    # level, lead or later, merges its candidates below the limit by term
+    # once per sweep; past it such a table would grow the sweep's memory
+    # several times for little speed, and the terms are summed as read
+    @functools.cache
+    def table(lead):
+        return _norm_classes(terms(lead, nfib))
+
+    tabled = p ** m <= _BLOCK_CAP
+    walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
+                       (0, 0, 0, True, True, True, gamma[0] % p == 1, [], []))
+    for f0, lead, (s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
+        # one root lookup per class; only a class with roots reads its
+        # blocks' cached facts
+        for v, blocks in table(lead) if tabled else terms(lead, nfib - f0):
+            roots_v = lookup((s + v) % p)
+            if not roots_v:
                 continue
-            f = f0 + k
-            if (f + 1) * p > scanned:
-                xs = [x for x in xs if f * p + x < scanned]
-                if not xs:
-                    continue
-            _, ns, d0, null, sx, col = block(cj)
-            z = zero and null and _in_kernel(zero_rows, cj, p)
-            sy = sym and _in_kernel(sym_rows, cj, p)
-            sx = sym_x and sx
-            ok = good and col
-            t = tr + bl * d0
-            on_quadric += len(xs)
-            # diagonal entries scalar; trace equals the quadric value (0 here)
-            diag_fail += len(xs) * (nonscalar + ns)
-            for x in xs:
-                if (t + g * x * x) % p:
-                    trace_fail += 1
-                # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
-                # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
-                # (i, j < n-1) for all x, on row and column n-1 for a unit x
-                if not (sy and (sx or not x)):
-                    sym_fail += 1
-                # a zero matrix is a base point, with nothing more to test:
-                # the b_j are units, so every c_i conj(c_j) = 0, and on the
-                # quadric the first n-1 diagonal entries sum to -b_n x^2, so
-                # x = 0; the corner is zero exactly then
-                if z:
-                    base_points += 1
-                # column n of the matrix, c_i conj(x) b_n, is the inverse
-                # map's slice; x = 0 makes it vanish: the inverse base locus
-                elif not x:
-                    zslice_points += 1
-                else:
-                    # column n equals b_n x c, block by block
-                    roundtrip_checked += 1
-                    roundtrip_fail += not ok
+            for k, cj in blocks:
+                f = f0 + k
+                if f >= nfib:
+                    break
+                xs = roots_v
+                if (f + 1) * p > scanned:
+                    xs = [x for x in xs if f * p + x < scanned]
+                    if not xs:
+                        continue
+                _, ns, d0, null, sx, col = block(cj)
+                z = zero and null and _in_kernel(zero_rows, cj, p)
+                sy = sym and _in_kernel(sym_rows, cj, p)
+                sx = sym_x and sx
+                ok = good and col
+                t = tr + bl * d0
+                on_quadric += len(xs)
+                # diagonal entries scalar; trace equals the quadric value (0 here)
+                diag_fail += len(xs) * (nonscalar + ns)
+                for x in xs:
+                    if (t + g * x * x) % p:
+                        trace_fail += 1
+                    # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
+                    # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
+                    # (i, j < n-1) for all x, on row and column n-1 for a unit x
+                    if not (sy and (sx or not x)):
+                        sym_fail += 1
+                    # a zero matrix is a base point, with nothing more to test:
+                    # the b_j are units, so every c_i conj(c_j) = 0, and on the
+                    # quadric the first n-1 diagonal entries sum to -b_n x^2, so
+                    # x = 0; the corner is zero exactly then
+                    if z:
+                        base_points += 1
+                    # column n of the matrix, c_i conj(x) b_n, is the inverse
+                    # map's slice; x = 0 makes it vanish: the inverse base locus
+                    elif not x:
+                        zslice_points += 1
+                    else:
+                        # column n equals b_n x c, block by block
+                        roundtrip_checked += 1
+                        roundtrip_fail += not ok
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
@@ -424,7 +475,8 @@ def z1_sweep(p, b, gamma, limit=-1):
     predicates agree with nothing left to verify.  The points are those of
     _block_walk whose every block c_i is null, c_i conj(c_i) = 0: the
     candidates are the null blocks among the first `scanned` of each
-    order, as a block's index never exceeds that of a point holding it.
+    order, as a block's index never exceeds that of a point holding it,
+    each block's norm tested before its product.
     c_j conj(c_i) is the conjugate of c_i conj(c_j), so the pairs i < j
     decide the rest: the level that fixes c_j checks c_i conj(c_j) = 0 for
     each fixed c_i, by the rows of y -> c_i conj(y) built where c_i was
@@ -440,13 +492,16 @@ def z1_sweep(p, b, gamma, limit=-1):
     z1_points = equiv_fail = 0
     mul = _conj_product(p, m, gamma)
     basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
+    pf = _norm_form(gamma, m)
 
     def null(blocks):
         """(k, (c, conj(c) c, rows of y -> c conj(y))) for each null block
-        c of index k < scanned in `blocks`."""
+        c of index k < scanned in `blocks`.  Only a block whose norm, the
+        e_0 coordinate of c conj(c), vanishes pays for the whole product."""
         out = []
         for k, c in zip(range(scanned), blocks):
-            if not any(mul(c, c)):
+            if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
+                    or any(mul(c, c))):
                 cc = _conj(p, c)
                 out.append((k, (c, mul(cc, cc), _rows([mul(c, et) for et in basis]))))
         return out
@@ -462,8 +517,8 @@ def z1_sweep(p, b, gamma, limit=-1):
 
     walk = _block_walk(p, m, nn, scanned, lambda lead: leads if lead else rest,
                        fix, ([0] * m, []))
-    for f0, values, (corner, rows) in walk:
-        for k, (c, term, _) in values:
+    for f0, lead, (corner, rows) in walk:
+        for k, (c, term, _) in leads if lead else rest:
             if f0 + k >= scanned:
                 break
             if _in_kernel(rows, c, p):

@@ -252,14 +252,6 @@ class JordanAlgebra:
             self._basis = tuple(out)
         return self._basis
 
-    def peirce_half_basis(self):
-        """k-basis of the eigenspace J_{1/2}(E_ii) = {x : x o E_ii = x/2},
-        i = n-1, the matrices supported on row/column i off the diagonal;
-        size 2^r (n-1)."""
-        i = self.n - 1
-        return [self.from_parts([0] * self.n, {(j, i): self.cd.basis(t)})
-                for j in range(i) for t in range(self.cd.dim)]
-
     def half_space_element(self, cvec):
         """The element of J_{1/2}(E_ii), i = n-1, whose column i is the given
         vector of C-coordinates (listed over the rows j < i, in order).  Row

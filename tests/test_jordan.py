@@ -174,11 +174,18 @@ def test_rank_one_iff_sharp_zero():
         assert checked >= 8
 
 
+def _unit_half_space_elements(alg):
+    """half_space_element of each unit C-vector: e_t in slot j, 0 elsewhere."""
+    cd, i = alg.cd, alg.n - 1
+    return [alg.half_space_element([cd.basis(t) if k == j else cd.zero() for k in range(i)])
+            for j in range(i) for t in range(cd.dim)]
+
+
 def test_peirce_half_basis():
     alg0 = make_alg(r=0, n=3, b=(1, 1, 1))
-    assert len(alg0.peirce_half_basis()) == 2
+    assert len(_unit_half_space_elements(alg0)) == 2
     alg2 = make_alg(r=2, n=3)
-    basis = alg2.peirce_half_basis()
+    basis = _unit_half_space_elements(alg2)
     assert len(basis) == 8
     u = alg2.basis_idempotent(2)
     half = Fraction(1, 2)

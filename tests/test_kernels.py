@@ -462,6 +462,79 @@ def test_small_limit_builds_no_large_table(monkeypatch):
     assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
 
+def test_z1_sweep_forms_products_only_where_the_norm_vanishes(monkeypatch):
+    """The e_0 coordinate of c conj(c) is the norm of c, so the z1 sweep of
+    fp_algebra(41, 1, 3), 1,723 blocks of which 83 are null, forms a
+    product only for the blocks that pass it."""
+    alg = sweeps.fp_algebra(41, 1, 3)
+    calls = [0]
+    conj_product = _fpcore_py._conj_product
+
+    def counting_product(*args):
+        mul = conj_product(*args)
+
+        def counting(x, y):
+            calls[0] += 1
+            return mul(x, y)
+
+        return counting
+
+    monkeypatch.setattr(_fpcore_py, "_conj_product", counting_product)
+    assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
+        sweeps.projective_size(41, 4), sweeps.z1_expected_count(alg), 0)
+    assert calls[0] <= 400
+
+
+def test_quadric_sweep_draws_each_last_block_once(monkeypatch):
+    """The last prefix block's quadric term depends on that block alone:
+    a complete sweep of fp_algebra(7, 1, 3) draws the p^m candidates of
+    that level once, not once per lead block before it."""
+    alg = sweeps.fp_algebra(7, 1, 3)
+    drawn = [0]
+    tuples = _fpcore_py._tuples
+
+    def counting_tuples(*args):
+        for t in tuples(*args):
+            drawn[0] += 1
+            yield t
+
+    monkeypatch.setattr(_fpcore_py, "_tuples", counting_tuples)
+    raw = _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(alg))
+    assert raw[1:3] == (fp_projective_zero_count(q_form(alg)), sweeps.z1_expected_count(alg))
+    p, m = 7, 2
+    leads = (p ** m - 1) // (p - 1)
+    # block 0 runs through the leads; each level's candidates are drawn once
+    assert drawn[0] <= leads + p ** m + leads
+
+
+def test_quadric_sweep_past_the_cap_builds_no_table(monkeypatch):
+    """fp_algebra(5, 3, 3) has 5^8 > 2^16 blocks: its quadric sweep sums
+    each last block's term as it reads it and merges none into a table.
+    The table, allowed by a raised cap, gives the same counters, as does
+    no table on shapes below the cap, complete and cut."""
+    tables = [0]
+    norm_classes = _fpcore_py._norm_classes
+
+    def counting_classes(terms):
+        tables[0] += 1
+        return norm_classes(terms)
+
+    monkeypatch.setattr(_fpcore_py, "_norm_classes", counting_classes)
+    ki = sweeps.kernel_inputs(sweeps.fp_algebra(5, 3, 3))
+    limit = 5 * (1 << 13) + 3
+    raw = _fpcore_py.quadric_sweep(*ki, limit)
+    assert tables[0] == 0
+    monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 5 ** 8)
+    assert _fpcore_py.quadric_sweep(*ki, limit) == raw and tables[0] > 0
+    for p, r, n in ((5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3)):
+        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
+        limits = (-1, 7 * p + 3, 400)
+        monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 1 << 16)
+        want = [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits]
+        monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 0)
+        assert [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits] == want, (p, r, n)
+
+
 def test_short_pure_sweeps_at_large_p():
     """A sweep of 100 points at p = 1,000,003 builds nothing of size p: the
     quadric sweep takes a square root per fibre instead of a table of the
