@@ -8,11 +8,12 @@ verification suites.
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
 below rely on p being prime (a nonzero residue is a unit), and so do the
-square roots: a quadric sweep through at least (p - 1)/2 fibres reads the
-last coordinate's roots from a table of the (p - 1)/2 nonzero squares,
-which those fibres pay for, while isotropic_vector, which stops at the
-first zero, and a shorter sweep take one square root mod p per fibre and
-store nothing of size p.  At p near 2^31 that answers in milliseconds,
+square roots: a sweep through at least (p - 1)/2 fibres (of the quadric,
+or of the norm for the base locus's null blocks) reads the last
+coordinate's roots from a table of the (p - 1)/2 nonzero squares, which
+those fibres pay for, while isotropic_vector, which stops at the first
+zero, and a shorter sweep take one square root mod p per fibre and store
+nothing of size p.  At p near 2^31 that answers in milliseconds,
 where a walk over every point can take a minute.  No walk stores range(p)
 either: the odometers are nested generators.  The quadric sweep's other
 table, of the last prefix block's quadric terms, holds one entry per
@@ -47,9 +48,11 @@ for all the points below it; each sweep loops over the last block itself.
   The prefixes are the points of the walk, every block a candidate.
 - A base-locus point has c_i conj(c_i) = 0 for every block, so only null
   blocks are candidates, and a level whose block fails a pair check
-  skips every point below it.  The null blocks are found once per sweep,
-  and only a block whose norm, the e_0 coordinate of c_i conj(c_i),
-  vanishes pays for the whole product.
+  skips every point below it.  The null blocks are found once per sweep
+  from the norm's fibres: the norm is the e_0 coordinate of
+  c_i conj(c_i), so the blocks of norm 0 are a prefix of m - 1
+  coordinates and a root of the last one, and only they are tested for
+  the rest of c_i conj(c_i) being 0.
 
 The quadric sweep makes each check at the outermost level where
 everything it reads is fixed.  On a fibre the blocks c_0..c_{n-2} are
@@ -62,17 +65,27 @@ is a unit because p is prime, so a check of x v = 0, or of x v = x w, is a
 check of v = 0, or of v = w, and the b_i factor out of the same way: each
 check splits into a part on the prefix's products and a test of x = 0 and
 of the trace, made per point.  The prefix's part is an AND over its
-blocks and its pairs of blocks.  The level that fixes block j reads that
-block's facts from a cache and checks each pair (c_i, c_j), i < j, by
-linear maps of c_j built at the level that fixed c_i.  The innermost
-step moves only the last prefix block, whose quadric term depends on
-that block alone.  The sweep groups the blocks of that level by term
-once, the lead level and the later levels apart, and for each choice of
-the outer blocks looks up the roots once per class; only the blocks of
-a class with roots pay for their checks.  Past _BLOCK_CAP blocks each
-block is a class of its own, its term summed as it is read.  The
-base-locus sweep checks its pairs the same way, one product
-c_i conj(c_j) per pair, and sums the corner of x(c)^2 level by level.
+blocks and its pairs of blocks.
+
+Each sweep forms the m^2 products E[s][t] = e_s conj(e_t) once and reads
+from them every fact a block gives its checks, for any table.  The e_0
+coordinate of c conj(c) is N(c), so the trace on a fibre is
+(gamma_00 - 1) b_n x^2; the rest of c conj(c) is a quadratic form in c;
+the checks of column n-1 are linear in c, and a pair check (c_i, c_j),
+i < j, is linear in c_j by rows built at the level that fixed c_i.  For
+a true table all of these but the rows of the product checks are empty,
+and no block forms a product.
+
+The innermost step moves only the last prefix block, whose quadric term
+depends on that block alone.  The quadric sweep groups that level's
+blocks by term once per sweep, the lead level and the later levels
+apart, each class with the counts of its blocks failing each of their
+own checks, and adds a class's counters at once for each choice of the
+outer blocks; a class that the outer blocks' rows or the limit tell
+apart goes one block at a time through the same counter body.  Past
+_BLOCK_CAP blocks each block is a class of its own, its term summed as
+it is read.  The base-locus sweep keeps its rows in reduced echelon form
+and runs its last block through the null vectors of their kernel.
 """
 
 import functools
@@ -81,8 +94,8 @@ import operator
 
 from .scalars import is_prime
 
-# at most this many blocks are held per sweep level: the quadric sweep's
-# block cache and its table of the last prefix block's terms
+# at most this many blocks are held per sweep level: the sweeps' block
+# caches and the quadric sweep's table of the last prefix block's terms
 _BLOCK_CAP = 1 << 16
 
 
@@ -239,9 +252,52 @@ def _conj(p, v):
     return [v[0] % p, *(-x % p for x in v[1:])]
 
 
+def _basis_products(p, m, gamma):
+    """(mul, E) for a table: mul = _conj_product(p, m, gamma) and
+    E[s][t] = e_s conj(e_t), the m^2 products a sweep forms once.  The
+    product is bilinear, so c conj(y) = sum_{s,t} c_s y_t E[s][t]."""
+    mul = _conj_product(p, m, gamma)
+    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
+    return mul, [[mul(u, v) for v in basis] for u in basis]
+
+
+def _nonscalar(p, E):
+    """c -> whether c conj(c) has a nonzero coordinate off e_0.  Its
+    coordinate k != 0 is the form sum (E[s][t] + E[t][s])_k c_s c_t over
+    s < t with s XOR t = k, read from E once; for a true table every form
+    is zero, as c conj(c) = N(c)."""
+    forms = {}
+    for s, t in itertools.combinations(range(len(E)), 2):
+        if g := (E[s][t][s ^ t] + E[t][s][s ^ t]) % p:
+            forms.setdefault(s ^ t, []).append((s, t, g))
+    forms = list(forms.values())
+
+    def ns(c):
+        return any(sum(g * c[s] * c[t] for s, t, g in form) % p for form in forms)
+
+    return ns
+
+
 def _rows(cols):
     """The nonzero rows of the linear map whose column t is cols[t]."""
     return [r for r in zip(*cols) if any(r)]
+
+
+def _linear_rows(p, images):
+    """c -> the nonzero rows of sum_s c_s M_s mod p, images[s] the columns
+    of the linear map M_s: for maps linear in a block c, each M_s its value
+    at c = e_s.  The entries are read once; when every M_s is zero no
+    block pays for anything."""
+    width = len(images[0])
+    entries = list(zip(*(itertools.chain.from_iterable(zip(*cols)) for cols in images)))
+    if not any(map(any, entries)):
+        return lambda c: []
+
+    def rows(c):
+        flat = [sum(map(operator.mul, c, e)) % p for e in entries]
+        return [r for r in zip(*[iter(flat)] * width) if any(r)]
+
+    return rows
 
 
 def _in_kernel(rows, y, p):
@@ -250,6 +306,40 @@ def _in_kernel(rows, y, p):
         if sum(map(operator.mul, row, y)) % p:
             return False
     return True
+
+
+def _echelon(p, rows):
+    """The reduced row echelon form mod p of the span of `rows`, as a list
+    of tuples in increasing pivot order, each pivot 1."""
+    out = {}                    # pivot column -> row
+    for r in rows:
+        for j, e in out.items():
+            if r[j]:
+                r = [(x - r[j] * y) % p for x, y in zip(r, e)]
+        j = next((j for j, x in enumerate(r) if x % p), None)
+        if j is not None:
+            inv = pow(r[j], -1, p)
+            r = [x * inv % p for x in r]
+            out = {i: [(x - e[j] * y) % p for x, y in zip(e, r)] if e[j] else e
+                   for i, e in out.items()}
+            out[j] = r
+    return [tuple(out[j]) for j in sorted(out)]
+
+
+def _kernel(p, m, rows):
+    """Every y in F_p^m with rows y = 0, for rows in reduced echelon form:
+    the free coordinates run through F_p and each pivot one is minus its
+    row on them."""
+    pivots = [row.index(1) for row in rows]
+    free = [j for j in range(m) if j not in pivots]
+    deps = [(i, [-row[j] for j in free]) for i, row in zip(pivots, rows)]
+    y = [0] * m
+    for a in itertools.product(range(p), repeat=len(free)):
+        for j, x in zip(free, a):
+            y[j] = x
+        for i, row in deps:
+            y[i] = sum(map(operator.mul, row, a)) % p
+        yield tuple(y)
 
 
 def _block_walk(p, m, nn, limit, candidates, fix, state):
@@ -321,15 +411,19 @@ def quadric_sweep(p, b, gamma, limit=-1):
     the points on the quadric are visited, one fibre at a time.
 
     The fibres' prefixes c_0..c_{n-2} are the points of _block_walk, every
-    block a candidate.  The level that fixes block j adds its quadric and
-    trace terms, ANDs its cached facts and checks the pairs (c_i, c_j),
-    i < j, for the symmetry and for both products zero, and passes the
-    sums and ANDs down.  The last prefix block's candidates are grouped
-    by their quadric term once per sweep, and each choice of the outer
-    blocks looks up the roots once per class; only the blocks of a class
-    with roots read their facts and check their pairs.  The checks that
-    read x (the trace, the symmetry of row and column n-1, the base point
-    and the round trip) are made per point.
+    block a candidate.  The level that fixes block j adds its quadric term,
+    ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
+    symmetry and for both products zero, and passes the sums and ANDs
+    down.  The last prefix block's candidates are grouped by their quadric
+    term once per sweep, each class with the counts of its blocks' facts,
+    and each choice of the outer blocks looks up the roots once per class
+    and adds the class's counters at once.  A class whose blocks the fixed
+    blocks' symmetry rows or the limit tell apart is counted block by
+    block; while every product of the fixed blocks is zero, the base
+    points among the class of norm 0 are the null vectors of the zero
+    rows' kernel.  The checks that read x (the trace, the symmetry of row
+    and column n-1, the base point and the round trip) are counted per
+    root.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -338,55 +432,64 @@ def quadric_sweep(p, b, gamma, limit=-1):
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
-    mul = _conj_product(p, m, gamma)
-    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
-    e0 = basis[0]
+    _, E = _basis_products(p, m, gamma)
+    ns = _nonscalar(p, E)
     pf = _norm_form(gamma, m)
-    # the last block is x e_0 and its diagonal entry x^2 g e_0, which for a
-    # unit x is the round trip's b_n x (x e_0) exactly when gamma_00 = 1
-    g = gamma[0] * b[n - 1] % p
+    # the e_0 coordinate of c_i conj(c_i) is N(c_i), so the corner's trace
+    # is the prefix's quadric value and the whole trace on a fibre is
+    # (gamma_00 - 1) b_n x^2: it fails at each root x != 0 when gamma_00 != 1
+    bad_trace = gamma[0] % p != 1
     # fibres holding a point below the limit; the table of squares costs
     # (p - 1)/2 entries, and a sweep through fewer fibres than that takes a
     # square root per fibre instead
     nfib = -(-scanned // p)
     roots = _root_table if nfib >= (p - 1) // 2 else _root_by_sqrt
     lookup = roots(p, b[n - 1] % p)
+    # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
+    # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
+    sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(p, E[0][t]))]
+                     for t in range(m)])
+    col_rows = _rows([[(x - (k == t)) % p for k, x in enumerate(E[t][0])]
+                      for t in range(m)])
+    # the rows that check a later block y against a fixed block c, linear in
+    # c: y -> c conj(y) - conj(y conj(c)) for the symmetry, empty for a true
+    # table, and y -> (c conj(y), y conj(c)) for both products 0
+    sym_map = _linear_rows(p, [[[(x - y) % p for x, y in zip(E[s][t], _conj(p, E[t][s]))]
+                                for t in range(m)] for s in range(m)])
+    zero_map = _linear_rows(p, [[E[s][t] + E[t][s] for t in range(m)] for s in range(m)])
 
-    # each outer state reads the facts of up to p^m last prefix blocks, so
-    # a cache smaller than that evicts each entry before its next use; at
-    # about 250 bytes an entry the cap holds it near 16 MiB
+    # the fixed levels and the table read every block's facts, and a class
+    # counted block by block reads them again for each outer state; a cache
+    # smaller than p^m evicts each entry before its next use, and at about
+    # 370 bytes an entry with its key (m = 8) the cap holds it near 23 MiB
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
-    def block(ci):
-        """What block c_i alone gives the checks: its norm N(c_i), whether
-        c_i conj(c_i) is not scalar, its scalar part, whether it is 0,
-        whether C_i = conj(R_i) and whether C_i = c_i, where
-        C_i = c_i conj(e_0) and R_i = e_0 conj(c_i)."""
-        d = mul(ci, ci)
-        col, row = mul(ci, e0), mul(e0, ci)
-        return (sum(map(operator.mul, pf, map(operator.mul, ci, ci))),
-                any(d[1:]), d[0], not any(d), col == _conj(p, row), col == list(ci))
+    def block(c):
+        """What block c alone gives the checks: its norm N(c), whether
+        c conj(c) is not scalar, whether C = conj(R) and whether C = c."""
+        return (sum(map(operator.mul, pf, map(operator.mul, c, c))), ns(c),
+                _in_kernel(sx_rows, c, p), _in_kernel(col_rows, c, p))
+
+    def is_null(c):
+        """Whether c conj(c) = 0: its norm and its coordinates off e_0."""
+        nrm, ns_c, _, _ = block(c)
+        return not (nrm % p or ns_c)
 
     # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
     # x R_j b_j; the b_j are units, so the products without them decide
     # every check but the trace.  What the fixed blocks give: the quadric
-    # value s, the trace tr, the nonscalar diagonal entries, zero (every
-    # c_i conj(c_j) = 0), sym (sigma_b symmetry on the corner), sym_x (on
-    # row and column n-1), good (column n-1 is b_n x c) and the rows that
-    # check a later block y against them.  The rows are those of two
-    # linear maps of y, whose column t is their value at e_t since the
-    # table product is bilinear: y -> c_i conj(y) - conj(y conj(c_i)) for
-    # the symmetry, and y -> (c_i conj(y), y conj(c_i)) for both products 0.
+    # value s, the nonscalar diagonal entries, zero (every c_i conj(c_j) =
+    # 0), sym (sigma_b symmetry on the corner), sym_x (on row and column
+    # n-1), good (column n-1 is b_n x c) and the rows that check a later
+    # block against them, kept only while the check they serve holds, the
+    # zero rows in reduced echelon form
     def fix(state, j, cj):
-        s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
-        nrm, ns, d0, null, sx, col = block(cj)
-        us = [mul(cj, et) for et in basis]
-        vs = [mul(et, cj) for et in basis]
-        sym_cols = [[(u[0] - v[0]) % p, *((x + y) % p for x, y in zip(u[1:], v[1:]))]
-                    for u, v in zip(us, vs)]
-        return (s + b[j] * nrm, tr + b[j] * d0, nonscalar + ns,
-                zero and null and _in_kernel(zero_rows, cj, p),
-                sym and _in_kernel(sym_rows, cj, p), sym_x and sx, good and col,
-                sym_rows + _rows(sym_cols), zero_rows + _rows(us) + _rows(vs))
+        s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
+        nrm, ns_j, sx, col = block(cj)
+        zero = zero and is_null(cj) and _in_kernel(zero_rows, cj, p)
+        sym = sym and _in_kernel(sym_rows, cj, p)
+        return (s + b[j] * nrm, nonscalar + ns_j, zero, sym, sym_x and sx, good and col,
+                sym_rows + sym_map(cj) if sym else [],
+                _echelon(p, zero_rows + zero_map(cj)) if zero else [])
 
     bl = b[n - 2]               # the last prefix block's b
     w = [bl * x for x in pf]
@@ -396,68 +499,97 @@ def quadric_sweep(p, b, gamma, limit=-1):
 
     def terms(lead, stop):
         """Each candidate (k, c) of the last prefix block with k < stop as a
-        class of its own, (v, ((k, c),)), v = b_{n-2} N(c) its quadric term."""
-        return ((sum(map(operator.mul, w, map(operator.mul, c, c))) % p, ((k, c),))
+        class of its own, (v, ((k, c),), None), v = b_{n-2} N(c) its
+        quadric term."""
+        return ((sum(map(operator.mul, w, map(operator.mul, c, c))) % p, ((k, c),), None)
                 for k, c in itertools.islice(candidates(lead), stop))
 
     # the term depends on the block alone, so up to the cap each kind of
     # level, lead or later, merges its candidates below the limit by term
-    # once per sweep; past it such a table would grow the sweep's memory
-    # several times for little speed, and the terms are summed as read
+    # once per sweep, with each class's counts: its blocks, and how many of
+    # them have c conj(c) not scalar, fail C = conj(R) and fail C = c; past
+    # the cap such a table would grow the sweep's memory several times for
+    # little speed, and the terms are summed as read
     @functools.cache
     def table(lead):
-        return _norm_classes(terms(lead, nfib))
+        classes = []
+        for v, blocks in _norm_classes((v, kc) for v, kc, _ in terms(lead, nfib)):
+            facts = [(ns_c, not sx, not col) for _, ns_c, sx, col in (block(c) for _, c in blocks)]
+            classes.append((v, blocks, (len(blocks), *map(sum, zip(*facts)))))
+        return classes
 
-    tabled = p ** m <= _BLOCK_CAP
+    def apart(f0, blocks, roots_v, zero, sym, sym_x, good, sym_rows, zero_rows):
+        """Each block of a class with roots roots_v as a class of one, its
+        roots cut to the limit, up to the first block past it."""
+        for k, c in blocks:
+            f = f0 + k
+            if f >= nfib:
+                return
+            xs = roots_v
+            if (f + 1) * p > scanned:
+                xs = [x for x in xs if f * p + x < scanned]
+                if not xs:
+                    continue
+            _, ns_c, sx, col = block(c)
+            yield (xs, 1, ns_c, not (sym_x and sx), not (good and col),
+                   zero and is_null(c) and _in_kernel(zero_rows, c, p),
+                   sym and _in_kernel(sym_rows, c, p))
+
+    level = p ** m              # blocks of a later level
+    tabled = level <= _BLOCK_CAP
     walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
-                       (0, 0, 0, True, True, True, gamma[0] % p == 1, [], []))
-    for f0, lead, (s, tr, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
-        # one root lookup per class; only a class with roots reads its
-        # blocks' cached facts
-        for v, blocks in table(lead) if tabled else terms(lead, nfib - f0):
-            roots_v = lookup((s + v) % p)
-            if not roots_v:
+                       (0, 0, True, True, True, gamma[0] % p == 1, [], []))
+    for f0, lead, (s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
+        for v, blocks, counts in table(lead) if tabled else terms(lead, nfib - f0):
+            xs = lookup((s + v) % p)
+            if not xs:
                 continue
-            for k, cj in blocks:
-                f = f0 + k
-                if f >= nfib:
-                    break
-                xs = roots_v
-                if (f + 1) * p > scanned:
-                    xs = [x for x in xs if f * p + x < scanned]
-                    if not xs:
-                        continue
-                _, ns, d0, null, sx, col = block(cj)
-                z = zero and null and _in_kernel(zero_rows, cj, p)
-                sy = sym and _in_kernel(sym_rows, cj, p)
-                sx = sym_x and sx
-                ok = good and col
-                t = tr + bl * d0
-                on_quadric += len(xs)
-                # diagonal entries scalar; trace equals the quadric value (0 here)
-                diag_fail += len(xs) * (nonscalar + ns)
-                for x in xs:
-                    if (t + g * x * x) % p:
-                        trace_fail += 1
-                    # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
-                    # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
-                    # (i, j < n-1) for all x, on row and column n-1 for a unit x
-                    if not (sy and (sx or not x)):
-                        sym_fail += 1
-                    # a zero matrix is a base point, with nothing more to test:
-                    # the b_j are units, so every c_i conj(c_j) = 0, and on the
-                    # quadric the first n-1 diagonal entries sum to -b_n x^2, so
-                    # x = 0; the corner is zero exactly then
-                    if z:
-                        base_points += 1
+            # the fixed blocks treat every block of a class alike but for its
+            # facts, unless their symmetry rows hold; the limit may cut the
+            # class.  Their zero rows hold only on null blocks, all in the
+            # class v = 0 (a zero state has s = 0, and xs = [0]): with no
+            # rows on every null block of it, else on the null vectors of the
+            # rows' kernel, which the whole level must hold below the limit
+            zero_v = zero and not v
+            if (counts and not (sym and sym_rows)
+                    and (f0 + blocks[-1][0] + 1) * p <= scanned
+                    and not (zero_v and zero_rows and (f0 + level) * p > scanned)):
+                cnt, nns, nsx, ncol = counts
+                nulls = 0
+                if zero_v:
+                    nulls = sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns
+                parts = [(xs, cnt - nulls, nns, nsx if sym_x else cnt,
+                          ncol if good else cnt, False, sym)]
+                if nulls:
+                    parts.append((xs, nulls, 0, 0, 0, True, sym))
+            else:
+                parts = apart(f0, blocks, xs, zero, sym, sym_x, good, sym_rows, zero_rows)
+            for xs, cnt, nns, nsx, ncol, z, sy in parts:
+                # cnt blocks, of which nns have a nonscalar diagonal entry,
+                # nsx fail the symmetry of row and column n-1 and ncol fail
+                # column n-1 = b_n x c; each has every root in xs, nz of them
+                # units
+                nz = len(xs) if xs[0] else 0
+                on_quadric += cnt * len(xs)
+                diag_fail += len(xs) * (cnt * nonscalar + nns)
+                trace_fail += bad_trace * cnt * nz
+                # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
+                # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
+                # (i, j < n-1) for all x, on row and column n-1 for a unit x
+                sym_fail += nz * nsx if sy else cnt * len(xs)
+                # a zero matrix is a base point, with nothing more to test:
+                # the b_j are units, so every c_i conj(c_j) = 0, and on the
+                # quadric the first n-1 diagonal entries sum to -b_n x^2, so
+                # x = 0; the corner is zero exactly then
+                if z:
+                    base_points += cnt * len(xs)
+                else:
                     # column n of the matrix, c_i conj(x) b_n, is the inverse
-                    # map's slice; x = 0 makes it vanish: the inverse base locus
-                    elif not x:
-                        zslice_points += 1
-                    else:
-                        # column n equals b_n x c, block by block
-                        roundtrip_checked += 1
-                        roundtrip_fail += not ok
+                    # map's slice; x = 0 makes it vanish: the inverse base
+                    # locus.  Otherwise column n equals b_n x c, block by block
+                    zslice_points += cnt * (len(xs) - nz)
+                    roundtrip_checked += cnt * nz
+                    roundtrip_fail += nz * ncol
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
@@ -476,12 +608,15 @@ def z1_sweep(p, b, gamma, limit=-1):
     _block_walk whose every block c_i is null, c_i conj(c_i) = 0: the
     candidates are the null blocks among the first `scanned` of each
     order, as a block's index never exceeds that of a point holding it,
-    each block's norm tested before its product.
-    c_j conj(c_i) is the conjugate of c_i conj(c_j), so the pairs i < j
-    decide the rest: the level that fixes c_j checks c_i conj(c_j) = 0 for
-    each fixed c_i, by the rows of y -> c_i conj(y) built where c_i was
-    fixed, and skips every point below at the first that fails.  The
-    remaining entry of x(c)^2 is the corner, b_n^{-1} times
+    read from the norm's fibres.  c_j conj(c_i) is the conjugate of
+    c_i conj(c_j), so the pairs i < j decide the rest: the level that
+    fixes c_j checks c_i conj(c_j) = 0 for each fixed c_i, by the rows of
+    y -> c_i conj(y) built where c_i was fixed and kept in reduced echelon
+    form, and skips every point below at the first that fails.  The last
+    block's points are the null vectors of the rows' kernel, enumerated
+    from its free coordinates; a state the limit cuts, or one without
+    rows, tests the null blocks below the limit one by one.  The remaining
+    entry of x(c)^2 is the corner, b_n^{-1} times
     sum_k b_k conj(c_k) c_k, summed level by level; it must vanish on the
     locus.
     """
@@ -490,38 +625,68 @@ def z1_sweep(p, b, gamma, limit=-1):
     space = (p ** (m * nn) - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
-    mul = _conj_product(p, m, gamma)
-    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
+    mul, E = _basis_products(p, m, gamma)
+    ns = _nonscalar(p, E)
+    left = _linear_rows(p, E)           # c -> the rows of y -> c conj(y)
     pf = _norm_form(gamma, m)
+    wl = pf[-1] % p
+    if wl:
+        # one root lookup per prefix; the table of squares for a sweep
+        # through at least (p - 1)/2 prefixes
+        fibres = min(-(-scanned // p), p ** (m - 1))
+        roots = (_root_table if fibres >= (p - 1) // 2 else _root_by_sqrt)(p, wl)
+    else:
+        # N(e_{m-1}) = 0: every x is a root on a prefix of value 0
+        def roots(v):
+            return None if v else range(p)
 
-    def null(blocks):
-        """(k, (c, conj(c) c, rows of y -> c conj(y))) for each null block
-        c of index k < scanned in `blocks`.  Only a block whose norm, the
-        e_0 coordinate of c conj(c), vanishes pays for the whole product."""
+    @functools.cache
+    def null(lead):
+        """(k, c) for each null block c of index k < scanned in the lead
+        order or the later one, in increasing k.  The prefixes of m - 1
+        coordinates run in that order, _points or _tuples, the i-th giving
+        the blocks prefix + (x,) of index i p + x for the roots x of the
+        norm on it; only these pay for the test of c conj(c) being scalar.
+        The lead order ends with e_{m-1}, null when N(e_{m-1}) = 0 (its
+        square is on e_0)."""
         out = []
-        for k, c in zip(range(scanned), blocks):
-            if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
-                    or any(mul(c, c))):
-                cc = _conj(p, c)
-                out.append((k, (c, mul(cc, cc), _rows([mul(c, et) for et in basis]))))
+        for i, pre in enumerate(_points(p, m - 1) if lead else _tuples(p, m - 1)):
+            if i * p >= scanned:
+                break
+            for x in roots(sum(map(operator.mul, pf, map(operator.mul, pre, pre))) % p) or ():
+                if i * p + x >= scanned:
+                    break
+                c = (*pre, x)
+                if not ns(c):
+                    out.append((i * p + x, c))
+        last = (p ** m - 1) // (p - 1) - 1
+        if lead and not wl and last < scanned:
+            out.append((last, (0,) * (m - 1) + (1,)))
         return out
 
-    leads, rest = null(_points(p, m)), null(_tuples(p, m))
+    # only the fixed blocks and the last blocks of the locus' points read
+    # their term; at most _BLOCK_CAP of them are held
+    @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
+    def term(c):
+        cc = _conj(p, c)
+        return mul(cc, cc)
 
-    def fix(state, j, blk):
+    def fix(state, j, c):
         corner, rows = state
-        c, term, c_rows = blk
         if not _in_kernel(rows, c, p):
             return None
-        return [u + b[j] * v for u, v in zip(corner, term)], rows + c_rows
+        return [u + b[j] * v for u, v in zip(corner, term(c))], _echelon(p, rows + left(c))
 
-    walk = _block_walk(p, m, nn, scanned, lambda lead: leads if lead else rest,
-                       fix, ([0] * m, []))
+    walk = _block_walk(p, m, nn, scanned, null, fix, ([0] * m, []))
     for f0, lead, (corner, rows) in walk:
-        for k, (c, term, _) in leads if lead else rest:
-            if f0 + k >= scanned:
-                break
-            if _in_kernel(rows, c, p):
-                z1_points += 1
-                equiv_fail += any((u + b[nn - 1] * v) % p for u, v in zip(corner, term))
+        room = scanned - f0
+        if rows and room >= p ** m:     # a later level wholly below the limit
+            blocks = (c for c in _kernel(p, m, rows)
+                      if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p or ns(c)))
+        else:
+            blocks = (c for _, c in itertools.takewhile(lambda kc: kc[0] < room, null(lead))
+                      if _in_kernel(rows, c, p))
+        for c in blocks:
+            z1_points += 1
+            equiv_fail += any((u + b[nn - 1] * v) % p for u, v in zip(corner, term(c)))
     return scanned, z1_points, equiv_fail

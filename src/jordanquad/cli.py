@@ -37,8 +37,16 @@ def _scalar(tok):
     return Fraction(str(tok).strip())
 
 
-def _scalar_list(text):
-    return [_scalar(t) for t in str(text).split(",") if t.strip()]
+def _scalar_list(text, option):
+    """The scalars of a comma-separated option value.  A value of commas and
+    blanks alone is the empty list; an empty entry among others is an
+    error, not a scalar left out."""
+    entries = [t.strip() for t in str(text).split(",")]
+    if not any(entries):
+        return []
+    if not all(entries):
+        raise ValueError(f"{option}: empty entry in {text!r}")
+    return [_scalar(t) for t in entries]
 
 
 def _field_from_args(args):
@@ -120,7 +128,7 @@ def cmd_diagram(args):
 
 def cmd_witt(args):
     fld = _field_from_args(args)
-    coeffs = _scalar_list(args.form)
+    coeffs = _scalar_list(args.form, "--form")
     f = QuadForm(fld, tuple(fld.element(c) for c in coeffs))
     inv = invariants(f)
     out = inv.as_dict()
@@ -243,7 +251,7 @@ def cmd_orbits(args):
 def cmd_algebra(args):
     fld = _field_from_args(args)
     from .cayley_dickson import CDAlgebra
-    params = _scalar_list(args.a) if args.a else []
+    params = _scalar_list(args.a, "--a")
     if args.r is not None and len(params) != args.r:
         raise ValidationError(f"a: expected {args.r} parameters, got {len(params)}")
     cd = CDAlgebra(fld, [fld.element(x) for x in params])

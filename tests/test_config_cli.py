@@ -138,6 +138,22 @@ def test_cli_p_without_field_fp_exits_2(capsys, argv):
     assert err.startswith("error: p: only allowed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("witt", "--form", "1,,2"), "error: --form: empty entry"),
+    (("algebra", "table", "--r", "2", "--a", "1,,2"), "error: --a: empty entry"),
+    (("witt", "--form", ","), "error: empty diagonal"),
+])
+def test_cli_empty_list_entry_exits_2(capsys, argv, message):
+    """An empty entry in a comma-separated list was dropped, so these
+    answered for <1, 2> and <<1, 2>> with exit 0; a list of nothing but
+    commas is still the empty diagonal, and an empty --a still means r = 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "algebra", "table", "--a", "")
+    assert code == 0 and json.loads(out)["r"] == 0
+
+
 def test_cli_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--a", "-1", "--b", "-1", "--place", "2")
     assert code == 0 and out.strip() == "-1"

@@ -347,13 +347,20 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
         _, _, table = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, 3))
         N = m * (n - 1) + 1
         space = sweeps.projective_size(p, N)
-        for draw in range(3):
+        for draw in range(5):
             # draw 0 keeps the true table, draw 1 changes 1 to m entries and
-            # gamma_00, draw 2 1 to m entries
+            # gamma_00, draw 2 1 to m entries; draw 3 zeroes the last diagonal
+            # entry, so N(e_{m-1}) = 0, and draw 4 (m > 1) makes
+            # e_0 conj(e_1) + e_1 conj(e_0) nonzero, so c conj(c) is not
+            # scalar on some blocks of norm 0
             gamma = list(table)
             keys = rng.sample(range(m * m), rng.randint(1, m)) + [0] * (draw == 1)
-            for k in keys if draw else ():
+            for k in keys if draw in (1, 2) else ():
                 gamma[k] = rng.choice((0, rng.randrange(2, p)))
+            if draw == 3:
+                gamma[(m - 1) * (m + 1)] = 0
+            if draw == 4 and m > 1:
+                gamma[1] = (gamma[m] + 1) % p
             b = [rng.randrange(1, p) for _ in range(n)]
             fibre = rng.randrange(space // p)
             edges = _block_boundaries(p, m, n, rng)
@@ -533,6 +540,77 @@ def test_quadric_sweep_past_the_cap_builds_no_table(monkeypatch):
         want = [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits]
         monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 0)
         assert [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits] == want, (p, r, n)
+
+
+def _counting(monkeypatch, name, calls):
+    """Count into calls[0] the calls of _fpcore_py.<name>, a function, or
+    of the function it returns when name is _conj_product."""
+    real = getattr(_fpcore_py, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    def counted_product(*args):
+        mul = real(*args)
+
+        def counting(x, y):
+            calls[0] += 1
+            return mul(x, y)
+
+        return counting
+
+    monkeypatch.setattr(_fpcore_py, name,
+                        counted_product if name == "_conj_product" else counted)
+
+
+def test_quadric_sweep_forms_products_once_per_sweep(monkeypatch):
+    """Every fact a block gives the quadric sweep is read from rows and
+    forms built from the m^2 products e_s conj(e_t), so a complete sweep
+    forms as many products at p = 19 as at p = 7."""
+    for p in (7, 19):
+        alg = sweeps.fp_algebra(p, 1, 3)
+        calls = [0]
+        with monkeypatch.context() as patch:
+            _counting(patch, "_conj_product", calls)
+            raw = _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(alg))
+        assert raw[:3] == (sweeps.projective_size(p, 5), fp_projective_zero_count(q_form(alg)),
+                           sweeps.z1_expected_count(alg))
+        assert not any(raw[5:]), raw
+        assert calls[0] <= 32, (p, calls[0])
+
+
+def test_z1_sweep_reads_the_last_block_from_the_kernel(monkeypatch):
+    """The last block of a base-locus point is a null vector of the kernel
+    of the fixed blocks' rows: the z1 sweep of fp_algebra(5, 2, 3), 36 null
+    lead blocks and 145 null later blocks, enumerates that kernel instead of
+    testing every null block against the rows."""
+    alg = sweeps.fp_algebra(5, 2, 3)
+    calls = [0]
+    _counting(monkeypatch, "_in_kernel", calls)
+    assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
+        sweeps.projective_size(5, 8), sweeps.z1_expected_count(alg), 0)
+    assert calls[0] <= 1500
+
+
+def test_z1_sweep_walks_the_norm_fibres(monkeypatch):
+    """The null blocks of fp_algebra(41, 1, 3) are read from the norm's
+    fibres: the prefixes of m - 1 coordinates and the roots of the last
+    one, not the 1,723 blocks."""
+    p = 41
+    alg = sweeps.fp_algebra(p, 1, 3)
+    drawn = [0]
+    tuples = _fpcore_py._tuples
+
+    def counting_tuples(*args):
+        for t in tuples(*args):
+            drawn[0] += 1
+            yield t
+
+    monkeypatch.setattr(_fpcore_py, "_tuples", counting_tuples)
+    assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
+        sweeps.projective_size(p, 4), sweeps.z1_expected_count(alg), 0)
+    assert drawn[0] <= 2 * p
 
 
 def test_short_pure_sweeps_at_large_p():
