@@ -16,9 +16,9 @@ zero, and a shorter sweep take one square root mod p per fibre and store
 nothing of size p.  At p near 2^31 that answers in milliseconds,
 where a walk over every point can take a minute.  No walk stores range(p)
 either: the odometers are nested generators.  The quadric sweep's other
-table, of the last prefix block's quadric terms, holds one entry per
-fibre at most and is built only when a level has at most _BLOCK_CAP =
-2^16 blocks, so it is bounded by the sweep and by the cap, never by p.
+tables, of the last prefix block's quadric terms, hold counts alone, one
+entry per term at most, and are built only for a level that lies wholly
+below the limit, so they are bounded by the sweep and by p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -79,13 +79,12 @@ and no block forms a product.
 The innermost step moves only the last prefix block, whose quadric term
 depends on that block alone.  The quadric sweep groups that level's
 blocks by term once per sweep, the lead level and the later levels
-apart, each class with the counts of its blocks failing each of their
-own checks, and adds a class's counters at once for each choice of the
-outer blocks; a class that the outer blocks' rows or the limit tell
-apart goes one block at a time through the same counter body.  Past
-_BLOCK_CAP blocks each block is a class of its own, its term summed as
-it is read.  The base-locus sweep keeps its rows in reduced echelon form
-and runs its last block through the null vectors of their kernel.
+apart, into the counts of each class's blocks failing each of their own
+checks, and adds a class's counters at once for each choice of the outer
+blocks; the one state the limit cuts, and a state whose symmetry rows
+tell the blocks apart, go one block at a time through the same counter
+body.  The base-locus sweep keeps its rows in reduced echelon form and
+runs its last block through the null vectors of their kernel.
 """
 
 import functools
@@ -94,8 +93,7 @@ import operator
 
 from .scalars import is_prime
 
-# at most this many blocks are held per sweep level: the sweeps' block
-# caches and the quadric sweep's table of the last prefix block's terms
+# at most this many blocks' facts are held in a sweep's block cache
 _BLOCK_CAP = 1 << 16
 
 
@@ -185,14 +183,11 @@ def _root_table(p, wl):
     return roots.get
 
 
-def _norm_classes(terms):
-    """The classes (v, blocks) of `terms` merged by v, as a list of pairs
-    in the order of each v's first class, each one's blocks in the order
-    given."""
-    classes = {}
-    for v, blocks in terms:
-        classes.setdefault(v, []).extend(blocks)
-    return list(classes.items())
+def _root_lookup(p, wl, fibres):
+    """The lookup of _root_by_sqrt for a sweep through `fibres` fibres:
+    from a table of the squares when they are at least (p - 1)/2, which pay
+    for it, else by one square root per fibre."""
+    return (_root_table if fibres >= (p - 1) // 2 else _root_by_sqrt)(p, wl)
 
 
 def _tuples(p, k, head=()):
@@ -415,15 +410,15 @@ def quadric_sweep(p, b, gamma, limit=-1):
     ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
     symmetry and for both products zero, and passes the sums and ANDs
     down.  The last prefix block's candidates are grouped by their quadric
-    term once per sweep, each class with the counts of its blocks' facts,
-    and each choice of the outer blocks looks up the roots once per class
-    and adds the class's counters at once.  A class whose blocks the fixed
-    blocks' symmetry rows or the limit tell apart is counted block by
-    block; while every product of the fixed blocks is zero, the base
-    points among the class of norm 0 are the null vectors of the zero
-    rows' kernel.  The checks that read x (the trace, the symmetry of row
-    and column n-1, the base point and the round trip) are counted per
-    root.
+    term once per sweep into the counts of each class's facts, and each
+    choice of the outer blocks whose level lies wholly below the limit
+    looks up the roots once per class and adds the class's counters at
+    once; while every product of the fixed blocks is zero, the base points
+    among the class of norm 0 are the null vectors of the zero rows'
+    kernel.  The state the limit cuts, and a state that keeps its fixed
+    blocks' symmetry rows, are counted block by block.  The checks that
+    read x (the trace, the symmetry of row and column n-1, the base point
+    and the round trip) are counted per root.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -439,12 +434,8 @@ def quadric_sweep(p, b, gamma, limit=-1):
     # is the prefix's quadric value and the whole trace on a fibre is
     # (gamma_00 - 1) b_n x^2: it fails at each root x != 0 when gamma_00 != 1
     bad_trace = gamma[0] % p != 1
-    # fibres holding a point below the limit; the table of squares costs
-    # (p - 1)/2 entries, and a sweep through fewer fibres than that takes a
-    # square root per fibre instead
-    nfib = -(-scanned // p)
-    roots = _root_table if nfib >= (p - 1) // 2 else _root_by_sqrt
-    lookup = roots(p, b[n - 1] % p)
+    nfib = -(-scanned // p)     # fibres holding a point below the limit
+    lookup = _root_lookup(p, b[n - 1] % p, nfib)
     # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
     # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
     sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(p, E[0][t]))]
@@ -458,10 +449,11 @@ def quadric_sweep(p, b, gamma, limit=-1):
                                 for t in range(m)] for s in range(m)])
     zero_map = _linear_rows(p, [[E[s][t] + E[t][s] for t in range(m)] for s in range(m)])
 
-    # the fixed levels and the table read every block's facts, and a class
-    # counted block by block reads them again for each outer state; a cache
-    # smaller than p^m evicts each entry before its next use, and at about
-    # 370 bytes an entry with its key (m = 8) the cap holds it near 23 MiB
+    # the fixed levels and the tables read every block's facts, and a level
+    # counted block by block reads them again for its blocks with roots; a
+    # cache smaller than p^m evicts each entry before its next use, and at
+    # about 370 bytes an entry with its key (m = 8) the cap holds it near
+    # 23 MiB
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
     def block(c):
         """What block c alone gives the checks: its norm N(c), whether
@@ -497,99 +489,94 @@ def quadric_sweep(p, b, gamma, limit=-1):
     def candidates(lead):
         return enumerate(_points(p, m) if lead else _tuples(p, m))
 
-    def terms(lead, stop):
-        """Each candidate (k, c) of the last prefix block with k < stop as a
-        class of its own, (v, ((k, c),), None), v = b_{n-2} N(c) its
-        quadric term."""
-        return ((sum(map(operator.mul, w, map(operator.mul, c, c))) % p, ((k, c),), None)
-                for k, c in itertools.islice(candidates(lead), stop))
-
-    # the term depends on the block alone, so up to the cap each kind of
-    # level, lead or later, merges its candidates below the limit by term
-    # once per sweep, with each class's counts: its blocks, and how many of
-    # them have c conj(c) not scalar, fail C = conj(R) and fail C = c; past
-    # the cap such a table would grow the sweep's memory several times for
-    # little speed, and the terms are summed as read
+    # the term depends on the block alone, so each kind of level, lead or
+    # later, merges its blocks by term once per sweep, the first time a
+    # state's whole level lies below the limit, with each class's counts:
+    # its blocks, and how many of them have c conj(c) not scalar, fail
+    # C = conj(R) and fail C = c.  At most p classes, whatever p^m is
     @functools.cache
     def table(lead):
-        classes = []
-        for v, blocks in _norm_classes((v, kc) for v, kc, _ in terms(lead, nfib)):
-            facts = [(ns_c, not sx, not col) for _, ns_c, sx, col in (block(c) for _, c in blocks)]
-            classes.append((v, blocks, (len(blocks), *map(sum, zip(*facts)))))
-        return classes
+        by_term = {}
+        for _, c in candidates(lead):
+            nrm, ns_c, sx, col = block(c)
+            counts = by_term.setdefault(bl * nrm % p, [0, 0, 0, 0])
+            counts[0] += 1
+            counts[1] += ns_c
+            counts[2] += not sx
+            counts[3] += not col
+        return list(by_term.items())
 
-    def apart(f0, blocks, roots_v, zero, sym, sym_x, good, sym_rows, zero_rows):
-        """Each block of a class with roots roots_v as a class of one, its
-        roots cut to the limit, up to the first block past it."""
-        for k, c in blocks:
+    def classes(lead, s, zero, sym, sym_x, good, zero_rows):
+        """The parts of a state whose whole level lies below the limit and
+        that keeps no symmetry rows: its fixed blocks treat every block of a
+        class alike but for its facts.  Their zero rows hold only
+        on null blocks, all in the class v = 0 (a zero state has s = 0, and
+        xs = [0]): with no rows on every null block of it, else on the null
+        vectors of the rows' kernel."""
+        for v, (cnt, nns, nsx, ncol) in table(lead):
+            xs = lookup((s + v) % p)
+            if not xs:
+                continue
+            nulls = 0
+            if zero and not v:
+                nulls = sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns
+            yield xs, cnt - nulls, nns, nsx if sym_x else cnt, ncol if good else cnt, False, sym
+            if nulls:
+                yield xs, nulls, 0, 0, 0, True, sym
+
+    def apart(f0, lead, s, zero, sym, sym_x, good, sym_rows, zero_rows):
+        """Each candidate of the last prefix block with roots as a part of
+        one, its roots cut to the limit, up to the first block past it; its
+        facts are read once its roots are known."""
+        for k, c in candidates(lead):
             f = f0 + k
             if f >= nfib:
                 return
-            xs = roots_v
-            if (f + 1) * p > scanned:
+            xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, c, c)))) % p)
+            if xs and (f + 1) * p > scanned:
                 xs = [x for x in xs if f * p + x < scanned]
-                if not xs:
-                    continue
+            if not xs:
+                continue
             _, ns_c, sx, col = block(c)
             yield (xs, 1, ns_c, not (sym_x and sx), not (good and col),
                    zero and is_null(c) and _in_kernel(zero_rows, c, p),
                    sym and _in_kernel(sym_rows, c, p))
 
-    level = p ** m              # blocks of a later level
-    tabled = level <= _BLOCK_CAP
+    level = {True: (p ** m - 1) // (p - 1), False: p ** m}     # blocks of a lead, later level
     walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
                        (0, 0, True, True, True, gamma[0] % p == 1, [], []))
     for f0, lead, (s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
-        for v, blocks, counts in table(lead) if tabled else terms(lead, nfib - f0):
-            xs = lookup((s + v) % p)
-            if not xs:
-                continue
-            # the fixed blocks treat every block of a class alike but for its
-            # facts, unless their symmetry rows hold; the limit may cut the
-            # class.  Their zero rows hold only on null blocks, all in the
-            # class v = 0 (a zero state has s = 0, and xs = [0]): with no
-            # rows on every null block of it, else on the null vectors of the
-            # rows' kernel, which the whole level must hold below the limit
-            zero_v = zero and not v
-            if (counts and not (sym and sym_rows)
-                    and (f0 + blocks[-1][0] + 1) * p <= scanned
-                    and not (zero_v and zero_rows and (f0 + level) * p > scanned)):
-                cnt, nns, nsx, ncol = counts
-                nulls = 0
-                if zero_v:
-                    nulls = sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns
-                parts = [(xs, cnt - nulls, nns, nsx if sym_x else cnt,
-                          ncol if good else cnt, False, sym)]
-                if nulls:
-                    parts.append((xs, nulls, 0, 0, 0, True, sym))
+        # the limit and the fixed blocks' symmetry rows tell blocks apart
+        if (f0 + level[lead]) * p <= scanned and not sym_rows:
+            parts = classes(lead, s, zero, sym, sym_x, good, zero_rows)
+        else:
+            parts = apart(f0, lead, s, zero, sym, sym_x, good, sym_rows, zero_rows)
+        for xs, cnt, nns, nsx, ncol, z, sy in parts:
+            # cnt blocks, of which nns have a nonscalar diagonal entry,
+            # nsx fail the symmetry of row and column n-1 and ncol fail
+            # column n-1 = b_n x c; each has every root in xs, nz of them
+            # units
+            nz = len(xs) if xs[0] else 0
+            on_quadric += cnt * len(xs)
+            diag_fail += len(xs) * (cnt * nonscalar + nns)
+            trace_fail += bad_trace * cnt * nz
+            # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
+            # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
+            # (i, j < n-1) for all x, on row and column n-1 for a unit x
+            sym_fail += nz * nsx if sy else cnt * len(xs)
+            # a zero matrix is a base point, with nothing more to test:
+            # the b_j are units, so every c_i conj(c_j) = 0, and on the
+            # quadric the first n-1 diagonal entries sum to -b_n x^2, so
+            # x = 0; the corner is zero exactly then
+            if z:
+                base_points += cnt * len(xs)
             else:
-                parts = apart(f0, blocks, xs, zero, sym, sym_x, good, sym_rows, zero_rows)
-            for xs, cnt, nns, nsx, ncol, z, sy in parts:
-                # cnt blocks, of which nns have a nonscalar diagonal entry,
-                # nsx fail the symmetry of row and column n-1 and ncol fail
-                # column n-1 = b_n x c; each has every root in xs, nz of them
-                # units
-                nz = len(xs) if xs[0] else 0
-                on_quadric += cnt * len(xs)
-                diag_fail += len(xs) * (cnt * nonscalar + nns)
-                trace_fail += bad_trace * cnt * nz
-                # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
-                # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
-                # (i, j < n-1) for all x, on row and column n-1 for a unit x
-                sym_fail += nz * nsx if sy else cnt * len(xs)
-                # a zero matrix is a base point, with nothing more to test:
-                # the b_j are units, so every c_i conj(c_j) = 0, and on the
-                # quadric the first n-1 diagonal entries sum to -b_n x^2, so
-                # x = 0; the corner is zero exactly then
-                if z:
-                    base_points += cnt * len(xs)
-                else:
-                    # column n of the matrix, c_i conj(x) b_n, is the inverse
-                    # map's slice; x = 0 makes it vanish: the inverse base
-                    # locus.  Otherwise column n equals b_n x c, block by block
-                    zslice_points += cnt * (len(xs) - nz)
-                    roundtrip_checked += cnt * nz
-                    roundtrip_fail += nz * ncol
+                # column n of the matrix, c_i conj(x) b_n, is the inverse
+                # map's slice; x = 0 makes it vanish: the inverse base
+                # locus.  Otherwise column n equals b_n x c, block by block
+                zslice_points += cnt * (len(xs) - nz)
+                roundtrip_checked += cnt * nz
+                roundtrip_fail += nz * ncol
     return (scanned, on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
@@ -631,10 +618,8 @@ def z1_sweep(p, b, gamma, limit=-1):
     pf = _norm_form(gamma, m)
     wl = pf[-1] % p
     if wl:
-        # one root lookup per prefix; the table of squares for a sweep
-        # through at least (p - 1)/2 prefixes
-        fibres = min(-(-scanned // p), p ** (m - 1))
-        roots = (_root_table if fibres >= (p - 1) // 2 else _root_by_sqrt)(p, wl)
+        # one root lookup per prefix below the limit
+        roots = _root_lookup(p, wl, min(-(-scanned // p), p ** (m - 1)))
     else:
         # N(e_{m-1}) = 0: every x is a root on a prefix of value 0
         def roots(v):

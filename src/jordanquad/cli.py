@@ -8,15 +8,17 @@ an ascii/svg rendering is requested.  Exit codes: 0 success/verified,
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import diagram, motives, rootsys, sweeps, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
                          transposition_map, veronese, veronese_inverse)
+from .cayley_dickson import CDAlgebra
 from .config import ParseError, ValidationError, load_config
 from .errors import BasePointError, SamplingError
-from .quadform import QuadForm, evaluate, hilbert_symbol, invariants, witt_index
+from .quadform import QuadForm, hilbert_symbol, invariants, witt_index
 from .scalars import field_from_spec, is_prime
 
 TARGETS = {
@@ -250,7 +252,6 @@ def cmd_orbits(args):
 
 def cmd_algebra(args):
     fld = _field_from_args(args)
-    from .cayley_dickson import CDAlgebra
     params = _scalar_list(args.a, "--a")
     if args.r is not None and len(params) != args.r:
         raise ValidationError(f"a: expected {args.r} parameters, got {len(params)}")
@@ -344,7 +345,6 @@ _DASH_VALUE_FLAGS = ("--a", "--b", "--form")
 def _preprocess_argv(argv):
     """Fold `--a -1,-1` style values (leading dash) into `--a=-1,-1` so
     argparse does not mistake them for options."""
-    import re
     out = []
     i = 0
     while i < len(argv):

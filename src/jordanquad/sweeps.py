@@ -14,6 +14,7 @@ and at n >= 4 a rank bound on the 2^r n square matrix of left
 multiplication by x.
 """
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass, field as _field
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import _fpcore_py, motives
 from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
-                         on_quadric, projective_eq, q_form, transposition_map,
+                         projective_eq, q_form, transposition_map,
                          transposition_star, veronese, veronese_inverse)
 from .cayley_dickson import CDAlgebra
 from .errors import BasePointError, SamplingError
@@ -415,7 +416,6 @@ def z1_rational_box_search(alg, bound=1):
     box and combine.  Returns the number of members found (0 proves the
     box empty; with an anisotropic norm the locus is empty outright)."""
     cd, n = alg.cd, alg.n
-    import itertools
     rng = range(-bound, bound + 1)
     norm_zero = []
     for tup in itertools.product(rng, repeat=cd.dim):

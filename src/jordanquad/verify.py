@@ -10,6 +10,8 @@ from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from . import motives, rootsys, sweeps
+from .cayley_dickson import CDAlgebra
+from .jordan import JordanAlgebra
 from .quadform import (QuadForm, pfister, tensor, witt_index,
                        witt_index_by_search)
 from .scalars import PrimeField, Rationals
@@ -193,8 +195,6 @@ def z1_locus_suite(budget=sweeps.DEFAULT_BUDGET, samples=sweeps.DEFAULT_SAMPLES,
         rep.add(f"z1 p={p} r={r} n={n} {label} [{sw.mode}]", sw.ok,
                 counts=sw.counts, expected=sw.expected, failures=sw.failures)
     # anisotropic norms over Q: bounded box exhaustion finds nothing
-    from .cayley_dickson import CDAlgebra
-    from .jordan import JordanAlgebra
     Q = Rationals()
     for r, bound in ((1, 2), (2, 1), (3, 1)):
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), sweeps.standard_b(Q, 3))

@@ -495,7 +495,8 @@ def test_z1_sweep_forms_products_only_where_the_norm_vanishes(monkeypatch):
 def test_quadric_sweep_draws_each_last_block_once(monkeypatch):
     """The last prefix block's quadric term depends on that block alone:
     a complete sweep of fp_algebra(7, 1, 3) draws the p^m candidates of
-    that level once, not once per lead block before it."""
+    that level once, not once per lead block before it, whatever the size
+    of the block cache."""
     alg = sweeps.fp_algebra(7, 1, 3)
     drawn = [0]
     tuples = _fpcore_py._tuples
@@ -506,40 +507,32 @@ def test_quadric_sweep_draws_each_last_block_once(monkeypatch):
             yield t
 
     monkeypatch.setattr(_fpcore_py, "_tuples", counting_tuples)
-    raw = _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(alg))
-    assert raw[1:3] == (fp_projective_zero_count(q_form(alg)), sweeps.z1_expected_count(alg))
     p, m = 7, 2
     leads = (p ** m - 1) // (p - 1)
-    # block 0 runs through the leads; each level's candidates are drawn once
-    assert drawn[0] <= leads + p ** m + leads
+    for cap in (1 << 16, 0):
+        monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", cap)
+        drawn[0] = 0
+        raw = _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(alg))
+        assert raw[1:3] == (fp_projective_zero_count(q_form(alg)),
+                            sweeps.z1_expected_count(alg))
+        # block 0 runs through the leads; each level's candidates are drawn once
+        assert drawn[0] <= leads + p ** m + leads, cap
 
 
-def test_quadric_sweep_past_the_cap_builds_no_table(monkeypatch):
-    """fp_algebra(5, 3, 3) has 5^8 > 2^16 blocks: its quadric sweep sums
-    each last block's term as it reads it and merges none into a table.
-    The table, allowed by a raised cap, gives the same counters, as does
-    no table on shapes below the cap, complete and cut."""
-    tables = [0]
-    norm_classes = _fpcore_py._norm_classes
-
-    def counting_classes(terms):
-        tables[0] += 1
-        return norm_classes(terms)
-
-    monkeypatch.setattr(_fpcore_py, "_norm_classes", counting_classes)
-    ki = sweeps.kernel_inputs(sweeps.fp_algebra(5, 3, 3))
-    limit = 5 * (1 << 13) + 3
-    raw = _fpcore_py.quadric_sweep(*ki, limit)
-    assert tables[0] == 0
-    monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 5 ** 8)
-    assert _fpcore_py.quadric_sweep(*ki, limit) == raw and tables[0] > 0
-    for p, r, n in ((5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3)):
-        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
-        limits = (-1, 7 * p + 3, 400)
+def test_quadric_sweep_counters_do_not_depend_on_the_block_cache(monkeypatch):
+    """With no block cache the quadric sweep gives the same counters,
+    complete and cut, as with the cache as shipped: on shapes of few
+    blocks, and on fp_algebra(5, 3, 3), 5^8 blocks a level, cut inside its
+    first later level."""
+    cases = [((5, 3, 3), (5 * (1 << 13) + 3,))]
+    cases += [((p, r, n), (-1, 7 * p + 3, 400))
+              for p, r, n in ((5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3))]
+    for shape, limits in cases:
+        ki = sweeps.kernel_inputs(sweeps.fp_algebra(*shape))
         monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 1 << 16)
         want = [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits]
         monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 0)
-        assert [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits] == want, (p, r, n)
+        assert [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits] == want, shape
 
 
 def _counting(monkeypatch, name, calls):
