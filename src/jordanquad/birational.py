@@ -11,41 +11,76 @@ products c_i conj(c_j) = 0, equivalently by x(c)^2 = 0 for the half-space
 element x(c) whose column n is c; the target locus Z2 consists of the
 matrices whose row n (hence column n) vanishes.
 
-Projective points carry a canonical scaling (first nonzero field
-coordinate normalized to 1) so equality, hashing and deduplication are
-plain tuple comparisons.
+Projective points are stored as their canonical plain values (the
+field's `projective`): over F_p the residues times the inverse of the
+lead, so the lead is 1; over Q the primitive integer vector with a
+positive lead.  Equality, hashing and deduplication compare that tuple,
+and the scalar objects of a point (its CDElems, or the JordanElem of an
+image) are views over the lead, built on first read.
 
 The maps run on plain values, as cayley_dickson and jordan do.  A point's
-coordinates are unwrapped once, to integers over one denominator
-(residues over 1 on F_p), and b once per algebra.  The products
-c_i conj(c_j) are accumulated as integers with the structure-constant
-table, and only the upper triangle of the image is multiplied out: its
-lower triangle is c_j conj(c_i) b_i = conj(c_i conj(c_j)) b_i.  Zero tests
-run on the reduced values.  A canonical point is its values divided by
-the first nonzero one: the common denominator cancels, and each output
-coordinate is wrapped once.
+values are read as they are stored, over their lead, and b is unwrapped
+once per algebra.  The products c_i conj(c_j) are accumulated as integers
+with the structure-constant table, and only the upper triangle of the
+image is multiplied out: its lower triangle is
+c_j conj(c_i) b_i = conj(c_i conj(c_j)) b_i.  Zero tests run on the
+reduced values, and each output point is canonicalized once from its
+integers, whatever their common denominator.
 """
 
 from .cayley_dickson import CDElem, _mul_acc
 from .errors import AlgebraMismatchError, BasePointError
 from .jordan import JordanAlgebra, JordanElem, _jordan_values
-from .quadform import QuadForm, evaluate, perp, tensor
+from .quadform import QuadForm, perp, tensor
 
 
-def _lead_scaled(field, vals):
-    """The scalars v / lead for v in vals, each wrapped once, where lead is
-    the first value nonzero in the field; the values' common denominator
-    cancels.  None when every value is zero."""
-    vals = field.reduce(vals)
-    lead = next((v for v in vals if v), None)
-    return None if lead is None else field.wrap(vals, lead)
+class _ProjPoint:
+    """A nonzero vector up to a field scalar, stored as its canonical
+    values `vals` (field.projective); == and hash compare them.  The
+    subclasses build their scalar objects from the values on first read
+    and keep them in _view."""
+
+    __slots__ = ("algebra", "vals", "_view")
+
+    @classmethod
+    def _from_values(cls, algebra, vals):
+        """The point whose coordinates, in the subclass's order, have the
+        plain values vals over any common denominator, unchecked; None for
+        the zero vector."""
+        point = cls.__new__(cls)
+        return point if point._canonicalize(algebra, vals) else None
+
+    def _canonicalize(self, algebra, vals):
+        """Set the point to the canonical values of vals; False, setting
+        nothing, when every value is zero."""
+        canon = algebra.field.projective(vals)
+        if canon is None:
+            return False
+        self.algebra, self.vals, self._view = algebra, canon, None
+        return True
+
+    def _wrapped(self):
+        """The canonical values as field scalars, over the lead."""
+        vals = self.vals
+        return self.algebra.field.wrap(vals, next(filter(None, vals)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.algebra, other.algebra
+        return (a is b or a == b) and self.vals == other.vals
+
+    def __hash__(self):
+        return hash((self.algebra, self.vals))
 
 
-class ProjPointC:
+class ProjPointC(_ProjPoint):
     """A point of P(C^{n-1} x k): n-1 composition-algebra coordinates and
-    one field scalar, up to a common field scalar."""
+    one field scalar, up to a common field scalar.  vals holds the
+    canonical values of the block-major coordinates (those of c_1, ...,
+    c_{n-1}, then the scalar); cparts and last are their views."""
 
-    __slots__ = ("algebra", "cparts", "last")
+    __slots__ = ()
 
     def __init__(self, algebra, cparts, last):
         if not isinstance(algebra, JordanAlgebra):
@@ -60,25 +95,23 @@ class ProjPointC:
         if not self._canonicalize(algebra, field.unwrap(flat)[0]):
             raise ValueError("the zero vector is not a projective point")
 
-    @classmethod
-    def _from_values(cls, algebra, vals):
-        """The point whose block-major coordinates (those of c_1, ...,
-        c_{n-1}, then the scalar) have the plain values vals over any
-        common denominator, unchecked; None for the zero vector."""
-        point = cls.__new__(cls)
-        return point if point._canonicalize(algebra, vals) else None
+    def _split(self):
+        """(cparts, last): the values over their lead as n-1 CDElems and
+        one scalar, built on first read."""
+        if self._view is None:
+            cd = self.algebra.cd
+            m, canon = cd.dim, self._wrapped()
+            self._view = (tuple(CDElem(cd, canon[k:k + m])
+                                for k in range(0, len(canon) - 1, m)), canon[-1])
+        return self._view
 
-    def _canonicalize(self, algebra, vals):
-        """Set the point to vals over their lead; False, setting nothing,
-        when every value is zero."""
-        canon = _lead_scaled(algebra.field, vals)
-        if canon is None:
-            return False
-        cd, m = algebra.cd, algebra.cd.dim
-        self.algebra = algebra
-        self.cparts = tuple(CDElem(cd, canon[k:k + m]) for k in range(0, len(canon) - 1, m))
-        self.last = canon[-1]
-        return True
+    @property
+    def cparts(self):
+        return self._split()[0]
+
+    @property
+    def last(self):
+        return self._split()[1]
 
     def flatten(self):
         """Coordinates ordered to match q_form: CD-slot major, then the
@@ -91,23 +124,16 @@ class ProjPointC:
         out.append(self.last)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjPointC):
-            return NotImplemented
-        return (self.algebra == other.algebra and self.cparts == other.cparts
-                and self.last == other.last)
-
-    def __hash__(self):
-        return hash((self.algebra, self.cparts, self.last))
-
     def __repr__(self):
         return "[" + ", ".join(repr(c) for c in self.cparts) + f"; {self.last}]"
 
 
-class ProjPointJ:
-    """A nonzero Jordan element up to field scaling."""
+class ProjPointJ(_ProjPoint):
+    """A nonzero Jordan element up to field scaling.  vals holds the
+    canonical values of its entries' coordinates, row-major; elem is their
+    view."""
 
-    __slots__ = ("elem",)
+    __slots__ = ()
 
     def __init__(self, elem):
         if not isinstance(elem, JordanElem):
@@ -116,37 +142,25 @@ class ProjPointJ:
         if not self._canonicalize(alg, alg.field.unwrap(elem.flatten())[0]):
             raise ValueError("the zero element is not a projective point")
 
-    @classmethod
-    def _from_values(cls, algebra, vals):
-        """The point whose entries' coordinates, row-major, have the plain
-        values vals over any common denominator, unchecked; None for the
-        zero matrix."""
-        point = cls.__new__(cls)
-        return point if point._canonicalize(algebra, vals) else None
-
-    def _canonicalize(self, algebra, vals):
-        """Set the element to vals over their lead; False, setting
-        nothing, when every value is zero."""
-        canon = _lead_scaled(algebra.field, vals)
-        if canon is None:
-            return False
-        cd, m, n = algebra.cd, algebra.cd.dim, algebra.n
-        entries = [CDElem(cd, canon[k:k + m]) for k in range(0, len(canon), m)]
-        self.elem = JordanElem(algebra, tuple(tuple(entries[k:k + n])
-                                              for k in range(0, n * n, n)))
-        return True
-
     @property
-    def algebra(self):
-        return self.elem.algebra
+    def elem(self):
+        """The values over their lead as a JordanElem, built on first
+        read."""
+        if self._view is None:
+            alg = self.algebra
+            cd, m, n = alg.cd, alg.cd.dim, alg.n
+            canon = self._wrapped()
+            entries = [CDElem(cd, canon[k:k + m]) for k in range(0, len(canon), m)]
+            self._view = JordanElem(alg, tuple(tuple(entries[k:k + n])
+                                               for k in range(0, n * n, n)))
+        return self._view
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjPointJ):
-            return NotImplemented
-        return self.elem == other.elem
-
-    def __hash__(self):
-        return hash(self.elem)
+    def _rows(self):
+        """The entries' canonical values as n rows of coordinate tuples,
+        over the lead."""
+        n, m, vals = self.algebra.n, self.algebra.cd.dim, self.vals
+        return [[vals[k:k + m] for k in range(i * n * m, (i + 1) * n * m, m)]
+                for i in range(n)]
 
     def __repr__(self):
         return f"P{self.elem!r}"
@@ -158,9 +172,9 @@ def projective_eq(u, v):
     check."""
     if type(u) is not type(v):
         raise AlgebraMismatchError("points of different ambient spaces")
-    if u.algebra != v.algebra:
+    if u.algebra is not v.algebra and u.algebra != v.algebra:
         raise AlgebraMismatchError("points of different ambient spaces")
-    return u == v
+    return u.vals == v.vals
 
 
 def q_form(algebra):
@@ -175,19 +189,24 @@ def q_form(algebra):
 
 
 def on_quadric(point):
-    return evaluate(q_form(point.algebra), point.flatten()) == point.algebra.field.zero()
+    """q(point) = 0 for the trace quadric, summed on the point's values
+    read in flatten's slot-major order, the order of the form's
+    coefficients."""
+    alg = point.algebra
+    m, vals = alg.cd.dim, point.vals
+    d, _ = alg.field.unwrap(q_form(alg).coeffs)
+    flat = [a for s in range(m) for a in vals[s:-1:m]] + [vals[-1]]
+    return not alg.field.reduce([sum(c * a * a for c, a in zip(d, flat))])[0]
 
 
 def _values(point):
     """The plain values of the n composition-algebra coordinates c_1, ...,
-    c_{n-1}, c_n = last e_0, as coordinate lists from one unwrap, and
-    their common denominator."""
-    m = point.algebra.cd.dim
-    flat, den = point.algebra.field.unwrap(
-        [x for c in point.cparts for x in c.coords] + [point.last])
-    coords = [flat[k:k + m] for k in range(0, len(flat) - 1, m)]
-    coords.append([flat[-1]] + [0] * (m - 1))
-    return coords, den
+    c_{n-1}, c_n = last e_0: the point's values as coordinate sequences,
+    and their lead as the common denominator."""
+    m, vals = point.algebra.cd.dim, point.vals
+    coords = [vals[k:k + m] for k in range(0, len(vals) - 1, m)]
+    coords.append([vals[-1]] + [0] * (m - 1))
+    return coords, next(filter(None, vals))
 
 
 def _conj(u):
@@ -239,18 +258,16 @@ def veronese(point):
 
 
 def veronese_inverse(pj):
-    """Column n of the matrix, read as a point of P(C^{n-1} x k);
-    BasePointError when that slice vanishes (membership in Z2)."""
-    elem = pj.elem
-    alg = elem.algebra
-    n = alg.n
-    col = elem.column(n - 1)
-    if all(not e for e in col):
+    """Column n of the matrix, read from the image's values as a point of
+    P(C^{n-1} x k); BasePointError when that slice vanishes (membership in
+    Z2)."""
+    col = [row[-1] for row in pj._rows()]
+    if not any(map(any, col)):
         raise BasePointError("column n vanishes: point lies in the inverse base locus")
-    if not col[n - 1].is_scalar():
+    if any(col[-1][1:]):
         raise ValueError("corner entry is not scalar; element is not sigma_b-symmetric")
-    flat = [x for e in col[:-1] for x in e.coords] + [col[n - 1].scalar_part()]
-    return ProjPointC._from_values(alg, alg.field.unwrap(flat)[0])
+    return ProjPointC._from_values(pj.algebra,
+                                   [a for e in col[:-1] for a in e] + [col[-1][0]])
 
 
 def half_space_square_zero(point):
@@ -269,25 +286,25 @@ def in_z1(point):
     """Source base-locus membership: c_n = 0 and c_i conj(c_j) = 0 for all
     i, j < n.  Equivalent to x(c)^2 = 0 and to veronese raising
     BasePointError; the equivalence is exercised by the verification
-    sweeps."""
-    if point.last:
+    sweeps.  Only the pairs i <= j are multiplied out:
+    c_j conj(c_i) = conj(c_i conj(c_j)) vanishes with it."""
+    if point.vals[-1]:
         return False
     alg = point.algebra
     gamma, reduce = alg.cd._gamma_v, alg.field.reduce
-    c, _ = _values(point)
-    for ci in c[:-1]:
-        for cj in c[:-1]:
+    c = _values(point)[0][:-1]
+    for i, ci in enumerate(c):
+        for cj in c[i:]:
             if any(reduce(_product(gamma, ci, _conj(cj)))):
                 return False
     return True
 
 
 def in_z2(pj):
-    """Target base-locus membership: row n of the matrix vanishes.  Meant
-    for traceless rank-one elements; the predicate itself is linear."""
-    elem = pj.elem
-    n = elem.algebra.n
-    return all(not e for e in elem.row(n - 1))
+    """Target base-locus membership: row n of the matrix vanishes, read
+    from the image's values.  Meant for traceless rank-one elements; the
+    predicate itself is linear."""
+    return not any(map(any, pj._rows()[-1]))
 
 
 def transposition_map(point):
@@ -318,9 +335,9 @@ def transposition_star(point):
     [c_1 * c_{n-1}, ..., c_{n-2} * c_{n-1}, c_n * c_{n-1}, N(c_{n-1})]."""
     alg = point.algebra
     n, gamma = alg.n, alg.cd._gamma_v
-    if not point.cparts[n - 2]:
-        raise BasePointError("coordinate n-1 vanishes: star formula undefined here")
     c, _ = _values(point)
+    if not any(c[n - 2]):
+        raise BasePointError("coordinate n-1 vanishes: star formula undefined here")
     wbar = _conj(c[n - 2])
     vals = [a for ci in c[:n - 2] + [c[n - 1]] for a in _product(gamma, ci, wbar)]
     vals.append(_product(gamma, c[n - 2], wbar)[0])

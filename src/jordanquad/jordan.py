@@ -9,14 +9,16 @@ The k-dimension of the symmetric space is 2^{r-1} n(n-1) + n: n scalar
 diagonal slots plus a full copy of C per strict-upper-triangle slot (the
 lower triangle is determined by symmetry).
 
-Element arithmetic (jordan_mul, scale, sums and the symmetry test) works
-on the entries' plain values, as cayley_dickson does: a matrix is
-unwrapped to integers over one common denominator, 1/2 and the ratios
-b_i / b_j are kept as (num, den) pairs, and an entry of x o y accumulates
-its composition-algebra products as integers.  The product itself,
-_jordan_values, takes and returns such matrices of values (reduced mod p
-on F_p); jordan_mul unwraps, calls it and wraps each coordinate once, and
-birational's x(c)^2 = 0 test squares on values without building a scalar.
+Element arithmetic (jordan_mul, scale, sums and the symmetry test,
+_symmetric_values, which the sampled checks also run on the values of
+images) works on the entries' plain values, as cayley_dickson does: a
+matrix is unwrapped to integers over one common denominator, 1/2 and the
+ratios b_i / b_j are kept as (num, den) pairs, and an entry of x o y
+accumulates its composition-algebra products as integers.  The product
+itself, _jordan_values, takes and returns such matrices of values
+(reduced mod p on F_p); jordan_mul unwraps, calls it and wraps each
+coordinate once, and birational's x(c)^2 = 0 test squares on values
+without building a scalar.
 
 The rank-one test reads entries, not products.  At n = 3 it and the cubic
 adjoint x^# share one helper that computes the six independent entries of
@@ -87,6 +89,25 @@ def _jordan_values(alg, x, dx, y, dy):
                 f = hn * rn * (lcm // rd)
                 rows[j][i] = reduce([f * acc[0]] + [-f * a for a in acc[1:]])
     return rows, dx * dy * cd._gamma_den * hd * lcm
+
+
+def _symmetric_values(alg, x):
+    """sigma_b(x) = x for x the n x n matrix of reduced coordinate lists of
+    an element of alg over any common denominator, i.e.
+    x_ij = (b_j / b_i) conj(x_ji) for all i, j: a scalar diagonal, and the
+    pairs i < j (the pair (j, i) states the same equation times
+    b_i / b_j).  The entries share one denominator, so the equations are
+    tested on numerators."""
+    reduce, ratio = alg.field.reduce, alg._ratio_v
+    for i in range(alg.n):
+        if any(x[i][i][1:]):
+            return False
+        for j in range(i + 1, alg.n):
+            (rn, rd), u, v = ratio[j][i], x[i][j], x[j][i]
+            if any(reduce([u[0] * rd - rn * v[0]]
+                          + [a * rd + rn * c for a, c in zip(u[1:], v[1:])])):
+                return False
+    return True
 
 
 def _rank_at_most(alg, x, bound):
@@ -337,22 +358,8 @@ class JordanElem:
                                                     for v in row) for row in rows))
 
     def is_symmetric(self):
-        """sigma_b(x) = x, i.e. x_ij = (b_j / b_i) conj(x_ji) for all i, j:
-        a scalar diagonal, and the pairs i < j (the pair (j, i) states the
-        same equation times b_i / b_j).  The entries share one denominator,
-        so the equations are tested on numerators."""
-        alg = self.algebra
-        reduce, ratio = alg.field.reduce, alg._ratio_v
-        x, _ = self._values()
-        for i in range(alg.n):
-            if any(x[i][i][1:]):
-                return False
-            for j in range(i + 1, alg.n):
-                (rn, rd), u, v = ratio[j][i], x[i][j], x[j][i]
-                if any(reduce([u[0] * rd - rn * v[0]]
-                              + [a * rd + rn * c for a, c in zip(u[1:], v[1:])])):
-                    return False
-        return True
+        """sigma_b(x) = x, by _symmetric_values on the entries' values."""
+        return _symmetric_values(self.algebra, self._values()[0])
 
     def jordan_mul(self, other):
         """x o y = (xy + yx)/2; commutative, symmetry-preserving.  The

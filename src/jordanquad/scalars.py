@@ -16,7 +16,9 @@ coercing it into the field, as a ``(num, den)`` pair; ``reduce`` brings
 integers to canonical form (mod p over F_p; unchanged over Q) for zero
 tests; and ``wrap(ints, den)`` builds each scalar once, ``FpElem(p, v)``
 or ``Fraction(v, den)``.  A rational result thus pays one gcd per output
-coordinate instead of one per product and sum.
+coordinate instead of one per product and sum.  ``projective(ints)`` gives
+the canonical integers of the projective point of a vector, the same for
+every nonzero multiple of it.
 
 Square classes get canonical representatives: over F_p either 1 or a fixed
 least non-residue, over Q a square-free integer with sign.  Discriminants
@@ -294,6 +296,17 @@ class Rationals:
         is the one shared Fraction(0)."""
         return tuple([Fraction(v, den) if v else _ZERO for v in vs])
 
+    def projective(self, vs):
+        """The canonical values of the projective point of the integers vs:
+        the primitive vector, vs over their gcd, with its first nonzero
+        entry positive, as a tuple; None when every value is zero."""
+        g = math.gcd(*vs)
+        if not g:
+            return None
+        if next(filter(None, vs)) < 0:
+            g = -g
+        return tuple([v // g for v in vs])
+
     def one(self):
         return Fraction(1)
 
@@ -386,6 +399,20 @@ class PrimeField:
             inv = pow(den, -1, p)
             vs = [v * inv for v in vs]
         return tuple([FpElem(p, v) for v in vs])
+
+    def projective(self, vs):
+        """The canonical values of the projective point of the integers vs:
+        the residues times the inverse of the first nonzero one, so that
+        one is 1, as a tuple; None when every value is zero mod p."""
+        p = self.p
+        vs = [v % p for v in vs]
+        lead = next(filter(None, vs), 0)
+        if not lead:
+            return None
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            vs = [v * inv % p for v in vs]
+        return tuple(vs)
 
     def one(self):
         return FpElem(self.p, 1)

@@ -7,11 +7,12 @@ locus count predicted by its Tate profile evaluated at p (the locus is a
 split homogeneous variety whenever the composition algebra splits, and has
 no rational points at all when the norm form is anisotropic).
 
-The sampled path goes through the exact high-level objects (CDElem,
-JordanElem) rather than the kernels, so the two routes validate each
-other; rank-one checks ride on a subsample: the entries of x^# at n = 3,
-and at n >= 4 a rank bound on the 2^r n square matrix of left
-multiplication by x.
+The sampled path goes through the projective points and maps of
+birational rather than the kernels, so the two routes validate each
+other.  It reads the points' and images' canonical values and builds no
+scalar object for them; rank-one checks ride on a subsample of images,
+built as JordanElems: the entries of x^# at n = 3, and at n >= 4 a rank
+bound on the 2^r n square matrix of left multiplication by x.
 """
 
 import itertools
@@ -22,13 +23,13 @@ from fractions import Fraction
 
 from . import _fpcore_py, motives
 from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
-                         projective_eq, q_form, transposition_map,
+                         on_quadric, projective_eq, q_form, transposition_map,
                          transposition_star, veronese, veronese_inverse)
 from .cayley_dickson import CDAlgebra
 from .errors import BasePointError, SamplingError
-from .jordan import JordanAlgebra
-from .quadform import (QuadForm, evaluate, fp_projective_zero_count,
-                       is_isotropic, isotropic_vector_search, tensor)
+from .jordan import JordanAlgebra, _symmetric_values
+from .quadform import (QuadForm, fp_projective_zero_count, is_isotropic,
+                       isotropic_vector_search, tensor)
 from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
@@ -174,7 +175,7 @@ def exhaustive_z1_sweep(alg, limit=-1):
 
 
 # ---------------------------------------------------------------------------
-# Seeded sampling through the exact high-level objects
+# Seeded sampling through the projective points of birational
 
 
 def flat_dim(alg):
@@ -261,8 +262,10 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
                            rank_checks=DEFAULT_RANK_CHECKS,
                            transposition_checks=None):
     """Round-trip, trace, symmetry, base-locus and transposition identities
-    on seeded quadric points; rank-one on the first rank_checks images."""
-    fld = alg.field
+    on seeded quadric points; rank-one on the first rank_checks images.
+    Every test but rank-one reads the points' and images' values, so no
+    scalar object is built for them."""
+    fld, n = alg.field, alg.n
     p = fld.characteristic
     report = SweepReport("quadric-sampled", p, alg.cd.r, alg.n, "sampled",
                          0, 0)
@@ -273,9 +276,8 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         transposition_checks = count
     pts = sample_quadric_points(alg, count, seed)
     report.scanned = len(pts)
-    qf = q_form(alg)
     for idx, pt in enumerate(pts):
-        if evaluate(qf, pt.flatten()):
+        if not on_quadric(pt):
             report.failures.append(f"point {idx}: sampled point off the quadric")
             continue
         z1_flag = in_z1(pt)
@@ -293,11 +295,12 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
             else:
                 counts["base_points"] += 1
             continue
-        if img.elem.trace():
+        rows = img._rows()
+        if fld.reduce([sum(rows[i][i][0] for i in range(n))])[0]:
             report.failures.append(f"point {idx}: image trace nonzero")
-        if not img.elem.is_symmetric():
+        if not _symmetric_values(alg, rows):
             report.failures.append(f"point {idx}: image not sigma_b-symmetric")
-        if pt.last:
+        if pt.vals[-1]:
             back = veronese_inverse(img)
             if not projective_eq(back, pt):
                 report.failures.append(f"point {idx}: round trip failed")
@@ -355,18 +358,18 @@ def z1_suite_case(p, r, n, budget=DEFAULT_BUDGET, samples=DEFAULT_SAMPLES,
 
 
 def _zero_divisor(cd):
-    """A nonzero norm-zero element, from an isotropic vector of the norm
-    form (None when the norm is anisotropic)."""
+    """The plain values of a nonzero norm-zero element, from an isotropic
+    vector of the norm form (None when the norm is anisotropic)."""
     v = isotropic_vector_search(cd.norm_form)
     if v is None:
         return None
-    return cd.element(v)
+    return cd.field.unwrap(v)[0]
 
 
 def sampled_z1_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """Predicate-equivalence checks on random source points with scalar
     slot zero, plus constructed positive locus members built from zero
-    divisors."""
+    divisors.  Each case point is built from its drawn values."""
     fld = alg.field
     cd, n = alg.cd, alg.n
     p = fld.characteristic
@@ -377,20 +380,18 @@ def sampled_z1_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     if isinstance(fld, PrimeField):
         draw = lambda: rng.randrange(fld.p)
     else:
-        draw = lambda: Fraction(rng.randint(-4, 4))
+        draw = lambda: rng.randint(-4, 4)
     cases = []
     for _ in range(count):
-        coords = [[draw() for _ in range(cd.dim)] for _ in range(n - 1)]
-        if all(all(not fld.element(x) for x in blk) for blk in coords):
-            continue
-        cases.append([cd.element(blk) for blk in coords])
+        pt = ProjPointC._from_values(alg, [draw() for _ in range(cd.dim * (n - 1))] + [0])
+        if pt is not None:
+            cases.append(pt)
     z = _zero_divisor(cd)
     if z is not None and cd.r >= 1:
-        zero = cd.zero()
-        cases.append([z] + [zero] * (n - 2))
-        cases.append([z, z] + [zero] * (n - 3))
-    for idx, cparts in enumerate(cases):
-        pt = ProjPointC(alg, cparts, 0)
+        zero = [0] * cd.dim
+        cases.append(ProjPointC._from_values(alg, z + zero * (n - 2) + [0]))
+        cases.append(ProjPointC._from_values(alg, z + z + zero * (n - 3) + [0]))
+    for idx, pt in enumerate(cases):
         report.scanned += 1
         member = in_z1(pt)
         if member != half_space_square_zero(pt):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +11,12 @@ from jordanquad.birational import (ProjPointC, ProjPointJ,
                                    on_quadric, projective_eq, q_form,
                                    transposition_map, transposition_star,
                                    veronese, veronese_inverse, veronese_matrix)
-from jordanquad.cayley_dickson import CDAlgebra
+from jordanquad.cayley_dickson import CDAlgebra, CDElem
 from jordanquad.errors import AlgebraMismatchError, BasePointError
-from jordanquad.jordan import JordanAlgebra
+from jordanquad.jordan import JordanAlgebra, JordanElem
 from jordanquad.quadform import bilinear, evaluate
 from jordanquad.scalars import PrimeField, Rationals
-from jordanquad import _fpcore_py, sweeps
+from jordanquad import _fpcore_py, birational, sweeps
 
 Q = Rationals()
 
@@ -137,6 +138,21 @@ def test_in_z1_anisotropic_is_empty():
     assert sweeps.z1_rational_box_search(alg, bound=1) == 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_in_z1_multiplies_each_pair_once(monkeypatch, n):
+    """c_j conj(c_i) = conj(c_i conj(c_j)), so deciding a member of Z1
+    takes the products of the pairs i <= j alone, n(n-1)/2 of them."""
+    alg = sweeps.fp_algebra(3, 1, n)
+    z = alg.cd.element([1, 1])      # N(z) = 1 - 1 = 0
+    p = ProjPointC(alg, [z] * (n - 1), 0)
+    calls = []
+    product = birational._product
+    monkeypatch.setattr(birational, "_product",
+                        lambda *args: calls.append(args) or product(*args))
+    assert in_z1(p)
+    assert len(calls) == n * (n - 1) // 2
+
+
 @pytest.mark.parametrize("params,b", [([1], (1, 2, 1)), ([2], (1, 1, 2)),
                                       ([], (1, 1, 1, 1)), ([1, 1], (1, 2, 1))],
                          ids=["3-1-3-split", "3-1-3-nonsplit", "3-0-4", "3-2-3-split"])
@@ -198,6 +214,28 @@ def test_half_space_square_zero_builds_no_scalar(monkeypatch):
 
     monkeypatch.setattr(PrimeField, "wrap", refuse)
     assert [half_space_square_zero(p) for p in points] == want == [True, False, False]
+
+
+def test_sampled_checks_build_no_jordan_element(monkeypatch):
+    """Points and images are read as values: the sampled z1 checks, and the
+    sampled quadric checks without rank-one checks, build no JordanElem,
+    on F_p and on Q."""
+    algs = [sweeps.fp_algebra(7, 3, 3), sweeps.fp_algebra(7, 2, 4),
+            JordanAlgebra(CDAlgebra(Q, [-1, 2]), (1, 2, -3))]
+    built = []
+    init = JordanElem.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(JordanElem, "__init__", counting)
+    rep = sweeps.sampled_z1_checks(algs[0])
+    assert rep.ok and rep.counts["z1_members"], rep.failures
+    for alg in algs:
+        rep = sweeps.sampled_quadric_checks(alg, count=20, seed=5, rank_checks=0)
+        assert rep.ok and rep.counts["roundtrip"] and rep.counts["transpositions"], rep.failures
+    assert not built
 
 
 def test_z1_membership_equivalences_sampled():
@@ -422,21 +460,77 @@ def check_point_against_references(p):
         assert (s.cparts, s.last) == reference_point(swapped, star, w.norm())
 
 
+def canonical_values(field, flat):
+    """(vals, lead) of the field scalars flat: over F_p the residues times
+    the inverse of the first nonzero one, over Q the integers over the lcm
+    of the denominators divided by their gcd, signed so that the first
+    nonzero one is positive; lead is that first nonzero value."""
+    if field.kind == "Q":
+        den = math.lcm(*(x.denominator for x in flat))
+        ints = [x.numerator * (den // x.denominator) for x in flat]
+        g = math.gcd(*ints)
+        vals = [v // g for v in ints]
+        if next(v for v in vals if v) < 0:
+            vals = [-v for v in vals]
+    else:
+        p = field.p
+        inv = pow(next(x.v for x in flat if x), -1, p)
+        vals = [x.v * inv % p for x in flat]
+    return vals, next(v for v in vals if v)
+
+
+def check_scalings(alg, flat, lam):
+    """The points built from the block-major coordinates flat and from
+    lam * flat are equal, with equal hash, views, flatten() and repr; both
+    store the canonical values worked out here, and their views are
+    field.wrap(vals, lead).  The same for their images, from veronese and
+    from ProjPointJ of the matrix and of its lam-multiple."""
+    field, cd, n = alg.field, alg.cd, alg.n
+    m = cd.dim
+    flat = [field.element(x) for x in flat]
+    points = [ProjPointC(alg, [w[i * m:(i + 1) * m] for i in range(n - 1)], w[-1])
+              for w in (flat, [lam * x for x in flat])]
+    vals, lead = canonical_values(field, flat)
+    want = field.wrap(vals, lead)
+    cparts = tuple(CDElem(cd, want[k:k + m]) for k in range(0, len(want) - 1, m))
+    for q in points:
+        assert q.vals == tuple(vals)
+        assert (q.cparts, q.last) == (cparts, want[-1])
+    a, b = points
+    assert a == b and hash(a) == hash(b)
+    assert (a.cparts, a.last, a.flatten(), repr(a)) == (b.cparts, b.last, b.flatten(), repr(b))
+    rows = veronese_matrix(a)
+    if all(not e for row in rows for e in row):
+        return
+    elem = alg.element(rows)
+    images = [veronese(a), veronese(b), ProjPointJ(elem), ProjPointJ(elem.scale(lam))]
+    vals, lead = canonical_values(field, elem.flatten())
+    want = field.wrap(vals, lead)
+    for img in images:
+        assert img.vals == tuple(vals)
+        assert img.elem.flatten() == list(want)
+        assert img == images[0] and hash(img) == hash(images[0])
+        assert img.elem == images[0].elem and repr(img) == repr(images[0])
+
+
 @pytest.mark.parametrize("r,n,split", [(1, 3, True), (1, 3, False), (0, 4, True)])
 def test_maps_on_every_point_at_p3(r, n, split):
     """Every nonzero vector of C^{n-1} x k over F_3, each scaling of each
     point included: the canonical form, the matrix, the image, the round
     trip, both transpositions and the half-space element agree with the
-    object arithmetic."""
+    object arithmetic, and a seeded unit multiple of the vector gives the
+    same point and image."""
     alg = sweeps.fp_algebra(3, r, n, split=split)
     m = alg.cd.dim
     N = m * (n - 1) + 1
+    rng = random.Random(f"p3:{r}:{n}:{split}")
     seen, base = set(), 0
     for v in itertools.product(range(3), repeat=N):
         if not any(v):
             continue
         p = ProjPointC(alg, [v[i * m:(i + 1) * m] for i in range(n - 1)], v[-1])
         check_point_against_references(p)
+        check_scalings(alg, v, rng.randrange(1, 3))
         seen.add(p)
         base += all(not e for row in reference_matrix(p) for e in row)
     assert len(seen) == sweeps.projective_size(3, N)
@@ -447,7 +541,8 @@ def test_maps_on_every_point_at_p3(r, n, split):
 @pytest.mark.parametrize("r,n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
 def test_maps_on_rational_points_with_denominators(r, n):
     """Seeded points over Q whose coordinates have denominators and whose
-    lead is negative, with fractional b and doubling parameters."""
+    lead is negative, with fractional b and doubling parameters; each also
+    scaled by a negative fraction."""
     rng = random.Random(f"values:{r}:{n}")
     b = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
          for _ in range(n - 1)]
@@ -463,8 +558,11 @@ def test_maps_on_rational_points_with_denominators(r, n):
         lead = next(x for x in flat if x)
         assert lead < 0 and lead.denominator > 1
         check_point_against_references(p)
+        check_scalings(alg, flat, Fraction(-rng.randint(1, 12), 13))
         for q in sweeps.sample_quadric_points(alg, 2, seed=t):
             check_point_against_references(q)
+            check_scalings(alg, [x for c in q.cparts for x in c.coords] + [q.last],
+                           Fraction(-rng.randint(1, 12), 13))
 
 
 def reference_samples(alg, count, seed):
