@@ -1,9 +1,15 @@
-"""The mod-p kernels, in pure Python.
+"""The mod-p kernels, in pure Python, and the composition-algebra product
+on plain integers.
 
-All three functions operate on plain ints modulo an odd prime p < 2^31:
+The three kernels operate on plain ints modulo an odd prime p < 2^31:
 the exhaustive isotropic-vector search, and the full projective sweeps of
 the source quadric and of the base locus, the hot loops of the
 verification suites.
+
+The product (_mul_acc, _product, _conj) is the package's only one:
+cayley_dickson, jordan, birational and the base-locus sweep use it.  This
+module imports only scalars, since quadform, which cayley_dickson
+imports, imports it.
 
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
@@ -67,14 +73,16 @@ check splits into a part on the prefix's products and a test of x = 0 and
 of the trace, made per point.  The prefix's part is an AND over its
 blocks and its pairs of blocks.
 
-Each sweep forms the m^2 products E[s][t] = e_s conj(e_t) once and reads
+Each sweep reads the m^2 products E[s][t] = e_s conj(e_t) off the table
+once, +-gamma_st e_{s XOR t} with the minus sign for t >= 1, and reads
 from them every fact a block gives its checks, for any table.  The e_0
 coordinate of c conj(c) is N(c), so the trace on a fibre is
 (gamma_00 - 1) b_n x^2; the rest of c conj(c) is a quadratic form in c;
 the checks of column n-1 are linear in c, and a pair check (c_i, c_j),
 i < j, is linear in c_j by rows built at the level that fixed c_i.  For
-a true table all of these but the rows of the product checks are empty,
-and no block forms a product.
+a true table all of these but the rows of the product checks are empty.
+The quadric sweep forms no product; the base-locus sweep forms
+conj(c) c by _product, for the blocks of the locus' points alone.
 
 The innermost step moves only the last prefix block, whose quadric term
 depends on that block alone.  The quadric sweep groups that level's
@@ -222,38 +230,37 @@ def _fibres(p, w):
             yield prefix, xs
 
 
-def _conj_product(p, m, gamma):
-    """The product x conj(y) of two m-coordinate blocks, as a function
-    returning the list of residues.  It runs over the nonzero terms
-    (s, t, s XOR t, +-gamma[s*m+t]) of the table, the sign from the
-    conjugation of y, grouped by s so that a zero x_s skips its terms."""
-    rows = [(s, [(t, s ^ t, -g if t else g) for t in range(m)
-                 if (g := gamma[s * m + t] % p)]) for s in range(m)]
-
-    def mul(x, y):
-        out = [0] * m
-        for s, row in rows:
-            xs = x[s]
-            if xs:
-                for t, k, g in row:
-                    out[k] += xs * y[t] * g
-        return [v % p for v in out]
-
-    return mul
+def _mul_acc(gamma, x, y, out):
+    """out[i ^ j] += x_i y_j gamma[i][j] over the nonzero plain values of
+    x and y; nothing is reduced."""
+    for i, xi in enumerate(x):
+        if xi:
+            row = gamma[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    out[i ^ j] += xi * yj * row[j]
 
 
-def _conj(p, v):
-    """The conjugate of a block: coordinates 1.. negated mod p."""
-    return [v[0] % p, *(-x % p for x in v[1:])]
+def _product(gamma, x, y):
+    """The plain values of x y over the table's denominator, unreduced."""
+    out = [0] * len(x)
+    _mul_acc(gamma, x, y, out)
+    return out
+
+
+def _conj(u):
+    return [u[0]] + [-a for a in u[1:]]
 
 
 def _basis_products(p, m, gamma):
-    """(mul, E) for a table: mul = _conj_product(p, m, gamma) and
-    E[s][t] = e_s conj(e_t), the m^2 products a sweep forms once.  The
-    product is bilinear, so c conj(y) = sum_{s,t} c_s y_t E[s][t]."""
-    mul = _conj_product(p, m, gamma)
-    basis = [tuple(int(s == t) for s in range(m)) for t in range(m)]
-    return mul, [[mul(u, v) for v in basis] for u in basis]
+    """E[s][t] = e_s conj(e_t), +-gamma[s*m+t] at s XOR t (minus for
+    t >= 1), read off the table.  The product is bilinear, so
+    c conj(y) = sum_{s,t} c_s y_t E[s][t]."""
+    E = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for s, t in itertools.product(range(m), repeat=2):
+        g = gamma[s * m + t]
+        E[s][t][s ^ t] = (-g if t else g) % p
+    return E
 
 
 def _nonscalar(p, E):
@@ -427,7 +434,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
-    _, E = _basis_products(p, m, gamma)
+    E = _basis_products(p, m, gamma)
     ns = _nonscalar(p, E)
     pf = _norm_form(gamma, m)
     # the e_0 coordinate of c_i conj(c_i) is N(c_i), so the corner's trace
@@ -438,14 +445,14 @@ def quadric_sweep(p, b, gamma, limit=-1):
     lookup = _root_lookup(p, b[n - 1] % p, nfib)
     # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
     # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
-    sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(p, E[0][t]))]
+    sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(E[0][t]))]
                      for t in range(m)])
     col_rows = _rows([[(x - (k == t)) % p for k, x in enumerate(E[t][0])]
                       for t in range(m)])
     # the rows that check a later block y against a fixed block c, linear in
     # c: y -> c conj(y) - conj(y conj(c)) for the symmetry, empty for a true
     # table, and y -> (c conj(y), y conj(c)) for both products 0
-    sym_map = _linear_rows(p, [[[(x - y) % p for x, y in zip(E[s][t], _conj(p, E[t][s]))]
+    sym_map = _linear_rows(p, [[[(x - y) % p for x, y in zip(E[s][t], _conj(E[t][s]))]
                                 for t in range(m)] for s in range(m)])
     zero_map = _linear_rows(p, [[E[s][t] + E[t][s] for t in range(m)] for s in range(m)])
 
@@ -612,9 +619,10 @@ def z1_sweep(p, b, gamma, limit=-1):
     space = (p ** (m * nn) - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
-    mul, E = _basis_products(p, m, gamma)
+    E = _basis_products(p, m, gamma)
     ns = _nonscalar(p, E)
     left = _linear_rows(p, E)           # c -> the rows of y -> c conj(y)
+    table = [gamma[s * m:(s + 1) * m] for s in range(m)]      # rows, for _product
     pf = _norm_form(gamma, m)
     wl = pf[-1] % p
     if wl:
@@ -650,11 +658,10 @@ def z1_sweep(p, b, gamma, limit=-1):
         return out
 
     # only the fixed blocks and the last blocks of the locus' points read
-    # their term; at most _BLOCK_CAP of them are held
+    # their term conj(c) c; at most _BLOCK_CAP of them are held
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
     def term(c):
-        cc = _conj(p, c)
-        return mul(cc, cc)
+        return [v % p for v in _product(table, _conj(c), c)]
 
     def fix(state, j, c):
         corner, rows = state

@@ -21,14 +21,16 @@ image) are views over the lead, built on first read.
 The maps run on plain values, as cayley_dickson and jordan do.  A point's
 values are read as they are stored, over their lead, and b is unwrapped
 once per algebra.  The products c_i conj(c_j) are accumulated as integers
-with the structure-constant table, and only the upper triangle of the
-image is multiplied out: its lower triangle is
+with the structure-constant table by _fpcore_py's _product and _conj, the
+product on plain integers that the mod-p kernels use too.  Only the upper
+triangle of the image is multiplied out: its lower triangle is
 c_j conj(c_i) b_i = conj(c_i conj(c_j)) b_i.  Zero tests run on the
 reduced values, and each output point is canonicalized once from its
 integers, whatever their common denominator.
 """
 
-from .cayley_dickson import CDElem, _mul_acc
+from ._fpcore_py import _conj, _product
+from .cayley_dickson import CDElem
 from .errors import AlgebraMismatchError, BasePointError
 from .jordan import JordanAlgebra, JordanElem, _jordan_values
 from .quadform import QuadForm, perp, tensor
@@ -207,17 +209,6 @@ def _values(point):
     coords = [vals[k:k + m] for k in range(0, len(vals) - 1, m)]
     coords.append([vals[-1]] + [0] * (m - 1))
     return coords, next(filter(None, vals))
-
-
-def _conj(u):
-    return [u[0]] + [-a for a in u[1:]]
-
-
-def _product(gamma, x, y):
-    """The plain values of x y over the table's denominator."""
-    out = [0] * len(x)
-    _mul_acc(gamma, x, y, out)
-    return out
 
 
 def _veronese_values(point):

@@ -24,11 +24,13 @@ F_p, numerators over the lcm of the denominators on Q), the table is kept
 as integers over one denominator too, and the integer result is wrapped
 back over the product of the denominators, so each output coordinate is
 reduced once (mod p, or by one gcd).  A product accumulates
-x_i y_j gamma(i, j) over the nonzero coordinates only.  The recursive
-doubling product _mul_rec is the test oracle for the table and for the
-flat product; the algebra itself never calls it.
+x_i y_j gamma(i, j) over the nonzero coordinates only, by _fpcore_py's
+_product, which the mod-p kernels, jordan and birational share.  The
+recursive doubling product _mul_rec is the test oracle for the table and
+for the flat product; the algebra itself never calls it.
 """
 
+from ._fpcore_py import _product
 from .errors import AlgebraMismatchError
 from .quadform import pfister
 
@@ -51,17 +53,6 @@ def _mul_rec(x, y, params, field):
     bc = _mul_rec(b, _conj_rec(c), sub, field)
     return (tuple(p + lam * q for p, q in zip(ac, db))
             + tuple(p + q for p, q in zip(da, bc)))
-
-
-def _mul_acc(gamma, x, y, out):
-    """out[i ^ j] += x_i y_j gamma[i][j] over the nonzero plain values of
-    x and y; nothing is reduced."""
-    for i, xi in enumerate(x):
-        if xi:
-            row = gamma[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out[i ^ j] += xi * yj * row[j]
 
 
 class CDAlgebra:
@@ -183,9 +174,7 @@ class CDElem:
         alg = self.algebra
         f = alg.field
         (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
-        out = [0] * alg.dim
-        _mul_acc(alg._gamma_v, u, v, out)
-        return CDElem(alg, f.wrap(out, du * dv * alg._gamma_den))
+        return CDElem(alg, f.wrap(_product(alg._gamma_v, u, v), du * dv * alg._gamma_den))
 
     def _scaled(self, s):
         """Scalar action."""
@@ -218,9 +207,6 @@ class CDElem:
 
     def scalar_part(self):
         return self.coords[0]
-
-    def is_scalar(self):
-        return not any(self.coords[1:])
 
     def __eq__(self, other):
         if not isinstance(other, CDElem):

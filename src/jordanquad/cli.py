@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import diagram, motives, rootsys, sweeps, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
@@ -19,7 +18,7 @@ from .cayley_dickson import CDAlgebra
 from .config import ParseError, ValidationError, load_config
 from .errors import BasePointError, SamplingError
 from .quadform import QuadForm, hilbert_symbol, invariants, witt_index
-from .scalars import field_from_spec, is_prime
+from .scalars import Rationals, field_from_spec, is_prime
 
 TARGETS = {
     "quadric": lambda r, n: motives.decompose_neighbour_quadric(r, n),
@@ -36,7 +35,7 @@ def _emit(obj):
 def _scalar(tok):
     if isinstance(tok, (bool, float)):
         raise ValueError(f"bad scalar {tok!r} ({type(tok).__name__} is not a scalar)")
-    return Fraction(str(tok).strip())
+    return Rationals().element(str(tok))
 
 
 def _scalar_list(text, option):
@@ -85,7 +84,7 @@ def _point_to_json(pt):
 
 
 def _elem_from_json(alg, data):
-    rows = data["matrix"] if isinstance(data, dict) else data
+    rows = data.get("matrix") if isinstance(data, dict) else data
     if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
         rows = [[_cd_coords(alg.cd, e) for e in row] for row in rows]
     return alg.element(rows)

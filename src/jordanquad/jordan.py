@@ -14,20 +14,19 @@ _symmetric_values, which the sampled checks also run on the values of
 images) works on the entries' plain values, as cayley_dickson does: a
 matrix is unwrapped to integers over one common denominator, 1/2 and the
 ratios b_i / b_j are kept as (num, den) pairs, and an entry of x o y
-accumulates its composition-algebra products as integers.  The product
-itself, _jordan_values, takes and returns such matrices of values
+accumulates its products as integers by _fpcore_py's _mul_acc.  The
+Jordan product, _jordan_values, takes and returns such matrices of values
 (reduced mod p on F_p); jordan_mul unwraps, calls it and wraps each
-coordinate once, and birational's x(c)^2 = 0 test squares on values
-without building a scalar.
+coordinate once, and birational's x(c)^2 = 0 test squares on values.
 
-The rank-one test reads entries, not products.  At n = 3 it and the cubic
-adjoint x^# share one helper that computes the six independent entries of
-x^# on values.  At n >= 4 C is associative (octonions need n = 3), and x
-is rank one exactly when the 2^r n x 2^r n matrix Lambda(x) of x acting
-on C^n by left multiplication has rank at most 2^r over F: a rank-one
-x_ij = c_i conj(c_j) b_j gives Lambda(x_ij) = Lambda(c_i)
-Lambda(conj(c_j) b_j), so Lambda(x) factors through 2^r columns.  For
-split C, J is Sym_n(F), M_n(F) or Alt_2n(F) and this is the matrix rank
+The rank-one test, _rank_one_values, reads the entries' values, not
+products.  At n = 3 it and the cubic adjoint x^# share _sharp_values, the
+six independent entries of x^#.  At n >= 4 C is associative (octonions
+need n = 3), and x is rank one exactly when the 2^r n x 2^r n matrix
+Lambda(x) of x acting on C^n by left multiplication has rank at most 2^r
+over F: a rank-one x_ij = c_i conj(c_j) b_j gives Lambda(x_ij) =
+Lambda(c_i) Lambda(conj(c_j) b_j), so Lambda(x) factors through 2^r
+columns.  For split C, J is Sym_n(F), M_n(F) or Alt_2n(F) and this is the matrix rank
 test, whose loci are the quadric, the point-hyperplane incidence variety
 and the isotropic Grassmannian IG(2, 2n) (Landsberg-Manivel, "The
 projective geometry of Freudenthal's magic square", J. Algebra 239, 2001).
@@ -40,7 +39,8 @@ both tests, and the converse of the rank bound, against them.
 import math
 from fractions import Fraction
 
-from .cayley_dickson import CDAlgebra, CDElem, _mul_acc
+from ._fpcore_py import _mul_acc, _product
+from .cayley_dickson import CDAlgebra, CDElem
 from .errors import AlgebraMismatchError
 
 
@@ -155,6 +155,36 @@ def _rank_at_most(alg, x, bound):
         rows = kept
         rank += 1
     return True
+
+
+def _sharp_values(alg, x, den):
+    """The six independent entries of the cubic adjoint x^# (n = 3) as
+    plain values, for x the 3 x 3 matrix of coordinate lists of an element
+    of alg over den: the diagonal scalars
+    (x^#)_kk = x_ii x_jj - x_ij x_ji, the upper entries
+    (x^#)_ij = x_ik x_kj - x_kk x_ij as coordinate lists keyed by (i, j),
+    for {i, j, k} = {0, 1, 2} and i < j, and their denominator.
+
+    These are the entries of x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1
+    worked out on a symmetric 3 x 3 matrix.  x_ij x_ji is a scalar, so
+    only its e_0 coordinate is kept; the scalar terms are brought over
+    the table's denominator to stand with the products."""
+    gamma, g = alg.cd._gamma_v, alg.cd._gamma_den
+    diag, upper = [0] * 3, {}
+    for i, j, k in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
+        diag[k] = x[i][i][0] * x[j][j][0] * g - _product(gamma, x[i][j], x[j][i])[0]
+        s = x[k][k][0] * g
+        upper[i, j] = [a - s * c for a, c in zip(_product(gamma, x[i][k], x[k][j]), x[i][j])]
+    return diag, upper, den * den * g
+
+
+def _rank_one_values(alg, x):
+    """is_rank_one on the values x of a nonzero element over any common
+    denominator: x^# = 0 at n = 3, rank_F Lambda(x) <= 2^r at n >= 4."""
+    if alg.n == 3:
+        diag, upper, _ = _sharp_values(alg, x, 1)
+        return not any(alg.field.reduce(diag + [a for u in upper.values() for a in u]))
+    return _rank_at_most(alg, x, alg.cd.dim)
 
 
 class JordanAlgebra:
@@ -417,31 +447,6 @@ class JordanElem:
         a = self.jordan_mul(self.jordan_mul(y)).scale(2)
         return a - self.square().jordan_mul(y)
 
-    def _sharp_values(self):
-        """The six independent entries of the cubic adjoint x^# (n = 3) as
-        plain values over one denominator: the diagonal scalars
-        (x^#)_kk = x_ii x_jj - x_ij x_ji, the upper entries
-        (x^#)_ij = x_ik x_kj - x_kk x_ij as coordinate lists keyed by (i, j),
-        for {i, j, k} = {0, 1, 2} and i < j, and that denominator.
-
-        These are the entries of x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1
-        worked out on a symmetric 3 x 3 matrix.  x_ij x_ji is a scalar, so
-        only its e_0 coordinate is kept; the scalar terms are brought over
-        the table's denominator to stand with the products."""
-        cd = self.algebra.cd
-        gamma, g = cd._gamma_v, cd._gamma_den
-        x, den = self._values()
-        diag, upper = [0] * 3, {}
-        for i, j, k in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
-            acc = [0] * cd.dim
-            _mul_acc(gamma, x[i][j], x[j][i], acc)
-            diag[k] = x[i][i][0] * x[j][j][0] * g - acc[0]
-            acc = [0] * cd.dim
-            _mul_acc(gamma, x[i][k], x[k][j], acc)
-            s = x[k][k][0] * g
-            upper[i, j] = [a - s * c for a, c in zip(acc, x[i][j])]
-        return diag, upper, den * den * g
-
     def is_rank_one(self):
         """x lies on the rank-one locus: U_x J is the line through x
         (McCrimmon), which u_operator and trace_form state literally and the
@@ -466,11 +471,7 @@ class JordanElem:
         """
         if self.is_zero():
             raise ValueError("rank of the zero element is undefined")
-        alg = self.algebra
-        if alg.n == 3:
-            diag, upper, _ = self._sharp_values()
-            return not any(alg.field.reduce(diag + [a for u in upper.values() for a in u]))
-        return _rank_at_most(alg, self._values()[0], alg.cd.dim)
+        return _rank_one_values(self.algebra, self._values()[0])
 
     def adjoint_sharp(self):
         """Cubic adjoint x^# = x^2 - T(x) x + ((T(x)^2 - T(x^2))/2) 1 (n = 3),
@@ -481,12 +482,9 @@ class JordanElem:
         if alg.n != 3:
             raise ValueError("the cubic adjoint needs n = 3")
         wrap = alg.field.wrap
-        diag, upper, den = self._sharp_values()
+        diag, upper, den = _sharp_values(alg, *self._values())
         return alg.from_parts(wrap(diag, den),
                               {ij: CDElem(alg.cd, wrap(u, den)) for ij, u in upper.items()})
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.algebra.n))

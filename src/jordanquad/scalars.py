@@ -34,6 +34,7 @@ primes is that large for ``factor``.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatchError
@@ -254,6 +255,8 @@ class FpElem:
 
 
 _ZERO = Fraction(0)
+# the strings Rationals.element accepts: a sign, digits, maybe /digits
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 class Rationals:
@@ -264,13 +267,17 @@ class Rationals:
 
     def element(self, x):
         """Coerce ints, strings like '3/4', and Fractions to a Fraction.
-        Floats are rejected: they are rarely the rational that was meant."""
+        Floats are rejected: they are rarely the rational that was meant.
+        So are decimal and exponent strings ('0.1', or '1e10000000', which
+        Fraction takes seconds to expand): ValueError."""
         if type(x) is Fraction:
             return x
         if isinstance(x, FpElem):
             raise FieldMismatchError("got an F_p residue where a rational was expected")
         if isinstance(x, (bool, float)):
             raise TypeError(f"{type(x).__name__} is not a scalar")
+        if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+            raise ValueError(f"{x!r} is not an integer or a fraction like 1/2")
         return Fraction(x)
 
     def zero(self):
@@ -368,7 +375,7 @@ class PrimeField:
         if isinstance(x, int):
             return FpElem(self.p, x)
         if isinstance(x, str):
-            return FpElem(self.p, int(x))
+            x = Rationals().element(x)      # the one grammar of scalar strings
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")

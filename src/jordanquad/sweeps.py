@@ -11,8 +11,8 @@ The sampled path goes through the projective points and maps of
 birational rather than the kernels, so the two routes validate each
 other.  It reads the points' and images' canonical values and builds no
 scalar object for them; rank-one checks ride on a subsample of images,
-built as JordanElems: the entries of x^# at n = 3, and at n >= 4 a rank
-bound on the 2^r n square matrix of left multiplication by x.
+tested on their values too: the entries of x^# at n = 3, and at n >= 4 a
+rank bound on the 2^r n square matrix of left multiplication by x.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from .birational import (ProjPointC, half_space_square_zero, in_z1, in_z2,
                          transposition_star, veronese, veronese_inverse)
 from .cayley_dickson import CDAlgebra
 from .errors import BasePointError, SamplingError
-from .jordan import JordanAlgebra, _symmetric_values
+from .jordan import JordanAlgebra, _rank_one_values, _symmetric_values
 from .quadform import (QuadForm, fp_projective_zero_count, is_isotropic,
                        isotropic_vector_search, tensor)
 from .scalars import PrimeField
@@ -263,8 +263,8 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
                            transposition_checks=None):
     """Round-trip, trace, symmetry, base-locus and transposition identities
     on seeded quadric points; rank-one on the first rank_checks images.
-    Every test but rank-one reads the points' and images' values, so no
-    scalar object is built for them."""
+    Every test reads the points' and images' values, so no scalar object
+    is built for them."""
     fld, n = alg.field, alg.n
     p = fld.characteristic
     report = SweepReport("quadric-sampled", p, alg.cd.r, alg.n, "sampled",
@@ -312,7 +312,7 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
             else:
                 counts["z2_images"] += 1
         if idx < rank_checks:
-            if img.elem.is_rank_one():
+            if _rank_one_values(alg, rows):
                 counts["rank_one"] += 1
             else:
                 report.failures.append(f"point {idx}: image fails rank-one")

@@ -218,8 +218,8 @@ def test_half_space_square_zero_builds_no_scalar(monkeypatch):
 
 def test_sampled_checks_build_no_jordan_element(monkeypatch):
     """Points and images are read as values: the sampled z1 checks, and the
-    sampled quadric checks without rank-one checks, build no JordanElem,
-    on F_p and on Q."""
+    sampled quadric checks with and without rank-one checks on every
+    image, build no JordanElem, on F_p and on Q."""
     algs = [sweeps.fp_algebra(7, 3, 3), sweeps.fp_algebra(7, 2, 4),
             JordanAlgebra(CDAlgebra(Q, [-1, 2]), (1, 2, -3))]
     built = []
@@ -235,6 +235,8 @@ def test_sampled_checks_build_no_jordan_element(monkeypatch):
     for alg in algs:
         rep = sweeps.sampled_quadric_checks(alg, count=20, seed=5, rank_checks=0)
         assert rep.ok and rep.counts["roundtrip"] and rep.counts["transpositions"], rep.failures
+        rep = sweeps.sampled_quadric_checks(alg, count=20, seed=5, rank_checks=20)
+        assert rep.ok and rep.counts["rank_one"] > 0, rep.failures
     assert not built
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from jordanquad import cli
 
-HOSTILE = ["", " ", "0", "-1", "-7", "1e3", "1/0", "nan", "inf", "-inf", "2.5",
+HOSTILE = ["", " ", "0", "-1", "-7", "1e3", "1e10000000", "0.5", "1/0", "nan", "inf", "-inf",
+           "2.5",
            "9" * 40, "-" + "9" * 40, "0x10", "3..", "..", "5..3", "{", "[1,",
            "null", "[]", "{}", '{"c": []}', '"x"', "true", "\x00", "é",
            "[" * 100000 + "]" * 100000]
@@ -126,3 +127,21 @@ def test_cli_fuzz(config, capsys):
         assert elapsed < 1.0, (argv, elapsed)
 
     check()
+
+
+def test_decimal_and_exponent_scalars_exit_2_at_once(tmp_path, capsys):
+    """A scalar is an integer or a fraction: a decimal, or an exponent that
+    Fraction would take seconds to expand, is refused in an option and in
+    a config file, with one line and within a second."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text('field = "Q"\nr = 0\na = []\nn = 3\nb = ["1e10000000", 2, -3]\n',
+                   encoding="utf-8")
+    for argv in (["witt", "--field", "Q", "--form", "0.1,1"],
+                 ["hilbert", "--a", "1e10000000", "--b", "3", "--place", "5"],
+                 ["rank", "--config", str(cfg), "--elem", "[]"]):
+        t0 = time.perf_counter()
+        code = cli.run(argv)
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and err.count("\n") == 1, (argv, err)
+        assert elapsed < 1.0, (argv, elapsed)

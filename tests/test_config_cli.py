@@ -721,6 +721,15 @@ def test_cli_elem_shape_rejected(capsys, tmp_path, command, matrix):
     assert err == "error: matrix must be 3 x 3\n"
 
 
+def test_cli_elem_without_matrix_key_rejected(capsys, tmp_path):
+    """An object without "matrix" is a matrix of the wrong shape, not a
+    missing key."""
+    cfg = write_config(tmp_path, R1)
+    code, out, err = run_cli(capsys, "rank", "--config", cfg, "--elem", '{"nomatrix": 1}')
+    assert code == 2 and not out
+    assert err == "error: matrix must be 3 x 3\n"
+
+
 def test_cli_json_float_and_bool_rejected(capsys, tmp_path):
     cfg = write_config(tmp_path, GOOD)
     e11 = [[[1, 0, 0, 0], [0] * 4, [0] * 4], [[0] * 4] * 3, [[0] * 4] * 3]

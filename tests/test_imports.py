@@ -1,7 +1,11 @@
 """Every name a package module imports is read in it.  `__init__.py` imports
-to re-export, and `fpkernels.py` binds `active` for perfbench to read."""
+to re-export, and `fpkernels.py` binds `active` for perfbench to read.  The
+package's own imports form layers: no cycle, and the mod-p kernels at the
+bottom, beside the composition-algebra product they share with the layers
+above."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jordanquad"
@@ -29,3 +33,31 @@ def test_package_modules_read_every_import():
     unused = {path.name: found for path in modules
               if (found := unused_imports(path.read_text(encoding="utf-8")))}
     assert not unused, unused
+
+
+def package_imports(source):
+    """The package modules a module imports by relative import, anywhere in
+    it: `from .x import y` gives x, `from . import x, y` gives x and y."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_package_imports_form_layers():
+    """A cycle through the kernels would still import (a `from . import`
+    of a module half loaded binds it), so it is caught here: the graph of
+    the package's imports sorts topologically, and _fpcore_py, which the
+    composition-algebra layers import their product from, imports only
+    scalars."""
+    assert package_imports("from . import a, b\nfrom .c.d import e\nimport os\n") == {
+        "a", "b", "c"}
+    graph = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert graph["_fpcore_py"] == {"scalars"}
+    assert "_fpcore_py" in graph["cayley_dickson"] & graph["jordan"] & graph["birational"]
+    list(graphlib.TopologicalSorter(graph).static_order())      # CycleError on a cycle

@@ -451,20 +451,15 @@ def test_small_limit_builds_no_large_table(monkeypatch):
     alg = sweeps.fp_algebra(7, 3, 3)
     ki = sweeps.kernel_inputs(alg)
     calls = [0]
-    conj_product = _fpcore_py._conj_product
+    mul_acc = _fpcore_py._mul_acc
 
-    def counting_product(*args):
-        mul = conj_product(*args)
+    def counting(*args):
+        calls[0] += 1
+        if calls[0] > 10 * 1000:
+            raise AssertionError("the limit did not bound the tables")
+        mul_acc(*args)
 
-        def counting(x, y):
-            calls[0] += 1
-            if calls[0] > 10 * 1000:
-                raise AssertionError("the limit did not bound the tables")
-            return mul(x, y)
-
-        return counting
-
-    monkeypatch.setattr(_fpcore_py, "_conj_product", counting_product)
+    monkeypatch.setattr(_fpcore_py, "_mul_acc", counting)
     assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0)
     assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
 
@@ -475,18 +470,7 @@ def test_z1_sweep_forms_products_only_where_the_norm_vanishes(monkeypatch):
     product only for the blocks that pass it."""
     alg = sweeps.fp_algebra(41, 1, 3)
     calls = [0]
-    conj_product = _fpcore_py._conj_product
-
-    def counting_product(*args):
-        mul = conj_product(*args)
-
-        def counting(x, y):
-            calls[0] += 1
-            return mul(x, y)
-
-        return counting
-
-    monkeypatch.setattr(_fpcore_py, "_conj_product", counting_product)
+    _counting(monkeypatch, "_mul_acc", calls)
     assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
         sweeps.projective_size(41, 4), sweeps.z1_expected_count(alg), 0)
     assert calls[0] <= 400
@@ -536,41 +520,30 @@ def test_quadric_sweep_counters_do_not_depend_on_the_block_cache(monkeypatch):
 
 
 def _counting(monkeypatch, name, calls):
-    """Count into calls[0] the calls of _fpcore_py.<name>, a function, or
-    of the function it returns when name is _conj_product."""
+    """Count into calls[0] the calls of the function _fpcore_py.<name>."""
     real = getattr(_fpcore_py, name)
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    def counted_product(*args):
-        mul = real(*args)
-
-        def counting(x, y):
-            calls[0] += 1
-            return mul(x, y)
-
-        return counting
-
-    monkeypatch.setattr(_fpcore_py, name,
-                        counted_product if name == "_conj_product" else counted)
+    monkeypatch.setattr(_fpcore_py, name, counted)
 
 
 def test_quadric_sweep_forms_products_once_per_sweep(monkeypatch):
     """Every fact a block gives the quadric sweep is read from rows and
-    forms built from the m^2 products e_s conj(e_t), so a complete sweep
-    forms as many products at p = 19 as at p = 7."""
+    forms built from the m^2 products e_s conj(e_t), which are read from
+    the table, so a complete sweep forms no product at p = 7 or p = 19."""
     for p in (7, 19):
         alg = sweeps.fp_algebra(p, 1, 3)
         calls = [0]
         with monkeypatch.context() as patch:
-            _counting(patch, "_conj_product", calls)
+            _counting(patch, "_mul_acc", calls)
             raw = _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(alg))
         assert raw[:3] == (sweeps.projective_size(p, 5), fp_projective_zero_count(q_form(alg)),
                            sweeps.z1_expected_count(alg))
         assert not any(raw[5:]), raw
-        assert calls[0] <= 32, (p, calls[0])
+        assert calls[0] == 0, (p, calls[0])
 
 
 def test_z1_sweep_reads_the_last_block_from_the_kernel(monkeypatch):

@@ -281,6 +281,21 @@ def test_floats_rejected():
         PrimeField(7).element(0.5)
 
 
+def test_rational_strings_are_integers_or_fractions():
+    """Strings read as an optional sign and digits, optionally over '/'
+    and digits, on both fields; the decimals and exponents Fraction also
+    reads are refused, the long exponent without being expanded."""
+    Q = Rationals()
+    assert [Q.element(t) for t in ("7", " -3/4 ", "+6/8")] == [7, Fraction(-3, 4),
+                                                               Fraction(3, 4)]
+    F = PrimeField(7)
+    assert [F.element(t) for t in ("7", " -3/4 ", "+6/8")] == [0, 1, 6]
+    for text in ("0.5", "1e3", "1e10000000", "1_000", "", "nan", "inf", "1/", "/2", "1 / 2"):
+        for field in (Q, F):
+            with pytest.raises(ValueError):
+                field.element(text)
+
+
 def test_fp_int_equality_is_canonical_residue():
     x = PrimeField(7).element(3)
     assert x == 3 and 3 in {x} and x in {3}
