@@ -14,17 +14,17 @@ imports, imports it.
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
 below rely on p being prime (a nonzero residue is a unit), and so do the
-square roots: a sweep through at least (p - 1)/2 fibres (of the quadric,
-or of the norm for the base locus's null blocks) reads the last
-coordinate's roots from a table of the (p - 1)/2 nonzero squares, which
-those fibres pay for, while isotropic_vector, which stops at the first
-zero, and a shorter sweep take one square root mod p per fibre and store
-nothing of size p.  At p near 2^31 that answers in milliseconds,
-where a walk over every point can take a minute.  No walk stores range(p)
+square roots.  The last coordinate's roots on a fibre (of the quadric, or
+of the norm for the base locus's null blocks) come from one lookup,
+_roots, which takes one square root mod p for each fibre value on its
+first request and keeps it: isotropic_vector, which stops at the first
+zero, and a short sweep store nothing of size p, and a long sweep stores
+at most p answers.  At p near 2^31 that answers in milliseconds, where a
+walk over every point can take a minute.  No walk stores range(p)
 either: the odometers are nested generators.  The quadric sweep's other
-tables, of the last prefix block's quadric terms, hold counts alone, one
-entry per term at most, and are built only for a level that lies wholly
-below the limit, so they are bounded by the sweep and by p.
+table, of the later last prefix blocks' quadric terms, holds counts
+alone, one entry per term at most, and is built only once a level lies
+wholly below the limit, so it is bounded by the sweep and by p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -32,10 +32,10 @@ canonical index of a point is its position in that order, and a sweep's
 `limit` keeps the points with index below it.
 
 A sweep takes (p, b, gamma, limit) and derives the rest: n = len(b), the
-composition-algebra dimension m from len(gamma) = m^2, and the norm form
-N(e_0) = gamma[0], N(e_t) = -gamma[t*m+t] (t >= 1).  Products are table
-driven: e_i e_j = gamma[i*m+j] e_{i XOR j}, conjugation negates
-coordinates 1..m-1.  Every b_i must be a unit mod p.
+composition-algebra dimension m = len(gamma), gamma being m rows of m
+entries, and the norm form N(e_0) = gamma[0][0], N(e_t) = -gamma[t][t]
+(t >= 1).  Products are table driven: e_i e_j = gamma[i][j] e_{i XOR j},
+conjugation negates coordinates 1..m-1.  Every b_i must be a unit mod p.
 
 The sweeps skip the points that cannot pass the first test, so far fewer
 points are visited than the space holds, while the counters (including
@@ -85,14 +85,15 @@ The quadric sweep forms no product; the base-locus sweep forms
 conj(c) c by _product, for the blocks of the locus' points alone.
 
 The innermost step moves only the last prefix block, whose quadric term
-depends on that block alone.  The quadric sweep groups that level's
-blocks by term once per sweep, the lead level and the later levels
-apart, into the counts of each class's blocks failing each of their own
-checks, and adds a class's counters at once for each choice of the outer
-blocks; the one state the limit cuts, and a state whose symmetry rows
-tell the blocks apart, go one block at a time through the same counter
-body.  The base-locus sweep keeps its rows in reduced echelon form and
-runs its last block through the null vectors of their kernel.
+depends on that block alone.  The quadric sweep groups the blocks of a
+later level by term once per sweep, into the counts of each class's
+blocks failing each of their own checks, and adds a class's counters at
+once for each choice of the outer blocks.  A lead level is the last
+prefix level of one state alone, all blocks before it zero; that state,
+the one the limit cuts and a state whose symmetry rows tell the blocks
+apart go one block at a time through the same counter body.  The
+base-locus sweep keeps its rows in reduced echelon form and runs its
+last block through the null vectors of their kernel.
 """
 
 import functools
@@ -167,35 +168,22 @@ def _sqrt_mod(a, p):
     return min(x, p - x)
 
 
-def _root_by_sqrt(p, wl):
-    """The lookup v -> roots of wl x^2 = -v (x and p - x, or [0], or None
-    when there is none) by one square root per fibre: for isotropic_vector
-    and short quadric sweeps, which visit few fibres."""
+def _roots(p, wl):
+    """The lookup v -> roots of wl x^2 = -v (mod p), v reduced and wl a
+    unit: (x, p - x) with x < p - x, (0,) at v = 0, None when there is
+    none.  Each value takes one square root mod p, on its first request,
+    and keeps the answer, so the lookup holds at most p entries and never
+    more than the values asked for."""
     c = -pow(wl, -1, p)
 
+    @functools.cache
     def roots(v):
         x = _sqrt_mod(c * v, p)
         if x is None:
             return None
-        return [x, p - x] if x else [0]
+        return (x, p - x) if x else (0,)
 
     return roots
-
-
-def _root_table(p, wl):
-    """The lookup of _root_by_sqrt from a table of the (p - 1)/2 nonzero
-    squares: for sweeps that visit at least that many fibres, which pay
-    for it.  p prime gives distinct squares to x = 1 .. (p - 1)/2."""
-    roots = {-wl * x * x % p: [x, p - x] for x in range(1, (p + 1) // 2)}
-    roots[0] = [0]
-    return roots.get
-
-
-def _root_lookup(p, wl, fibres):
-    """The lookup of _root_by_sqrt for a sweep through `fibres` fibres:
-    from a table of the squares when they are at least (p - 1)/2, which pay
-    for it, else by one square root per fibre."""
-    return (_root_table if fibres >= (p - 1) // 2 else _root_by_sqrt)(p, wl)
 
 
 def _tuples(p, k, head=()):
@@ -221,9 +209,9 @@ def _fibres(p, w):
 
     A fibre is the set of points sharing their first N-1 coordinates, the
     prefix canonical; the last coordinate's solutions are the roots of
-    w[N-1] x^2 = -v, v the prefix's value, found by one square root per
-    fibre.  The point e_N is not a zero, since w[N-1] is a unit."""
-    lookup = _root_by_sqrt(p, w[-1] % p)
+    w[N-1] x^2 = -v, v the prefix's value, from _roots.  The point e_N is
+    not a zero, since w[N-1] is a unit."""
+    lookup = _roots(p, w[-1] % p)
     for prefix in _points(p, len(w) - 1):
         xs = lookup(sum(wi * x * x for wi, x in zip(w, prefix)) % p)
         if xs:
@@ -252,13 +240,14 @@ def _conj(u):
     return [u[0]] + [-a for a in u[1:]]
 
 
-def _basis_products(p, m, gamma):
-    """E[s][t] = e_s conj(e_t), +-gamma[s*m+t] at s XOR t (minus for
+def _basis_products(p, gamma):
+    """E[s][t] = e_s conj(e_t), +-gamma[s][t] at s XOR t (minus for
     t >= 1), read off the table.  The product is bilinear, so
     c conj(y) = sum_{s,t} c_s y_t E[s][t]."""
+    m = len(gamma)
     E = [[[0] * m for _ in range(m)] for _ in range(m)]
     for s, t in itertools.product(range(m), repeat=2):
-        g = gamma[s * m + t]
+        g = gamma[s][t]
         E[s][t][s ^ t] = (-g if t else g) % p
     return E
 
@@ -386,21 +375,22 @@ def _block_walk(p, m, nn, limit, candidates, fix, state):
 
 def _sweep_shape(p, b, gamma):
     """(n, m) of a sweep's inputs; ValueError unless p is an odd prime
-    below 2^31, len(gamma) = m^2 with m in {1, 2, 4, 8} and every b_i is
-    nonzero mod p."""
+    below 2^31, gamma is m rows of m entries with m in {1, 2, 4, 8} and
+    every b_i is nonzero mod p."""
     _check_modulus(p)
-    m = {1: 1, 4: 2, 16: 4, 64: 8}.get(len(gamma))
-    if m is None:
-        raise ValueError("len(gamma) must be 1, 4, 16 or 64")
+    m = len(gamma)
+    if m not in (1, 2, 4, 8) or any(not isinstance(row, (list, tuple)) or len(row) != m
+                                    for row in gamma):
+        raise ValueError("gamma must be m rows of m entries, m in {1, 2, 4, 8}")
     if any(x % p == 0 for x in b):
         raise ValueError("every b_i must be nonzero mod p")
     return len(b), m
 
 
-def _norm_form(gamma, m):
+def _norm_form(gamma):
     """The norm form's coefficients N(e_t), read from the table's diagonal:
     the e_0 coordinate of c conj(c) is sum_t N(e_t) c_t^2, for any table."""
-    return [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
+    return [gamma[0][0]] + [-gamma[t][t] for t in range(1, len(gamma))]
 
 
 def quadric_sweep(p, b, gamma, limit=-1):
@@ -416,16 +406,17 @@ def quadric_sweep(p, b, gamma, limit=-1):
     block a candidate.  The level that fixes block j adds its quadric term,
     ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
     symmetry and for both products zero, and passes the sums and ANDs
-    down.  The last prefix block's candidates are grouped by their quadric
-    term once per sweep into the counts of each class's facts, and each
-    choice of the outer blocks whose level lies wholly below the limit
-    looks up the roots once per class and adds the class's counters at
-    once; while every product of the fixed blocks is zero, the base points
-    among the class of norm 0 are the null vectors of the zero rows'
-    kernel.  The state the limit cuts, and a state that keeps its fixed
-    blocks' symmetry rows, are counted block by block.  The checks that
-    read x (the trace, the symmetry of row and column n-1, the base point
-    and the round trip) are counted per root.
+    down.  The candidates of a later last prefix block are grouped by
+    their quadric term once per sweep into the counts of each class's
+    facts, and each choice of the outer blocks whose level lies wholly
+    below the limit looks up the roots once per class and adds the class's
+    counters at once; while every product of the fixed blocks is zero, the
+    base points among the class of norm 0 are the null vectors of the zero
+    rows' kernel.  The one state whose last prefix block is the lead, the
+    state the limit cuts, and a state that keeps its fixed blocks' symmetry
+    rows are counted block by block.  The checks that read x (the trace,
+    the symmetry of row and column n-1, the base point and the round trip)
+    are counted per root.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
@@ -434,15 +425,15 @@ def quadric_sweep(p, b, gamma, limit=-1):
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
-    E = _basis_products(p, m, gamma)
+    E = _basis_products(p, gamma)
     ns = _nonscalar(p, E)
-    pf = _norm_form(gamma, m)
+    pf = _norm_form(gamma)
     # the e_0 coordinate of c_i conj(c_i) is N(c_i), so the corner's trace
     # is the prefix's quadric value and the whole trace on a fibre is
     # (gamma_00 - 1) b_n x^2: it fails at each root x != 0 when gamma_00 != 1
-    bad_trace = gamma[0] % p != 1
+    bad_trace = gamma[0][0] % p != 1
     nfib = -(-scanned // p)     # fibres holding a point below the limit
-    lookup = _root_lookup(p, b[n - 1] % p, nfib)
+    lookup = _roots(p, b[n - 1] % p)
     # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
     # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
     sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(E[0][t]))]
@@ -496,15 +487,15 @@ def quadric_sweep(p, b, gamma, limit=-1):
     def candidates(lead):
         return enumerate(_points(p, m) if lead else _tuples(p, m))
 
-    # the term depends on the block alone, so each kind of level, lead or
-    # later, merges its blocks by term once per sweep, the first time a
-    # state's whole level lies below the limit, with each class's counts:
-    # its blocks, and how many of them have c conj(c) not scalar, fail
-    # C = conj(R) and fail C = c.  At most p classes, whatever p^m is
+    # the term depends on the block alone, so the later level merges its
+    # blocks by term once per sweep, the first time a state's whole level
+    # lies below the limit, with each class's counts: its blocks, and how
+    # many of them have c conj(c) not scalar, fail C = conj(R) and fail
+    # C = c.  At most p classes, whatever p^m is
     @functools.cache
-    def table(lead):
+    def table():
         by_term = {}
-        for _, c in candidates(lead):
+        for c in _tuples(p, m):
             nrm, ns_c, sx, col = block(c)
             counts = by_term.setdefault(bl * nrm % p, [0, 0, 0, 0])
             counts[0] += 1
@@ -513,14 +504,14 @@ def quadric_sweep(p, b, gamma, limit=-1):
             counts[3] += not col
         return list(by_term.items())
 
-    def classes(lead, s, zero, sym, sym_x, good, zero_rows):
-        """The parts of a state whose whole level lies below the limit and
-        that keeps no symmetry rows: its fixed blocks treat every block of a
-        class alike but for its facts.  Their zero rows hold only
+    def classes(s, zero, sym, sym_x, good, zero_rows):
+        """The parts of a state whose later last level lies wholly below the
+        limit and that keeps no symmetry rows: its fixed blocks treat every
+        block of a class alike but for its facts.  Their zero rows hold only
         on null blocks, all in the class v = 0 (a zero state has s = 0, and
-        xs = [0]): with no rows on every null block of it, else on the null
+        xs = (0,)): with no rows on every null block of it, else on the null
         vectors of the rows' kernel."""
-        for v, (cnt, nns, nsx, ncol) in table(lead):
+        for v, (cnt, nns, nsx, ncol) in table():
             xs = lookup((s + v) % p)
             if not xs:
                 continue
@@ -549,13 +540,13 @@ def quadric_sweep(p, b, gamma, limit=-1):
                    zero and is_null(c) and _in_kernel(zero_rows, c, p),
                    sym and _in_kernel(sym_rows, c, p))
 
-    level = {True: (p ** m - 1) // (p - 1), False: p ** m}     # blocks of a lead, later level
     walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
-                       (0, 0, True, True, True, gamma[0] % p == 1, [], []))
+                       (0, 0, True, True, True, not bad_trace, [], []))
     for f0, lead, (s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
-        # the limit and the fixed blocks' symmetry rows tell blocks apart
-        if (f0 + level[lead]) * p <= scanned and not sym_rows:
-            parts = classes(lead, s, zero, sym, sym_x, good, zero_rows)
+        # a lead level is the last prefix level of one state alone, and the
+        # limit and the fixed blocks' symmetry rows tell blocks apart
+        if not (lead or sym_rows) and (f0 + p ** m) * p <= scanned:
+            parts = classes(s, zero, sym, sym_x, good, zero_rows)
         else:
             parts = apart(f0, lead, s, zero, sym, sym_x, good, sym_rows, zero_rows)
         for xs, cnt, nns, nsx, ncol, z, sy in parts:
@@ -619,15 +610,13 @@ def z1_sweep(p, b, gamma, limit=-1):
     space = (p ** (m * nn) - 1) // (p - 1)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
-    E = _basis_products(p, m, gamma)
+    E = _basis_products(p, gamma)
     ns = _nonscalar(p, E)
     left = _linear_rows(p, E)           # c -> the rows of y -> c conj(y)
-    table = [gamma[s * m:(s + 1) * m] for s in range(m)]      # rows, for _product
-    pf = _norm_form(gamma, m)
+    pf = _norm_form(gamma)
     wl = pf[-1] % p
     if wl:
-        # one root lookup per prefix below the limit
-        roots = _root_lookup(p, wl, min(-(-scanned // p), p ** (m - 1)))
+        roots = _roots(p, wl)
     else:
         # N(e_{m-1}) = 0: every x is a root on a prefix of value 0
         def roots(v):
@@ -661,7 +650,7 @@ def z1_sweep(p, b, gamma, limit=-1):
     # their term conj(c) c; at most _BLOCK_CAP of them are held
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
     def term(c):
-        return [v % p for v in _product(table, _conj(c), c)]
+        return [v % p for v in _product(gamma, _conj(c), c)]
 
     def fix(state, j, c):
         corner, rows = state

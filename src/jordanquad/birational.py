@@ -302,9 +302,10 @@ def transposition_map(point):
     """The composite of the map for u = E_nn with the inverse of the map
     for u' = E_{n-1,n-1}: take column n-1 of the image matrix, then swap
     the last two coordinate slots.  Lands in the space for the form with
-    b_{n-1} and b_n exchanged; agrees projectively with the star formula
-    x * y = x conj(y) of transposition_star.  Only that column is
-    computed: c_i conj(c_{n-1}) b_{n-1} for i = 1, ..., n."""
+    b_{n-1} and b_n exchanged.  Only that column is computed:
+    c_i conj(c_{n-1}) b_{n-1} for i = 1, ..., n, the products of
+    transposition_star after scaling c_{n-1} by b_{n-1}: a comparison with
+    it can fail only in their zero tests."""
     alg = point.algebra
     n, gamma = alg.n, alg.cd._gamma_v
     c, _ = _values(point)
@@ -321,9 +322,11 @@ def transposition_map(point):
 
 
 def transposition_star(point):
-    """Independent formula for the transposition: with x * y := x conj(y),
+    """The star formula for the transposition: with x * y := x conj(y),
     send [c_1, ..., c_n] to
-    [c_1 * c_{n-1}, ..., c_{n-2} * c_{n-1}, c_n * c_{n-1}, N(c_{n-1})]."""
+    [c_1 * c_{n-1}, ..., c_{n-2} * c_{n-1}, c_n * c_{n-1}, N(c_{n-1})].
+    transposition_map forms the same products, so this is no independent
+    check of it."""
     alg = point.algebra
     n, gamma = alg.n, alg.cd._gamma_v
     c, _ = _values(point)

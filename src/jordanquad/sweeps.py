@@ -12,7 +12,10 @@ birational rather than the kernels, so the two routes validate each
 other.  It reads the points' and images' canonical values and builds no
 scalar object for them; rank-one checks ride on a subsample of images,
 tested on their values too: the entries of x^# at n = 3, and at n >= 4 a
-rank bound on the 2^r n square matrix of left multiplication by x.
+rank bound on the 2^r n square matrix of left multiplication by x.  The
+sampled "transposition != star formula" check can fail only in the two
+maps' zero tests, as they form the same products; the map's definition is
+checked against the image matrix's column in the tests.
 """
 
 import itertools
@@ -93,9 +96,9 @@ def z1_expected_count(alg):
 
 def kernel_inputs(alg):
     """(p, b, gamma) of the sweep kernels: the prime, the diagonal b and the
-    flat structure-constant table of the composition algebra."""
-    gamma = [g for row in alg.cd._gamma_v for g in row]
-    return alg.field.p, alg.field.unwrap(alg.b)[0], gamma
+    structure-constant table of the composition algebra as m rows of m
+    plain values, fresh lists that share nothing with the algebra."""
+    return alg.field.p, alg.field.unwrap(alg.b)[0], [list(row) for row in alg.cd._gamma_v]
 
 
 @dataclass

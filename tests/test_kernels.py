@@ -3,7 +3,6 @@ sweeps, and against per-point evaluators on true and corrupted tables,
 complete and cut at a limit."""
 
 import itertools
-import math
 import random
 import time
 
@@ -121,6 +120,31 @@ def test_pure_isotropic_vector_at_large_p():
     assert [x.v for x in v] == [1, 1, 2824754]
 
 
+def test_roots_match_bruteforce():
+    """The root lookup of wl x^2 = -v against every x, for every unit wl
+    and every v: (x, p - x) increasing, (0,) at v = 0, None when there is
+    no root.  17 and 41 are 1 mod 8, where Tonelli-Shanks loops."""
+    for p in (3, 5, 7, 13, 17, 41):
+        for wl in range(1, p):
+            roots = _fpcore_py._roots(p, wl)
+            for v in range(p):
+                xs = tuple(x for x in range(p) if (wl * x * x + v) % p == 0)
+                assert roots(v) == (xs or None), (p, wl, v)
+
+
+def test_roots_take_one_square_root_per_value(monkeypatch):
+    """A lookup asked for k distinct values, each several times, takes k
+    square roots."""
+    p, values = 41, (0, 1, 3, 7, 40)
+    calls = [0]
+    _counting(monkeypatch, "_sqrt_mod", calls)
+    roots = _fpcore_py._roots(p, 3)
+    for _ in range(4):
+        for v in values:
+            roots(v)
+    assert calls[0] == len(values)
+
+
 def _head_zeros(p, w, limit):
     """Zeros of sum w_i c_i^2 among the first `limit` < p^2 canonical
     points: the fibres (1, 0, .., 0, k, x) over x in F_p, k = 0, 1, ...
@@ -156,8 +180,10 @@ def test_pure_kernels_reduce_big_integers():
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
     shifts = (10 ** 30, -(2 ** 64), 2 ** 70, -(10 ** 25))
     big_b = [x + p * shifts[i % 4] for i, x in enumerate(b)]
-    big_gamma = [x + p * shifts[i % 4] for i, x in enumerate(gamma)]
-    assert all(abs(x) >= 2 ** 64 for x in big_b + big_gamma)
+    m = len(gamma)
+    big_gamma = [[x + p * shifts[(s * m + t) % 4] for t, x in enumerate(row)]
+                 for s, row in enumerate(gamma)]
+    assert all(abs(x) >= 2 ** 64 for x in big_b + [x for row in big_gamma for x in row])
     for name in ("quadric_sweep", "z1_sweep"):
         want = getattr(_fpcore_py, name)(p, b, gamma)
         assert getattr(_fpcore_py, name)(p, big_b, big_gamma) == want, name
@@ -173,9 +199,9 @@ def test_sweeps_reject_zero_b_and_bad_gamma(kernels):
         for bad_b in ([1, 0, 6], [1, 2, -7], [14, 2, 6]):
             with pytest.raises(ValueError, match="b_i"):
                 sweep(p, bad_b, gamma)
-        for size in (2, 9, 256):
+        for bad_gamma in ([[1, 1], [1]], [[1] * 3] * 3, [[1] * 16] * 16, [1] * 4):
             with pytest.raises(ValueError, match="gamma"):
-                sweep(p, b, [1] * size)
+                sweep(p, b, bad_gamma)
 
 
 @pytest.mark.parametrize("kernels", [_fpcore_py], ids=["pure"])
@@ -183,7 +209,7 @@ def test_sweeps_reject_zero_b_and_bad_gamma(kernels):
 def test_kernels_reject_a_modulus_that_is_not_an_odd_prime(kernels, p):
     """The kernels check p before they build anything: the per-fibre checks
     of the quadric sweep rest on every nonzero residue being a unit, and
-    its root table holds p entries."""
+    its root lookup holds up to p entries."""
     _, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
     msg = "p must be an odd prime below 2"
     with pytest.raises(ValueError, match=msg):
@@ -209,18 +235,17 @@ def test_every_failure_counter_fires_on_a_corrupted_gamma(kernels):
     counter tests, so each one can fail; the sweeps give these tuples, one
     counter for each name in sweeps."""
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
-    m = 2
     fired = set()
-    for entry, want in ((0, (781, 156, 0, 36, 120, 120, 0, 120, 0)),
-                        (m, (781, 156, 0, 36, 120, 114, 138, 0, 200))):
-        bad = list(gamma)
-        bad[entry] = 2
+    for entry, want in (((0, 0), (781, 156, 0, 36, 120, 120, 0, 120, 0)),
+                        ((1, 0), (781, 156, 0, 36, 120, 114, 138, 0, 200))):
+        bad = [row[:] for row in gamma]
+        bad[entry[0]][entry[1]] = 2
         raw = kernels.quadric_sweep(p, b, bad)
         assert raw == want, entry
         fired |= {k for k, v in zip(sweeps._QUADRIC_COUNTERS, raw, strict=True) if v}
     p, b, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(3, 2, 3))
-    bad = list(gamma)
-    bad[1] = bad[11] = 0
+    bad = [row[:] for row in gamma]
+    bad[0][1] = bad[2][3] = 0
     raw = kernels.z1_sweep(p, b, bad)
     assert raw == (3280, 80, 48)
     fired |= {k for k, v in zip(sweeps._Z1_COUNTERS, raw, strict=True) if v}
@@ -233,7 +258,7 @@ def _mul_conj(p, gamma, x, y):
     m = len(x)
     out = [0] * m
     for s, t in itertools.product(range(m), repeat=2):
-        out[s ^ t] += x[s] * (-y[t] if t else y[t]) * gamma[s * m + t]
+        out[s ^ t] += x[s] * (-y[t] if t else y[t]) * gamma[s][t]
     return [v % p for v in out]
 
 
@@ -246,9 +271,9 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
     each limit in limits: every canonical point is taken in turn, the
     matrix mat[i][j] = c_i conj(c_j) b_j of each point on the quadric is
     built in full, and each check is made on that matrix."""
-    n, m = len(b), math.isqrt(len(gamma))
+    n, m = len(b), len(gamma)
     N = m * (n - 1) + 1
-    pf = [gamma[0]] + [-gamma[t * m + t] for t in range(1, m)]
+    pf = [gamma[0][0]] + [-gamma[t][t] for t in range(1, m)]
     w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[-1]]
     counts = dict.fromkeys(sweeps._QUADRIC_COUNTERS, 0)
     out = {}
@@ -286,7 +311,7 @@ def _z1_sweep_per_point(p, b, gamma, limits):
     the locus when its norms c_i conj(c_i) and its pairs c_i conj(c_j),
     i < j, are all zero, and fails there when its corner
     sum_k b_k conj(c_k) c_k is not."""
-    n, m = len(b), math.isqrt(len(gamma))
+    n, m = len(b), len(gamma)
     counts = dict.fromkeys(sweeps._Z1_COUNTERS, 0)
     out = {}
     for c in _fpcore_py._points(p, m * (n - 1)):
@@ -353,14 +378,14 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
             # entry, so N(e_{m-1}) = 0, and draw 4 (m > 1) makes
             # e_0 conj(e_1) + e_1 conj(e_0) nonzero, so c conj(c) is not
             # scalar on some blocks of norm 0
-            gamma = list(table)
+            gamma = [row[:] for row in table]
             keys = rng.sample(range(m * m), rng.randint(1, m)) + [0] * (draw == 1)
             for k in keys if draw in (1, 2) else ():
-                gamma[k] = rng.choice((0, rng.randrange(2, p)))
+                gamma[k // m][k % m] = rng.choice((0, rng.randrange(2, p)))
             if draw == 3:
-                gamma[(m - 1) * (m + 1)] = 0
+                gamma[m - 1][m - 1] = 0
             if draw == 4 and m > 1:
-                gamma[1] = (gamma[m] + 1) % p
+                gamma[0][1] = (gamma[1][0] + 1) % p
             b = [rng.randrange(1, p) for _ in range(n)]
             fibre = rng.randrange(space // p)
             edges = _block_boundaries(p, m, n, rng)
@@ -581,13 +606,13 @@ def test_z1_sweep_walks_the_norm_fibres(monkeypatch):
 
 def test_short_pure_sweeps_at_large_p():
     """A sweep of 100 points at p = 1,000,003 builds nothing of size p: the
-    quadric sweep takes a square root per fibre instead of a table of the
-    (p - 1)/2 squares, and the base-locus walk stores no range(p)."""
+    quadric sweep takes a square root per fibre value it asks for, and the
+    base-locus walk stores no range(p)."""
     import tracemalloc
-    three = (1_000_003, [1, 2, 1_000_002], [1, 1, 1, 1], 100)
+    three = (1_000_003, [1, 2, 1_000_002], [[1, 1], [1, 1]], 100)
     # five blocks of one coordinate: every level of the quadric sweep's
     # block walk must stop at the limit without walking its p values
-    five = (1_000_003, [1, 2, 3, 4, 5], [1], 100)
+    five = (1_000_003, [1, 2, 3, 4, 5], [[1]], 100)
     for sweep, args, want in (
             (_fpcore_py.quadric_sweep, three, (100, 1, 0, 0, 1, 0, 0, 0, 0)),
             (_fpcore_py.z1_sweep, three, (100, 0, 0)),
@@ -602,21 +627,6 @@ def test_short_pure_sweeps_at_large_p():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (sweep.__name__, args, peak)
-
-
-def test_short_quadric_sweep_roots_match_table(monkeypatch):
-    """Below (p - 1)/2 fibres the quadric sweep takes square roots; with the
-    table put in their place every counter is the same."""
-    cases = [(31, 0, 3), (29, 1, 3), (23, 2, 3), (19, 1, 4)]
-    limits = {}
-    for p, r, n in cases:
-        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
-        limits[p] = [(L, _fpcore_py.quadric_sweep(*ki, L))
-                     for L in range(0, p * (p - 1) // 2, 5)]
-    monkeypatch.setattr(_fpcore_py, "_root_by_sqrt", _fpcore_py._root_table)
-    for p, r, n in cases:
-        ki = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, n))
-        assert [(L, _fpcore_py.quadric_sweep(*ki, L)) for L, _ in limits[p]] == limits[p]
 
 
 def test_quadric_sweep_oracles_pure():
