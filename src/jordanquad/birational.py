@@ -8,8 +8,9 @@ is literally sigma_b-symmetric.  The inverse takes column n, which equals
 
 Base loci: the source locus Z1 is cut out by c_n = 0 together with all
 products c_i conj(c_j) = 0, equivalently by x(c)^2 = 0 for the half-space
-element x(c) whose column n is c; the target locus Z2 consists of the
-matrices whose row n (hence column n) vanishes.
+element x(c) whose column n is c (read up to the first nonzero entry of
+its upper triangle); the target locus Z2 consists of the matrices whose
+row n (hence column n) vanishes.
 
 Projective points are stored as their canonical plain values (the
 field's `projective`): over F_p the residues times the inverse of the
@@ -32,7 +33,7 @@ integers, whatever their common denominator.
 from ._fpcore_py import _conj, _product
 from .cayley_dickson import CDElem
 from .errors import AlgebraMismatchError, BasePointError
-from .jordan import JordanAlgebra, JordanElem, _jordan_values
+from .jordan import JordanAlgebra, JordanElem, _jordan_upper
 from .quadform import QuadForm, perp, tensor
 
 
@@ -263,14 +264,15 @@ def veronese_inverse(pj):
 
 def half_space_square_zero(point):
     """x(c)^2 = 0 for the half-space element with column n = c (the
-    independent matrix-equation form of Z1 membership): x(c) is built on
-    the point's plain values and squared by the Jordan product on values,
-    whose reduced result is tested for zero."""
+    independent matrix-equation form of Z1 membership) on the point's
+    values: the entries i <= j of the square come from _jordan_upper in row
+    order, and the first with a nonzero reduced sum answers.  They decide,
+    as each lower entry is (b_i / b_j) conj(upper entry) times a unit: the
+    ratios' denominators are 1 over F_p and nonzero over Q."""
     alg = point.algebra
     c, den = _values(point)
-    x, dx = alg._half_space_values(c[:-1], den)
-    square, _ = _jordan_values(alg, x, dx, x, dx)
-    return not any(a for row in square for v in row for a in v)
+    x, _ = alg._half_space_values(c[:-1], den)
+    return not any(any(alg.field.reduce(acc)) for *_, acc in _jordan_upper(alg, x, x))
 
 
 def in_z1(point):

@@ -17,7 +17,8 @@ ratios b_i / b_j are kept as (num, den) pairs, and an entry of x o y
 accumulates its products as integers by _fpcore_py's _mul_acc.  The
 Jordan product, _jordan_values, takes and returns such matrices of values
 (reduced mod p on F_p); jordan_mul unwraps, calls it and wraps each
-coordinate once, and birational's x(c)^2 = 0 test squares on values.
+coordinate once.  birational's x(c)^2 = 0 test reads its generator of
+entries, _jordan_upper, up to the first nonzero one.
 
 The rank-one test, _rank_one_values, reads the entries' values, not
 products.  At n = 3 it and the cubic adjoint x^# share _sharp_values, the
@@ -44,51 +45,50 @@ from .cayley_dickson import CDAlgebra, CDElem
 from .errors import AlgebraMismatchError
 
 
-def _jordan_values(alg, x, dx, y, dy):
-    """x o y = (xy + yx)/2 on plain values: x and y are n x n matrices of
-    coordinate lists of sigma_b-symmetric elements of alg, over the
-    denominators dx and dy, and so is the result, reduced (mod p on F_p),
-    with its denominator.  y is x gives x o x.
-
-    Only the entries i <= j are multiplied out.  Conjugation reverses
-    products in every composition algebra, octonions included, so
-    sigma_b(xy) = sigma_b(y) sigma_b(x) = yx for sigma_b-symmetric x and y:
-    x o y is sigma_b-symmetric, and its lower triangle is
-    (x o y)_ji = (b_i / b_j) conj((x o y)_ij), brought over the common
-    denominator by the lcm of the ratios' denominators.  Products with a
-    zero factor are skipped; a symmetric matrix has a symmetric zero
-    pattern, so the nonzero y_kj are the nonzero y_jk of row j.  For x o x
-    the two halves xy and yx are the same sum, so each product is taken
-    once and nothing is halved.  Zero entries share one list, which callers
-    must not change.
-    """
-    cd = alg.cd
-    n, m, gamma = alg.n, cd.dim, cd._gamma_v
-    ratio, reduce = alg._ratio_v, alg.field.reduce
-    square = y is x
-    hn, hd = (1, 1) if square else alg._half_v
-    lcm = math.lcm(*[ratio[i][j][1] for i in range(n) for j in range(i + 1, n)])
-    upper = hn * lcm
+def _jordan_upper(alg, x, y):
+    """(i, j, acc) in row order for each entry i <= j of xy + yx (of xx, each
+    product once, when y is x) that has a product, on value matrices as in
+    _jordan_values: acc is the unreduced sum over the table's denominator,
+    formed when it is read.  A symmetric matrix has a symmetric zero
+    pattern, so the nonzero y_kj are the nonzero y_jk of row j."""
+    n, m, gamma = alg.n, alg.cd.dim, alg.cd._gamma_v
     xs = [{k for k, e in enumerate(row) if any(e)} for row in x]
-    ys = xs if square else [{k for k, e in enumerate(row) if any(e)} for row in y]
-    zero = [0] * m
-    rows = [[zero] * n for _ in range(n)]
+    ys = xs if y is x else [{k for k, e in enumerate(row) if any(e)} for row in y]
     for i in range(n):
         for j in range(i, n):
-            ks, ls = xs[i] & ys[j], () if square else ys[i] & xs[j]
-            if not ks and not ls:
-                continue
-            acc = [0] * m
-            for k in ks:
-                _mul_acc(gamma, x[i][k], y[k][j], acc)
-            for k in ls:
-                _mul_acc(gamma, y[i][k], x[k][j], acc)
-            rows[i][j] = reduce([upper * a for a in acc])
-            if i < j:
-                rn, rd = ratio[i][j]
-                f = hn * rn * (lcm // rd)
-                rows[j][i] = reduce([f * acc[0]] + [-f * a for a in acc[1:]])
-    return rows, dx * dy * cd._gamma_den * hd * lcm
+            ks, ls = xs[i] & ys[j], () if y is x else ys[i] & xs[j]
+            if ks or ls:
+                acc = [0] * m
+                for k in ks:
+                    _mul_acc(gamma, x[i][k], y[k][j], acc)
+                for k in ls:
+                    _mul_acc(gamma, y[i][k], x[k][j], acc)
+                yield i, j, acc
+
+
+def _jordan_values(alg, x, dx, y, dy):
+    """x o y = (xy + yx)/2 on plain values: x and y are n x n matrices of
+    coordinate lists of sigma_b-symmetric elements of alg over the
+    denominators dx and dy, and so is the result, reduced (mod p on F_p),
+    with its denominator; y is x gives x o x = xx, not halved.  As
+    sigma_b(xy) = sigma_b(y) sigma_b(x) = yx (conjugation reverses products,
+    octonions included), only the entries i <= j are multiplied out, by
+    _jordan_upper, and (x o y)_ji = (b_i / b_j) conj((x o y)_ij) is brought
+    over the common denominator by the lcm of the ratios' denominators.
+    Zero entries share one list, which callers must not change."""
+    n, ratio, reduce = alg.n, alg._ratio_v, alg.field.reduce
+    hn, hd = (1, 1) if y is x else alg._half_v
+    lcm = math.lcm(*[ratio[i][j][1] for i in range(n) for j in range(i + 1, n)])
+    upper = hn * lcm
+    zero = [0] * alg.cd.dim
+    rows = [[zero] * n for _ in range(n)]
+    for i, j, acc in _jordan_upper(alg, x, y):
+        rows[i][j] = reduce([upper * a for a in acc])
+        if i < j:
+            rn, rd = ratio[i][j]
+            f = hn * rn * (lcm // rd)
+            rows[j][i] = reduce([f * acc[0]] + [-f * a for a in acc[1:]])
+    return rows, dx * dy * alg.cd._gamma_den * hd * lcm
 
 
 def _symmetric_values(alg, x):

@@ -51,8 +51,8 @@ DEFAULT_SAMPLES = 120
 # Largest sample count the command line accepts.  A case samples that many
 # points, or sweeps its quadric when it has no more points than that, so an
 # unbounded count would also bypass MAX_BUDGET.  On the same VM `verify z1`
-# took 2.7 s at 1000 samples and 25 s at 10^4, `verify birational` 4.9 s
-# at 1000.
+# took 0.5-0.8 s at 1000 samples and 2.5-4.3 s at 10^4, `verify birational`
+# 1.1-1.8 s at 1000.
 MAX_SAMPLES = 10 ** 4
 DEFAULT_RANK_CHECKS = 6
 DEFAULT_SEED = 1789
@@ -92,6 +92,26 @@ def z1_expected_count(alg):
     if not is_isotropic(alg.cd.norm_form):
         return 0
     return motives.decompose_z1(alg.cd.r, alg.n).profile().eval_at(alg.field.p)
+
+
+def xj_expected_count(alg):
+    """Exact number of F_p-points of X(J), the traceless rank-one points of
+    P(J), from the classical closed forms, which share nothing with the
+    motives: for r = 0 the quadric <b> in P^{n-1}; for r = 1 split the
+    point-hyperplane incidence variety, [n]_p [n-1]_p, and non-split the
+    Hermitian variety of PG(n-1, p^2) (Bose-Chakravarti 1966); for r = 2
+    the isotropic 2-planes of a symplectic 2n-space.  ValueError at r = 3,
+    which needs the Poincare polynomial of F4."""
+    p, r, n = alg.field.p, alg.cd.r, alg.n
+    if r == 0:
+        return fp_projective_zero_count(QuadForm(alg.field, alg.b))
+    if r == 1 and is_isotropic(alg.cd.norm_form):
+        return (p ** n - 1) * (p ** (n - 1) - 1) // (p - 1) ** 2
+    if r == 1:
+        return (p ** n - (-1) ** n) * (p ** (n - 1) - (-1) ** (n - 1)) // (p * p - 1)
+    if r == 2:
+        return (p ** (2 * n) - 1) * (p ** (2 * n - 2) - 1) // ((p - 1) * (p * p - 1))
+    raise ValueError("no classical closed form for #X(J) at r = 3")
 
 
 def kernel_inputs(alg):

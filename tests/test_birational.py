@@ -16,7 +16,7 @@ from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra, JordanElem
 from jordanquad.quadform import bilinear, evaluate
 from jordanquad.scalars import PrimeField, Rationals
-from jordanquad import _fpcore_py, birational, sweeps
+from jordanquad import _fpcore_py, birational, jordan, sweeps
 
 Q = Rationals()
 
@@ -214,6 +214,43 @@ def test_half_space_square_zero_builds_no_scalar(monkeypatch):
 
     monkeypatch.setattr(PrimeField, "wrap", refuse)
     assert [half_space_square_zero(p) for p in points] == want == [True, False, False]
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (2, 4), (1, 4)])
+def test_half_space_square_zero_stops_at_the_first_nonzero_entry(monkeypatch, r, n):
+    """x(c)^2 is read entry by entry in row order: its (0, 0) entry is
+    b_{n-1} b_0 N(c_0), so a point with N(c_0) != 0 is decided by one
+    product, a null c_0 with c_0 conj(c_1) != 0 by two, and a member of Z1
+    forms every product of the upper triangle, (n-1)(n+2)/2 of them."""
+    alg = sweeps.fp_algebra(7, r, n)
+    cd = alg.cd
+    z = cd.one() + cd.basis(1)      # N(z) = 1 - 1 = 0
+    calls = []
+    mul_acc = jordan._mul_acc
+    monkeypatch.setattr(jordan, "_mul_acc",
+                        lambda *args: calls.append(args) or mul_acc(*args))
+    cases = [([cd.one()] * (n - 1), 1, False, 1),
+             ([z, cd.one()] + [cd.zero()] * (n - 3), 0, False, 2),
+             ([z * (k + 1) for k in range(n - 1)], 0, True, (n - 1) * (n + 2) // 2)]
+    for cparts, last, member, products in cases:
+        p = ProjPointC(alg, cparts, last)
+        calls.clear()
+        assert half_space_square_zero(p) == member
+        assert len(calls) == products
+        assert in_z1(p) == member
+
+
+def test_sampled_checks_catch_a_wrong_square_test(monkeypatch):
+    """The sampled z1 and quadric checks compare in_z1 with x(c)^2 = 0 on
+    every point: a square test that answers wrongly is reported."""
+    alg = sweeps.fp_algebra(7, 2, 3)
+    message = "in_z1 != (x(c)^2 = 0)"
+    assert sweeps.sampled_z1_checks(alg).ok
+    monkeypatch.setattr(sweeps, "half_space_square_zero", lambda pt: not in_z1(pt))
+    for rep in (sweeps.sampled_z1_checks(alg),
+                sweeps.sampled_quadric_checks(alg, count=20, seed=5, rank_checks=0)):
+        wrong = [f for f in rep.failures if f.endswith(message)]
+        assert wrong and len(wrong) == rep.scanned, rep.failures
 
 
 def test_sampled_checks_build_no_jordan_element(monkeypatch):

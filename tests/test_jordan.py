@@ -398,6 +398,7 @@ def test_rank_one_builds_no_scalar_at_n4(monkeypatch):
     monkeypatch.setattr(Rationals, "wrap", refuse)
     monkeypatch.setattr(JordanAlgebra, "basis", refuse)
     monkeypatch.setattr(jordan, "_jordan_values", refuse)
+    monkeypatch.setattr(jordan, "_jordan_upper", refuse)
     for xs in cases:
         assert [x.is_rank_one() for x in xs] == [True, True, True, False, False]
 
@@ -417,24 +418,28 @@ def p3_points(alg):
 ])
 def test_rank_one_on_every_point_at_p3(params, b, points, rank_one, zero_diagonal):
     """The entry test against the U-operator oracle and the rank bound of
-    Lambda(x) on all of P(J), with the rank-one counts of the closed forms;
-    the split algebra has rank-one points whose diagonal is zero."""
+    Lambda(x) on all of P(J), with the rank-one counts of the closed forms
+    and the traceless ones, #X(J), of sweeps.xj_expected_count; the split
+    algebra has rank-one points whose diagonal is zero."""
     alg = JordanAlgebra(CDAlgebra(PrimeField(3), params), b)
-    seen = found = no_diagonal = 0
+    seen = found = no_diagonal = traceless = 0
     for x in p3_points(alg):
         got = x.is_rank_one()
         assert got == literal_rank_one(x) == _rank_at_most(alg, x._values()[0], alg.cd.dim), x
         seen += 1
         found += got
         no_diagonal += got and not any(x.entries[i][i] for i in range(3))
+        traceless += got and not x.trace()
     assert (seen, found, no_diagonal) == (points, rank_one, zero_diagonal)
+    assert traceless == sweeps.xj_expected_count(alg) == {13: 4, 169: 52, 91: 28}[rank_one]
 
 
 def test_traceless_rank_one_points_at_n4_count_the_quadric():
     """(3, 0, 4), b = (1, 2, 1, 2): the traceless rank-one points of P(J)
     are the images x_ij = c_i c_j b_j of the zeros of <b> in P^3, so
     is_rank_one, run on every point of the traceless hyperplane (x_33 is
-    minus the other three diagonal entries), counts the quadric."""
+    minus the other three diagonal entries), counts the quadric, which is
+    also sweeps.xj_expected_count's r = 0 closed form."""
     b = (1, 2, 1, 2)
     alg = JordanAlgebra(CDAlgebra(PrimeField(3), []), b)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -443,6 +448,7 @@ def test_traceless_rank_one_points_at_n4_count_the_quadric():
         x = alg.from_parts([*v[:3], -sum(v[:3])], {ij: [a] for ij, a in zip(pairs, v[3:])})
         count += x.is_rank_one()
     assert count == fp_projective_zero_count(QuadForm(alg.field, b)) == 16
+    assert count == sweeps.xj_expected_count(alg)
 
 
 def test_rank_one_octonions_at_p7():

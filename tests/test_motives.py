@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from jordanquad import cli, motives, rootsys
+from jordanquad import cli, motives, rootsys, sweeps
 from jordanquad.errors import NegativeCoefficientError
 from jordanquad.motives import (F, MotiveExpr, R, Summand, TateProfile,
                                 codim_z1, decompose_neighbour_quadric,
@@ -122,6 +123,23 @@ def test_xj_examples():
         decompose_xj(4, 3)
     with pytest.raises(ValueError):
         decompose_xj(2, 2)
+
+
+def test_xj_closed_forms_match_the_motive():
+    """sweeps.xj_expected_count, the classical closed forms of #X(J)(F_p),
+    against the profile of decompose_xj at p in the split cases r = 1, 2."""
+    for r, n, p in itertools.product((1, 2), range(3, 11), (3, 5, 7, 11, 13)):
+        got = sweeps.xj_expected_count(sweeps.fp_algebra(p, r, n))
+        assert got == decompose_xj(r, n).profile().eval_at(p), (r, n, p)
+
+
+def test_xj_closed_forms_non_split_and_octonions():
+    """The Hermitian count p^3 + 1 at r = 1, n = 3 with a non-square
+    parameter; no classical closed form at r = 3."""
+    assert [sweeps.xj_expected_count(sweeps.fp_algebra(p, 1, 3, split=False))
+            for p in (3, 5, 7)] == [28, 126, 344]
+    with pytest.raises(ValueError, match="r = 3"):
+        sweeps.xj_expected_count(sweeps.fp_algebra(3, 3, 3))
 
 
 def test_pfister_quadric_block():
