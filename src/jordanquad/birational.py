@@ -7,10 +7,12 @@ is literally sigma_b-symmetric.  The inverse takes column n, which equals
 (b_n c_n) * c wherever c_n != 0, so the map is birational onto its image.
 
 Base loci: the source locus Z1 is cut out by c_n = 0 together with all
-products c_i conj(c_j) = 0, equivalently by x(c)^2 = 0 for the half-space
-element x(c) whose column n is c (read up to the first nonzero entry of
-its upper triangle); the target locus Z2 consists of the matrices whose
-row n (hence column n) vanishes.
+products c_i conj(c_j) = 0, that is by the vanishing of every entry of the
+image, which in_z1 reads from the map's own entries; equivalently by
+x(c)^2 = 0 for the half-space element x(c) whose column n is c (read up
+to the first nonzero entry of its upper triangle), the independent test.
+The target locus Z2 consists of the matrices whose row n (hence column n)
+vanishes.
 
 Projective points are stored as their canonical plain values (the
 field's `projective`): over F_p the residues times the inverse of the
@@ -23,9 +25,13 @@ The maps run on plain values, as cayley_dickson and jordan do.  A point's
 values are read as they are stored, over their lead, and b is unwrapped
 once per algebra.  The products c_i conj(c_j) are accumulated as integers
 with the structure-constant table by _fpcore_py's _product and _conj, the
-product on plain integers that the mod-p kernels use too.  Only the upper
-triangle of the image is multiplied out: its lower triangle is
-c_j conj(c_i) b_i = conj(c_i conj(c_j)) b_i.  Zero tests run on the
+product on plain integers that the mod-p kernels use too.  They are
+formed in one place, _veronese_upper, for the pairs i <= j of nonzero
+coordinates: the image's lower triangle is
+c_j conj(c_i) b_i = conj(c_i conj(c_j)) b_i, and Z1 membership is its
+zero test.  The inverse and the transposition read one column of the
+image, so only transposition_star, the paper's formula, forms products of
+its own, and comparing the two checks the map.  Zero tests run on the
 reduced values, and each output point is canonicalized once from its
 integers, whatever their common denominator.
 """
@@ -212,21 +218,34 @@ def _values(point):
     return coords, next(filter(None, vals))
 
 
+def _veronese_upper(alg, c):
+    """(i, j, c_i conj(c_j)) in row order for each i <= j whose coordinates
+    are both nonzero, on the plain values c of _values: the unreduced
+    product over the table's denominator, formed when it is read.  The
+    image's entry x_ij is that product times b_j; every other entry is 0."""
+    gamma = alg.cd._gamma_v
+    nonzero = [i for i, ci in enumerate(c) if any(ci)]
+    for k, i in enumerate(nonzero):
+        for j in nonzero[k:]:
+            yield i, j, _product(gamma, c[i], _conj(c[j]))
+
+
 def _veronese_values(point):
     """The entries c_i conj(c_j) b_j of the image matrix as plain values:
     n rows of coordinate lists, and their common denominator.  The upper
-    triangle is multiplied out, the lower one is conj(c_i conj(c_j)) b_i."""
+    triangle comes from _veronese_upper, the lower one is
+    conj(c_i conj(c_j)) b_i.  Zero entries share one list, which callers
+    must not change."""
     alg = point.algebra
-    gamma, n = alg.cd._gamma_v, alg.n
+    n = alg.n
     c, den = _values(point)
     bv, bden = alg._b_v
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            u = _product(gamma, c[i], _conj(c[j]))
-            rows[i][j] = [bv[j] * a for a in u]
-            if i < j:
-                rows[j][i] = [bv[i] * a for a in _conj(u)]
+    zero = [0] * alg.cd.dim
+    rows = [[zero] * n for _ in range(n)]
+    for i, j, u in _veronese_upper(alg, c):
+        rows[i][j] = [bv[j] * a for a in u]
+        if i < j:
+            rows[j][i] = [bv[i] * a for a in _conj(u)]
     return rows, den * den * alg.cd._gamma_den * bden
 
 
@@ -241,7 +260,7 @@ def veronese_matrix(point):
 
 def veronese(point):
     """The rank-one image of a source point; BasePointError on Z1-like
-    total vanishing (all matrix entries zero)."""
+    total vanishing (all matrix entries zero), exactly where in_z1 holds."""
     rows, _ = _veronese_values(point)
     pj = ProjPointJ._from_values(point.algebra, [a for row in rows for v in row for a in v])
     if pj is None:
@@ -249,17 +268,26 @@ def veronese(point):
     return pj
 
 
+def _column_point(pj, j, algebra):
+    """Column j of the image pj, read from its values, as a point of
+    P(C^{n-1} x k) for algebra: the entries of the other rows in order,
+    then the diagonal entry as the scalar slot; None when the column
+    vanishes.  ValueError when the diagonal entry is not scalar."""
+    col = [row[j] for row in pj._rows()]
+    if any(col[j][1:]):
+        raise ValueError("diagonal entry is not scalar; element is not sigma_b-symmetric")
+    return ProjPointC._from_values(
+        algebra, [a for i, e in enumerate(col) if i != j for a in e] + [col[j][0]])
+
+
 def veronese_inverse(pj):
     """Column n of the matrix, read from the image's values as a point of
     P(C^{n-1} x k); BasePointError when that slice vanishes (membership in
     Z2)."""
-    col = [row[-1] for row in pj._rows()]
-    if not any(map(any, col)):
+    out = _column_point(pj, pj.algebra.n - 1, pj.algebra)
+    if out is None:
         raise BasePointError("column n vanishes: point lies in the inverse base locus")
-    if any(col[-1][1:]):
-        raise ValueError("corner entry is not scalar; element is not sigma_b-symmetric")
-    return ProjPointC._from_values(pj.algebra,
-                                   [a for e in col[:-1] for a in e] + [col[-1][0]])
+    return out
 
 
 def half_space_square_zero(point):
@@ -276,21 +304,15 @@ def half_space_square_zero(point):
 
 
 def in_z1(point):
-    """Source base-locus membership: c_n = 0 and c_i conj(c_j) = 0 for all
-    i, j < n.  Equivalent to x(c)^2 = 0 and to veronese raising
-    BasePointError; the equivalence is exercised by the verification
-    sweeps.  Only the pairs i <= j are multiplied out:
-    c_j conj(c_i) = conj(c_i conj(c_j)) vanishes with it."""
-    if point.vals[-1]:
-        return False
+    """Source base-locus membership: every entry of the image vanishes, that
+    is c_n = 0 and c_i conj(c_j) = 0 for all i, j < n, so veronese raises
+    BasePointError exactly here.  The products come from _veronese_upper
+    in row order, and the first with a nonzero reduced value answers;
+    c_j conj(c_i) = conj(c_i conj(c_j)) vanishes with it.  The equivalence
+    with x(c)^2 = 0 is exercised by the verification sweeps."""
     alg = point.algebra
-    gamma, reduce = alg.cd._gamma_v, alg.field.reduce
-    c = _values(point)[0][:-1]
-    for i, ci in enumerate(c):
-        for cj in c[i:]:
-            if any(reduce(_product(gamma, ci, _conj(cj)))):
-                return False
-    return True
+    reduce = alg.field.reduce
+    return not any(any(reduce(u)) for *_, u in _veronese_upper(alg, _values(point)[0]))
 
 
 def in_z2(pj):
@@ -302,22 +324,11 @@ def in_z2(pj):
 
 def transposition_map(point):
     """The composite of the map for u = E_nn with the inverse of the map
-    for u' = E_{n-1,n-1}: take column n-1 of the image matrix, then swap
-    the last two coordinate slots.  Lands in the space for the form with
-    b_{n-1} and b_n exchanged.  Only that column is computed:
-    c_i conj(c_{n-1}) b_{n-1} for i = 1, ..., n, the products of
-    transposition_star after scaling c_{n-1} by b_{n-1}: a comparison with
-    it can fail only in their zero tests."""
+    for u' = E_{n-1,n-1}: column n-1 of the image, c_i conj(c_{n-1}) b_{n-1}
+    for i = 1, ..., n, with the last two coordinate slots swapped.  Lands
+    in the space for the form with b_{n-1} and b_n exchanged."""
     alg = point.algebra
-    n, gamma = alg.n, alg.cd._gamma_v
-    c, _ = _values(point)
-    w = [alg._b_v[0][n - 2] * a for a in _conj(c[n - 2])]
-    col = [_product(gamma, ci, w) for ci in c]
-    if any(alg.field.reduce(col[n - 2][1:])):
-        raise ValueError("slot n-1 entry is not scalar")
-    out = ProjPointC._from_values(
-        alg.swap_last_two(),
-        [a for ci in col[:n - 2] + [col[n - 1]] for a in ci] + [col[n - 2][0]])
+    out = _column_point(veronese(point), alg.n - 2, alg.swap_last_two())
     if out is None:
         raise BasePointError("column n-1 vanishes: transposition undefined here")
     return out
@@ -327,8 +338,8 @@ def transposition_star(point):
     """The star formula for the transposition: with x * y := x conj(y),
     send [c_1, ..., c_n] to
     [c_1 * c_{n-1}, ..., c_{n-2} * c_{n-1}, c_n * c_{n-1}, N(c_{n-1})].
-    transposition_map forms the same products, so this is no independent
-    check of it."""
+    It forms its products itself, so it checks transposition_map, which
+    reads them from the image."""
     alg = point.algebra
     n, gamma = alg.n, alg.cd._gamma_v
     c, _ = _values(point)

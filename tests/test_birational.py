@@ -277,6 +277,83 @@ def test_sampled_checks_build_no_jordan_element(monkeypatch):
     assert not built
 
 
+def doubled_block(point):
+    """The point with its block c_{n-1} doubled: another point of the same
+    space, whose image, inverse and transposition differ from the point's
+    wherever c_{n-1} is not 0."""
+    alg = point.algebra
+    m, k = alg.cd.dim, alg.n - 2
+    vals = list(point.vals)
+    vals[k * m:(k + 1) * m] = [2 * a for a in vals[k * m:(k + 1) * m]]
+    return ProjPointC._from_values(alg, vals)
+
+
+def test_sampled_transposition_reads_the_image(monkeypatch):
+    """The sampled transposition is column n-1 of the image the checks
+    built, compared with the star formula: an image of the wrong point is
+    reported."""
+    alg = sweeps.fp_algebra(7, 1, 3)
+    message = "transposition != star formula"
+    rep = sweeps.sampled_quadric_checks(alg, count=30, seed=5, rank_checks=0)
+    assert rep.ok and rep.counts["transpositions"], rep.failures
+    monkeypatch.setattr(sweeps, "veronese", lambda pt: veronese(doubled_block(pt)))
+    rep = sweeps.sampled_quadric_checks(alg, count=30, seed=5, rank_checks=0)
+    assert any(f.endswith(message) for f in rep.failures), rep.failures
+
+
+def test_sampled_z1_checks_build_no_image(monkeypatch):
+    """in_z1 is the map's own zero test, so the sampled z1 checks do not
+    build the image: with veronese refusing, they give the same report."""
+    algs = [sweeps.fp_algebra(7, 2, 3), JordanAlgebra(CDAlgebra(Q, [1]), (1, 2, -3))]
+    want = [sweeps.sampled_z1_checks(alg).as_dict() for alg in algs]
+
+    def refuse(pt):
+        raise AssertionError("sampled_z1_checks built an image")
+
+    monkeypatch.setattr(sweeps, "veronese", refuse)
+    got = [sweeps.sampled_z1_checks(alg).as_dict() for alg in algs]
+    assert got == want and all(d["ok"] and d["counts"]["z1_members"] for d in got)
+
+
+def wrong_star(pt):
+    """The star formula of another point, in the swapped space."""
+    return transposition_star(doubled_block(pt))
+
+
+SAMPLED_QUADRIC_FAILURES = [
+    ("on_quadric", lambda pt: False, "sampled point off the quadric"),
+    ("veronese", lambda pt: veronese(doubled_block(pt)), "image trace nonzero"),
+    ("_symmetric_values", lambda alg, rows: False, "image not sigma_b-symmetric"),
+    ("veronese_inverse", lambda pj: doubled_block(veronese_inverse(pj)), "round trip failed"),
+    ("in_z2", lambda pj: False, "c_n = 0 image not in Z2"),
+    ("_rank_one_values", lambda alg, rows: False, "image fails rank-one"),
+    ("transposition_star", wrong_star, "transposition != star formula"),
+    ("projective_eq", lambda u, v: False, "double transposition moved the point"),
+]
+
+
+@pytest.mark.parametrize("name,fake,message", SAMPLED_QUADRIC_FAILURES,
+                         ids=[name for name, *_ in SAMPLED_QUADRIC_FAILURES])
+def test_every_sampled_quadric_failure_fires(monkeypatch, name, fake, message):
+    """Each failure message of the sampled quadric checks is reported when
+    the function behind it answers wrongly."""
+    alg = sweeps.fp_algebra(7, 2, 3)
+    rep = sweeps.sampled_quadric_checks(alg, count=40, seed=5, rank_checks=40)
+    assert rep.ok, rep.failures
+    monkeypatch.setattr(sweeps, name, fake)
+    rep = sweeps.sampled_quadric_checks(alg, count=40, seed=5, rank_checks=40)
+    assert any(f.endswith(message) for f in rep.failures), rep.failures
+
+
+def test_sampled_z1_checks_report_undetected_members(monkeypatch):
+    """The constructed zero-divisor members are counted: an in_z1 that
+    never holds is reported."""
+    alg = sweeps.fp_algebra(7, 2, 3)
+    monkeypatch.setattr(sweeps, "in_z1", lambda pt: False)
+    rep = sweeps.sampled_z1_checks(alg)
+    assert "constructed zero-divisor members not detected" in rep.failures, rep.failures
+
+
 def test_z1_membership_equivalences_sampled():
     rep = sweeps.sampled_z1_checks(sweeps.fp_algebra(7, 2, 3), count=60, seed=4)
     assert rep.ok, rep.failures
