@@ -17,14 +17,16 @@ below rely on p being prime (a nonzero residue is a unit), and so do the
 square roots.  The last coordinate's roots on a fibre (of the quadric, or
 of the norm for the base locus's null blocks) come from one lookup,
 _roots, which takes one square root mod p for each fibre value on its
-first request and keeps it: isotropic_vector, which stops at the first
-zero, and a short sweep store nothing of size p, and a long sweep stores
-at most p answers.  At p near 2^31 that answers in milliseconds, where a
-walk over every point can take a minute.  No walk stores range(p)
-either: the odometers are nested generators.  The quadric sweep's other
-table, of the later last prefix blocks' quadric terms, holds counts
-alone, one entry per term at most, and is built only once a level lies
-wholly below the limit, so it is bounded by the sweep and by p.
+first request, by scalars.is_residue and Tonelli-Shanks on
+scalars.least_nonresidue, searched once per prime, and keeps it:
+isotropic_vector, which stops at the first zero, and a short sweep store
+nothing of size p, and a long sweep stores at most p answers.  At p near
+2^31 that answers in milliseconds, where a walk over every point can take
+a minute.  No walk stores range(p) either: the odometers are nested
+generators.  The quadric sweep's other table, of the later last prefix
+blocks' quadric terms, holds counts alone, one entry per term at most,
+and is built only once a level lies wholly below the limit, so it is
+bounded by the sweep and by p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates; the
@@ -100,10 +102,15 @@ import functools
 import itertools
 import operator
 
-from .scalars import is_prime
+from .scalars import is_prime, is_residue, least_nonresidue
 
 # at most this many blocks' facts are held in a sweep's block cache
 _BLOCK_CAP = 1 << 16
+
+
+def projective_size(p, N):
+    """(p^N - 1)/(p - 1), the number of points of P^{N-1}(F_p)."""
+    return (p ** N - 1) // (p - 1)
 
 
 def _check_modulus(p):
@@ -143,18 +150,16 @@ def isotropic_vector(p, coeffs):
 
 def _sqrt_mod(a, p):
     """The least x with x^2 = a (mod p) for an odd prime p, or None when a
-    is not a square: Euler's criterion, then Tonelli-Shanks."""
+    is not a square: is_residue, then Tonelli-Shanks on least_nonresidue."""
     a %= p
     if not a:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
+    if not is_residue(a, p):
         return None
     q, s = p - 1, 0
     while not q % 2:
         q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+    z = least_nonresidue(p)
     # invariant x^2 = a t; t has order a power of 2, below 2^s, and each
     # round makes it smaller
     c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -370,7 +375,7 @@ def _block_walk(p, m, nn, limit, candidates, fix, state):
         if f0 >= limit:
             return
         yield from walk(i0, True, f0, state)
-        f0 += (p ** m - 1) // (p - 1) * p ** (m * (last - i0))
+        f0 += projective_size(p, m) * p ** (m * (last - i0))
 
 
 def _sweep_shape(p, b, gamma):
@@ -420,7 +425,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
-    space = (p ** N - 1) // (p - 1)
+    space = projective_size(p, N)
     scanned = space if limit < 0 else min(limit, space)
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
@@ -607,7 +612,7 @@ def z1_sweep(p, b, gamma, limit=-1):
     """
     n, m = _sweep_shape(p, b, gamma)
     nn = n - 1
-    space = (p ** (m * nn) - 1) // (p - 1)
+    space = projective_size(p, m * nn)
     scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
     E = _basis_products(p, gamma)
@@ -641,7 +646,7 @@ def z1_sweep(p, b, gamma, limit=-1):
                 c = (*pre, x)
                 if not ns(c):
                     out.append((i * p + x, c))
-        last = (p ** m - 1) // (p - 1) - 1
+        last = projective_size(p, m) - 1
         if lead and not wl and last < scanned:
             out.append((last, (0,) * (m - 1) + (1,)))
         return out

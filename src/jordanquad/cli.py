@@ -15,7 +15,7 @@ from . import diagram, motives, rootsys, sweeps, verify
 from .birational import (ProjPointC, ProjPointJ, in_z1, in_z2, on_quadric,
                          transposition_map, veronese, veronese_inverse)
 from .cayley_dickson import CDAlgebra
-from .config import ParseError, ValidationError, load_config
+from .config import ValidationError, load_config
 from .errors import BasePointError, SamplingError
 from .quadform import QuadForm, hilbert_symbol, invariants, witt_index
 from .scalars import Rationals, field_from_spec, is_prime
@@ -369,8 +369,7 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError, ZeroDivisionError,
-            KeyError, json.JSONDecodeError, OSError, SamplingError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, OSError, SamplingError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 

@@ -342,15 +342,6 @@ class BlowupReport:
     lhs_variant_d1: TateProfile = None
     equal_variant_d1: bool = None
 
-    def as_dict(self):
-        d = {"r": self.r, "n": self.n,
-             "lhs": self.lhs.coefficients(), "rhs": self.rhs.coefficients(),
-             "equal": self.equal}
-        if self.lhs_variant_d1 is not None:
-            d["lhs_variant_d1"] = self.lhs_variant_d1.coefficients()
-            d["equal_variant_d1"] = self.equal_variant_d1
-        return d
-
 
 def verify_blowup(r, n):
     """Blow-up identity at the profile level:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import _fpcore_py
 from .errors import FieldMismatchError
-from .scalars import FpElem, PrimeField, Rationals, factor
+from .scalars import FpElem, PrimeField, Rationals, factor, is_residue
 
 INF = "inf"  # the real place, used as a key in Hasse maps
 
@@ -112,12 +112,6 @@ def _valuation(a, p):
     return v, a
 
 
-def _legendre(u, p):
-    """Legendre symbol of an int u prime to the odd prime p, by Euler's
-    criterion."""
-    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-
-
 def hilbert_symbol(a, b, place):
     """The Hilbert symbol (a, b) at a place of Q: an odd prime, 2, or "inf".
 
@@ -148,10 +142,10 @@ def hilbert_symbol(a, b, place):
              + beta * ((u * u - 1) // 8))
         return -1 if e % 2 else 1
     sign = -1 if alpha * beta % 2 and p % 4 == 3 else 1
-    if beta % 2:
-        sign *= _legendre(u, p)
-    if alpha % 2:
-        sign *= _legendre(v, p)
+    if beta % 2 and not is_residue(u, p):
+        sign = -sign
+    if alpha % 2 and not is_residue(v, p):
+        sign = -sign
     return sign
 
 
@@ -229,7 +223,7 @@ def _square_in_Qv(a, place):
     v, u = _valuation(a.numerator * a.denominator, place)
     if v % 2:
         return False
-    return u % 8 == 1 if place == 2 else _legendre(u, place) == 1
+    return u % 8 == 1 if place == 2 else is_residue(u, place)
 
 
 def _locally_isotropic(dim, disc, hasse_v, place, signature=None):
@@ -297,19 +291,18 @@ def is_isotropic(f):
 def witt_index(f):
     """Number of hyperbolic plane summands in the Witt decomposition.
 
-    F_p: (dim-1)/2 for odd dim; for even dim, dim/2 when
-    disc = (-1)^{dim/2} mod squares, else dim/2 - 1.
+    F_p: (dim-1)/2 for odd dim; for even dim, dim/2 when the residue
+    (-1)^{dim/2} d_1 ... d_dim is a square (one is_residue), else dim/2 - 1.
     Q: iterate at the invariant level, stripping one hyperbolic plane
     while the current invariants stay isotropic.
     """
     field = f.field
     if isinstance(field, PrimeField):
-        d = f.dim
+        d, p = f.dim, field.p
         if d % 2:
             return (d - 1) // 2
-        disc = invariants(f).disc
-        target = field.element((-1) ** (d // 2))
-        return d // 2 if field.same_square_class(disc, target) else d // 2 - 1
+        residue = math.prod([c.v for c in f.coeffs], start=(-1) ** (d // 2)) % p
+        return d // 2 if is_residue(residue, p) else d // 2 - 1
     state = _InvState(invariants(f))
     idx = 0
     while state.dim >= 2 and state.isotropic():
@@ -447,7 +440,7 @@ def fp_projective_zero_count(f):
     if not isinstance(field, PrimeField):
         raise ValueError("point counting is F_p only")
     p, N = field.p, f.dim
-    base = (p ** (N - 1) - 1) // (p - 1)
+    base = _fpcore_py.projective_size(p, N - 1)
     if N % 2:
         return base
     eta = 1 if witt_index(f) == N // 2 else -1

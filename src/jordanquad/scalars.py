@@ -22,7 +22,9 @@ every nonzero multiple of it.
 
 Square classes get canonical representatives: over F_p either 1 or a fixed
 least non-residue, over Q a square-free integer with sign.  Discriminants
-and Hilbert-symbol bookkeeping rely on these canonical forms.
+and Hilbert-symbol bookkeeping rely on these canonical forms.  Every
+residue decision mod an odd prime in the package is ``is_residue`` (Euler's
+criterion); every non-residue is ``least_nonresidue``, searched once per p.
 
 The square classes over Q, and the places of the Hasse invariants in
 quadform, come from ``factor``: trial division by the primes below 2^10,
@@ -32,6 +34,7 @@ at or above ``MR_BOUND`` for ``is_prime``, one whose part free of the small
 primes is that large for ``factor``.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -162,6 +165,18 @@ def _rho_divisor(n):
             return g
 
 
+def is_residue(a, p):
+    """Whether the unit a is a square mod the odd prime p: Euler's
+    criterion a^((p-1)/2) = 1."""
+    return pow(a, (p - 1) // 2, p) == 1
+
+
+@functools.cache
+def least_nonresidue(p):
+    """The least non-residue mod the odd prime p, searched once per prime."""
+    return next(u for u in range(2, p) if not is_residue(u, p))
+
+
 class FpElem:
     """A residue modulo an odd prime, with field arithmetic."""
 
@@ -218,7 +233,7 @@ class FpElem:
             return NotImplemented
         if w == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElem(self.p, self.v * pow(w, self.p - 2, self.p))
+        return FpElem(self.p, self.v * pow(w, -1, self.p))
 
     def __rtruediv__(self, other):
         w = self._lift(other)
@@ -226,7 +241,7 @@ class FpElem:
             return NotImplemented
         if self.v == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElem(self.p, w * pow(self.v, self.p - 2, self.p))
+        return FpElem(self.p, w * pow(self.v, -1, self.p))
 
     def __neg__(self):
         return FpElem(self.p, -self.v)
@@ -425,17 +440,14 @@ class PrimeField:
         return FpElem(self.p, 1)
 
     def is_square(self, a):
-        """Euler criterion a^((p-1)/2) = 1."""
+        """Euler's criterion, by is_residue."""
         a = self.element(a)
         if a.v == 0:
             raise ValueError("is_square: zero input")
-        return pow(a.v, (self.p - 1) // 2, self.p) == 1
+        return is_residue(a.v, self.p)
 
     def least_nonresidue(self):
-        for u in range(2, self.p):
-            if pow(u, (self.p - 1) // 2, self.p) == self.p - 1:
-                return u
-        raise AssertionError("no non-residue found; p is not an odd prime")
+        return least_nonresidue(self.p)
 
     def square_class(self, a):
         a = self.element(a)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from . import _fpcore_py, motives
+from ._fpcore_py import projective_size
 from .birational import (ProjPointC, _column_point, half_space_square_zero,
                          in_z1, in_z2, on_quadric, projective_eq, q_form,
                          transposition_star, veronese, veronese_inverse)
@@ -57,10 +58,6 @@ DEFAULT_SAMPLES = 120
 MAX_SAMPLES = 10 ** 4
 DEFAULT_RANK_CHECKS = 6
 DEFAULT_SEED = 1789
-
-
-def projective_size(p, N):
-    return (p ** N - 1) // (p - 1)
 
 
 def standard_b(field, n):

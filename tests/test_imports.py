@@ -3,7 +3,8 @@ to re-export, and `fpkernels.py` binds `active` for perfbench to read.  The
 package's own imports form layers: no cycle, and the mod-p kernels at the
 bottom, beside the composition-algebra product they share with the layers
 above.  Every private module-level definition is read somewhere in the
-package."""
+package.  Euler's criterion and the size of a projective space over F_p
+are each written once."""
 
 import ast
 import graphlib
@@ -103,3 +104,54 @@ def test_package_reads_every_private_definition():
         ("a", "_f"), ("a", "_C")]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert set(unread_private_definitions(sources)) <= ORACLES
+
+
+def _euler(node):
+    """Whether node is pow(a, (x - 1) // 2, x), Euler's criterion mod x."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3
+            and ast.unparse(node.args[1]) == f"({ast.unparse(node.args[2])} - 1) // 2")
+
+
+def _projective(node):
+    """Whether node is (x ** k - 1) // (x - 1), the size of P^{k-1}(F_x)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)):
+        return False
+    num, den = node.left, node.right
+    return (all(isinstance(e, ast.BinOp) and isinstance(e.op, ast.Sub)
+                and isinstance(e.right, ast.Constant) and e.right.value == 1
+                for e in (num, den))
+            and isinstance(num.left, ast.BinOp) and isinstance(num.left.op, ast.Pow)
+            and ast.dump(num.left.left) == ast.dump(den.left))
+
+
+def fp_primitive_copies(source):
+    """(function, kind) for each Euler's criterion ("euler") and each
+    projective-space size ("projective") written out in `source`, the
+    function the innermost def holding it, None at module level, in source
+    order."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):       # breadth first: an inner def overwrites
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    shapes = (("euler", _euler), ("projective", _projective))
+    found = [(node.lineno, node.col_offset, owner.get(node), kind)
+             for node in ast.walk(tree) for kind, shape in shapes if shape(node)]
+    return [(fn, kind) for *_, fn, kind in sorted(found, key=lambda f: f[:2])]
+
+
+def test_one_copy_of_each_fp_primitive():
+    """Euler's criterion lives in scalars.is_residue and (p^N - 1)/(p - 1) in
+    _fpcore_py.projective_size; every other residue decision and space size
+    calls them."""
+    assert fp_primitive_copies(
+        "def f(q):\n    def g(p):\n        return pow(a, (p - 1) // 2, p)\n"
+        "    return (q ** 3 - 1) // (q - 1), (q ** 3 - 1) // (q - 2), pow(a, (q - 1) // 2, 7)\n"
+        "x = pow(a, (self.p - 1) // 2, self.p)\n") == [
+        ("g", "euler"), ("f", "projective"), (None, "euler")]
+    found = {(path.stem, *copy) for path in sorted(PACKAGE.glob("*.py"))
+             for copy in fp_primitive_copies(path.read_text(encoding="utf-8"))}
+    assert found == {("scalars", "is_residue", "euler"),
+                     ("_fpcore_py", "projective_size", "projective")}

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from jordanquad import _fpcore_py, fpkernels, motives, sweeps
+from jordanquad import _fpcore_py, fpkernels, motives, scalars, sweeps
 from jordanquad.birational import ProjPointC, in_z1, q_form
 from jordanquad.quadform import (QuadForm, evaluate, fp_projective_zero_count,
                                  isotropic_vector_search, tensor)
@@ -143,6 +143,18 @@ def test_roots_take_one_square_root_per_value(monkeypatch):
         for v in values:
             roots(v)
     assert calls[0] == len(values)
+
+
+def test_quadric_sweep_searches_for_the_nonresidue_once(monkeypatch):
+    """The square roots of a sweep share one least non-residue: a complete
+    quadric sweep at p = 17, where Tonelli-Shanks needs one (17 = 1 mod 8),
+    takes several square roots and searches for it at most once."""
+    calls = [0]
+    _counting(monkeypatch, "_sqrt_mod", calls)
+    scalars.least_nonresidue.cache_clear()
+    _fpcore_py.quadric_sweep(*sweeps.kernel_inputs(sweeps.fp_algebra(17, 1, 3)))
+    assert calls[0] > 1
+    assert scalars.least_nonresidue.cache_info().misses <= 1
 
 
 def _head_zeros(p, w, limit):

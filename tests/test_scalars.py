@@ -12,6 +12,8 @@ from jordanquad.scalars import (MR_BOUND, PrimeField, Rationals, factor,
 
 from conftest import LARGE_PRIMES, fp_elements, rationals
 
+ODD_PRIMES_BELOW_100 = [p for p in range(3, 100) if all(p % q for q in range(2, p))]
+
 
 def test_rational_arithmetic_exact():
     Q = Rationals()
@@ -60,6 +62,11 @@ def test_is_square_fp():
         assert F7.is_square(v) == (v in squares)
     with pytest.raises(ValueError):
         F7.is_square(0)
+    for p in ODD_PRIMES_BELOW_100:
+        Fp = PrimeField(p)
+        squares = {x * x % p for x in range(1, p)}
+        assert [Fp.is_square(v) for v in range(-p, 2 * p) if v % p] == [
+            v % p in squares for v in range(-p, 2 * p) if v % p], p
 
 
 def test_is_square_rationals():
@@ -81,6 +88,13 @@ def test_square_class_canonical():
     assert F7.square_class(2) == F7.one()
     assert F7.square_class(F7.element(-1)) == F7.element(F7.least_nonresidue())
     assert F7.least_nonresidue() == 3
+    for p in ODD_PRIMES_BELOW_100:
+        Fp = PrimeField(p)
+        squares = {x * x % p for x in range(1, p)}
+        u = min(set(range(1, p)) - squares)
+        assert Fp.least_nonresidue() == u, p
+        assert [Fp.square_class(v) for v in range(1, p)] == [
+            Fp.one() if v in squares else Fp.element(u) for v in range(1, p)], p
 
 
 @given(a=rationals(), b=rationals(), c=rationals())
