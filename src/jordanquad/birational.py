@@ -249,15 +249,6 @@ def _veronese_values(point):
     return rows, den * den * alg.cd._gamma_den * bden
 
 
-def veronese_matrix(point):
-    """The full n x n matrix [c_i conj(c_j) b_j] (no base-point check):
-    the values of _veronese_values, each coordinate wrapped once."""
-    cd = point.algebra.cd
-    rows, den = _veronese_values(point)
-    wrap = cd.field.wrap
-    return [[CDElem(cd, wrap(v, den)) for v in row] for row in rows]
-
-
 def veronese(point):
     """The rank-one image of a source point; BasePointError on Z1-like
     total vanishing (all matrix entries zero), exactly where in_z1 holds."""

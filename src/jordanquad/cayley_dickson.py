@@ -149,17 +149,18 @@ class CDElem:
             raise AlgebraMismatchError("elements of different composition algebras")
 
     def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
-        return CDElem(self.algebra, f.wrap([a * dv + b * du for a, b in zip(u, v)],
-                                           du * dv))
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other over the common denominator."""
         self._check(other)
         f = self.algebra.field
         (u, du), (v, dv) = f.unwrap(self.coords), f.unwrap(other.coords)
-        return CDElem(self.algebra, f.wrap([a * dv - b * du for a, b in zip(u, v)],
+        sdu = sign * du
+        return CDElem(self.algebra, f.wrap([a * dv + b * sdu for a, b in zip(u, v)],
                                            du * dv))
 
     def __neg__(self):

@@ -401,16 +401,17 @@ class JordanElem:
         return self._from_values(*_jordan_values(self.algebra, x, dx, y, dy))
 
     def __add__(self, other):
-        self._check(other)
-        (x, dx), (y, dy) = self._values(), other._values()
-        return self._from_values([[[a * dy + b * dx for a, b in zip(u, v)]
-                                   for u, v in zip(r1, r2)] for r1, r2 in zip(x, y)],
-                                 dx * dy)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other over the common denominator."""
         self._check(other)
         (x, dx), (y, dy) = self._values(), other._values()
-        return self._from_values([[[a * dy - b * dx for a, b in zip(u, v)]
+        sdx = sign * dx
+        return self._from_values([[[a * dy + b * sdx for a, b in zip(u, v)]
                                    for u, v in zip(r1, r2)] for r1, r2 in zip(x, y)],
                                  dx * dy)
 
@@ -485,9 +486,6 @@ class JordanElem:
         diag, upper, den = _sharp_values(alg, *self._values())
         return alg.from_parts(wrap(diag, den),
                               {ij: CDElem(alg.cd, wrap(u, den)) for ij, u in upper.items()})
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.algebra.n))
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)

@@ -324,12 +324,19 @@ def codim_z1(r, n):
     return (1 << (r - 1)) * n - (1 << r) + 1
 
 
-def _xj_prev_profile(r, n):
-    """Profile of X(J_{n-1}) for r >= 1; for n - 1 = 2 this is the quadric
+def _xj_profile(r, k):
+    """Profile of X(J_k) for r >= 1 and k >= 2; X(J_2) is the quadric
     phi tensor <b_1> perp <b_2>, the split (2^r - 1)-dimensional quadric."""
-    if n - 1 >= 3:
-        return decompose_xj(r, n - 1).profile()
+    if k >= 3:
+        return decompose_xj(r, k).profile()
     return decompose_neighbour_quadric(r, 2).profile()
+
+
+def _blowup_lhs(r, n):
+    """P(Q) + sum_{i=1}^{c1 - 1} t^i P(Z1) for r >= 1, c1 the codimension
+    of Z1: the left side of the blow-up identity."""
+    return (decompose_neighbour_quadric(r, n).profile()
+            + decompose_z1(r, n).profile().shifted_sum(range(1, codim_z1(r, n))))
 
 
 @dataclass
@@ -339,8 +346,6 @@ class BlowupReport:
     lhs: TateProfile
     rhs: TateProfile
     equal: bool
-    lhs_variant_d1: TateProfile = None
-    equal_variant_d1: bool = None
 
 
 def verify_blowup(r, n):
@@ -350,23 +355,16 @@ def verify_blowup(r, n):
       = P(X(J_n)) + sum_{i=1}^{2^r - 1} t^i P(X(J_{n-1}))
 
     with c1 the codimension of Z1.  For r = 0 both corrections vanish and
-    the identity degenerates to P(Q) = P(X(J)).  The report also evaluates
-    the variant that sums to d1 = 2^{r-1} n - 2 (a dimension, not a
-    codimension, of the base locus at n = 3) in place of c1; it does not
-    balance.
+    the identity degenerates to P(Q) = P(X(J)).
     """
     check_rn(r, n)
     if r == 0:
         qprof = split_quadric(n - 2).profile()
         rhs = decompose_xj(0, n).profile()
         return BlowupReport(r, n, qprof, rhs, qprof == rhs)
-    qprof = decompose_neighbour_quadric(r, n).profile()
-    z1prof = decompose_z1(r, n).profile()
-    lhs = qprof + z1prof.shifted_sum(range(1, codim_z1(r, n)))
-    rhs = decompose_xj(r, n).profile() + _xj_prev_profile(r, n).shifted_sum(range(1, 1 << r))
-    alt = qprof + z1prof.shifted_sum(range(1, (1 << (r - 1)) * n - 2))
-    return BlowupReport(r, n, lhs, rhs, lhs == rhs,
-                        lhs_variant_d1=alt, equal_variant_d1=alt == rhs)
+    lhs = _blowup_lhs(r, n)
+    rhs = decompose_xj(r, n).profile() + _xj_profile(r, n - 1).shifted_sum(range(1, 1 << r))
+    return BlowupReport(r, n, lhs, rhs, lhs == rhs)
 
 
 def poincare_xj_recursive(r, n):
@@ -383,12 +381,10 @@ def poincare_xj_recursive(r, n):
 
     def rec(k):
         if k == 2:
-            return decompose_neighbour_quadric(r, 2).profile()
-        lhs = (decompose_neighbour_quadric(r, k).profile()
-               + decompose_z1(r, k).profile().shifted_sum(range(1, codim_z1(r, k))))
+            return _xj_profile(r, 2)
         # every subtracted count is >= 0, so one subtraction of the sum goes
         # negative exactly when the chain of single shifts would
-        return lhs.subtract(rec(k - 1).shifted_sum(range(1, 1 << r)))
+        return _blowup_lhs(r, k).subtract(rec(k - 1).shifted_sum(range(1, 1 << r)))
 
     return rec(n)
 
@@ -401,16 +397,6 @@ class KrashenReport:
     literal_equal: bool
     lhs_variant: TateProfile
     variant_equal: bool
-
-    def as_dict(self):
-        return {"n": self.n,
-                "lhs_literal": self.lhs_literal.coefficients(),
-                "lhs_literal_total": self.lhs_literal.total(),
-                "rhs": self.rhs.coefficients(),
-                "rhs_total": self.rhs.total(),
-                "literal_equal": self.literal_equal,
-                "lhs_variant": self.lhs_variant.coefficients(),
-                "variant_equal": self.variant_equal}
 
 
 def verify_krashen(n):

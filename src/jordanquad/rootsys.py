@@ -166,10 +166,6 @@ def _expansions(rs):
 _root_table = functools.cache(_expansions)
 
 
-def positive_root_count(rs):
-    return len(positive_roots(rs))
-
-
 def _check_theta(rs, theta):
     """theta as a bitmask of its 1-based nodes."""
     mask = 0

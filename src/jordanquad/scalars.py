@@ -354,9 +354,6 @@ class Rationals:
                        for q, e in factor(part).items() if e % 2)
         return Fraction(sf if a > 0 else -sf)
 
-    def same_square_class(self, a, b):
-        return self.square_class(a) == self.square_class(b)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -454,9 +451,6 @@ class PrimeField:
         if a.v == 0:
             raise ValueError("square_class: zero input")
         return self.one() if self.is_square(a) else FpElem(self.p, self.least_nonresidue())
-
-    def same_square_class(self, a, b):
-        return self.square_class(a) == self.square_class(b)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -203,15 +203,6 @@ def flat_dim(alg):
     return alg.cd.dim * (alg.n - 1) + 1
 
 
-def unflatten(alg, w):
-    """Inverse of ProjPointC.flatten (slot-major coordinates)."""
-    m, n = alg.cd.dim, alg.n
-    cparts = []
-    for i in range(n - 1):
-        cparts.append(alg.cd.element([w[s * (n - 1) + i] for s in range(m)]))
-    return ProjPointC(alg, cparts, w[-1])
-
-
 def base_quadric_vector(alg):
     """A flat isotropic vector of the trace quadric, found on the scalar
     slice (all coordinates in k.e0; over Q in the box [-6, 6]), used as the
@@ -280,10 +271,10 @@ def sample_quadric_points(alg, count, seed=DEFAULT_SEED):
 
 
 def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
-                           rank_checks=DEFAULT_RANK_CHECKS,
-                           transposition_checks=None):
+                           rank_checks=DEFAULT_RANK_CHECKS):
     """Round-trip, trace, symmetry, base-locus and transposition identities
     on seeded quadric points; rank-one on the first rank_checks images.
+    Every sampled point off the base locus gets the transposition checks.
     Every test reads the points' and images' values, so no scalar object
     is built for them."""
     fld, n, swapped = alg.field, alg.n, alg.swap_last_two()
@@ -293,8 +284,6 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     counts = report.counts
     counts.update(roundtrip=0, z2_images=0, base_points=0, rank_one=0,
                   transpositions=0, double_transpositions=0)
-    if transposition_checks is None:
-        transposition_checks = count
     pts = sample_quadric_points(alg, count, seed)
     report.scanned = len(pts)
     for idx, pt in enumerate(pts):
@@ -331,26 +320,25 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
                 counts["rank_one"] += 1
             else:
                 report.failures.append(f"point {idx}: image fails rank-one")
-        if idx < transposition_checks:
-            t1 = _column_point(img, n - 2, swapped)
-            if t1 is None:
-                continue
-            try:
-                star = transposition_star(pt)
-            except BasePointError:
-                continue
-            if not projective_eq(t1, star):
-                report.failures.append(f"point {idx}: transposition != star formula")
-            else:
-                counts["transpositions"] += 1
-            try:
-                t2 = transposition_star(t1)
-            except BasePointError:
-                continue
-            if not projective_eq(t2, pt):
-                report.failures.append(f"point {idx}: double transposition moved the point")
-            else:
-                counts["double_transpositions"] += 1
+        t1 = _column_point(img, n - 2, swapped)
+        if t1 is None:
+            continue
+        try:
+            star = transposition_star(pt)
+        except BasePointError:
+            continue
+        if not projective_eq(t1, star):
+            report.failures.append(f"point {idx}: transposition != star formula")
+        else:
+            counts["transpositions"] += 1
+        try:
+            t2 = transposition_star(t1)
+        except BasePointError:
+            continue
+        if not projective_eq(t2, pt):
+            report.failures.append(f"point {idx}: double transposition moved the point")
+        else:
+            counts["double_transpositions"] += 1
     return report
 
 

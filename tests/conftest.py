@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from jordanquad import birational
+from jordanquad.cayley_dickson import CDElem
 from jordanquad.scalars import FpElem, PrimeField, Rationals
 
 
@@ -92,3 +94,19 @@ def assert_canonical(scalars, field):
             assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
         else:
             assert type(c) is FpElem and c.p == field.p and 0 <= c.v < field.p
+
+
+def veronese_matrix(point):
+    """The full n x n matrix [c_i conj(c_j) b_j] of a point, in the base
+    locus or not: the library's image values, each coordinate wrapped."""
+    cd = point.algebra.cd
+    rows, den = birational._veronese_values(point)
+    return [[CDElem(cd, cd.field.wrap(v, den)) for v in row] for row in rows]
+
+
+def point_from_flat(alg, w):
+    """The point whose ProjPointC.flatten is w: slot-major coordinates, the
+    n - 1 CD blocks interleaved slot by slot, then the scalar slot."""
+    nn = alg.n - 1
+    cparts = [alg.cd.element(w[i:nn * alg.cd.dim:nn]) for i in range(nn)]
+    return birational.ProjPointC(alg, cparts, w[-1])

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import point_from_flat, veronese_matrix
 
 from jordanquad import motives, rootsys, sweeps
 from jordanquad.birational import q_form, veronese
@@ -168,8 +169,7 @@ def test_criterion_07_birational_roundtrip():
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), b)
         n = len(b)
         rep = sweeps.sampled_quadric_checks(alg, count=100, seed=23,
-                                            rank_checks=rank_budget[(r, n)],
-                                            transposition_checks=0)
+                                            rank_checks=rank_budget[(r, n)])
         if not rep.ok:
             failures.append(("Q", r, n, rep.failures[:2]))
         if rep.counts["roundtrip"] + rep.counts["z2_images"] + rep.counts["base_points"] != 100:
@@ -179,11 +179,10 @@ def test_criterion_07_birational_roundtrip():
     for r, b in _q_configs():
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), b)
         qf = q_form(alg)
-        from jordanquad.birational import veronese_matrix
         for _ in range(20):
             try:
-                pt = sweeps.unflatten(alg, [Fraction(rng.randint(-4, 4))
-                                            for _ in range(sweeps.flat_dim(alg))])
+                pt = point_from_flat(alg, [Fraction(rng.randint(-4, 4))
+                                           for _ in range(sweeps.flat_dim(alg))])
             except ValueError:
                 continue
             m = veronese_matrix(pt)
@@ -204,8 +203,7 @@ def test_criterion_08_transposition_star_formula():
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), b)
         count = 40 if r < 3 else 25
         rep = sweeps.sampled_quadric_checks(alg, count=count, seed=37,
-                                            rank_checks=0,
-                                            transposition_checks=count)
+                                            rank_checks=0)
         if not rep.ok:
             failures.append((r, len(b), rep.failures[:2]))
         if rep.counts["transpositions"] < count // 2:
@@ -216,7 +214,7 @@ def test_criterion_08_transposition_star_formula():
     for p, r, n in [(7, 1, 3), (7, 2, 3), (11, 2, 4)]:
         alg = sweeps.fp_algebra(p, r, n)
         rep = sweeps.sampled_quadric_checks(alg, count=40, seed=41,
-                                            rank_checks=0, transposition_checks=40)
+                                            rank_checks=0)
         if not rep.ok:
             failures.append((p, r, n, rep.failures[:2]))
     report(8, not failures, f"star-formula + double-transposition agreement "
@@ -338,7 +336,7 @@ def test_criterion_11_krashen():
         k1 = motives.verify_krashen(n)
         k2 = motives.verify_krashen(n)
         ok = ok and (not k1.literal_equal) and k1.variant_equal
-        ok = ok and k1.as_dict() == k2.as_dict()  # deterministic
+        ok = ok and k1 == k2  # deterministic
     k3 = motives.verify_krashen(3)
     ok = ok and (k3.lhs_literal.total(), k3.rhs.total()) == (10, 12)
     report(11, ok, "literal imbalance (10 vs 12 at n=3) + balanced variant, n=3..8")

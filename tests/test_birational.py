@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_canonical, large_scalar
+from conftest import assert_canonical, large_scalar, point_from_flat, veronese_matrix
 
 from jordanquad.birational import (ProjPointC, ProjPointJ,
                                    half_space_square_zero, in_z1, in_z2,
                                    on_quadric, projective_eq, q_form,
                                    transposition_map, transposition_star,
-                                   veronese, veronese_inverse, veronese_matrix)
+                                   veronese, veronese_inverse)
 from jordanquad.cayley_dickson import CDAlgebra, CDElem
 from jordanquad.errors import AlgebraMismatchError, BasePointError
 from jordanquad.jordan import JordanAlgebra, JordanElem
@@ -397,8 +397,7 @@ def test_transposition_base_point():
 
 def test_transposition_octonions():
     alg = JordanAlgebra(CDAlgebra(Q, [-1, -1, -1]), (1, 2, -3))
-    rep = sweeps.sampled_quadric_checks(alg, count=15, seed=6, rank_checks=1,
-                                        transposition_checks=15)
+    rep = sweeps.sampled_quadric_checks(alg, count=15, seed=6, rank_checks=1)
     assert rep.ok, rep.failures
     assert rep.counts["transpositions"] >= 10
     assert rep.counts["double_transpositions"] >= 10
@@ -451,8 +450,7 @@ def test_transposition_map_matches_matrix_column(field, r, n):
 def test_sampled_roundtrip_all_small_configs():
     for r, b in [(0, (1, 2, -3)), (1, (1, 2, -3)), (2, (1, 2, -3))]:
         alg = JordanAlgebra(CDAlgebra(Q, [-1] * r), b)
-        rep = sweeps.sampled_quadric_checks(alg, count=20, seed=8, rank_checks=2,
-                                            transposition_checks=5)
+        rep = sweeps.sampled_quadric_checks(alg, count=20, seed=8, rank_checks=2)
         assert rep.ok, rep.failures
         assert rep.counts["roundtrip"] >= 15
 
@@ -702,7 +700,7 @@ def reference_samples(alg, count, seed):
         t = -evaluate(qf, v) / denom
         w = [t * a + x for a, x in zip(e, v)]
         if any(w):
-            pt = sweeps.unflatten(alg, w)
+            pt = point_from_flat(alg, w)
             if pt not in points:
                 points.append(pt)
     return points

@@ -3,14 +3,18 @@ to re-export, and `fpkernels.py` binds `active` for perfbench to read.  The
 package's own imports form layers: no cycle, and the mod-p kernels at the
 bottom, beside the composition-algebra product they share with the layers
 above.  Every private module-level definition is read somewhere in the
-package.  Euler's criterion and the size of a projective space over F_p
-are each written once."""
+package, and every public one in the package, perfbench or the console
+script, so nothing stays in the package for the tests alone.  Euler's
+criterion and the size of a projective space over F_p are each written
+once."""
 
 import ast
 import graphlib
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jordanquad"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jordanquad"
 REEXPORTS = {"__init__.py", "fpkernels.py"}
 
 
@@ -65,23 +69,31 @@ def test_package_imports_form_layers():
     list(graphlib.TopologicalSorter(graph).static_order())      # CycleError on a cycle
 
 
-# test oracles kept in the package on purpose: cayley_dickson's recursive
-# product, which its module docstring says the algebra itself never calls
-ORACLES = {("cayley_dickson", "_mul_rec")}
+# test oracles kept in the package on purpose, with no reader in it:
+# - cayley_dickson's recursive product, which its module docstring says the
+#   algebra itself never calls;
+# - the polar form quadform.bilinear, which the tests' reference sampler
+#   (t = -q(v) / 2B(e, v)) checks sweeps.sample_quadric_points against;
+# - sweeps.xj_expected_count, the classical closed forms of #X(J)(F_p),
+#   which share no code with motives.
+ORACLES = {("cayley_dickson", "_mul_rec"), ("quadform", "bilinear"),
+           ("sweeps", "xj_expected_count")}
 
 
-def unread_private_definitions(sources):
+def unread_definitions(sources, public=False, outside=frozenset()):
     """(module, name) for each module-level `def _x` or `class _X` in
-    `sources`, {module: source}, that nothing reads outside its own body:
-    as a name elsewhere in its module, or in any module as an imported name
-    or an attribute."""
-    defined, local, imported = [], set(), set()
+    `sources`, {module: source}, or with `public` each `def x` or
+    `class X`, that nothing reads outside its own body: as a name elsewhere
+    in its module, or in any module as an imported name or an attribute,
+    or as a name in `outside`."""
+    defined, local, imported = [], set(), set(outside)
     for module, source in sources.items():
         for top in ast.parse(source).body:
             owner = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = top.name
-                if owner.startswith("_") and not owner.startswith("__"):
+                if (not owner.startswith("_") if public
+                        else owner.startswith("_") and not owner.startswith("__")):
                     defined.append((module, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and node.id != owner:
@@ -94,16 +106,56 @@ def unread_private_definitions(sources):
             if (module, name) not in local and name not in imported]
 
 
+def package_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_package_reads_every_private_definition():
     """A private helper that lost its last caller is dead code: every one is
     read somewhere in the package, but for the allowlisted test oracles."""
-    assert unread_private_definitions({
+    assert unread_definitions({
         "a": "def _f():\n    return _f()\n\nclass _C:\n    pass\n\ndef _g():\n    pass\n\n"
              "def _k():\n    pass\n\ndef _m():\n    pass\n\ndef run():\n    return _g()\n",
         "b": "from . import a\nfrom .a import _k\n\ndef run():\n    return _k, a._m\n"}) == [
         ("a", "_f"), ("a", "_C")]
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert set(unread_private_definitions(sources)) <= ORACLES
+    assert set(unread_definitions(package_sources())) <= ORACLES
+
+
+def outside_reads(source):
+    """The names a module outside the package reads: names, attributes and
+    imported names, and each part of a string that is a dotted name, as
+    perfbench's span targets ("JordanElem.is_rank_one") are."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_package_reads_every_public_definition():
+    """A public definition that only the tests read belongs next to them:
+    every one is read in the package (`__init__.py`'s re-exports count),
+    by perfbench or by the console script, but for the allowlisted test
+    oracles."""
+    assert outside_reads('"""Spans of a.f."""\nfrom a import g\nSPANS = {"x": ("a", "C.h")}\n'
+                         "a.k(v)\n") == {"g", "SPANS", "x", "a", "C", "h", "k", "v"}
+    assert unread_definitions({
+        "a": "def f():\n    return f()\n\nclass C:\n    pass\n\ndef g():\n    pass\n\n"
+             "def h():\n    pass\n\ndef _p():\n    pass\n\ndef run():\n    return g()\n",
+        "b": "from .a import run\n"}, public=True, outside={"h"}) == [
+        ("a", "f"), ("a", "C")]
+    outside = {name for path in sorted((ROOT / "perfbench").glob("*.py"))
+               for name in outside_reads(path.read_text(encoding="utf-8"))}
+    outside.update(re.findall(r'"jordanquad\.\w+:(\w+)"',
+                              (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    assert set(unread_definitions(package_sources(), public=True, outside=outside)) <= ORACLES
 
 
 def _euler(node):

@@ -198,7 +198,7 @@ def test_half_space_element_column():
     cd = alg.cd
     cvec = [cd.element([1, 2]), cd.element([0, 1]), cd.element([3, 0])]
     x = alg.half_space_element(cvec)
-    col = x.column(3)
+    col = [row[3] for row in x.entries]
     assert list(col[:3]) == cvec
     assert x.jordan_mul(alg.basis_idempotent(3)) == x.scale(Fraction(1, 2))
 

@@ -177,9 +177,14 @@ def test_blowup_profile_2_3():
 
 
 def test_blowup_dimension_variant_unbalanced():
+    """Summing P(Z1)'s shifts to d1 = 2^{r-1} n - 2 (a dimension, not a
+    codimension, of the base locus at n = 3) in place of c1 does not
+    balance."""
     for r, n in [(1, 3), (2, 3), (2, 4), (3, 3)]:
-        rep = verify_blowup(r, n)
-        assert rep.equal_variant_d1 is False
+        d1 = (1 << (r - 1)) * n - 2
+        alt = (decompose_neighbour_quadric(r, n).profile()
+               + decompose_z1(r, n).profile().shifted_sum(range(1, d1)))
+        assert alt != verify_blowup(r, n).rhs
 
 
 def test_blowup_degenerate_r0():
