@@ -21,15 +21,19 @@ from .quadform import QuadForm, hilbert_symbol, invariants, witt_index
 from .scalars import Rationals, field_from_spec, is_prime
 
 TARGETS = {
-    "quadric": lambda r, n: motives.decompose_neighbour_quadric(r, n),
+    "quadric": motives.decompose_neighbour_quadric,
     "xj": motives.decompose_xj,
     "z1": motives.decompose_z1,
     "pfister-multiple": motives.decompose_pfister_multiple,
 }
 
 
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(_json_text(obj))
 
 
 def _scalar(tok):
@@ -104,14 +108,14 @@ def _decomposition(args):
 def cmd_decompose(args):
     expr = _decomposition(args)
     if args.out == "json":
-        _emit(expr.as_dict())
+        text = _json_text(expr.as_dict())
     else:
         text = diagram.render_diagram(expr, args.out)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -149,10 +153,6 @@ def cmd_hilbert(args):
 def cmd_verify(args):
     given = {k: getattr(args, k) for k in ("n_range", "budget", "samples", "seed")
              if getattr(args, k) is not None}
-    if args.suite != "all":
-        for k in given:
-            if k not in verify.SUITE_KWARGS[args.suite]:
-                raise ValueError(f"verify {args.suite} takes no --{k.replace('_', '-')}")
     if given.get("samples", 1) < 1:
         raise ValueError("--samples must be at least 1")
     if given.get("samples", 1) > sweeps.MAX_SAMPLES:
@@ -276,7 +276,7 @@ def build_parser():
     sp = sub.add_parser("decompose", help="motive decomposition of a target")
     add_rn(sp)
     sp.add_argument("--out", choices=("json", "ascii", "svg"), default="json")
-    sp.add_argument("--output", help="write ascii/svg to this path")
+    sp.add_argument("--output", help="write the output to this path")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("profile", help="Tate profile of a decomposition")
@@ -299,7 +299,7 @@ def build_parser():
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witt", help="invariants and Witt index of a diagonal form")
-    sp.add_argument("--field", choices=("Q", "Fp"), default="Q")
+    sp.add_argument("--field", default="Q", metavar="{Q,Fp}")
     sp.add_argument("--p", type=int)
     sp.add_argument("--form", required=True, help="comma-separated diagonal")
     sp.set_defaults(func=cmd_witt)
@@ -331,7 +331,7 @@ def build_parser():
     sp.add_argument("action", choices=("table",))
     sp.add_argument("--r", type=int)
     sp.add_argument("--a", default="")
-    sp.add_argument("--field", choices=("Q", "Fp"), default="Q")
+    sp.add_argument("--field", default="Q", metavar="{Q,Fp}")
     sp.add_argument("--p", type=int)
     sp.set_defaults(func=cmd_algebra)
 

@@ -5,15 +5,25 @@ literals, # comments).  Keys: field ("Q" or "Fp"), p (odd prime, Fp only),
 r (0..3), a (list of r nonzero scalars), n (3..motives.MAX_N), b (list of
 n nonzero scalars).  Scalars may be integers or strings like "1/2"; floats
 are rejected.
+
+A config checks only its own shape: no unknown key, and a and b lists of
+r and n entries.  Every other rule has one owner, which config_from_dict
+reaches by building the algebra once: `motives.check_rn` for r and n,
+`scalars.field_from_spec` for field and p, and the CDAlgebra and
+JordanAlgebra constructors for the entries of a and b (scalars of the
+field, and nonzero).  A refusal becomes a ValidationError with the
+owner's text, which starts with its key; a constructor's is put under
+"a:" or "b:".  The command line reaches the same owners, so it prints
+the same text for the same value.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cayley_dickson import CDAlgebra
 from .jordan import JordanAlgebra
-from .motives import MAX_N
-from .scalars import Rationals, field_from_spec
+from .motives import check_rn
+from .scalars import field_from_spec
 
 
 class ParseError(ValueError):
@@ -33,48 +43,24 @@ class AlgebraConfig:
     n: int = 3
     b: list = None
 
-    def validated(self):
-        if self.field not in ("Q", "Fp"):
-            raise ValidationError(f"field: expected 'Q' or 'Fp', got {self.field!r}")
-        if self.field == "Fp" and self.p is None:
-            raise ValidationError("p: required when field = \"Fp\"")
-        if self.field == "Q" and self.p is not None:
-            raise ValidationError("p: only allowed when field = \"Fp\"")
-        if isinstance(self.r, bool) or not isinstance(self.r, int) or not 0 <= self.r <= 3:
-            raise ValidationError(f"r: must be 0..3, got {self.r!r}")
-        a = self.a if self.a is not None else []
-        if not isinstance(a, list):
-            raise ValidationError(f"a: expected a list of {self.r} entries, got {a!r}")
-        if len(a) != self.r:
-            raise ValidationError(f"a: expected {self.r} entries, got {len(a)}")
-        if not isinstance(self.n, int) or not 3 <= self.n <= MAX_N:
-            raise ValidationError(f"n: must be an integer with 3 <= n <= MAX_N = {MAX_N}, "
-                                  f"got {self.n!r}")
-        if self.r == 3 and self.n != 3:
-            raise ValidationError("n: must be 3 when r=3")
-        b = self.b
-        if not isinstance(b, list) or len(b) != self.n:
-            raise ValidationError(f"b: expected a list of {self.n} entries")
-        for key, vals in (("a", a), ("b", b)):
-            for x in vals:
-                try:
-                    zero = Rationals().element(x) == 0
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise ValidationError(f"{key}: bad scalar {x!r} ({exc})") from exc
-                if zero:
-                    raise ValidationError(f"{key}: entries must be nonzero")
-        return self
-
     def algebra(self):
-        self.validated()
-        fld = field_from_spec(self.field, self.p)
+        """The Jordan algebra of this configuration, or ValidationError."""
         try:
-            cd = CDAlgebra(fld, [fld.element(x) for x in (self.a or [])])
-        except (ValueError, ZeroDivisionError) as exc:
+            fld = field_from_spec(self.field, self.p)
+            check_rn(self.r, self.n)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        a = self.a if self.a is not None else []
+        for key, vals, size in (("a", a, self.r), ("b", self.b, self.n)):
+            if not isinstance(vals, list) or len(vals) != size:
+                raise ValidationError(f"{key}: expected a list of {size} entries, got {vals!r}")
+        try:
+            cd = CDAlgebra(fld, a)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"a: {exc}") from exc
         try:
-            return JordanAlgebra(cd, [fld.element(x) for x in self.b])
-        except (ValueError, ZeroDivisionError) as exc:
+            return JordanAlgebra(cd, self.b)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"b: {exc}") from exc
 
 
@@ -97,14 +83,14 @@ def parse_config_text(text):
 
 
 def config_from_dict(raw):
-    known = {"field", "p", "r", "a", "n", "b"}
-    unknown = set(raw) - known
+    """The AlgebraConfig of parsed config data, checked by building its
+    algebra."""
+    unknown = set(raw) - {f.name for f in fields(AlgebraConfig)}
     if unknown:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
-    cfg = AlgebraConfig(field=raw.get("field", "Q"), p=raw.get("p"),
-                        r=raw.get("r", 0), a=raw.get("a"),
-                        n=raw.get("n", 3), b=raw.get("b"))
-    return cfg.validated()
+    cfg = AlgebraConfig(**raw)
+    cfg.algebra()
+    return cfg
 
 
 def load_config(path):

@@ -235,13 +235,15 @@ MAX_N = 30
 
 def check_rn(r, n):
     """ValueError unless (r, n) is a configuration the package handles:
-    r in 0..3, 3 <= n <= MAX_N, and n = 3 when r = 3."""
-    if r not in (0, 1, 2, 3):
-        raise ValueError(f"r must be 0..3, got {r}")
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"need 3 <= n <= MAX_N = {MAX_N}, got {n}")
+    integers (a bool or a float is neither) with r in 0..3,
+    3 <= n <= MAX_N, and n = 3 when r = 3.  Each message starts with the
+    key at fault, so a config file and the command line say the same."""
+    if type(r) is not int or r not in (0, 1, 2, 3):
+        raise ValueError(f"r: must be an integer 0..3, got {r!r}")
+    if type(n) is not int or not 3 <= n <= MAX_N:
+        raise ValueError(f"n: must be an integer with 3 <= n <= MAX_N = {MAX_N}, got {n!r}")
     if r == 3 and n != 3:
-        raise ValueError("r = 3 requires n = 3")
+        raise ValueError("n: must be 3 when r = 3")
 
 
 def pfister_quadric_expr(r):

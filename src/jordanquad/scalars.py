@@ -282,14 +282,15 @@ class Rationals:
 
     def element(self, x):
         """Coerce ints, strings like '3/4', and Fractions to a Fraction.
-        Floats are rejected: they are rarely the rational that was meant.
-        So are decimal and exponent strings ('0.1', or '1e10000000', which
-        Fraction takes seconds to expand): ValueError."""
+        Any other type is rejected (TypeError), floats too: they are rarely
+        the rational that was meant.  So are decimal and exponent strings
+        ('0.1', or '1e10000000', which Fraction takes seconds to expand):
+        ValueError."""
         if type(x) is Fraction:
             return x
         if isinstance(x, FpElem):
             raise FieldMismatchError("got an F_p residue where a rational was expected")
-        if isinstance(x, (bool, float)):
+        if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
             raise TypeError(f"{type(x).__name__} is not a scalar")
         if isinstance(x, str) and not _RATIONAL.fullmatch(x):
             raise ValueError(f"{x!r} is not an integer or a fraction like 1/2")
@@ -371,7 +372,7 @@ class PrimeField:
 
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p = {p!r} is not prime")
+            raise ValueError(f"{p!r} is not prime")
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
         self.p = p
@@ -463,14 +464,18 @@ class PrimeField:
 
 
 def field_from_spec(kind, p=None):
-    """Build a field from config data: kind 'Q' (no p) or 'Fp' (p
-    required)."""
+    """Build a field from config data: kind 'Q' (no p) or 'Fp' (p an odd
+    prime below MR_BOUND).  Each refusal, PrimeField's included, starts
+    with the key at fault, "field:" or "p:"."""
     if kind == "Q":
         if p is not None:
             raise ValueError('p: only allowed when field = "Fp"')
         return Rationals()
-    if kind == "Fp":
-        if p is None:
-            raise ValueError("field 'Fp' requires p")
+    if kind != "Fp":
+        raise ValueError(f"field: expected 'Q' or 'Fp', got {kind!r}")
+    if p is None:
+        raise ValueError('p: required when field = "Fp"')
+    try:
         return PrimeField(p)
-    raise ValueError(f"unknown field kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"p: {exc}") from exc

@@ -136,12 +136,6 @@ class SweepReport:
     def ok(self):
         return not self.failures
 
-    def as_dict(self):
-        return {"kind": self.kind, "p": self.p, "r": self.r, "n": self.n,
-                "mode": self.mode, "space": self.space, "scanned": self.scanned,
-                "counts": self.counts, "expected": self.expected,
-                "failures": self.failures, "ok": self.ok}
-
 
 _QUADRIC_COUNTERS = ("scanned", "on_quadric", "base_points", "zslice_points",
                      "roundtrip_checked", "roundtrip_fail", "sym_fail",
@@ -149,30 +143,24 @@ _QUADRIC_COUNTERS = ("scanned", "on_quadric", "base_points", "zslice_points",
 _Z1_COUNTERS = ("scanned", "z1_points", "equiv_fail")
 
 
-def _kernel_report(kind, alg, names, raw, N, limit, oracle):
-    """The report of a kernel sweep of P^{N-1}: each nonzero `*_fail`
-    counter is a failure, and so, once the sweep is complete, is each count
-    that differs from the exact one in oracle()."""
+def _kernel_report(kind, alg, names, raw, N, oracle):
+    """The report of a complete kernel sweep of P^{N-1}: each nonzero
+    `*_fail` counter is a failure, and so is each count that differs from
+    the exact one in oracle()."""
     p = alg.field.p
     counts = dict(zip(names, raw, strict=True))
     space = projective_size(p, N)
-    complete = limit < 0 or limit >= space
-    report = SweepReport(kind, p, alg.cd.r, alg.n,
-                         "exhaustive" if complete else "partial",
-                         space, counts["scanned"], counts)
-    report.failures = [f"{key} = {v}" for key, v in counts.items()
-                       if key.endswith("_fail") and v]
-    if complete:
-        report.expected = {"scanned": space, **oracle()}
-        report.failures += [f"{key}: got {counts[key]}, expected {want}"
-                            for key, want in report.expected.items()
-                            if counts[key] != want]
-    return report
+    expected = {"scanned": space, **oracle()}
+    failures = [f"{key} = {v}" for key, v in counts.items() if key.endswith("_fail") and v]
+    failures += [f"{key}: got {counts[key]}, expected {want}"
+                 for key, want in expected.items() if counts[key] != want]
+    return SweepReport(kind, p, alg.cd.r, alg.n, "exhaustive", space, counts["scanned"],
+                       counts, expected, failures)
 
 
-def exhaustive_quadric_sweep(alg, limit=-1):
-    """Kernel sweep of P(C^{n-1} x k) over F_p with exact count oracles
-    (only checked when the sweep runs to completion)."""
+def exhaustive_quadric_sweep(alg):
+    """Complete kernel sweep of P(C^{n-1} x k) over F_p with exact count
+    oracles."""
     def oracle():
         exp_quadric = fp_projective_zero_count(q_form(alg))
         exp_base = z1_expected_count(alg)
@@ -182,17 +170,16 @@ def exhaustive_quadric_sweep(alg, limit=-1):
                 "zslice_points": exp_slice,
                 "roundtrip_checked": exp_quadric - exp_base - exp_slice}
 
-    raw = _fpcore_py.quadric_sweep(*kernel_inputs(alg), limit)
-    return _kernel_report("quadric", alg, _QUADRIC_COUNTERS, raw,
-                          flat_dim(alg), limit, oracle)
+    raw = _fpcore_py.quadric_sweep(*kernel_inputs(alg))
+    return _kernel_report("quadric", alg, _QUADRIC_COUNTERS, raw, flat_dim(alg), oracle)
 
 
-def exhaustive_z1_sweep(alg, limit=-1):
-    """Kernel sweep of P(C^{n-1}) comparing the two base-locus predicates
-    pointwise, with the exact point-count oracle."""
-    raw = _fpcore_py.z1_sweep(*kernel_inputs(alg), limit)
+def exhaustive_z1_sweep(alg):
+    """Complete kernel sweep of P(C^{n-1}) comparing the two base-locus
+    predicates pointwise, with the exact point-count oracle."""
+    raw = _fpcore_py.z1_sweep(*kernel_inputs(alg))
     return _kernel_report("z1", alg, _Z1_COUNTERS, raw, flat_dim(alg) - 1,
-                          limit, lambda: {"z1_points": z1_expected_count(alg)})
+                          lambda: {"z1_points": z1_expected_count(alg)})
 
 
 # ---------------------------------------------------------------------------

@@ -305,14 +305,14 @@ def test_sampled_z1_checks_build_no_image(monkeypatch):
     """in_z1 is the map's own zero test, so the sampled z1 checks do not
     build the image: with veronese refusing, they give the same report."""
     algs = [sweeps.fp_algebra(7, 2, 3), JordanAlgebra(CDAlgebra(Q, [1]), (1, 2, -3))]
-    want = [sweeps.sampled_z1_checks(alg).as_dict() for alg in algs]
+    want = [sweeps.sampled_z1_checks(alg) for alg in algs]
 
     def refuse(pt):
         raise AssertionError("sampled_z1_checks built an image")
 
     monkeypatch.setattr(sweeps, "veronese", refuse)
-    got = [sweeps.sampled_z1_checks(alg).as_dict() for alg in algs]
-    assert got == want and all(d["ok"] and d["counts"]["z1_members"] for d in got)
+    got = [sweeps.sampled_z1_checks(alg) for alg in algs]
+    assert got == want and all(rep.ok and rep.counts["z1_members"] for rep in got)
 
 
 def wrong_star(pt):

@@ -2,6 +2,7 @@
 values mixed into every option.  Each input must get an answer or a
 one-line refusal: exit 0, 1 or 2 and never a traceback."""
 
+import json
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jordanquad import cli
+from jordanquad.scalars import MR_BOUND
 
 HOSTILE = ["", " ", "0", "-1", "-7", "1e3", "1e10000000", "0.5", "1/0", "nan", "inf", "-inf",
            "2.5",
@@ -127,6 +129,62 @@ def test_cli_fuzz(config, capsys):
         assert elapsed < 1.0, (argv, elapsed)
 
     check()
+
+
+# The keys of a config file, each with its good value and hostile ones: a
+# field that is not one or Q with p, p = 9, past MR_BOUND or missing, a
+# bool or float r, a float n, a b_i divisible by p, a "#" inside a string,
+# and an unknown key.  None leaves the key out.
+CONFIG_VALUES = {
+    "field": ("Fp", ["Q", "R"]),
+    "p": (7, [None, 9, MR_BOUND + 6]),
+    "r": (1, [True, 1.0]),
+    "a": ([-1], [["-1#"]]),
+    "n": (3, [3.0]),
+    "b": ([1, 1, -1], [[7, 1, 1], ["1/2", "# 2", 3]]),
+    "zz": (None, [1]),
+}
+GOOD_CONFIG = {key: good for key, (good, _) in CONFIG_VALUES.items()}
+CONFIG_COMMANDS = [
+    ["rank", "--elem", "[[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], "
+     "[[0, 0], [0, 0], [0, 0]]]"],
+    ["veronese", "map", "--point", '{"c": [[1, 0], [0, 1]], "last": 0}'],
+]
+
+
+def config_text(values):
+    return "".join(f"{key} = {json.dumps(v)}\n" for key, v in values.items() if v is not None)
+
+
+def test_cli_fuzz_hostile_config_files(tmp_path_factory, capsys):
+    """rank and veronese map on config files with good and hostile values:
+    the good file answers with exit 0, each hostile value alone is refused
+    with exit 2 and one line, and any drawn mix gives one or the other."""
+    path = tmp_path_factory.mktemp("fuzz") / "hostile.cfg"
+
+    def check(values, command):
+        path.write_text(config_text(values), encoding="utf-8")
+        code = cli.run([*command[:-2], "--config", str(path), *command[-2:]])
+        out, err = capsys.readouterr()
+        assert code == 0 or (code == 2 and not out and err.startswith("error: ")
+                             and err.count("\n") == 1), (values, command, code, err)
+        return code
+
+    for command in CONFIG_COMMANDS:
+        assert check(GOOD_CONFIG, command) == 0, command
+        for key, (_, hostile) in CONFIG_VALUES.items():
+            for value in hostile:
+                assert check({**GOOD_CONFIG, key: value}, command) == 2, (key, value)
+
+    @given(values=st.fixed_dictionaries({key: st.one_of(st.just(good), st.sampled_from(hostile))
+                                         for key, (good, hostile) in CONFIG_VALUES.items()}),
+           command=st.sampled_from(CONFIG_COMMANDS))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def fuzz(values, command):
+        check(values, command)
+
+    fuzz()
 
 
 def test_decimal_and_exponent_scalars_exit_2_at_once(tmp_path, capsys):

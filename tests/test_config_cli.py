@@ -198,6 +198,17 @@ def test_cli_decompose_svg_to_file(capsys, tmp_path):
     assert dest.read_text().startswith("<svg")
 
 
+def test_cli_decompose_json_to_file(capsys, tmp_path):
+    """--output used to be read for ascii and svg only: the JSON went to
+    stdout and no file was written."""
+    dest = tmp_path / "d.json"
+    code, out, _ = run_cli(capsys, "decompose", "--r", "1", "--n", "3",
+                           "--output", str(dest))
+    assert code == 0 and out == ""
+    _, want, _ = run_cli(capsys, "decompose", "--r", "1", "--n", "3")
+    assert dest.read_text(encoding="utf-8") == want and json.loads(want)["summands"]
+
+
 def test_cli_profile(capsys):
     code, out, _ = run_cli(capsys, "profile", "--r", "2", "--n", "3", "--target", "xj")
     data = json.loads(out)
@@ -452,6 +463,20 @@ def test_cli_verify_sweep_option_rejected_where_unused(capsys, monkeypatch, suit
     assert err == f"error: verify {suite} takes no {option}\n"
 
 
+def test_run_suite_refuses_an_option_the_suite_does_not_take(monkeypatch):
+    """run_suite owns the rule: witt with a budget used to run all of its
+    cases and ignore the budget."""
+    from jordanquad import verify as vmod
+
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    with pytest.raises(ValueError, match="^verify witt takes no --budget$"):
+        vmod.run_suite("witt", budget=5)
+    with pytest.raises(ValueError, match="^verify all takes no --limit$"):
+        vmod.run_suite("all", limit=5)
+    assert not calls
+
+
 @pytest.mark.parametrize("suite, argv", [
     ("birational", ["--samples", "0"]),
     ("z1", ["--budget", "1", "--samples", "0"]),
@@ -633,6 +658,36 @@ def test_float_scalars_rejected(capsys, tmp_path):
     cfg = write_config(tmp_path, GOOD.replace("b = [1, 2, -3]", "b = [0.1, 2, -3]"))
     code, out, err = run_cli(capsys, "rank", "--config", cfg, "--elem", "[]")
     assert code == 2 and not out and "float" in err
+
+
+def test_config_refuses_what_the_algebra_refuses():
+    """A config is checked by building its algebra: b_1 = 7 is zero in F_7
+    and 9 is no prime, though the config checks of old let both pass."""
+    with pytest.raises(ValidationError, match="^b:"):
+        config_from_dict({"field": "Fp", "p": 7, "n": 3, "b": [7, 1, 1]})
+    with pytest.raises(ValidationError, match="^p:"):
+        config_from_dict({"field": "Fp", "p": 9, "n": 3, "b": [1, 1, 1]})
+
+
+@pytest.mark.parametrize("key, raw, argv", [
+    ("r", {"r": 5, "a": [1] * 5, "n": 3, "b": [1] * 3}, ["decompose", "--r", "5", "--n", "3"]),
+    ("n", {"n": 31, "b": [1] * 31}, ["decompose", "--r", "0", "--n", "31"]),
+    ("n", {"r": 3, "a": [-1] * 3, "n": 4, "b": [1] * 4}, ["decompose", "--r", "3", "--n", "4"]),
+    ("field", {"field": "X", "n": 3, "b": [1] * 3}, ["witt", "--field", "X", "--form", "1"]),
+    ("p", {"field": "Fp", "n": 3, "b": [1] * 3}, ["witt", "--field", "Fp", "--form", "1"]),
+    ("p", {"field": "Q", "p": 5, "n": 3, "b": [1] * 3},
+     ["witt", "--field", "Q", "--p", "5", "--form", "1"]),
+    ("p", {"field": "Fp", "p": 9, "n": 3, "b": [1] * 3},
+     ["witt", "--field", "Fp", "--p", "9", "--form", "1"]),
+], ids=["r-5", "n-31", "r-3-n-4", "field-X", "Fp-without-p", "Q-with-p", "p-9"])
+def test_config_and_command_line_print_one_text_per_rule(capsys, key, raw, argv):
+    """Each rule has one owner, so a config file and the command line say
+    the same for the same value, led by its key."""
+    with pytest.raises(ValidationError, match=f"^{key}:") as info:
+        config_from_dict(raw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {info.value}\n"
 
 
 def _effective(fn, kwargs):
