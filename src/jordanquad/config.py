@@ -1,29 +1,31 @@
 """Algebra configuration files.
 
 Simple key-value text (one `key = value` per line, values as JSON
-literals, # comments).  Keys: field ("Q" or "Fp"), p (odd prime, Fp only),
+literals; # starts a comment at the start of a line or after a value).
+Keys, with their DEFAULTS: field ("Q" or "Fp"), p (odd prime, Fp only),
 r (0..3), a (list of r nonzero scalars), n (3..motives.MAX_N), b (list of
-n nonzero scalars).  Scalars may be integers or strings like "1/2"; floats
-are rejected.
+n nonzero scalars).  Scalars may be integers or strings like "1/2", not
+floats.
 
-A config checks only its own shape: no unknown key, and a and b lists of
-r and n entries.  Every other rule has one owner, which config_from_dict
-reaches by building the algebra once: `motives.check_rn` for r and n,
-`scalars.field_from_spec` for field and p, and the CDAlgebra and
-JordanAlgebra constructors for the entries of a and b (scalars of the
-field, and nonzero).  A refusal becomes a ValidationError with the
-owner's text, which starts with its key; a constructor's is put under
-"a:" or "b:".  The command line reaches the same owners, so it prints
-the same text for the same value.
+`load_config` and `config_from_dict` return the JordanAlgebra of the
+config, built once, which checks it.  The config checks only its keys and
+that b is a list of n entries.  Every other rule has one owner:
+`motives.check_rn` for r and n, `scalars.field_from_spec` for field and
+p, `composition_algebra` for a (a list of r entries that the CDAlgebra
+constructor takes) and the JordanAlgebra constructor for the entries of
+b.  A refusal is a ValidationError with the owner's text, led by its key
+("a:" and "b:" for the constructors').  `algebra table` calls
+`composition_algebra` too, so the command line prints the same text.
 """
 
 import json
-from dataclasses import dataclass, fields
 
 from .cayley_dickson import CDAlgebra
 from .jordan import JordanAlgebra
 from .motives import check_rn
 from .scalars import field_from_spec
+
+DEFAULTS = {"field": "Q", "p": None, "r": 0, "a": None, "n": 3, "b": None}
 
 
 class ParseError(ValueError):
@@ -34,65 +36,65 @@ class ValidationError(ValueError):
     pass
 
 
-@dataclass
-class AlgebraConfig:
-    field: str = "Q"
-    p: int = None
-    r: int = 0
-    a: list = None
-    n: int = 3
-    b: list = None
-
-    def algebra(self):
-        """The Jordan algebra of this configuration, or ValidationError."""
-        try:
-            fld = field_from_spec(self.field, self.p)
-            check_rn(self.r, self.n)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        a = self.a if self.a is not None else []
-        for key, vals, size in (("a", a, self.r), ("b", self.b, self.n)):
-            if not isinstance(vals, list) or len(vals) != size:
-                raise ValidationError(f"{key}: expected a list of {size} entries, got {vals!r}")
-        try:
-            cd = CDAlgebra(fld, a)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"a: {exc}") from exc
-        try:
-            return JordanAlgebra(cd, self.b)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"b: {exc}") from exc
+def composition_algebra(field, r, a):
+    """The CDAlgebra over field with doubling parameters a, which must be a
+    list of r entries, or ValidationError led by "a:"."""
+    if not isinstance(a, list) or len(a) != r:
+        raise ValidationError(f"a: expected a list of {r} entries, got {a!r}")
+    try:
+        return CDAlgebra(field, a)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"a: {exc}") from exc
 
 
 def parse_config_text(text):
+    """{key: value} of config text.  A # starts a comment only at the start
+    of a line or after a value, so a # inside a JSON string is part of it;
+    anything else after a value is a ParseError."""
     raw = {}
+    decoder = json.JSONDecoder()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         try:
-            raw[key] = json.loads(value.strip())
+            data, end = decoder.raw_decode(value)
+            rest = value[end:].lstrip()
+            if rest and not rest.startswith("#"):
+                raise json.JSONDecodeError("Extra data", value, len(value) - len(rest))
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nested too deeply for the parser
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        raw[key] = data
     return raw
 
 
 def config_from_dict(raw):
-    """The AlgebraConfig of parsed config data, checked by building its
-    algebra."""
-    unknown = set(raw) - {f.name for f in fields(AlgebraConfig)}
+    """The JordanAlgebra of parsed config data, or ValidationError."""
+    unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
-    cfg = AlgebraConfig(**raw)
-    cfg.algebra()
-    return cfg
+    cfg = {**DEFAULTS, **raw}
+    try:
+        fld = field_from_spec(cfg["field"], cfg["p"])
+        check_rn(cfg["r"], cfg["n"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    cd = composition_algebra(fld, cfg["r"], [] if cfg["a"] is None else cfg["a"])
+    b = cfg["b"]
+    if not isinstance(b, list) or len(b) != cfg["n"]:
+        raise ValidationError(f"b: expected a list of {cfg['n']} entries, got {b!r}")
+    try:
+        return JordanAlgebra(cd, b)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"b: {exc}") from exc
 
 
 def load_config(path):
+    """The JordanAlgebra of the config file at path (see config_from_dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(parse_config_text(fh.read()))

@@ -38,7 +38,7 @@ from .quadform import (QuadForm, fp_projective_zero_count, is_isotropic,
 from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
-# Largest exhaustive-sweep budget the command line accepts, ten times the
+# Largest exhaustive-sweep budget verify.run_suite accepts, ten times the
 # README's example.  The quadric sweep ran 10-220 million points/s on the
 # birational spaces of a shared 2-core x86-64 VM (the 1.9M points of
 # (p, r, n) = (11, 1, 4) in 0.017-0.09 s, the 6.7M of (7, 2, 3) in
@@ -50,7 +50,7 @@ DEFAULT_BUDGET = 20000
 # the same shapes.
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
-# Largest sample count the command line accepts.  A case samples that many
+# Largest sample count verify.run_suite accepts.  A case samples that many
 # points, or sweeps its quadric when it has no more points than that, so an
 # unbounded count would also bypass MAX_BUDGET.  On the same VM, timed in
 # one process, `verify z1` took 0.16-0.17 s at 1000 samples and 1.0-1.5 s
@@ -122,9 +122,6 @@ def kernel_inputs(alg):
 @dataclass
 class SweepReport:
     kind: str
-    p: int
-    r: int
-    n: int
     mode: str
     space: int
     scanned: int
@@ -154,8 +151,7 @@ def _kernel_report(kind, alg, names, raw, N, oracle):
     failures = [f"{key} = {v}" for key, v in counts.items() if key.endswith("_fail") and v]
     failures += [f"{key}: got {counts[key]}, expected {want}"
                  for key, want in expected.items() if counts[key] != want]
-    return SweepReport(kind, p, alg.cd.r, alg.n, "exhaustive", space, counts["scanned"],
-                       counts, expected, failures)
+    return SweepReport(kind, "exhaustive", space, counts["scanned"], counts, expected, failures)
 
 
 def exhaustive_quadric_sweep(alg):
@@ -265,9 +261,7 @@ def sampled_quadric_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     Every test reads the points' and images' values, so no scalar object
     is built for them."""
     fld, n, swapped = alg.field, alg.n, alg.swap_last_two()
-    p = fld.characteristic
-    report = SweepReport("quadric-sampled", p, alg.cd.r, alg.n, "sampled",
-                         0, 0)
+    report = SweepReport("quadric-sampled", "sampled", 0, 0)
     counts = report.counts
     counts.update(roundtrip=0, z2_images=0, base_points=0, rank_one=0,
                   transpositions=0, double_transpositions=0)
@@ -364,8 +358,7 @@ def sampled_z1_checks(alg, count=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     divisors.  Each case point is built from its drawn values."""
     fld = alg.field
     cd, n = alg.cd, alg.n
-    p = fld.characteristic
-    report = SweepReport("z1-sampled", p, cd.r, n, "sampled", 0, 0)
+    report = SweepReport("z1-sampled", "sampled", 0, 0)
     counts = report.counts
     counts.update(checked=0, z1_members=0)
     rng = random.Random(seed)

@@ -34,7 +34,8 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return all(c.ok for c in self.cases)
+        """Every case passed, and there is one: no case checks nothing."""
+        return bool(self.cases) and all(c.ok for c in self.cases)
 
     def add(self, case_id, ok, **detail):
         self.cases.append(CaseResult(case_id, bool(ok), detail))
@@ -228,13 +229,23 @@ SUITE_KWARGS = {name: tuple(inspect.signature(fn).parameters)
 
 
 def run_suite(name, **kwargs):
-    """Run one suite, or every suite for "all".  A named suite refuses a
-    keyword it does not take (see SUITE_KWARGS), and "all" one that no
-    suite takes, with a ValueError in the command line's words ("verify
-    witt takes no --budget"); under "all" each suite receives the kwargs
-    it takes."""
+    """Run one suite, or every suite for "all".  Before any suite runs, it
+    checks, in this order and each with a ValueError in the command line's
+    words: samples in 1..sweeps.MAX_SAMPLES ("--samples must be at least
+    1"), budget in 0..sweeps.MAX_BUDGET, every n of n_range by
+    motives.check_rn(0, n); then that a named suite takes each keyword
+    (see SUITE_KWARGS), and "all" that some suite does ("verify witt takes
+    no --budget").  Under "all" each suite receives the kwargs it takes."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    for key, low, high in (("samples", 1, sweeps.MAX_SAMPLES), ("budget", 0, sweeps.MAX_BUDGET)):
+        value = kwargs.get(key, low)
+        if value < low:
+            raise ValueError(f"--{key} must be at least {low}")
+        if value > high:
+            raise ValueError(f"--{key} must be at most {high}")
+    for n in kwargs.get("n_range", ()):
+        motives.check_rn(0, n)
     names = list(SUITES) if name == "all" else [name]
     takes = set().union(*(SUITE_KWARGS[k] for k in names))
     for k in kwargs:

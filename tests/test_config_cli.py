@@ -23,15 +23,13 @@ GOOD = 'field = "Q"\nr = 2\na = [-1, -1]\nn = 3\nb = [1, 2, -3]\n'
 
 
 def test_load_valid_config(tmp_path):
-    cfg = load_config(write_config(tmp_path, GOOD))
-    assert cfg.field == "Q" and cfg.r == 2 and cfg.n == 3
-    alg = cfg.algebra()
-    assert alg.cd.r == 2 and alg.n == 3
+    alg = load_config(write_config(tmp_path, GOOD))
+    assert alg.field.kind == "Q" and alg.cd.r == 2 and alg.n == 3
 
 
 def test_config_defaults():
-    cfg = config_from_dict({"n": 3, "b": [1, 1, 1]})
-    assert cfg.field == "Q" and cfg.r == 0
+    alg = config_from_dict({"n": 3, "b": [1, 1, 1]})
+    assert alg.field.kind == "Q" and alg.cd.r == 0 and alg.n == 3
 
 
 def test_parse_errors():
@@ -39,6 +37,19 @@ def test_parse_errors():
         parse_config_text("just some words\n")
     with pytest.raises(ParseError):
         parse_config_text("a = [1, 2\n")
+
+
+def test_config_hash_starts_a_comment_only_after_a_value():
+    """Each line was cut at its first #, inside a JSON string too, so
+    a = ["-1#"] was refused as a bad JSON value rather than a bad scalar."""
+    text = 'r = 1  # note\n  # a = 1\n#\nn = 3 #no blank\nb = ["1", "1", "# 1"]\n'
+    assert parse_config_text(text) == {"r": 1, "n": 3, "b": ["1", "1", "# 1"]}
+    with pytest.raises(ValidationError,
+                       match="^a: '-1#' is not an integer or a fraction like 1/2$"):
+        config_from_dict(parse_config_text('r = 1\na = ["-1#"]\nn = 3\nb = [1, 1, -1]\n'))
+    with pytest.raises(ParseError, match="^line 2: bad value for 'r': Extra data: "
+                                         "line 1 column 3 \\(char 2\\)$"):
+        parse_config_text("n = 3\nr = 1 2 # two values\n")
 
 
 def test_validation_errors_name_keys():
@@ -76,8 +87,8 @@ def test_config_scalar_for_a_list_or_bool_for_r_exits_2(capsys, tmp_path, text, 
 
 def test_fp_config(tmp_path):
     path = write_config(tmp_path, 'field = "Fp"\np = 7\nr = 1\na = [3]\nn = 3\nb = [1, 1, 6]\n')
-    alg = load_config(path).algebra()
-    assert alg.field.p == 7
+    alg = load_config(path)
+    assert alg.field.p == 7 and alg.cd.r == 1 and alg.n == 3
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +330,26 @@ def test_cli_rank(capsys, tmp_path):
     assert data["rank_one"] is True and data["sharp_zero"] is True
 
 
+def test_cli_rank_builds_the_config_algebra_once(capsys, monkeypatch, tmp_path):
+    """load_config returns the algebra it built to check the file; rank
+    used to build it a second time."""
+    from jordanquad.jordan import JordanAlgebra
+
+    built = []
+    init = JordanAlgebra.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(JordanAlgebra, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "rank", "--config", write_config(tmp_path, GOOD), "--elem",
+                           json.dumps({"matrix": [[[1, 0, 0, 0], [0] * 4, [0] * 4],
+                                                  [[0] * 4] * 3, [[0] * 4] * 3]}))
+    assert code == 0 and json.loads(out)["rank_one"] is True
+    assert len(built) == 1
+
+
 def test_cli_rank_zero_diagonal(capsys, tmp_path):
     """A rank-one point of the split (3, 1, 3) algebra whose diagonal is
     zero, and the same point with x_22 = 1, which is not rank one."""
@@ -429,7 +460,8 @@ def test_cli_rank_at_max_n(capsys, tmp_path):
 
     n = motives.MAX_N
     cfg = write_config(tmp_path, f'field = "Q"\nr = 1\na = [-1]\nn = {n}\nb = {[1] * n}\n')
-    alg = load_config(cfg).algebra()
+    alg = load_config(cfg)
+    assert alg.field.kind == "Q" and alg.cd.r == 1 and alg.n == n
     x = veronese(ProjPointC(alg, [[1, i % 3] for i in range(1, n)], 1)).elem
     matrix = [[[str(c) for c in e.coords] for e in row] for row in x.entries]
     for want in (True, False):
@@ -475,6 +507,39 @@ def test_run_suite_refuses_an_option_the_suite_does_not_take(monkeypatch):
     with pytest.raises(ValueError, match="^verify all takes no --limit$"):
         vmod.run_suite("all", limit=5)
     assert not calls
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 0}, "--samples must be at least 1"),
+    ({"samples": 10 ** 4 + 1}, "--samples must be at most 10000"),
+    ({"budget": -1}, "--budget must be at least 0"),
+    ({"budget": 10 ** 8 + 1}, "--budget must be at most 100000000"),
+    ({"n_range": range(3, 32)}, "n: must be an integer with 3 <= n <= MAX_N = 30, got 31"),
+], ids=["samples-0", "samples-above-max", "budget-below-0", "budget-above-max", "n-31"])
+@pytest.mark.parametrize("suite", ["birational", "all"])
+def test_run_suite_checks_its_values_before_any_suite_runs(monkeypatch, kwargs, message, suite):
+    """run_suite owns the ranges of samples and budget and the n-range: a
+    library call with samples=0 used to return ok with no point checked,
+    and an n past MAX_N ran the suites.  The value checks come before the
+    suite-option check, so birational with an n-range gets the n's text."""
+    from jordanquad import sweeps
+    from jordanquad import verify as vmod
+
+    assert (sweeps.MAX_SAMPLES, sweeps.MAX_BUDGET) == (10 ** 4, 10 ** 8)
+    calls = {}
+    monkeypatch.setattr(vmod, "SUITES", _recording_suites(vmod, calls))
+    with pytest.raises(ValueError) as info:
+        vmod.run_suite(suite, **kwargs)
+    assert str(info.value) == message and not calls
+
+
+def test_report_without_cases_is_not_ok():
+    """all() of no cases is true, so an empty n-range read as verified."""
+    from jordanquad import verify as vmod
+
+    assert vmod.VerificationReport("x").ok is False
+    report = vmod.run_suite("blowup", n_range=range(5, 4))
+    assert not report.cases and report.ok is False
 
 
 @pytest.mark.parametrize("suite, argv", [
@@ -679,7 +744,9 @@ def test_config_refuses_what_the_algebra_refuses():
      ["witt", "--field", "Q", "--p", "5", "--form", "1"]),
     ("p", {"field": "Fp", "p": 9, "n": 3, "b": [1] * 3},
      ["witt", "--field", "Fp", "--p", "9", "--form", "1"]),
-], ids=["r-5", "n-31", "r-3-n-4", "field-X", "Fp-without-p", "Q-with-p", "p-9"])
+    ("a", {"r": 2, "a": ["-1"], "n": 3, "b": [1, 1, 1]},
+     ["algebra", "table", "--r", "2", "--a", "-1"]),
+], ids=["r-5", "n-31", "r-3-n-4", "field-X", "Fp-without-p", "Q-with-p", "p-9", "a-length"])
 def test_config_and_command_line_print_one_text_per_rule(capsys, key, raw, argv):
     """Each rule has one owner, so a config file and the command line say
     the same for the same value, led by its key."""

@@ -6,7 +6,8 @@ above.  Every private module-level definition is read somewhere in the
 package, and every public one in the package, perfbench or the console
 script, so nothing stays in the package for the tests alone.  Euler's
 criterion and the size of a projective space over F_p are each written
-once."""
+once, and the command line reads no MAX_* bound, which the library
+function that takes the value owns."""
 
 import ast
 import graphlib
@@ -156,6 +157,20 @@ def test_package_reads_every_public_definition():
     outside.update(re.findall(r'"jordanquad\.\w+:(\w+)"',
                               (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
     assert set(unread_definitions(package_sources(), public=True, outside=outside)) <= ORACLES
+
+
+def bounds_read(source):
+    """The MAX_* names a module reads (see outside_reads)."""
+    return {name for name in outside_reads(source) if name.startswith("MAX_")}
+
+
+def test_command_line_reads_no_bound():
+    """A bound such as sweeps.MAX_BUDGET or motives.MAX_N is checked by the
+    library function that takes the value (verify.run_suite, check_rn), so
+    cli.py reads none and cannot keep a second copy of the check."""
+    assert bounds_read("from .sweeps import MAX_SAMPLES\nx = sweeps.MAX_BUDGET + MAX_N\n"
+                       "MAXIMUM = 1\n") == {"MAX_SAMPLES", "MAX_BUDGET", "MAX_N"}
+    assert bounds_read((PACKAGE / "cli.py").read_text(encoding="utf-8")) == set()
 
 
 def _euler(node):
