@@ -22,8 +22,9 @@ scalars.least_nonresidue, searched once per prime, and keeps it:
 isotropic_vector, which stops at the first zero, and a short sweep store
 nothing of size p, and a long sweep stores at most p answers.  At p near
 2^31 that answers in milliseconds, where a walk over every point can take
-a minute.  No walk stores range(p) either: the odometers are nested
-generators.  The quadric sweep's other table, of the later last prefix
+a minute.  No walk stores range(p) either: _tuples draws lazily, and a
+level of the block walk holds no more states than the choices of blocks
+it replaces.  The quadric sweep's other table, of the later last prefix
 blocks' quadric terms, holds counts alone, one entry per term at most,
 and is built only once a level lies wholly below the limit, so it is
 bounded by the sweep and by p.
@@ -47,8 +48,10 @@ evaluators.  Both sweeps run on one walk, _block_walk, of the canonical
 points of P(C^{n-1}) as blocks c_0..c_{n-2} of m coordinates: the lead
 block (the first nonzero one) from _points, each later block from
 _tuples.  The walk fixes the blocks one level at a time and passes down
-what the fixed blocks give the sweep, so an outer block is paid for once
-for all the points below it; each sweep loops over the last block itself.
+what the fixed blocks give the sweep, its state, reduced mod p; the
+choices of blocks that leave one state merge, so a level costs its
+distinct states times its blocks, and each sweep loops over the last
+block once per distinct state and multiplies its counters.
 
 - Quadric points are walked fibre by fibre: the points sharing their
   first N-1 coordinates (the prefix) differ only in the last one, and the
@@ -84,20 +87,11 @@ the checks of column n-1 are linear in c, and a pair check (c_i, c_j),
 i < j, is linear in c_j by rows built at the level that fixed c_i.  For
 a true table all of these but the rows of the product checks are empty.
 The quadric sweep forms no product; the base-locus sweep forms
-conj(c) c by _product, for the blocks of the locus' points alone.
-
-The innermost step moves only the last prefix block, whose quadric term
-depends on that block alone.  The quadric sweep groups the blocks of a
-later level by term once per sweep, into the counts of each class's
-blocks failing each of their own checks, and adds a class's counters at
-once for each choice of the outer blocks.  A lead level is the last
-prefix level of one state alone, all blocks before it zero; that state,
-the one the limit cuts and a state whose symmetry rows tell the blocks
-apart go one block at a time through the same counter body.  The
-base-locus sweep keeps its rows in reduced echelon form and runs its
-last block through the null vectors of their kernel.
+conj(c) c by _product, for the blocks of the locus' points alone.  Each
+sweep's docstring tells how it runs the last block.
 """
 
+import collections
 import functools
 import itertools
 import operator
@@ -261,12 +255,14 @@ def _nonscalar(p, E):
     """c -> whether c conj(c) has a nonzero coordinate off e_0.  Its
     coordinate k != 0 is the form sum (E[s][t] + E[t][s])_k c_s c_t over
     s < t with s XOR t = k, read from E once; for a true table every form
-    is zero, as c conj(c) = N(c)."""
+    is zero, as c conj(c) = N(c), and the answer is None."""
     forms = {}
     for s, t in itertools.combinations(range(len(E)), 2):
         if g := (E[s][t][s ^ t] + E[t][s][s ^ t]) % p:
             forms.setdefault(s ^ t, []).append((s, t, g))
     forms = list(forms.values())
+    if not forms:
+        return None
 
     def ns(c):
         return any(sum(g * c[s] * c[t] for s, t, g in form) % p for form in forms)
@@ -280,18 +276,18 @@ def _rows(cols):
 
 
 def _linear_rows(p, images):
-    """c -> the nonzero rows of sum_s c_s M_s mod p, images[s] the columns
-    of the linear map M_s: for maps linear in a block c, each M_s its value
-    at c = e_s.  The entries are read once; when every M_s is zero no
-    block pays for anything."""
+    """c -> the tuple of nonzero rows of sum_s c_s M_s mod p, images[s] the
+    columns of the linear map M_s: for maps linear in a block c, each M_s
+    its value at c = e_s.  The entries are read once; when every M_s is
+    zero no block pays for anything."""
     width = len(images[0])
     entries = list(zip(*(itertools.chain.from_iterable(zip(*cols)) for cols in images)))
     if not any(map(any, entries)):
-        return lambda c: []
+        return lambda c: ()
 
     def rows(c):
         flat = [sum(map(operator.mul, c, e)) % p for e in entries]
-        return [r for r in zip(*[iter(flat)] * width) if any(r)]
+        return tuple(r for r in zip(*[iter(flat)] * width) if any(r))
 
     return rows
 
@@ -305,8 +301,8 @@ def _in_kernel(rows, y, p):
 
 
 def _echelon(p, rows):
-    """The reduced row echelon form mod p of the span of `rows`, as a list
-    of tuples in increasing pivot order, each pivot 1."""
+    """The reduced row echelon form mod p of the span of `rows`, as a
+    tuple of tuples in increasing pivot order, each pivot 1."""
     out = {}                    # pivot column -> row
     for r in rows:
         for j, e in out.items():
@@ -319,7 +315,7 @@ def _echelon(p, rows):
             out = {i: [(x - e[j] * y) % p for x, y in zip(e, r)] if e[j] else e
                    for i, e in out.items()}
             out[j] = r
-    return [tuple(out[j]) for j in sorted(out)]
+    return tuple(tuple(out[j]) for j in sorted(out))
 
 
 def _kernel(p, m, rows):
@@ -340,42 +336,46 @@ def _kernel(p, m, rows):
 
 def _block_walk(p, m, nn, limit, candidates, fix, state):
     """Walk the canonical points of P(F_p^{m nn}) of index below `limit`,
-    as nn blocks of m coordinates, fixing every block but the last: yield
-    (f0, lead, state) for each choice of blocks 0..nn-2 that is kept, lead
-    whether the last block is the first nonzero one, the point whose last
-    block has index k having canonical index f0 + k.
+    as nn blocks of m coordinates, fixing every block but the last one
+    level at a time: return {(f0, lead, state): mult}, the states left by
+    the kept choices of blocks 0..nn-2, mult choices each, lead whether
+    the last block is the first nonzero one.
 
     The first nonzero block, the lead, runs through _points(p, m), and
     each later block through _tuples(p, m).  The blocks before the lead
     are zero and left out, so fixing a zero block must leave a sweep's
-    state as it was.  candidates(lead) gives a level's (k, value)
-    pairs in increasing k, k the index of a block in that order and value
-    the block or what the sweep keeps of it; a sweep may leave blocks out.
-    Fixing block j calls fix(state, j, value), which returns the state
-    passed down, or None to skip every point below.  A level stops at its
-    first block past the limit, so the walk is as lazy in p as its
-    candidates."""
+    state as it was.  candidates(lead) gives a level's (k, value) pairs in
+    increasing k, k the index of a block in that order and value the block
+    or what the sweep keeps of it; a sweep may leave blocks out.  Fixing
+    block j calls fix(state, j, value), which returns the state passed
+    down, hashable, or None to skip every point below.
+
+    f0 is the canonical index of the first point of a choice's last
+    block, but a choice whose points all lie below the limit takes f0 = 0,
+    which keeps them below it too, and so merges with the others that
+    leave its state: nothing below a state reads anything else.  At most
+    one choice a level, the lead or the one the limit cuts, keeps its
+    place, and each level stops at its first block past the limit, so the
+    walk is as lazy in p as its candidates."""
     last = nn - 1
-
-    def walk(j, lead, f0, state):
-        if j == last:
-            yield f0, lead, state
-            return
+    level = collections.Counter()
+    f_lead = 0                  # index of the first point led by block j
+    for j in range(nn):
+        if f_lead < limit:      # then no choice before it meets the limit
+            level[f_lead, True, state] += 1
         stride = p ** (m * (last - j))      # points per value of block j
-        for k, cj in candidates(lead):
-            f = f0 + k * stride
-            if f >= limit:
-                return
-            s = fix(state, j, cj)
-            if s is not None:
-                yield from walk(j + 1, False, f, s)
-
-    f0 = 0                      # canonical index of the lead block's first point
-    for i0 in range(nn):
-        if f0 >= limit:
-            return
-        yield from walk(i0, True, f0, state)
-        f0 += projective_size(p, m) * p ** (m * (last - i0))
+        f_lead += projective_size(p, m) * stride
+        if j < last:
+            below = collections.Counter()
+            for (f0, lead, s0), mult in level.items():
+                for k, cj in candidates(lead):
+                    f = f0 + k * stride
+                    if f >= limit:
+                        break
+                    if (s := fix(s0, j, cj)) is not None:
+                        below[f if f + stride >= limit else 0, False, s] += mult
+            level = below
+    return level
 
 
 def _sweep_shape(p, b, gamma):
@@ -408,19 +408,21 @@ def quadric_sweep(p, b, gamma, limit=-1):
     the points on the quadric are visited, one fibre at a time.
 
     The fibres' prefixes c_0..c_{n-2} are the points of _block_walk, every
-    block a candidate.  The level that fixes block j adds its quadric term,
-    ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
-    symmetry and for both products zero, and passes the sums and ANDs
-    down.  The candidates of a later last prefix block are grouped by
-    their quadric term once per sweep into the counts of each class's
-    facts, and each choice of the outer blocks whose level lies wholly
-    below the limit looks up the roots once per class and adds the class's
-    counters at once; while every product of the fixed blocks is zero, the
-    base points among the class of norm 0 are the null vectors of the zero
-    rows' kernel.  The one state whose last prefix block is the lead, the
-    state the limit cuts, and a state that keeps its fixed blocks' symmetry
-    rows are counted block by block.  The checks that read x (the trace,
-    the symmetry of row and column n-1, the base point and the round trip)
+    block a candidate.  The level that fixes block j adds its quadric term
+    mod p, ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
+    symmetry and for both products zero, and passes the state down: the
+    sum, the ANDs and the rows of the pair checks, as tuples.  The
+    candidates of a later last prefix block are grouped by their quadric
+    term once per sweep into the counts of each class's facts, for a true
+    table from the norm's values alone, and each distinct state whose
+    level lies wholly below the limit looks up the roots once per class
+    and adds the class's counters, times its number of prefixes; while
+    every product of the fixed blocks is zero, the base points among the
+    class of norm 0 are the null vectors of the zero rows' kernel.  The
+    one state whose last prefix block is the lead, the state the limit
+    cuts, and a state that keeps its fixed blocks' symmetry rows are
+    counted block by block.  The checks that read x (the trace, the
+    symmetry of row and column n-1, the base point and the round trip)
     are counted per root.
     """
     n, m = _sweep_shape(p, b, gamma)
@@ -451,6 +453,8 @@ def quadric_sweep(p, b, gamma, limit=-1):
     sym_map = _linear_rows(p, [[[(x - y) % p for x, y in zip(E[s][t], _conj(E[t][s]))]
                                 for t in range(m)] for s in range(m)])
     zero_map = _linear_rows(p, [[E[s][t] + E[t][s] for t in range(m)] for s in range(m)])
+    # a true table: every c conj(c) is scalar, and C(c) = conj(R(c)) = c
+    true_table = ns is None and not (sx_rows or col_rows)
 
     # the fixed levels and the tables read every block's facts, and a level
     # counted block by block reads them again for its blocks with roots; a
@@ -461,7 +465,7 @@ def quadric_sweep(p, b, gamma, limit=-1):
     def block(c):
         """What block c alone gives the checks: its norm N(c), whether
         c conj(c) is not scalar, whether C = conj(R) and whether C = c."""
-        return (sum(map(operator.mul, pf, map(operator.mul, c, c))), ns(c),
+        return (sum(map(operator.mul, pf, map(operator.mul, c, c))), bool(ns and ns(c)),
                 _in_kernel(sx_rows, c, p), _in_kernel(col_rows, c, p))
 
     def is_null(c):
@@ -472,19 +476,19 @@ def quadric_sweep(p, b, gamma, limit=-1):
     # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
     # x R_j b_j; the b_j are units, so the products without them decide
     # every check but the trace.  What the fixed blocks give: the quadric
-    # value s, the nonscalar diagonal entries, zero (every c_i conj(c_j) =
-    # 0), sym (sigma_b symmetry on the corner), sym_x (on row and column
-    # n-1), good (column n-1 is b_n x c) and the rows that check a later
-    # block against them, kept only while the check they serve holds, the
-    # zero rows in reduced echelon form
+    # value s mod p, the number of nonscalar diagonal entries, zero (every
+    # c_i conj(c_j) = 0), sym (sigma_b symmetry on the corner), sym_x (on
+    # row and column n-1), good (column n-1 is b_n x c) and the rows that
+    # check a later block against them, kept only while the check they
+    # serve holds, the zero rows in reduced echelon form
     def fix(state, j, cj):
         s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
         nrm, ns_j, sx, col = block(cj)
         zero = zero and is_null(cj) and _in_kernel(zero_rows, cj, p)
         sym = sym and _in_kernel(sym_rows, cj, p)
-        return (s + b[j] * nrm, nonscalar + ns_j, zero, sym, sym_x and sx, good and col,
-                sym_rows + sym_map(cj) if sym else [],
-                _echelon(p, zero_rows + zero_map(cj)) if zero else [])
+        return ((s + b[j] * nrm) % p, nonscalar + ns_j, zero, sym, sym_x and sx, good and col,
+                sym_rows + sym_map(cj) if sym else (),
+                _echelon(p, zero_rows + zero_map(cj)) if zero else ())
 
     bl = b[n - 2]               # the last prefix block's b
     w = [bl * x for x in pf]
@@ -499,6 +503,17 @@ def quadric_sweep(p, b, gamma, limit=-1):
     # C = c.  At most p classes, whatever p^m is
     @functools.cache
     def table():
+        if true_table:
+            # every block's facts are (N(c), False, True, True): count the
+            # blocks per norm, adding the coordinates' terms one at a time
+            norms = {0: 1}
+            for a in pf:
+                added = collections.Counter()
+                for x in range(p):
+                    for v, cnt in norms.items():
+                        added[(v + a * x * x) % p] += cnt
+                norms = added
+            return [(bl * v % p, [cnt, 0, 0, 0]) for v, cnt in norms.items()]
         by_term = {}
         for c in _tuples(p, m):
             nrm, ns_c, sx, col = block(c)
@@ -546,8 +561,9 @@ def quadric_sweep(p, b, gamma, limit=-1):
                    sym and _in_kernel(sym_rows, c, p))
 
     walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
-                       (0, 0, True, True, True, not bad_trace, [], []))
-    for f0, lead, (s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows) in walk:
+                       (0, 0, True, True, True, not bad_trace, (), ()))
+    for (f0, lead, state), mult in walk.items():
+        s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
         # a lead level is the last prefix level of one state alone, and the
         # limit and the fixed blocks' symmetry rows tell blocks apart
         if not (lead or sym_rows) and (f0 + p ** m) * p <= scanned:
@@ -557,8 +573,9 @@ def quadric_sweep(p, b, gamma, limit=-1):
         for xs, cnt, nns, nsx, ncol, z, sy in parts:
             # cnt blocks, of which nns have a nonscalar diagonal entry,
             # nsx fail the symmetry of row and column n-1 and ncol fail
-            # column n-1 = b_n x c; each has every root in xs, nz of them
-            # units
+            # column n-1 = b_n x c, once for each of the mult choices of
+            # the fixed blocks; each has every root in xs, nz of them units
+            cnt, nns, nsx, ncol = cnt * mult, nns * mult, nsx * mult, ncol * mult
             nz = len(xs) if xs[0] else 0
             on_quadric += cnt * len(xs)
             diag_fail += len(xs) * (cnt * nonscalar + nns)
@@ -602,13 +619,14 @@ def z1_sweep(p, b, gamma, limit=-1):
     c_i conj(c_j), so the pairs i < j decide the rest: the level that
     fixes c_j checks c_i conj(c_j) = 0 for each fixed c_i, by the rows of
     y -> c_i conj(y) built where c_i was fixed and kept in reduced echelon
-    form, and skips every point below at the first that fails.  The last
-    block's points are the null vectors of the rows' kernel, enumerated
-    from its free coordinates; a state the limit cuts, or one without
-    rows, tests the null blocks below the limit one by one.  The remaining
-    entry of x(c)^2 is the corner, b_n^{-1} times
-    sum_k b_k conj(c_k) c_k, summed level by level; it must vanish on the
-    locus.
+    form, and skips every point below at the first that fails.  The
+    remaining entry of x(c)^2 is the corner, b_n^{-1} times
+    sum_k b_k conj(c_k) c_k, summed level by level mod p; it must vanish
+    on the locus.  A state is the corner and the rows, and each distinct
+    one is walked once, its counters times its number of prefixes.  The
+    last block's points are the null vectors of the rows' kernel,
+    enumerated from its free coordinates; a state the limit cuts, or one
+    without rows, tests the null blocks below the limit one by one.
     """
     n, m = _sweep_shape(p, b, gamma)
     nn = n - 1
@@ -644,7 +662,7 @@ def z1_sweep(p, b, gamma, limit=-1):
                 if i * p + x >= scanned:
                     break
                 c = (*pre, x)
-                if not ns(c):
+                if not (ns and ns(c)):
                     out.append((i * p + x, c))
         last = projective_size(p, m) - 1
         if lead and not wl and last < scanned:
@@ -661,18 +679,20 @@ def z1_sweep(p, b, gamma, limit=-1):
         corner, rows = state
         if not _in_kernel(rows, c, p):
             return None
-        return [u + b[j] * v for u, v in zip(corner, term(c))], _echelon(p, rows + left(c))
+        return (tuple((u + b[j] * v) % p for u, v in zip(corner, term(c))),
+                _echelon(p, rows + left(c)))
 
-    walk = _block_walk(p, m, nn, scanned, null, fix, ([0] * m, []))
-    for f0, lead, (corner, rows) in walk:
+    walk = _block_walk(p, m, nn, scanned, null, fix, ((0,) * m, ()))
+    for (f0, lead, (corner, rows)), mult in walk.items():
         room = scanned - f0
         if rows and room >= p ** m:     # a later level wholly below the limit
             blocks = (c for c in _kernel(p, m, rows)
-                      if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p or ns(c)))
+                      if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
+                              or ns and ns(c)))
         else:
             blocks = (c for _, c in itertools.takewhile(lambda kc: kc[0] < room, null(lead))
                       if _in_kernel(rows, c, p))
         for c in blocks:
-            z1_points += 1
-            equiv_fail += any((u + b[nn - 1] * v) % p for u, v in zip(corner, term(c)))
+            z1_points += mult
+            equiv_fail += mult * any((u + b[nn - 1] * v) % p for u, v in zip(corner, term(c)))
     return scanned, z1_points, equiv_fail

@@ -271,7 +271,7 @@ class FpElem:
 
 _ZERO = Fraction(0)
 # the strings Rationals.element accepts: a sign, digits, maybe /digits
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/([0-9]+))?\s*")
 
 
 class Rationals:
@@ -285,15 +285,20 @@ class Rationals:
         Any other type is rejected (TypeError), floats too: they are rarely
         the rational that was meant.  So are decimal and exponent strings
         ('0.1', or '1e10000000', which Fraction takes seconds to expand):
-        ValueError."""
+        ValueError.  A zero denominator ('1/0') is a ZeroDivisionError that
+        names the string."""
         if type(x) is Fraction:
             return x
         if isinstance(x, FpElem):
             raise FieldMismatchError("got an F_p residue where a rational was expected")
         if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
             raise TypeError(f"{type(x).__name__} is not a scalar")
-        if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-            raise ValueError(f"{x!r} is not an integer or a fraction like 1/2")
+        if isinstance(x, str):
+            match = _RATIONAL.fullmatch(x)
+            if not match:
+                raise ValueError(f"{x!r} is not an integer or a fraction like 1/2")
+            if match[1] and not match[1].strip("0"):
+                raise ZeroDivisionError(f"{x!r} has a zero denominator")
         return Fraction(x)
 
     def zero(self):

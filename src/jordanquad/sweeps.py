@@ -39,15 +39,15 @@ from .scalars import PrimeField
 
 DEFAULT_BUDGET = 20000
 # Largest exhaustive-sweep budget verify.run_suite accepts, ten times the
-# README's example.  The quadric sweep ran 10-220 million points/s on the
-# birational spaces of a shared 2-core x86-64 VM (the 1.9M points of
-# (p, r, n) = (11, 1, 4) in 0.017-0.09 s, the 6.7M of (7, 2, 3) in
-# 0.03-0.16 s, the 0.8M of (3, 2, 4) in 0.03-0.08 s, the 64.6M of
-# (3, 3, 3) in 0.7-1.1 s), so a sweep at this ceiling takes 0.5-10 s
-# there; spaces of many short blocks run slower, the 64.6M points of
-# (3, 1, 9) in 11 s.  The z1 sweep, which skips every point below a block
-# that fails a pair check, ran 14-90 million points/s on the base loci of
-# the same shapes.
+# README's example.  The sweeps walk each distinct state of their block
+# walk once, not each point.  On the birational spaces of a shared 2-core
+# x86-64 VM the quadric sweep took the 1.9M points of (p, r, n) =
+# (11, 1, 4) in 2 ms, the 6.7M of (7, 2, 3) in 6 ms, the 0.8M of
+# (3, 2, 4) in 4 ms and the 64.6M of (3, 1, 9) in 1-3 ms; the slowest
+# is (3, 3, 3), whose states do not merge, 64.6M points in 0.36-0.80 s,
+# so a sweep at this ceiling takes about a second there.  The z1 sweep
+# ran from 44 million points/s on the base locus of (3, 3, 3) to over
+# 30 billion on that of (3, 1, 9).
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
 # Largest sample count verify.run_suite accepts.  A case samples that many

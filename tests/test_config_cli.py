@@ -165,6 +165,22 @@ def test_cli_empty_list_entry_exits_2(capsys, argv, message):
     assert code == 0 and json.loads(out)["r"] == 0
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("witt", "--form", "1/0,1"), None),
+    (("hilbert", "--a", "1/0", "--b", "1", "--place", "2"), None),
+    (("witt", "--field", "Fp", "--p", "7", "--form", "1/0,1"), None),
+    (("rank", "--elem", "[]"), 'r = 1\na = ["1/0"]\nn = 3\nb = [1, 1, -1]\n'),
+], ids=["witt", "hilbert", "witt-fp", "config"])
+def test_zero_denominator_exits_2_and_names_the_value(capsys, tmp_path, argv, config):
+    """A zero denominator used to exit 2 with "Fraction(1, 0)", which does
+    not say what is wrong; over F_p too, through the one string grammar."""
+    if config:
+        argv += ("--config", write_config(tmp_path, config))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("'1/0' has a zero denominator\n") and err.count("\n") == 1, err
+
+
 def test_cli_hilbert(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--a", "-1", "--b", "-1", "--place", "2")
     assert code == 0 and out.strip() == "-1"
