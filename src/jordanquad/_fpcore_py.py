@@ -19,22 +19,19 @@ of the norm for the base locus's null blocks) come from one lookup,
 _roots, which takes one square root mod p for each fibre value on its
 first request, by scalars.is_residue and Tonelli-Shanks on
 scalars.least_nonresidue, searched once per prime, and keeps it:
-isotropic_vector, which stops at the first zero, and a short sweep store
-nothing of size p, and a long sweep stores at most p answers.  At p near
-2^31 that answers in milliseconds, where a walk over every point can take
-a minute.  No walk stores range(p) either: _tuples draws lazily, and a
-level of the block walk holds no more states than the choices of blocks
-it replaces.  The quadric sweep's other table, of the later last prefix
-blocks' quadric terms, holds counts alone, one entry per term at most,
-and is built only once a level lies wholly below the limit, so it is
-bounded by the sweep and by p.
+isotropic_vector, which stops at the first zero, stores nothing of size
+p, and a sweep stores at most p answers.  At p near 2^31 that answers in
+milliseconds, where a walk over every point can take a minute.  No walk
+stores range(p) either: _tuples draws lazily, and a level of the block
+walk holds no more states than the choices of blocks it replaces.  The
+quadric sweep's other table, of the later last prefix blocks' quadric
+terms, holds counts alone, one entry per term at most, so it is bounded
+by p.
 
 Projective points are enumerated in canonical form, first nonzero
-coordinate equal to 1, via an odometer on the trailing coordinates; the
-canonical index of a point is its position in that order, and a sweep's
-`limit` keeps the points with index below it.
+coordinate equal to 1, via an odometer on the trailing coordinates.
 
-A sweep takes (p, b, gamma, limit) and derives the rest: n = len(b), the
+A sweep takes (p, b, gamma) and derives the rest: n = len(b), the
 composition-algebra dimension m = len(gamma), gamma being m rows of m
 entries, and the norm form N(e_0) = gamma[0][0], N(e_t) = -gamma[t][t]
 (t >= 1).  Products are table driven: e_i e_j = gamma[i][j] e_{i XOR j},
@@ -42,16 +39,16 @@ conjugation negates coordinates 1..m-1.  Every b_i must be a unit mod p.
 
 The sweeps skip the points that cannot pass the first test, so far fewer
 points are visited than the space holds, while the counters (including
-`scanned`, the number of points below the limit) are those of a test of
-every point in canonical order; the tests compare them with per-point
-evaluators.  Both sweeps run on one walk, _block_walk, of the canonical
-points of P(C^{n-1}) as blocks c_0..c_{n-2} of m coordinates: the lead
-block (the first nonzero one) from _points, each later block from
-_tuples.  The walk fixes the blocks one level at a time and passes down
-what the fixed blocks give the sweep, its state, reduced mod p; the
-choices of blocks that leave one state merge, so a level costs its
-distinct states times its blocks, and each sweep loops over the last
-block once per distinct state and multiplies its counters.
+`scanned`, the number of points of the space) are those of a test of
+every point; the tests compare them with per-point evaluators.  Both
+sweeps run on one walk, _block_walk, of the canonical points of
+P(C^{n-1}) as blocks c_0..c_{n-2} of m coordinates: the lead block (the
+first nonzero one) from _points, each later block from _tuples.  The walk
+fixes the blocks one level at a time and passes down what the fixed
+blocks give the sweep, its state, reduced mod p; the choices of blocks
+that leave one state merge, so a level costs its distinct states times
+its blocks, and each sweep loops over the last block once per distinct
+state and multiplies its counters.
 
 - Quadric points are walked fibre by fibre: the points sharing their
   first N-1 coordinates (the prefix) differ only in the last one, and the
@@ -334,47 +331,32 @@ def _kernel(p, m, rows):
         yield tuple(y)
 
 
-def _block_walk(p, m, nn, limit, candidates, fix, state):
-    """Walk the canonical points of P(F_p^{m nn}) of index below `limit`,
-    as nn blocks of m coordinates, fixing every block but the last one
-    level at a time: return {(f0, lead, state): mult}, the states left by
-    the kept choices of blocks 0..nn-2, mult choices each, lead whether
-    the last block is the first nonzero one.
+def _block_walk(p, m, nn, candidates, fix, state):
+    """Walk the canonical points of P(F_p^{m nn}) as nn blocks of m
+    coordinates, fixing every block but the last one level at a time:
+    return {(lead, state): mult}, the states left by the choices of blocks
+    0..nn-2, mult choices each, lead whether the last block is the first
+    nonzero one.
 
     The first nonzero block, the lead, runs through _points(p, m), and
     each later block through _tuples(p, m).  The blocks before the lead
     are zero and left out, so fixing a zero block must leave a sweep's
-    state as it was.  candidates(lead) gives a level's (k, value) pairs in
-    increasing k, k the index of a block in that order and value the block
-    or what the sweep keeps of it; a sweep may leave blocks out.  Fixing
-    block j calls fix(state, j, value), which returns the state passed
-    down, hashable, or None to skip every point below.
-
-    f0 is the canonical index of the first point of a choice's last
-    block, but a choice whose points all lie below the limit takes f0 = 0,
-    which keeps them below it too, and so merges with the others that
-    leave its state: nothing below a state reads anything else.  At most
-    one choice a level, the lead or the one the limit cuts, keeps its
-    place, and each level stops at its first block past the limit, so the
-    walk is as lazy in p as its candidates."""
-    last = nn - 1
+    state as it was.  candidates(lead) gives a level's blocks, or what the
+    sweep keeps of them, in that order; a sweep may leave blocks out.
+    Fixing block j calls fix(state, j, value), which returns the state
+    passed down, hashable, or None to skip every point below.  The choices
+    that leave one state merge, as nothing below a state reads anything
+    else."""
     level = collections.Counter()
-    f_lead = 0                  # index of the first point led by block j
-    for j in range(nn):
-        if f_lead < limit:      # then no choice before it meets the limit
-            level[f_lead, True, state] += 1
-        stride = p ** (m * (last - j))      # points per value of block j
-        f_lead += projective_size(p, m) * stride
-        if j < last:
-            below = collections.Counter()
-            for (f0, lead, s0), mult in level.items():
-                for k, cj in candidates(lead):
-                    f = f0 + k * stride
-                    if f >= limit:
-                        break
-                    if (s := fix(s0, j, cj)) is not None:
-                        below[f if f + stride >= limit else 0, False, s] += mult
-            level = below
+    for j in range(nn - 1):
+        level[True, state] += 1
+        below = collections.Counter()
+        for (lead, s0), mult in level.items():
+            for cj in candidates(lead):
+                if (s := fix(s0, j, cj)) is not None:
+                    below[False, s] += mult
+        level = below
+    level[True, state] += 1
     return level
 
 
@@ -398,14 +380,13 @@ def _norm_form(gamma):
     return [gamma[0][0]] + [-gamma[t][t] for t in range(1, len(gamma))]
 
 
-def quadric_sweep(p, b, gamma, limit=-1):
+def quadric_sweep(p, b, gamma):
     """Walk the canonical points of P(C^{n-1} x k) over F_p, restrict to
     the trace quadric, and verify the rank-one map pointwise.
 
     Returns (scanned, on_quadric, base_points, zslice_points,
     roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail).
-    A nonnegative limit keeps the points of canonical index below it; only
-    the points on the quadric are visited, one fibre at a time.
+    Only the points on the quadric are visited, one fibre at a time.
 
     The fibres' prefixes c_0..c_{n-2} are the points of _block_walk, every
     block a candidate.  The level that fixes block j adds its quadric term
@@ -414,21 +395,18 @@ def quadric_sweep(p, b, gamma, limit=-1):
     sum, the ANDs and the rows of the pair checks, as tuples.  The
     candidates of a later last prefix block are grouped by their quadric
     term once per sweep into the counts of each class's facts, for a true
-    table from the norm's values alone, and each distinct state whose
-    level lies wholly below the limit looks up the roots once per class
-    and adds the class's counters, times its number of prefixes; while
-    every product of the fixed blocks is zero, the base points among the
-    class of norm 0 are the null vectors of the zero rows' kernel.  The
-    one state whose last prefix block is the lead, the state the limit
-    cuts, and a state that keeps its fixed blocks' symmetry rows are
-    counted block by block.  The checks that read x (the trace, the
-    symmetry of row and column n-1, the base point and the round trip)
-    are counted per root.
+    table from the norm's values alone, and each distinct state looks up
+    the roots once per class and adds the class's counters, times its
+    number of prefixes; while every product of the fixed blocks is zero,
+    the base points among the class of norm 0 are the null vectors of the
+    zero rows' kernel.  The one state whose last prefix block is the lead
+    and a state that keeps its fixed blocks' symmetry rows are counted
+    block by block.  The checks that read x (the trace, the symmetry of
+    row and column n-1, the base point and the round trip) are counted per
+    root.
     """
     n, m = _sweep_shape(p, b, gamma)
     N = m * (n - 1) + 1
-    space = projective_size(p, N)
-    scanned = space if limit < 0 else min(limit, space)
     on_quadric = base_points = zslice_points = 0
     roundtrip_checked = roundtrip_fail = 0
     sym_fail = trace_fail = diag_fail = 0
@@ -439,7 +417,6 @@ def quadric_sweep(p, b, gamma, limit=-1):
     # is the prefix's quadric value and the whole trace on a fibre is
     # (gamma_00 - 1) b_n x^2: it fails at each root x != 0 when gamma_00 != 1
     bad_trace = gamma[0][0] % p != 1
-    nfib = -(-scanned // p)     # fibres holding a point below the limit
     lookup = _roots(p, b[n - 1] % p)
     # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
     # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
@@ -494,13 +471,12 @@ def quadric_sweep(p, b, gamma, limit=-1):
     w = [bl * x for x in pf]
 
     def candidates(lead):
-        return enumerate(_points(p, m) if lead else _tuples(p, m))
+        return _points(p, m) if lead else _tuples(p, m)
 
     # the term depends on the block alone, so the later level merges its
-    # blocks by term once per sweep, the first time a state's whole level
-    # lies below the limit, with each class's counts: its blocks, and how
-    # many of them have c conj(c) not scalar, fail C = conj(R) and fail
-    # C = c.  At most p classes, whatever p^m is
+    # blocks by term once per sweep, with each class's counts: its blocks,
+    # and how many of them have c conj(c) not scalar, fail C = conj(R) and
+    # fail C = c.  At most p classes, whatever p^m is
     @functools.cache
     def table():
         if true_table:
@@ -525,12 +501,11 @@ def quadric_sweep(p, b, gamma, limit=-1):
         return list(by_term.items())
 
     def classes(s, zero, sym, sym_x, good, zero_rows):
-        """The parts of a state whose later last level lies wholly below the
-        limit and that keeps no symmetry rows: its fixed blocks treat every
-        block of a class alike but for its facts.  Their zero rows hold only
-        on null blocks, all in the class v = 0 (a zero state has s = 0, and
-        xs = (0,)): with no rows on every null block of it, else on the null
-        vectors of the rows' kernel."""
+        """The parts of a later state that keeps no symmetry rows: its
+        fixed blocks treat every block of a class alike but for its facts.
+        Their zero rows hold only on null blocks, all in the class v = 0 (a
+        zero state has s = 0, and xs = (0,)): with no rows on every null
+        block of it, else on the null vectors of the rows' kernel."""
         for v, (cnt, nns, nsx, ncol) in table():
             xs = lookup((s + v) % p)
             if not xs:
@@ -542,17 +517,11 @@ def quadric_sweep(p, b, gamma, limit=-1):
             if nulls:
                 yield xs, nulls, 0, 0, 0, True, sym
 
-    def apart(f0, lead, s, zero, sym, sym_x, good, sym_rows, zero_rows):
+    def apart(lead, s, zero, sym, sym_x, good, sym_rows, zero_rows):
         """Each candidate of the last prefix block with roots as a part of
-        one, its roots cut to the limit, up to the first block past it; its
-        facts are read once its roots are known."""
-        for k, c in candidates(lead):
-            f = f0 + k
-            if f >= nfib:
-                return
+        one; its facts are read once its roots are known."""
+        for c in candidates(lead):
             xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, c, c)))) % p)
-            if xs and (f + 1) * p > scanned:
-                xs = [x for x in xs if f * p + x < scanned]
             if not xs:
                 continue
             _, ns_c, sx, col = block(c)
@@ -560,16 +529,16 @@ def quadric_sweep(p, b, gamma, limit=-1):
                    zero and is_null(c) and _in_kernel(zero_rows, c, p),
                    sym and _in_kernel(sym_rows, c, p))
 
-    walk = _block_walk(p, m, n - 1, nfib, candidates, fix,
+    walk = _block_walk(p, m, n - 1, candidates, fix,
                        (0, 0, True, True, True, not bad_trace, (), ()))
-    for (f0, lead, state), mult in walk.items():
+    for (lead, state), mult in walk.items():
         s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
         # a lead level is the last prefix level of one state alone, and the
-        # limit and the fixed blocks' symmetry rows tell blocks apart
-        if not (lead or sym_rows) and (f0 + p ** m) * p <= scanned:
+        # fixed blocks' symmetry rows tell blocks apart
+        if not (lead or sym_rows):
             parts = classes(s, zero, sym, sym_x, good, zero_rows)
         else:
-            parts = apart(f0, lead, s, zero, sym, sym_x, good, sym_rows, zero_rows)
+            parts = apart(lead, s, zero, sym, sym_x, good, sym_rows, zero_rows)
         for xs, cnt, nns, nsx, ncol, z, sy in parts:
             # cnt blocks, of which nns have a nonscalar diagonal entry,
             # nsx fail the symmetry of row and column n-1 and ncol fail
@@ -597,41 +566,37 @@ def quadric_sweep(p, b, gamma, limit=-1):
                 zslice_points += cnt * (len(xs) - nz)
                 roundtrip_checked += cnt * nz
                 roundtrip_fail += nz * ncol
-    return (scanned, on_quadric, base_points, zslice_points,
+    return (projective_size(p, N), on_quadric, base_points, zslice_points,
             roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
             diag_fail)
 
 
-def z1_sweep(p, b, gamma, limit=-1):
+def z1_sweep(p, b, gamma):
     """Walk P(C^{n-1}) over F_p and compare two membership predicates for
     the source base locus: all products c_i conj(c_j) = 0, and the square
     of the half-space element x(c) vanishing.  Returns (scanned, z1_points,
-    equiv_fail).  A nonnegative limit keeps the points of canonical index
-    below it.
+    equiv_fail).
 
     Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
     entries include the b_j c_i conj(c_j), and the b_j are units), so the
     predicates agree with nothing left to verify.  The points are those of
     _block_walk whose every block c_i is null, c_i conj(c_i) = 0: the
-    candidates are the null blocks among the first `scanned` of each
-    order, as a block's index never exceeds that of a point holding it,
-    read from the norm's fibres.  c_j conj(c_i) is the conjugate of
-    c_i conj(c_j), so the pairs i < j decide the rest: the level that
-    fixes c_j checks c_i conj(c_j) = 0 for each fixed c_i, by the rows of
-    y -> c_i conj(y) built where c_i was fixed and kept in reduced echelon
-    form, and skips every point below at the first that fails.  The
+    candidates are the null blocks of each order, read from the norm's
+    fibres.  c_j conj(c_i) is the conjugate of c_i conj(c_j), so the pairs
+    i < j decide the rest: the level that fixes c_j checks
+    c_i conj(c_j) = 0 for each fixed c_i, by the rows of y -> c_i conj(y)
+    built where c_i was fixed and kept in reduced echelon form, and skips
+    every point below at the first that fails.  The
     remaining entry of x(c)^2 is the corner, b_n^{-1} times
     sum_k b_k conj(c_k) c_k, summed level by level mod p; it must vanish
     on the locus.  A state is the corner and the rows, and each distinct
     one is walked once, its counters times its number of prefixes.  The
     last block's points are the null vectors of the rows' kernel,
-    enumerated from its free coordinates; a state the limit cuts, or one
-    without rows, tests the null blocks below the limit one by one.
+    enumerated from its free coordinates, or, for a state without rows,
+    such as the lead's, the null blocks.
     """
     n, m = _sweep_shape(p, b, gamma)
     nn = n - 1
-    space = projective_size(p, m * nn)
-    scanned = space if limit < 0 else min(limit, space)
     z1_points = equiv_fail = 0
     E = _basis_products(p, gamma)
     ns = _nonscalar(p, E)
@@ -647,26 +612,20 @@ def z1_sweep(p, b, gamma, limit=-1):
 
     @functools.cache
     def null(lead):
-        """(k, c) for each null block c of index k < scanned in the lead
-        order or the later one, in increasing k.  The prefixes of m - 1
-        coordinates run in that order, _points or _tuples, the i-th giving
-        the blocks prefix + (x,) of index i p + x for the roots x of the
-        norm on it; only these pay for the test of c conj(c) being scalar.
-        The lead order ends with e_{m-1}, null when N(e_{m-1}) = 0 (its
-        square is on e_0)."""
+        """The null blocks in the lead order or the later one.  The prefixes
+        of m - 1 coordinates run in that order, _points or _tuples, each
+        giving the blocks prefix + (x,) for the roots x of the norm on it;
+        only these pay for the test of c conj(c) being scalar.  The lead
+        order ends with e_{m-1}, null when N(e_{m-1}) = 0 (its square is
+        on e_0)."""
         out = []
-        for i, pre in enumerate(_points(p, m - 1) if lead else _tuples(p, m - 1)):
-            if i * p >= scanned:
-                break
+        for pre in _points(p, m - 1) if lead else _tuples(p, m - 1):
             for x in roots(sum(map(operator.mul, pf, map(operator.mul, pre, pre))) % p) or ():
-                if i * p + x >= scanned:
-                    break
                 c = (*pre, x)
                 if not (ns and ns(c)):
-                    out.append((i * p + x, c))
-        last = projective_size(p, m) - 1
-        if lead and not wl and last < scanned:
-            out.append((last, (0,) * (m - 1) + (1,)))
+                    out.append(c)
+        if lead and not wl:
+            out.append((0,) * (m - 1) + (1,))
         return out
 
     # only the fixed blocks and the last blocks of the locus' points read
@@ -682,17 +641,15 @@ def z1_sweep(p, b, gamma, limit=-1):
         return (tuple((u + b[j] * v) % p for u, v in zip(corner, term(c))),
                 _echelon(p, rows + left(c)))
 
-    walk = _block_walk(p, m, nn, scanned, null, fix, ((0,) * m, ()))
-    for (f0, lead, (corner, rows)), mult in walk.items():
-        room = scanned - f0
-        if rows and room >= p ** m:     # a later level wholly below the limit
+    walk = _block_walk(p, m, nn, null, fix, ((0,) * m, ()))
+    for (lead, (corner, rows)), mult in walk.items():
+        if rows:
             blocks = (c for c in _kernel(p, m, rows)
                       if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
                               or ns and ns(c)))
         else:
-            blocks = (c for _, c in itertools.takewhile(lambda kc: kc[0] < room, null(lead))
-                      if _in_kernel(rows, c, p))
+            blocks = null(lead)
         for c in blocks:
             z1_points += mult
             equiv_fail += mult * any((u + b[nn - 1] * v) % p for u, v in zip(corner, term(c)))
-    return scanned, z1_points, equiv_fail
+    return projective_size(p, m * nn), z1_points, equiv_fail

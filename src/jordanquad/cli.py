@@ -141,7 +141,10 @@ def cmd_witt(args):
 
 
 def cmd_hilbert(args):
-    place = args.place if args.place == "inf" else int(args.place)
+    try:
+        place = args.place if args.place == "inf" else int(args.place)
+    except ValueError:
+        raise ValueError(f"--place {args.place}: expected a prime or inf") from None
     if place != "inf" and not is_prime(place):
         raise ValueError(f"--place {place} is not a prime")
     print(hilbert_symbol(_scalar(args.a), _scalar(args.b), place))
@@ -166,11 +169,11 @@ def cmd_verify(args):
 
 
 def _parse_range(spec):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        r = range(int(lo), int(hi) + 1)
-    else:
-        r = range(int(spec), int(spec) + 1)
+    lo, dots, hi = spec.partition("..")
+    try:
+        r = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--n-range {spec}: expected N or LO..HI") from None
     if not r:
         raise ValueError(f"--n-range {spec} is empty")
     return r

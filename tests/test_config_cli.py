@@ -495,6 +495,21 @@ def test_cli_verify_empty_n_range_exits_2(capsys, suite):
     assert err == "error: --n-range 5..3 is empty\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "blowup", "--n-range", "3..x"), "--n-range 3..x: expected N or LO..HI"),
+    (("verify", "blowup", "--n-range", "3...5"), "--n-range 3...5: expected N or LO..HI"),
+    (("verify", "krashen", "--n-range", "3.."), "--n-range 3..: expected N or LO..HI"),
+    (("hilbert", "--a", "1", "--b", "1", "--place", "2.5"),
+     "--place 2.5: expected a prime or inf"),
+], ids=["n-range-letter", "n-range-three-dots", "n-range-open", "place-fraction"])
+def test_cli_bad_integer_option_names_the_option(capsys, argv, message):
+    """A value that is not an integer gets one line naming the option and
+    the form it takes, not int()'s text."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("suite, argv, option", [
     ("witt", ["--budget", "5", "--seed", "9"], "--budget"),
     ("blowup", ["--samples", "3"], "--samples"),

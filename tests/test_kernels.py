@@ -1,7 +1,8 @@
-"""The mod-p kernels against the exact cardinality oracles on complete
-sweeps, and against per-point evaluators on true and corrupted tables,
-complete and cut at a limit."""
+"""The mod-p kernels against the exact cardinality oracles, and against
+per-point evaluators on true and corrupted tables.  Every sweep walks its
+whole space."""
 
+import inspect
 import itertools
 import random
 import time
@@ -157,35 +158,6 @@ def test_quadric_sweep_searches_for_the_nonresidue_once(monkeypatch):
     assert scalars.least_nonresidue.cache_info().misses <= 1
 
 
-def _head_zeros(p, w, limit):
-    """Zeros of sum w_i c_i^2 among the first `limit` < p^2 canonical
-    points: the fibres (1, 0, .., 0, k, x) over x in F_p, k = 0, 1, ...
-    A full fibre holds 1 + (v/p) zeros, v = -(w_0 + w_{-2} k^2) / w_{-1},
-    by Euler's criterion; the fibre the limit cuts is counted point by
-    point."""
-    full, rest = divmod(limit, p)
-    count = 0
-    for k in range(full):
-        v = -(w[0] + w[-2] * k * k) * pow(w[-1], -1, p) % p
-        count += 1 + {1: 1, p - 1: -1}.get(pow(v, (p - 1) // 2, p), 0)
-    return count + sum((w[0] + w[-2] * full * full + w[-1] * x * x) % p == 0
-                       for x in range(rest))
-
-
-@pytest.mark.parametrize("p", [2097143, 2097169])
-@pytest.mark.parametrize("r", [0, 1])
-def test_pure_quadric_sweep_past_2_21(p, r):
-    """At p around 2^21 a short sweep takes a square root per fibre; its
-    first zeros are those of the fibres counted by Euler's criterion."""
-    alg = sweeps.fp_algebra(p, r, 3)
-    ki = sweeps.kernel_inputs(alg)
-    b, pf = ki[1], [c.v for c in alg.cd.norm_form.coeffs]
-    w = [bi * ft for bi in b[:-1] for ft in pf] + [b[-1]]
-    raw = _fpcore_py.quadric_sweep(*ki, 3 * p + 7)
-    assert raw[:2] == (3 * p + 7, _head_zeros(p, w, 3 * p + 7))
-    assert not any(raw[5:]), raw
-
-
 def test_pure_kernels_reduce_big_integers():
     """b and gamma shifted by multiples of p beyond 64 bits, of either
     sign, give the counters of the reduced inputs."""
@@ -228,9 +200,18 @@ def test_kernels_reject_a_modulus_that_is_not_an_odd_prime(kernels, p):
         kernels.isotropic_vector(p, [1, 1, 1])
     for sweep in (kernels.quadric_sweep, kernels.z1_sweep):
         with pytest.raises(ValueError, match=msg):
-            sweep(p, [1, 1, 1], gamma, 50)
+            sweep(p, [1, 1, 1], gamma)
         with pytest.raises(ValueError, match=msg):
             sweep(p, b, gamma)
+
+
+def test_sweeps_take_what_kernel_inputs_gives():
+    """The sweeps' parameters are the tuple sweeps.kernel_inputs returns,
+    (p, b, gamma), and no more: a sweep walks its whole space."""
+    ki = sweeps.kernel_inputs(sweeps.fp_algebra(5, 1, 3))
+    assert len(ki) == 3
+    for sweep in (_fpcore_py.quadric_sweep, _fpcore_py.z1_sweep):
+        assert list(inspect.signature(sweep).parameters) == ["p", "b", "gamma"], sweep
 
 
 def test_kernel_report_rejects_a_tuple_of_the_wrong_length():
@@ -277,20 +258,17 @@ def _conj(p, v):
     return [v[0]] + [-x % p for x in v[1:]]
 
 
-def _quadric_sweep_per_point(p, b, gamma, limits):
-    """The quadric sweep evaluated point by point, as {limit: counters} for
-    each limit in limits: every canonical point is taken in turn, the
-    matrix mat[i][j] = c_i conj(c_j) b_j of each point on the quadric is
-    built in full, and each check is made on that matrix."""
+def _quadric_sweep_per_point(p, b, gamma):
+    """The quadric sweep's counters evaluated point by point: every
+    canonical point is taken in turn, the matrix mat[i][j] = c_i conj(c_j) b_j
+    of each point on the quadric is built in full, and each check is made on
+    that matrix."""
     n, m = len(b), len(gamma)
     N = m * (n - 1) + 1
     pf = [gamma[0][0]] + [-gamma[t][t] for t in range(1, m)]
     w = [b[i] * pf[t] for i in range(n - 1) for t in range(m)] + [b[-1]]
     counts = dict.fromkeys(sweeps._QUADRIC_COUNTERS, 0)
-    out = {}
     for c in _fpcore_py._points(p, N):
-        if counts["scanned"] in limits:
-            out[counts["scanned"]] = tuple(counts.values())
         counts["scanned"] += 1
         if sum(wi * x * x for wi, x in zip(w, c)) % p:
             continue
@@ -313,21 +291,17 @@ def _quadric_sweep_per_point(p, b, gamma, limits):
             lam = b[-1] * c[-1]
             counts["roundtrip_fail"] += any(
                 mat[i][n - 1] != [lam * v % p for v in blocks[i]] for i in range(n))
-    return {lim: out.get(lim, tuple(counts.values())) for lim in limits}
+    return tuple(counts.values())
 
 
-def _z1_sweep_per_point(p, b, gamma, limits):
-    """The base-locus sweep evaluated point by point, as {limit: counters}
-    for each limit in limits: every canonical point of P(C^{n-1}) is on
-    the locus when its norms c_i conj(c_i) and its pairs c_i conj(c_j),
-    i < j, are all zero, and fails there when its corner
-    sum_k b_k conj(c_k) c_k is not."""
+def _z1_sweep_per_point(p, b, gamma):
+    """The base-locus sweep's counters evaluated point by point: every
+    canonical point of P(C^{n-1}) is on the locus when its norms
+    c_i conj(c_i) and its pairs c_i conj(c_j), i < j, are all zero, and
+    fails there when its corner sum_k b_k conj(c_k) c_k is not."""
     n, m = len(b), len(gamma)
     counts = dict.fromkeys(sweeps._Z1_COUNTERS, 0)
-    out = {}
     for c in _fpcore_py._points(p, m * (n - 1)):
-        if counts["scanned"] in limits:
-            out[counts["scanned"]] = tuple(counts.values())
         counts["scanned"] += 1
         blocks = [list(c[i * m:(i + 1) * m]) for i in range(n - 1)]
         if any(any(_mul_conj(p, gamma, ci, cj))
@@ -337,7 +311,7 @@ def _z1_sweep_per_point(p, b, gamma, limits):
         terms = [_mul_conj(p, gamma, _conj(p, ck), _conj(p, ck)) for ck in blocks]
         counts["equiv_fail"] += any(
             sum(bk * term[t] for bk, term in zip(b, terms)) % p for t in range(m))
-    return {lim: out.get(lim, tuple(counts.values())) for lim in limits}
+    return tuple(counts.values())
 
 
 # (p, m, n) of the corrupted-table agreement test: every composition
@@ -346,43 +320,30 @@ CORRUPTED_SHAPES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 6), (3, 2, 3), (5, 2
                     (3, 2, 4), (3, 4, 2), (3, 4, 3), (3, 8, 2), (5, 1, 3)]
 
 
-def _block_boundaries(p, m, n, rng):
-    """Indices of points of P(C^{n-1}) on the edges of the pure sweeps'
-    block walk: the first point of each lead block i0 and, for each block
-    j from the lead on, the points where it first steps and where it
-    takes a random step k, the blocks after it rolling over from p - 1 to
-    0.  As a z1 limit the index f stops the walk just before point f; as a
-    quadric limit p f stops it just before fibre f."""
-    starts = set()
-    f0 = 0
+def _draws_between_tables(rng, p, m, n):
+    """Draw, and drop, the numbers the corrupted-table test draws after
+    each table: one below the number of fibres, and one step of each block
+    of the walk past its lead.  They keep the test's 55 tables those its
+    seed has always given, on which the complete sweeps fire every
+    counter."""
+    rng.randrange(sweeps.projective_size(p, m * (n - 1) + 1) // p)
     for i0 in range(n - 1):
         points = (p ** m - 1) // (p - 1) * p ** (m * (n - 2 - i0))
-        starts.add(f0)
         for j in range(i0, n - 1):
-            stride = p ** (m * (n - 2 - j))     # points per step of block j
+            stride = p ** (m * (n - 2 - j))
             if points > stride:
-                starts |= {f0 + k * stride for k in (1, rng.randrange(1, points // stride))}
-        f0 += points
-    return sorted(starts)
-
-
-def _around(limits):
-    """Each limit exactly and one point either side."""
-    return sorted({lim + e for lim in limits for e in (-1, 0, 1) if lim + e >= 0})
+                rng.randrange(1, points // stride)
 
 
 def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
     """On random tables and b, zero entries included, the quadric and z1
-    sweeps give the counters of their per-point evaluations, complete,
-    with limits that cut a fibre and with limits on the edges of their
-    block walk."""
+    sweeps give the counters of their per-point evaluations, and between
+    them the tables fire every counter."""
     rng = random.Random(14)
     fired = set()
     for p, m, n in CORRUPTED_SHAPES:
         r = m.bit_length() - 1
         _, _, table = sweeps.kernel_inputs(sweeps.fp_algebra(p, r, 3))
-        N = m * (n - 1) + 1
-        space = sweeps.projective_size(p, N)
         for draw in range(5):
             # draw 0 keeps the true table, draw 1 changes 1 to m entries and
             # gamma_00, draw 2 1 to m entries; draw 3 zeroes the last diagonal
@@ -398,17 +359,13 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
             if draw == 4 and m > 1:
                 gamma[0][1] = (gamma[1][0] + 1) % p
             b = [rng.randrange(1, p) for _ in range(n)]
-            fibre = rng.randrange(space // p)
-            edges = _block_boundaries(p, m, n, rng)
-            for name, names, per_point, limits in (
-                    ("quadric_sweep", sweeps._QUADRIC_COUNTERS, _quadric_sweep_per_point,
-                     (-1, p * fibre + 3, space - 1, *_around(p * f for f in edges))),
-                    ("z1_sweep", sweeps._Z1_COUNTERS, _z1_sweep_per_point,
-                     (-1, fibre, sweeps.projective_size(p, N - 1) - 1, *_around(edges)))):
-                for limit, want in per_point(p, b, gamma, limits).items():
-                    got = getattr(_fpcore_py, name)(p, b, gamma, limit)
-                    assert got == want, (name, p, m, n, b, gamma, limit)
-                    fired |= {k for k, v in zip(names, got) if v}
+            _draws_between_tables(rng, p, m, n)
+            for name, names, per_point in (
+                    ("quadric_sweep", sweeps._QUADRIC_COUNTERS, _quadric_sweep_per_point),
+                    ("z1_sweep", sweeps._Z1_COUNTERS, _z1_sweep_per_point)):
+                got = getattr(_fpcore_py, name)(p, b, gamma)
+                assert got == per_point(p, b, gamma), (name, p, m, n, b, gamma)
+                fired |= {k for k, v in zip(names, got) if v}
     assert fired == set(sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS)
 
 
@@ -417,90 +374,40 @@ def _kernel_point(alg, c, last):
     return ProjPointC(alg, [c[i * m:(i + 1) * m] for i in range(alg.n - 1)], last)
 
 
-def _point_counts(alg, kind, points):
-    """[on_quadric, base_points] or [z1_points] of a run of canonical
-    points, each point tested on its own with the object-level predicates."""
-    if kind == "z1":
-        return [sum(in_z1(_kernel_point(alg, c, 0)) for c in points)]
-    qf = q_form(alg)
-    counts = [0, 0]
-    for c in points:
-        pt = _kernel_point(alg, c[:-1], c[-1])
-        if evaluate(qf, pt.flatten()) == 0:
-            counts[0] += 1
-            counts[1] += in_z1(pt)
-    return counts
-
-
-def _reference(alg, kind, limit):
+def _reference(alg, kind):
     """(scanned, on_quadric, base_points) or (scanned, z1_points) of the
-    first `limit` canonical points.  Up to half the space, the points below
-    the limit are tested one by one.  Past half, the points at or above it
-    are, and their counts are subtracted from the exact complete counts."""
+    whole space, each canonical point tested on its own with the
+    object-level predicates."""
     p, m, n = alg.field.p, alg.cd.dim, alg.n
-    N = m * (n - 1) + (kind == "quadric")
-    space = sweeps.projective_size(p, N)
-    limit = min(limit, space)
-    if 2 * limit <= space:
-        counts = _point_counts(alg, kind, itertools.islice(
-            _fpcore_py._points(p, N), limit))
-    else:
-        cut = _point_counts(alg, kind, itertools.islice(
-            _fpcore_py._points(p, N), limit, None))
-        full = [sweeps.z1_expected_count(alg)]
-        if kind == "quadric":
-            full.insert(0, fp_projective_zero_count(q_form(alg)))
-        counts = [f - c for f, c in zip(full, cut)]
-    return (limit, *counts)
+    if kind == "z1":
+        points = list(_fpcore_py._points(p, m * (n - 1)))
+        return len(points), sum(in_z1(_kernel_point(alg, c, 0)) for c in points)
+    qf = q_form(alg)
+    points = [_kernel_point(alg, c[:-1], c[-1]) for c in _fpcore_py._points(p, m * (n - 1) + 1)]
+    on = [pt for pt in points if evaluate(qf, pt.flatten()) == 0]
+    return len(points), len(on), sum(map(in_z1, on))
 
 
-# (3, 1, 5) and (5, 0, 6) have two or more levels of merged states above
-# the last block, so their limits cut inside merged levels
-PARTIAL_CONFIGS = [(5, 2, 3, True), (3, 1, 4, True), (3, 1, 4, False),
-                   (5, 1, 3, True), (5, 1, 3, False), (7, 1, 3, False),
-                   (3, 2, 3, True), (5, 0, 4, True), (3, 1, 5, True),
+# (p, r, n, split) of the point-by-point check: quadric spaces of at most
+# 10^4 points; (3, 1, 5) and (5, 0, 6) have two or more levels of merged
+# states above the last block
+PARTIAL_CONFIGS = [(3, 1, 4, True), (3, 1, 4, False), (5, 1, 3, True), (5, 1, 3, False),
+                   (7, 1, 3, False), (3, 2, 3, True), (5, 0, 4, True), (3, 1, 5, True),
                    (3, 1, 5, False), (5, 0, 6, True)]
 
 
 @pytest.mark.parametrize("p, r, n, split", PARTIAL_CONFIGS)
 def test_partial_sweeps_match_per_point_reference(p, r, n, split):
+    """Both sweeps against a pass over every point of their spaces with the
+    object-level predicates, evaluate(q_form) and in_z1; no check fails."""
     alg = sweeps.fp_algebra(p, r, n, split=split)
     ki = sweeps.kernel_inputs(alg)
-    m = alg.cd.dim
-    for kind, N in (("quadric", m * (n - 1) + 1), ("z1", m * (n - 1))):
-        space = sweeps.projective_size(p, N)
-        limits = {0, 1, p - 1, p, p + 1, 17, 400, 3 * p + 3, 7 * p + 3, 80 * p + 3,
-                  space - 1, space, space + 5}
-        if space <= 10 ** 4:
-            limits.add(space // 3)      # cuts between the blocks after a lead
-        for limit in sorted(limits):
-            if kind == "quadric":
-                raw = _fpcore_py.quadric_sweep(*ki, limit)
-                got, fails = raw[:3], raw[5:]
-            else:
-                raw = _fpcore_py.z1_sweep(*ki, limit)
-                got, fails = raw[:2], raw[2:]
-            assert got == _reference(alg, kind, limit), (kind, limit)
-            assert not any(fails), (kind, limit, raw)
-
-
-def test_small_limit_builds_no_large_table(monkeypatch):
-    """fp_algebra(7, 3, 3) has 7^8 blocks; the first 1000 points need only
-    a few of them tabulated."""
-    alg = sweeps.fp_algebra(7, 3, 3)
-    ki = sweeps.kernel_inputs(alg)
-    calls = [0]
-    mul_acc = _fpcore_py._mul_acc
-
-    def counting(*args):
-        calls[0] += 1
-        if calls[0] > 10 * 1000:
-            raise AssertionError("the limit did not bound the tables")
-        mul_acc(*args)
-
-    monkeypatch.setattr(_fpcore_py, "_mul_acc", counting)
-    assert _fpcore_py.z1_sweep(*ki, 1000) == (*_reference(alg, "z1", 1000), 0)
-    assert _fpcore_py.quadric_sweep(*ki, 1000)[:3] == _reference(alg, "quadric", 1000)
+    raw = _fpcore_py.quadric_sweep(*ki)
+    assert raw[:3] == _reference(alg, "quadric")
+    assert not any(raw[5:]), raw
+    raw = _fpcore_py.z1_sweep(*ki)
+    assert raw[:2] == _reference(alg, "z1")
+    assert not raw[2], raw
 
 
 def test_z1_sweep_forms_products_only_where_the_norm_vanishes(monkeypatch):
@@ -545,19 +452,14 @@ def test_quadric_sweep_draws_each_last_block_once(monkeypatch):
 
 
 def test_quadric_sweep_counters_do_not_depend_on_the_block_cache(monkeypatch):
-    """With no block cache the quadric sweep gives the same counters,
-    complete and cut, as with the cache as shipped: on shapes of few
-    blocks, and on fp_algebra(5, 3, 3), 5^8 blocks a level, cut inside its
-    first later level."""
-    cases = [((5, 3, 3), (5 * (1 << 13) + 3,))]
-    cases += [((p, r, n), (-1, 7 * p + 3, 400))
-              for p, r, n in ((5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3))]
-    for shape, limits in cases:
+    """With no block cache the quadric sweep gives the same counters as
+    with the cache as shipped."""
+    for shape in ((5, 0, 4), (5, 1, 3), (3, 1, 4), (3, 2, 3)):
         ki = sweeps.kernel_inputs(sweeps.fp_algebra(*shape))
         monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 1 << 16)
-        want = [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits]
+        want = _fpcore_py.quadric_sweep(*ki)
         monkeypatch.setattr(_fpcore_py, "_BLOCK_CAP", 0)
-        assert [_fpcore_py.quadric_sweep(*ki, limit) for limit in limits] == want, shape
+        assert _fpcore_py.quadric_sweep(*ki) == want, shape
 
 
 def _counting(monkeypatch, name, calls):
@@ -618,31 +520,6 @@ def test_z1_sweep_walks_the_norm_fibres(monkeypatch):
     assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
         sweeps.projective_size(p, 4), sweeps.z1_expected_count(alg), 0)
     assert drawn[0] <= 2 * p
-
-
-def test_short_pure_sweeps_at_large_p():
-    """A sweep of 100 points at p = 1,000,003 builds nothing of size p: the
-    quadric sweep takes a square root per fibre value it asks for, and the
-    base-locus walk stores no range(p)."""
-    import tracemalloc
-    three = (1_000_003, [1, 2, 1_000_002], [[1, 1], [1, 1]], 100)
-    # five blocks of one coordinate: every level of the quadric sweep's
-    # block walk must stop at the limit without walking its p values
-    five = (1_000_003, [1, 2, 3, 4, 5], [[1]], 100)
-    for sweep, args, want in (
-            (_fpcore_py.quadric_sweep, three, (100, 1, 0, 0, 1, 0, 0, 0, 0)),
-            (_fpcore_py.z1_sweep, three, (100, 0, 0)),
-            (_fpcore_py.quadric_sweep, five, (100, 0, 0, 0, 0, 0, 0, 0, 0))):
-        t0 = time.perf_counter()
-        assert sweep(*args) == want
-        assert time.perf_counter() - t0 < 0.5, (sweep.__name__, args)
-        tracemalloc.start()
-        try:
-            sweep(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, (sweep.__name__, args, peak)
 
 
 def _check_against_oracles(alg):
