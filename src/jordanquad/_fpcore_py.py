@@ -47,8 +47,11 @@ first nonzero one) from _points, each later block from _tuples.  The walk
 fixes the blocks one level at a time and passes down what the fixed
 blocks give the sweep, its state, reduced mod p; the choices of blocks
 that leave one state merge, so a level costs its distinct states times
-its blocks, and each sweep loops over the last block once per distinct
-state and multiplies its counters.
+its blocks, and each sweep runs the last block once per distinct state
+and multiplies its counters.  Where a state's last blocks are the null
+vectors of a kernel, a true table (c conj(c) = N(c) for every c) has
+them counted, not listed: _null_count reads their number off the rank
+and discriminant of the norm on the kernel.
 
 - Quadric points are walked fibre by fibre: the points sharing their
   first N-1 coordinates (the prefix) differ only in the last one, and the
@@ -91,6 +94,7 @@ sweep's docstring tells how it runs the last block.
 import collections
 import functools
 import itertools
+import math
 import operator
 
 from .scalars import is_prime, is_residue, least_nonresidue
@@ -102,6 +106,61 @@ _BLOCK_CAP = 1 << 16
 def projective_size(p, N):
     """(p^N - 1)/(p - 1), the number of points of P^{N-1}(F_p)."""
     return (p ** N - 1) // (p - 1)
+
+
+def _null_count(p, pf, rows):
+    """The number of y in F_p^m, m = len(pf), with rows y = 0 and
+    sum_t pf[t] y_t^2 = 0, y = 0 among them, for rows in reduced echelon
+    form.  On the w vectors of _kernel_basis the form's Gram matrix
+    diagonalizes to k units of product d, and a form of rank k on F_p^w
+    has p^(w-k) Z_k zeros: Z_0 = 1, Z_k = p^(k-1) for odd k and
+    p^(k-1) + chi((-1)^(k/2) d) (p-1) p^(k/2-1) for even k (Lidl and
+    Niederreiter, Finite Fields, Thms 6.26-6.27)."""
+    basis = _kernel_basis(len(pf), rows)
+    diag = _diagonalize_gram(p, [[sum(map(operator.mul, pf, map(operator.mul, u, v))) % p
+                                  for v in basis] for u in basis])
+    w, k = len(basis), len(diag)
+    if not k:
+        return p ** w
+    if k % 2:
+        return p ** (w - 1)
+    chi = 1 if is_residue(math.prod(diag, start=(-1) ** (k // 2)) % p, p) else -1
+    return p ** (w - 1) + chi * (p - 1) * p ** (w - k // 2 - 1)
+
+
+def _diagonalize_gram(p, gram):
+    """The nonzero diagonal coefficients, as residues, of a symmetric matrix
+    of residues mod an odd prime p, as many as its rank, by the standard
+    pivot/clear algorithm."""
+    m = [row[:] for row in gram]
+    k = len(m)
+    diag = []
+    rows = list(range(k))
+    while rows:
+        # a nonzero diagonal pivot, made from m[i][j] != 0 by adding row and
+        # column j to row and column i when the diagonal is zero (2 is a unit)
+        piv = next((i for i in rows if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in rows for j in rows if i != j and m[i][j]), None)
+            if pair is None:
+                break  # remaining block is zero; form was degenerate there
+            piv, j = pair
+            for t in rows:
+                m[piv][t] = (m[piv][t] + m[j][t]) % p
+            for t in rows:
+                m[t][piv] = (m[t][piv] + m[t][j]) % p
+        d = m[piv][piv]
+        diag.append(d)
+        rows.remove(piv)
+        d_inv = pow(d, -1, p)
+        for i in rows:
+            if m[i][piv]:
+                lam = m[i][piv] * d_inv % p
+                for t in range(k):
+                    m[i][t] = (m[i][t] - lam * m[piv][t]) % p
+                for t in range(k):
+                    m[t][i] = (m[t][i] - lam * m[t][piv]) % p
+    return diag
 
 
 def _check_modulus(p):
@@ -315,20 +374,22 @@ def _echelon(p, rows):
     return tuple(tuple(out[j]) for j in sorted(out))
 
 
+def _kernel_basis(m, rows):
+    """A basis of the kernel in F_p^m of rows in reduced echelon form: for
+    each free coordinate the vector that is 1 there, 0 at the other free
+    ones and minus the rows' entries at their pivots."""
+    pivots = {row.index(1): row for row in rows}
+    return [tuple(-pivots[i][j] if i in pivots else int(i == j) for i in range(m))
+            for j in range(m) if j not in pivots]
+
+
 def _kernel(p, m, rows):
     """Every y in F_p^m with rows y = 0, for rows in reduced echelon form:
-    the free coordinates run through F_p and each pivot one is minus its
-    row on them."""
-    pivots = [row.index(1) for row in rows]
-    free = [j for j in range(m) if j not in pivots]
-    deps = [(i, [-row[j] for j in free]) for i, row in zip(pivots, rows)]
-    y = [0] * m
-    for a in itertools.product(range(p), repeat=len(free)):
-        for j, x in zip(free, a):
-            y[j] = x
-        for i, row in deps:
-            y[i] = sum(map(operator.mul, row, a)) % p
-        yield tuple(y)
+    the combinations of _kernel_basis(m, rows)."""
+    basis = _kernel_basis(m, rows)
+    cols = [[v[i] for v in basis] for i in range(m)]
+    for a in itertools.product(range(p), repeat=len(basis)):
+        yield tuple(sum(map(operator.mul, a, col)) % p for col in cols)
 
 
 def _block_walk(p, m, nn, candidates, fix, state):
@@ -399,7 +460,7 @@ def quadric_sweep(p, b, gamma):
     the roots once per class and adds the class's counters, times its
     number of prefixes; while every product of the fixed blocks is zero,
     the base points among the class of norm 0 are the null vectors of the
-    zero rows' kernel.  The one state whose last prefix block is the lead
+    zero rows' kernel, counted by _null_count on a true table.  The one state whose last prefix block is the lead
     and a state that keeps its fixed blocks' symmetry rows are counted
     block by block.  The checks that read x (the trace, the symmetry of
     row and column n-1, the base point and the round trip) are counted per
@@ -505,14 +566,16 @@ def quadric_sweep(p, b, gamma):
         fixed blocks treat every block of a class alike but for its facts.
         Their zero rows hold only on null blocks, all in the class v = 0 (a
         zero state has s = 0, and xs = (0,)): with no rows on every null
-        block of it, else on the null vectors of the rows' kernel."""
+        block of it, else on the null vectors of the rows' kernel, counted
+        on a true table and listed on any other."""
         for v, (cnt, nns, nsx, ncol) in table():
             xs = lookup((s + v) % p)
             if not xs:
                 continue
             nulls = 0
             if zero and not v:
-                nulls = sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns
+                nulls = (_null_count(p, pf, zero_rows) if true_table else
+                         sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns)
             yield xs, cnt - nulls, nns, nsx if sym_x else cnt, ncol if good else cnt, False, sym
             if nulls:
                 yield xs, nulls, 0, 0, 0, True, sym
@@ -591,9 +654,11 @@ def z1_sweep(p, b, gamma):
     sum_k b_k conj(c_k) c_k, summed level by level mod p; it must vanish
     on the locus.  A state is the corner and the rows, and each distinct
     one is walked once, its counters times its number of prefixes.  The
-    last block's points are the null vectors of the rows' kernel,
-    enumerated from its free coordinates, or, for a state without rows,
-    such as the lead's, the null blocks.
+    last block's points are the null vectors of the rows' kernel, or, for
+    a state without rows, such as the lead's, the null blocks.  On a true
+    table conj(c) c = N(c) is 0 on them, so a state adds their number
+    (_null_count) to z1_points, and to equiv_fail when its corner is not
+    0; on any other table the kernel is listed and each point tested.
     """
     n, m = _sweep_shape(p, b, gamma)
     nn = n - 1
@@ -643,6 +708,13 @@ def z1_sweep(p, b, gamma):
 
     walk = _block_walk(p, m, nn, null, fix, ((0,) * m, ()))
     for (lead, (corner, rows)), mult in walk.items():
+        if ns is None:
+            # the coordinates of conj(c) c off e_0 are those of c conj(c) up
+            # to sign, so on a true table a null last block adds 0 to the corner
+            cnt = mult * (_null_count(p, pf, rows) if rows else len(null(lead)))
+            z1_points += cnt
+            equiv_fail += cnt * any(corner)
+            continue
         if rows:
             blocks = (c for c in _kernel(p, m, rows)
                       if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p

@@ -12,17 +12,18 @@ config, built once, which checks it.  The config checks only its keys and
 that b is a list of n entries.  Every other rule has one owner:
 `motives.check_rn` for r and n, `scalars.field_from_spec` for field and
 p, `composition_algebra` for a (a list of r entries that the CDAlgebra
-constructor takes) and the JordanAlgebra constructor for the entries of
-b.  A refusal is a ValidationError with the owner's text, led by its key
-("a:" and "b:" for the constructors').  `algebra table` calls
-`composition_algebra` too, so the command line prints the same text.
+constructor takes, after `motives.check_r`'s rule on r) and the
+JordanAlgebra constructor for the entries of b.  A refusal is a
+ValidationError with the owner's text, led by its key ("a:" and "b:" for
+the constructors').  `algebra table` calls `composition_algebra` too, so
+the command line prints the same text.
 """
 
 import json
 
 from .cayley_dickson import CDAlgebra
 from .jordan import JordanAlgebra
-from .motives import check_rn
+from .motives import check_r, check_rn
 from .scalars import field_from_spec
 
 DEFAULTS = {"field": "Q", "p": None, "r": 0, "a": None, "n": 3, "b": None}
@@ -38,7 +39,12 @@ class ValidationError(ValueError):
 
 def composition_algebra(field, r, a):
     """The CDAlgebra over field with doubling parameters a, which must be a
-    list of r entries, or ValidationError led by "a:"."""
+    list of r entries for an r that motives.check_r takes, or
+    ValidationError led by "r:" or "a:"."""
+    try:
+        check_r(r)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if not isinstance(a, list) or len(a) != r:
         raise ValidationError(f"a: expected a list of {r} entries, got {a!r}")
     try:

@@ -233,13 +233,19 @@ class MotiveExpr:
 MAX_N = 30
 
 
-def check_rn(r, n):
-    """ValueError unless (r, n) is a configuration the package handles:
-    integers (a bool or a float is neither) with r in 0..3,
-    3 <= n <= MAX_N, and n = 3 when r = 3.  Each message starts with the
-    key at fault, so a config file and the command line say the same."""
+def check_r(r):
+    """ValueError unless r is an integer (a bool or a float is not) in
+    0..3, the r of a composition algebra."""
     if type(r) is not int or r not in (0, 1, 2, 3):
         raise ValueError(f"r: must be an integer 0..3, got {r!r}")
+
+
+def check_rn(r, n):
+    """ValueError unless (r, n) is a configuration the package handles:
+    check_r's r, an integer n with 3 <= n <= MAX_N, and n = 3 when r = 3.
+    Each message starts with the key at fault, so a config file and the
+    command line say the same."""
+    check_r(r)
     if type(n) is not int or not 3 <= n <= MAX_N:
         raise ValueError(f"n: must be an integer with 3 <= n <= MAX_N = {MAX_N}, got {n!r}")
     if r == 3 and n != 3:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _fpcore_py
+from ._fpcore_py import _diagonalize_gram
 from .errors import FieldMismatchError
 from .scalars import FpElem, PrimeField, Rationals, factor, is_residue
 
@@ -349,50 +350,6 @@ def isotropic_vector_search(f, bound=3):
     return None
 
 
-def _diagonalize_gram(p, gram):
-    """Diagonal coefficients, as residues, of a symmetric matrix of
-    residues mod an odd prime p, by the standard pivot/clear algorithm."""
-    m = [row[:] for row in gram]
-    k = len(m)
-    diag = []
-    rows = list(range(k))
-    while rows:
-        # find a nonzero diagonal pivot, creating one if necessary
-        piv = None
-        for i in rows:
-            if m[i][i]:
-                piv = i
-                break
-        if piv is None:
-            found = False
-            for i in rows:
-                for j in rows:
-                    if i != j and m[i][j]:
-                        for t in rows:
-                            m[i][t] = (m[i][t] + m[j][t]) % p
-                        for t in rows:
-                            m[t][i] = (m[t][i] + m[t][j]) % p
-                        piv = i
-                        found = True
-                        break
-                if found:
-                    break
-            if piv is None:
-                break  # remaining block is zero; form was degenerate there
-        d = m[piv][piv]
-        diag.append(d)
-        rows.remove(piv)
-        d_inv = pow(d, -1, p)
-        for i in rows:
-            if m[i][piv]:
-                lam = m[i][piv] * d_inv % p
-                for t in range(k):
-                    m[i][t] = (m[i][t] - lam * m[piv][t]) % p
-                for t in range(k):
-                    m[t][i] = (m[t][i] - lam * m[t][piv]) % p
-    return diag
-
-
 def witt_index_by_search(f):
     """Witt index over F_p computed with no classification input:
     repeatedly find an isotropic vector v by exhaustion, split off the
@@ -404,7 +361,8 @@ def witt_index_by_search(f):
     vectors w_i = e_i - (d_i v_i / d_L v_L) e_L, i not in {L, M}, lie in
     v^perp and have zero M-coordinate, so they span a complement of v
     there.  Their Gram matrix d_i [i = j] + c d_i v_i d_j v_j, with
-    c = 1 / (d_L v_L^2), is re-diagonalized for the next round.
+    c = 1 / (d_L v_L^2), is re-diagonalized for the next round by
+    _fpcore_py._diagonalize_gram, which the sweeps' null count shares.
 
     Vectors, Gram matrices and coefficients are residues in [0, p) held as
     plain ints; each isotropic vector comes from isotropic_vector_search."""

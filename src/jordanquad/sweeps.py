@@ -44,9 +44,10 @@ DEFAULT_BUDGET = 20000
 # x86-64 VM the quadric sweep took the 1.9M points of (p, r, n) =
 # (11, 1, 4) in 2 ms, the 6.7M of (7, 2, 3) in 6 ms, the 0.8M of
 # (3, 2, 4) in 4 ms and the 64.6M of (3, 1, 9) in 1-3 ms; the slowest
-# is (3, 3, 3), whose states do not merge, 64.6M points in 0.36-0.80 s,
-# so a sweep at this ceiling takes about a second there.  The z1 sweep
-# ran from 44 million points/s on the base locus of (3, 3, 3) to over
+# is (3, 3, 3), whose states do not merge, 64.6M points in 0.18-0.27 s,
+# so a sweep at this ceiling takes well under a second there.  The z1
+# sweep, which counts its last block's null vectors, ran from 170
+# million points/s on the base locus of (3, 3, 3) (0.11-0.13 s) to over
 # 30 billion on that of (3, 1, 9).
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120

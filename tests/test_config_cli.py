@@ -777,10 +777,14 @@ def test_config_refuses_what_the_algebra_refuses():
      ["witt", "--field", "Fp", "--p", "9", "--form", "1"]),
     ("a", {"r": 2, "a": ["-1"], "n": 3, "b": [1, 1, 1]},
      ["algebra", "table", "--r", "2", "--a", "-1"]),
-], ids=["r-5", "n-31", "r-3-n-4", "field-X", "Fp-without-p", "Q-with-p", "p-9", "a-length"])
+    ("r", {"r": -1, "n": 3, "b": [1] * 3}, ["algebra", "table", "--r", "-1"]),
+    ("r", {"r": 4, "n": 3, "b": [1] * 3}, ["algebra", "table", "--r", "4"]),
+], ids=["r-5", "n-31", "r-3-n-4", "field-X", "Fp-without-p", "Q-with-p", "p-9", "a-length",
+        "table-r--1", "table-r-4"])
 def test_config_and_command_line_print_one_text_per_rule(capsys, key, raw, argv):
     """Each rule has one owner, so a config file and the command line say
-    the same for the same value, led by its key."""
+    the same for the same value, led by its key.  `algebra table --r` meets
+    the r rule before the length of --a."""
     with pytest.raises(ValidationError, match=f"^{key}:") as info:
         config_from_dict(raw)
     code, out, err = run_cli(capsys, *argv)

@@ -335,10 +335,14 @@ def _draws_between_tables(rng, p, m, n):
                 rng.randrange(1, points // stride)
 
 
-def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
+def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(monkeypatch):
     """On random tables and b, zero entries included, the quadric and z1
     sweeps give the counters of their per-point evaluations, and between
-    them the tables fire every counter."""
+    them the tables fire every counter.  A table whose c conj(c) is not
+    always scalar has its kernels' null vectors listed by _kernel, one by
+    one, so this test reaches that path."""
+    kernels = [0]
+    _counting(monkeypatch, "_kernel", kernels)
     rng = random.Random(14)
     fired = set()
     for p, m, n in CORRUPTED_SHAPES:
@@ -367,6 +371,7 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables():
                 assert got == per_point(p, b, gamma), (name, p, m, n, b, gamma)
                 fired |= {k for k, v in zip(names, got) if v}
     assert fired == set(sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS)
+    assert kernels[0]
 
 
 def _kernel_point(alg, c, last):
@@ -492,8 +497,8 @@ def test_quadric_sweep_forms_products_once_per_sweep(monkeypatch):
 def test_z1_sweep_reads_the_last_block_from_the_kernel(monkeypatch):
     """The last block of a base-locus point is a null vector of the kernel
     of the fixed blocks' rows: the z1 sweep of fp_algebra(5, 2, 3), 36 null
-    lead blocks and 145 null later blocks, enumerates that kernel instead of
-    testing every null block against the rows."""
+    lead blocks and 145 null later blocks, counts that kernel's null
+    vectors instead of testing every null block against the rows."""
     alg = sweeps.fp_algebra(5, 2, 3)
     calls = [0]
     _counting(monkeypatch, "_in_kernel", calls)
@@ -520,6 +525,61 @@ def test_z1_sweep_walks_the_norm_fibres(monkeypatch):
     assert _fpcore_py.z1_sweep(*sweeps.kernel_inputs(alg)) == (
         sweeps.projective_size(p, 4), sweeps.z1_expected_count(alg), 0)
     assert drawn[0] <= 2 * p
+
+
+def _listed_nulls(p, pf, rows):
+    """The null vectors of the kernel of rows, as _kernel lists them."""
+    return sum(not sum(a * y * y for a, y in zip(pf, v)) % p
+               for v in _fpcore_py._kernel(p, len(pf), rows))
+
+
+def test_null_count_matches_enumeration():
+    """The null vectors of a kernel, counted from the rank and the
+    discriminant of the norm on it, are those _kernel lists: seeded random
+    rows in reduced echelon form, of every rank, under norm forms with zero
+    coefficients too, so that the form on the kernel can be degenerate.
+    The cases reach a zero form, odd ranks and even ranks of both
+    characters."""
+    rng = random.Random("null-count")
+    seen = set()
+    for p in (3, 5, 7):
+        for m in (1, 2, 4, 8):
+            if p ** m > 10 ** 5:
+                continue
+            _, _, gamma = sweeps.kernel_inputs(sweeps.fp_algebra(p, m.bit_length() - 1, 3))
+            for pf in (_fpcore_py._norm_form(gamma), [rng.randrange(1, p) for _ in range(m)],
+                       [rng.randrange(p) for _ in range(m)], [0] * (m - 1) + [1]):
+                for _ in range(6):
+                    rows = _fpcore_py._echelon(p, [[rng.randrange(p) for _ in range(m)]
+                                                   for _ in range(rng.randint(0, m))])
+                    kernel = list(_fpcore_py._kernel(p, m, rows))
+                    w = m - len(rows)
+                    assert len(set(kernel)) == p ** w
+                    assert all(_fpcore_py._in_kernel(rows, y, p) for y in kernel)
+                    want = _listed_nulls(p, pf, rows)
+                    assert _fpcore_py._null_count(p, pf, rows) == want, (p, pf, rows)
+                    seen.add("zero form" if want == p ** w else (want > p ** (w - 1)) -
+                             (want < p ** (w - 1)))
+    assert seen == {"zero form", -1, 0, 1}
+
+
+def test_null_count_on_every_state_of_the_octonion_walk(monkeypatch):
+    """The count equals _kernel's list on every distinct last-level state
+    with rows of the complete (3, 3, 3) sweeps, 1,120 echelon forms, and
+    both sweeps meet the oracles."""
+    real = _fpcore_py._null_count
+    states = {}
+
+    def checked(p, pf, rows):
+        if rows not in states:
+            states[rows] = _listed_nulls(p, pf, rows)
+        got = real(p, pf, rows)
+        assert got == states[rows], rows
+        return got
+
+    monkeypatch.setattr(_fpcore_py, "_null_count", checked)
+    _check_against_oracles(sweeps.fp_algebra(3, 3, 3))
+    assert len(states) == 1120
 
 
 def _check_against_oracles(alg):
@@ -582,6 +642,15 @@ def test_complete_sweeps_walk_each_distinct_state_once(monkeypatch, shape):
     _bounded(monkeypatch, "_tuples", 1000, draws=True)
     _bounded(monkeypatch, "_echelon", 1000)
     _check_against_oracles(sweeps.fp_algebra(*shape))
+
+
+def test_complete_sweeps_count_the_last_block_on_a_true_table(monkeypatch):
+    """On a true table the null vectors of a state's kernel are counted
+    from the norm on it, not listed: the complete (3, 3, 3) sweeps meet the
+    oracles while _kernel yields at most 1,000 vectors, where listing the
+    kernels yields 90,720 vectors in each sweep."""
+    _bounded(monkeypatch, "_kernel", 1000, draws=True)
+    _check_against_oracles(sweeps.fp_algebra(3, 3, 3))
 
 
 def test_z1_sweep_against_naive_membership():
