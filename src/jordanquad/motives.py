@@ -26,23 +26,16 @@ from .errors import NegativeCoefficientError
 
 
 class TateProfile:
-    """A multiset of nonnegative twist degrees."""
+    """A multiset of nonnegative twist degrees: ints, not bools or floats."""
 
     __slots__ = ("counts",)
 
     def __init__(self, data=None):
-        counts = Counter()
-        if data:
-            if isinstance(data, (Counter, dict)):
-                for d, c in data.items():
-                    if c:
-                        counts[int(d)] = c
-            else:
-                for d in data:
-                    counts[int(d)] += 1
-        if any(d < 0 or c < 0 for d, c in counts.items()):
-            raise ValueError("profiles have nonnegative degrees and counts")
-        self.counts = counts
+        counts = Counter(data)
+        if counts and ({*map(type, counts), *map(type, counts.values())} != {int}
+                       or min(counts) < 0 or min(counts.values()) < 0):
+            raise ValueError("profiles have nonnegative integer degrees and counts")
+        self.counts = +counts if 0 in counts.values() else counts
 
     def shift(self, i):
         return TateProfile({d + i: c for d, c in self.counts.items()})

@@ -2,15 +2,16 @@
 
 Supports Pfister forms, tensor/orthogonal-sum constructions, Hilbert
 symbols over Q, Hasse invariants, isotropy decisions (Hasse-Minkowski over
-Q, the dim/disc classification over F_p) and Witt indices.  Over Q the Witt
-index is computed purely at the level of invariants by stripping hyperbolic
-planes; an exhaustive vector-search decomposition is provided as an
-independent oracle over F_p.
+Q, the dim/disc classification over F_p) and Witt indices.  Over Q the
+Hasse invariants come from each coefficient's valuation and unit at each
+place, not from Hilbert symbols, and the Witt index is computed purely at
+the level of invariants by stripping hyperbolic planes; an exhaustive
+vector-search decomposition is provided as an independent oracle over F_p.
 """
 
+import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,13 +152,15 @@ def hilbert_symbol(a, b, place):
 
 
 def _prime_exponents(f):
-    """prime -> exponent summed over the numerators and denominators of
-    the coefficients of a form over Q."""
-    exponents = Counter()
-    for c in f.coeffs:
-        exponents.update(factor(abs(c.numerator)))
-        exponents.update(factor(c.denominator))
-    return exponents
+    """For a form over Q: each coefficient's prime -> exponent map of
+    |n d| (n/d in lowest terms), and their sum.  Each distinct |n| and d
+    is factored once; a Pfister multiple repeats +-b_j up to 2^r times."""
+    fac = functools.cache(factor)
+    each = [{**fac(abs(c.numerator)), **fac(c.denominator)} for c in f.coeffs]
+    total = Counter()
+    for e in each:
+        total.update(e)
+    return each, total
 
 
 def _places(exponents):
@@ -167,7 +170,7 @@ def _places(exponents):
 def relevant_places(f):
     """["inf", 2] plus the odd primes dividing some coefficient's
     numerator or denominator.  Hilbert symbols are +1 everywhere else."""
-    return _places(_prime_exponents(f))
+    return _places(_prime_exponents(f)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +195,37 @@ class FormInvariants:
 
 def invariants(f):
     """dim, discriminant mod squares, and over Q signature plus the Hasse
-    symbols prod_{i<j} (d_i, d_j)_v at the relevant places.
+    symbols prod_{i<j} (c_i, c_j)_v at the relevant places.
 
-    The Hilbert symbol is multiplicative in each argument, so
-    prod_{i<j} (d_i, d_j)_v = prod_{j>=2} (d_1 ... d_{j-1}, d_j)_v: each
-    place takes one symbol per coefficient, on the running prefix product,
-    rather than one per pair."""
+    Over Q no Hilbert symbol is taken.  Write n_i d_i = p^{a_i} u_i for
+    c_i = n_i/d_i and let A = sum a_i; multiplying out Serre's local
+    formulas (A Course in Arithmetic, III.1) over the pairs gives
+    - at odd p: (-1)^{eps(p) sum_{i<j} a_i a_j} (w | p), with w the
+      product of the u_i with A - a_i odd: one Euler criterion per place;
+    - at 2: (-1)^{C(E,2) + sum_i omega(u_i)(A - a_i)}, E = #{u_i = 3 mod 4};
+    - at inf: (-1)^{C(neg,2)}."""
     field = f.field
     if isinstance(field, PrimeField):
         prod = math.prod(f.coeffs, start=field.one())
         return FormInvariants(dim=f.dim, disc=field.square_class(prod))
-    # the product's square class, from the coefficients' factorizations:
-    # its sign times the primes of odd total exponent
-    exponents = _prime_exponents(f)
-    neg = sum(1 for c in f.coeffs if c < 0)
-    disc = Fraction((-1) ** neg * math.prod(p for p, e in exponents.items() if e % 2))
-    pairs = list(zip(itertools.accumulate(f.coeffs[:-1], operator.mul), f.coeffs[1:]))
-    hasse = {v: math.prod(hilbert_symbol(a, d, v) for a, d in pairs)
-             for v in _places(exponents)}
+    each, total = _prime_exponents(f)
+    ms = [c.numerator * c.denominator for c in f.coeffs]
+    neg = sum(1 for m in ms if m < 0)
+    # the product's square class: its sign times the primes of odd total exponent
+    disc = Fraction((-1) ** neg * math.prod(p for p, e in total.items() if e % 2))
+    hasse = {INF: (-1) ** (neg * (neg - 1) // 2)}
+    for p in _places(total)[1:]:
+        alphas = [e.get(p, 0) for e in each]
+        A = total[p]
+        units = [m // p ** a for m, a in zip(ms, alphas)]
+        if p == 2:
+            E = sum(1 for u in units if u % 4 == 3)
+            s = E * (E - 1) // 2 + sum((u * u - 1) // 8 * (A - a) for u, a in zip(units, alphas))
+        else:
+            pairs = (A * A - sum(a * a for a in alphas)) // 2  # sum_{i<j} a_i a_j
+            w = math.prod(u % p for u, a in zip(units, alphas) if (A - a) % 2) % p
+            s = (p % 4 == 3) * pairs + (not is_residue(w, p))
+        hasse[p] = (-1) ** (s % 2)
     return FormInvariants(dim=f.dim, disc=disc, signature=(f.dim - neg, neg), hasse=hasse)
 
 
@@ -266,14 +282,20 @@ class _InvState:
                 return False
         return True
 
-    def strip_hyperbolic(self):
-        self.dim -= 2
-        self.pos -= 1
-        self.neg -= 1
-        self.disc = -self.disc
-        if self.dim >= 1:
+    def strip_hyperbolic(self, t=1):
+        """Split off t hyperbolic planes H in one step: f = tH + g gives
+        d(g) = (-1)^t d(f) and s_v(g) = s_v(f) (-1,-1)_v^{t(t+1)/2}
+        (-1, d(f))_v^t, from s_v(tH) = (-1,-1)_v^{t(t-1)/2} and
+        s(a + b) = s(a) s(b) (d(a), d(b)).  By bilinearity that factor is
+        the one symbol (-1, (-1)^{t(t+1)/2} d(f)^t)_v per place."""
+        self.dim -= 2 * t
+        self.pos -= t
+        self.neg -= t
+        b = (-1) ** (t * (t + 1) // 2) * self.disc ** (t % 2)
+        self.disc *= (-1) ** t
+        if self.dim >= 1 and b != 1:
             for place in self.hasse:
-                self.hasse[place] *= hilbert_symbol(-1, self.disc, place)
+                self.hasse[place] *= hilbert_symbol(-1, b, place)
 
 
 def is_isotropic(f):
@@ -294,8 +316,10 @@ def witt_index(f):
 
     F_p: (dim-1)/2 for odd dim; for even dim, dim/2 when the residue
     (-1)^{dim/2} d_1 ... d_dim is a square (one is_residue), else dim/2 - 1.
-    Q: iterate at the invariant level, stripping one hyperbolic plane
-    while the current invariants stay isotropic.
+    Q: iterate at the invariant level.  While dim >= 5 and the form is
+    indefinite it is isotropic, so the t = min((dim - 5)//2 + 1, pos, neg)
+    planes that must go are stripped in one step; from dim <= 4 one plane
+    is stripped while the current invariants stay isotropic.
     """
     field = f.field
     if isinstance(field, PrimeField):
@@ -305,7 +329,8 @@ def witt_index(f):
         residue = math.prod([c.v for c in f.coeffs], start=(-1) ** (d // 2)) % p
         return d // 2 if is_residue(residue, p) else d // 2 - 1
     state = _InvState(invariants(f))
-    idx = 0
+    idx = min((state.dim - 5) // 2 + 1, state.pos, state.neg) if state.dim >= 5 else 0
+    state.strip_hyperbolic(idx)
     while state.dim >= 2 and state.isotropic():
         state.strip_hyperbolic()
         idx += 1

@@ -43,16 +43,22 @@ from fractions import Fraction
 from .errors import FieldMismatchError
 
 
-# Miller-Rabin with these 13 bases decides primality for every
-# n < MR_BOUND (Sorenson and Webster, 2015).
+# Miller-Rabin with the first k of these 13 bases decides primality for
+# every n below the k-th bound, the least strong pseudoprime to those k
+# bases (Jaeschke 1993; Sorenson and Webster 2015), and all 13 below MR_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PROVEN = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+              3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+              3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+              3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461, MR_BOUND)
 
 
 def is_prime(n):
     """Deterministic Miller-Rabin; ValueError for n >= MR_BOUND, where
     these bases no longer prove primality.  The bases are the primes up to
-    41, so below 43^2 a number none of them divides is prime."""
+    41, so below 43^2 a number none of them divides is prime; above, only
+    the bases its bound in _MR_PROVEN needs are run (5 near 10^11)."""
     if n >= MR_BOUND:
         raise ValueError(f"is_prime: {n} is too large to decide "
                          f"(the limit is {MR_BOUND})")
@@ -67,17 +73,17 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, bound in zip(_MR_BASES, _MR_PROVEN):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
 
 
 def _primes_below(n):

@@ -49,6 +49,19 @@ def test_profile_operations():
     assert not TateProfile([0, 1, 1]).is_palindromic()
 
 
+@pytest.mark.parametrize("data", [[0.5, 1.9], [1.0], [True], {1: 0.5}, {1.0: 1},
+                                  {1: True}, {1: 0.0}, [-1], {2: -1}])
+def test_profile_refuses_degrees_and_counts_that_are_not_int(data):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        TateProfile(data)
+
+
+def test_profile_drops_zero_counts():
+    p = TateProfile({1: 0, 2: 2})
+    assert p == TateProfile([2, 2]) and hash(p) == hash(TateProfile([2, 2]))
+    assert repr(p) == "TateProfile([2, 2])" and repr(TateProfile({1: 0})) == "TateProfile([])"
+
+
 def test_invalid_summands():
     with pytest.raises(ValueError):
         F(0, 3)

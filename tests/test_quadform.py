@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -247,8 +248,9 @@ def hasse_forms():
 
 
 def test_hasse_matches_pairwise_product():
-    """invariants(f).hasse, taken from prefix products, against the
-    definition prod_{i<j} (d_i, d_j)_v, place by place."""
+    """invariants(f).hasse, taken from each coefficient's valuation and
+    unit, against the definition prod_{i<j} (d_i, d_j)_v as a product of
+    hilbert_symbol over the pairs, place by place."""
     for f in hasse_forms():
         oracle = {}
         for v in relevant_places(f):
@@ -270,9 +272,11 @@ def test_witt_index_matches_recorded_answers():
     assert [witt_index(f) for f in hasse_forms()[-20:]] == RECORDED_WITT_INDICES
 
 
-def test_hasse_invariants_take_one_symbol_per_coefficient(monkeypatch):
-    """invariants makes at most dim - 1 Hilbert-symbol calls per place; the
-    pairwise product took dim (dim - 1) / 2 = 276 here."""
+def test_hasse_invariants_take_no_hilbert_symbol(monkeypatch):
+    """invariants reads each coefficient's local data and takes no Hilbert
+    symbol (the pairwise product took dim (dim - 1) / 2 = 276 per place
+    here); witt_index strips its forced planes in one step, so it takes at
+    most four symbols per place, not one per plane."""
     calls = []
     real = quadform.hilbert_symbol
 
@@ -282,10 +286,123 @@ def test_hasse_invariants_take_one_symbol_per_coefficient(monkeypatch):
 
     f = tensor(pfister(Q, [-1, 3, -5]), QuadForm(Q, (1, -2, Fraction(7, 3))))
     assert f.dim == 24
-    places = relevant_places(f)
+    g = QuadForm(Q, tuple(c for a in range(1, 12) for c in (a, -a)) + (3, 5))
     monkeypatch.setattr(quadform, "hilbert_symbol", counting)
     invariants(f)
-    assert 0 < len(calls) <= (f.dim - 1) * len(places)
+    assert calls == []
+    assert witt_index(g) == 11
+    assert 0 < len(calls) <= 4 * len(relevant_places(g))
+
+
+def _local_oracle_forms():
+    """About 300 seeded Q forms, each with every coefficient's net prime
+    exponents: dims 1..16 and Pfister multiples of dim 24; numerators and
+    denominators carry powers of 2 and of odd primes whose units are 1, 3,
+    5 and 7 mod 8; both signs, and pairs (a, -a)."""
+    rng = random.Random("hasse-local-data")
+    primes = (2, 3, 5, 7, 11, 13, 17, 23, 10007)
+
+    def coefficient():
+        num = den = 1
+        for q in rng.sample(primes, rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                num *= q ** rng.randint(1, 3)
+            else:
+                den *= q ** rng.randint(1, 3)
+        return Fraction(rng.choice((-1, 1)) * num, den)
+
+    forms = []
+    for dim in range(1, 17):
+        for _ in range(16):
+            coeffs = []
+            while len(coeffs) < dim:
+                c = coefficient()
+                coeffs += [c, -c] if rng.random() < 0.2 and len(coeffs) < dim - 1 else [c]
+            rng.shuffle(coeffs)
+            forms.append(QuadForm(Q, tuple(coeffs)))
+    for _ in range(24):
+        params = [coefficient() for _ in range(3)]
+        b = QuadForm(Q, tuple(coefficient() for _ in range(3)))
+        forms.append(tensor(pfister(Q, params), b))
+    return forms
+
+
+def _net_exponents(c):
+    out = {}
+    for q in (2, 3, 5, 7, 11, 13, 17, 23, 10007):
+        n, d, e = c.numerator, c.denominator, 0
+        while n % q == 0:
+            n, e = n // q, e + 1
+        while d % q == 0:
+            d, e = d // q, e - 1
+        if e:
+            out[q] = e
+    return out
+
+
+def _square_at(a, v):
+    """Is the rational a a square in Q_v?  Test-local, from n d."""
+    if v == "inf":
+        return a > 0
+    m, e = a.numerator * a.denominator, 0
+    while m % v == 0:
+        m, e = m // v, e + 1
+    return e % 2 == 0 and (m % 8 == 1 if v == 2 else pow(m, (v - 1) // 2, v) == 1)
+
+
+def _witt_one_plane_at_a_time(dim, disc, pos, neg, hasse):
+    """Witt index from invariants, one hyperbolic plane per step: dim >= 5
+    is isotropic iff indefinite, dim 3 iff (-1, -disc)_v = s_v at every v,
+    dim 4 iff at every v disc is not a square or s_v = (-1, -1)_v, dim 2
+    iff disc = -1; stripping H gives disc -> -disc, s_v -> s_v (-1, disc)_v."""
+    index = 0
+    while dim >= 2:
+        if dim >= 5:
+            iso = pos > 0 and neg > 0
+        elif dim == 2:
+            iso = disc == -1
+        elif dim == 3:
+            iso = all((pos and neg) if v == "inf" else hilbert_symbol(-1, -disc, v) == s
+                      for v, s in hasse.items())
+        else:
+            iso = all((pos and neg) if v == "inf"
+                      else not _square_at(disc, v) or s == hilbert_symbol(-1, -1, v)
+                      for v, s in hasse.items())
+        if not iso:
+            break
+        dim, pos, neg, disc, index = dim - 2, pos - 1, neg - 1, -disc, index + 1
+        hasse = {v: s * hilbert_symbol(-1, disc, v) for v, s in hasse.items()}
+    return index
+
+
+def test_invariants_and_witt_index_match_local_oracles():
+    """invariants (disc, signature, every Hasse symbol and the key order
+    inf, 2, odd primes) against the pairwise hilbert_symbol product and
+    the known factorizations, and witt_index against stripping one plane
+    at a time from those oracle invariants."""
+    forms = _local_oracle_forms()
+    units = set()
+    for f in forms:
+        exps = [_net_exponents(c) for c in f.coeffs]
+        for c, e in zip(f.coeffs, exps):
+            units.add(c.numerator * c.denominator // 2 ** abs(e.get(2, 0)) % 8)
+        total = Counter()
+        for e in exps:
+            total.update({q: x % 2 for q, x in e.items()})
+        places = ["inf", 2] + sorted(q for q in total if q != 2)
+        neg = sum(1 for c in f.coeffs if c < 0)
+        disc = (-1) ** neg * math.prod(q for q, x in total.items() if x % 2)
+        hasse = {v: math.prod(hilbert_symbol(a, b, v)
+                              for a, b in itertools.combinations(f.coeffs, 2))
+                 for v in places}
+        inv = invariants(f)
+        assert (inv.dim, inv.disc, inv.signature) == (f.dim, disc, (f.dim - neg, neg)), f
+        assert list(inv.hasse.items()) == list(hasse.items()), f
+        assert witt_index(f) == _witt_one_plane_at_a_time(
+            f.dim, Fraction(disc), f.dim - neg, neg, hasse), f
+    assert units == {1, 3, 5, 7}
+    assert {f.dim for f in forms} == set(range(1, 17)) | {24}
+    assert any(-c in f.coeffs for f in forms for c in f.coeffs)
 
 
 # -- isotropy ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -159,10 +160,21 @@ def test_factor_multiplies_back_to_primes(n):
     assert is_prime(n) == _trial_division_is_prime(n)
 
 
+def _sieve(n):
+    flags = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, n, q)))
+    return flags
+
+
 def test_is_prime_small_against_trial_division():
-    # below 43^2 the divisibility loop over the bases decides alone
+    # below 43^2 the divisibility loop over the bases decides alone, then
+    # base 2 up to 2047 and bases 2 and 3 on to 10^5, checked by a sieve
     assert [n for n in range(3000) if is_prime(n)] == [
         n for n in range(3000) if _trial_division_is_prime(n)]
+    assert [n for n in range(10 ** 5) if is_prime(n)] == list(
+        itertools.compress(range(10 ** 5), _sieve(10 ** 5)))
 
 
 def test_is_prime_large():
@@ -177,6 +189,71 @@ def test_is_prime_large():
     for n in (MR_BOUND, 1287836182261 * 2575672364521, 2 ** 89 - 1):
         with pytest.raises(ValueError, match="too large"):
             is_prime(n)
+
+
+# The least strong pseudoprime to the first k prime bases, for each k at
+# which it grows, with its factors (Jaeschke 1993; Sorenson and Webster
+# 2015): below it those k bases decide, and is_prime stops there.
+LEAST_STRONG_PSEUDOPRIMES = [
+    (1, 2047, (23, 89)),
+    (2, 1_373_653, (829, 1657)),
+    (3, 25_326_001, (2251, 11251)),
+    (4, 3_215_031_751, (151, 751, 28351)),
+    (5, 2_152_302_898_747, (6763, 10627, 29947)),
+    (6, 3_474_749_660_383, (1303, 16927, 157543)),
+    (8, 341_550_071_728_321, (10670053, 32010157)),
+    (11, 3_825_123_056_546_413_051, (149491, 747451, 34233211)),
+    (12, 318_665_857_834_031_151_167_461, (399165290221, 798330580441)),
+]
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _sieve_window(lo, hi, small):
+    """Primality of lo..hi-1 (lo > 1), crossing off multiples of the primes
+    flagged in small, which must reach sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)
+    for q in itertools.compress(range(len(small)), small):
+        start = max(q * q, -(-lo // q) * q)
+        flags[start - lo::q] = bytes(len(range(start - lo, hi - lo, q)))
+    return flags
+
+
+def test_is_prime_at_each_base_bound():
+    """Each least strong pseudoprime is composite (its factors multiply out)
+    and fools every base before its bound, yet is_prime refuses it.  From
+    the prime below each bound to the prime above, is_prime agrees with a
+    segmented sieve up to 3.5 * 10^12, and beyond with all 13 bases, which
+    decide below MR_BOUND."""
+    small = _sieve(math.isqrt(3_474_749_660_383 + 1000) + 1)
+    for k, n, factors in LEAST_STRONG_PSEUDOPRIMES:
+        assert math.prod(factors) == n and all(1 < q < n for q in factors)
+        assert all(_strong_probable_prime(n, a) for a in PRIME_BASES[:k])
+        assert not is_prime(n)
+        if n < 4 * 10 ** 12:
+            lo = n - 1000
+            flags = _sieve_window(lo, n + 1000, small)
+            truth = lambda m: flags[m - lo]
+        else:
+            truth = lambda m: all(_strong_probable_prime(m, a) for a in PRIME_BASES)
+        below = next(m for m in range(n - 1, 0, -1) if truth(m))
+        above = next(m for m in itertools.count(n + 1) if truth(m))
+        assert all(is_prime(m) == bool(truth(m)) for m in range(below, above + 1)), n
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(MR_BOUND)
 
 
 def test_factor_examples():
