@@ -7,9 +7,9 @@ the source quadric and of the base locus, the hot loops of the
 verification suites.
 
 The product (_mul_acc, _product, _conj) is the package's only one:
-cayley_dickson, jordan, birational and the base-locus sweep use it.  This
-module imports only scalars, since quadform, which cayley_dickson
-imports, imports it.
+cayley_dickson, jordan, birational and the sweeps use it.  This module
+imports only scalars, since quadform, which cayley_dickson imports,
+imports it.
 
 Every kernel checks the modulus before building anything: p must be an odd
 prime below 2^31, and any other p raises the same ValueError.  The counters
@@ -24,9 +24,8 @@ p, and a sweep stores at most p answers.  At p near 2^31 that answers in
 milliseconds, where a walk over every point can take a minute.  No walk
 stores range(p) either: _tuples draws lazily, and a level of the block
 walk holds no more states than the choices of blocks it replaces.  The
-quadric sweep's other table, of the later last prefix blocks' quadric
-terms, holds counts alone, one entry per term at most, so it is bounded
-by p.
+quadric sweep's count of the later last prefix blocks by norm holds one
+entry per residue, so it is bounded by p.
 
 Projective points are enumerated in canonical form, first nonzero
 coordinate equal to 1, via an odometer on the trailing coordinates.
@@ -37,58 +36,36 @@ entries, and the norm form N(e_0) = gamma[0][0], N(e_t) = -gamma[t][t]
 (t >= 1).  Products are table driven: e_i e_j = gamma[i][j] e_{i XOR j},
 conjugation negates coordinates 1..m-1.  Every b_i must be a unit mod p.
 
-The sweeps skip the points that cannot pass the first test, so far fewer
-points are visited than the space holds, while the counters (including
-`scanned`, the number of points of the space) are those of a test of
-every point; the tests compare them with per-point evaluators.  Both
-sweeps run on one walk, _block_walk, of the canonical points of
-P(C^{n-1}) as blocks c_0..c_{n-2} of m coordinates: the lead block (the
-first nonzero one) from _points, each later block from _tuples.  The walk
-fixes the blocks one level at a time and passes down what the fixed
-blocks give the sweep, its state, reduced mod p; the choices of blocks
-that leave one state merge, so a level costs its distinct states times
-its blocks, and each sweep runs the last block once per distinct state
-and multiplies its counters.  Where a state's last blocks are the null
-vectors of a kernel, a true table (c conj(c) = N(c) for every c) has
-them counted, not listed: _null_count reads their number off the rank
-and discriminant of the norm on the kernel.
+Each sweep reads the m^2 products E[s][t] = e_s conj(e_t) off the table
+once, +-gamma_st e_{s XOR t} with the minus sign for t >= 1, and splits
+at its top on whether they are those of a composition table
+(_composition_table), as every Cayley-Dickson table's are.  Any other
+table, which no caller builds, is walked point by point (_quadric_points,
+_z1_points), each check made on the point's matrix c_i conj(c_j) b_j.
+
+On a composition table c conj(c) is the scalar N(c), the norm, and a
+point's matrix is sigma_b-symmetric, with trace the quadric's value and
+column n-1 b_n x c, so only the base-locus checks are left.  The
+structured walk skips the points that cannot pass the first test, while
+the counters (including `scanned`, the number of points of the space)
+are those of a test of every point.  Both sweeps run on one walk,
+_block_walk, of the canonical points of P(C^{n-1}) as blocks
+c_0..c_{n-2} of m coordinates: the lead block (the first nonzero one)
+from _points, each later block from _tuples.  The walk fixes the blocks
+one level at a time and passes down what the fixed blocks give the
+sweep, its state, reduced mod p; the choices of blocks that leave one
+state merge, so a level costs its distinct states times its blocks, and
+each sweep runs the last block once per distinct state and multiplies
+its counters.  Where a state's last blocks are the null vectors of a
+kernel, _null_count reads their number off the rank and discriminant of
+the norm on the kernel.
 
 - Quadric points are walked fibre by fibre: the points sharing their
   first N-1 coordinates (the prefix) differ only in the last one, and the
   value of the form on the prefix picks the last coordinate's roots.
-  The prefixes are the points of the walk, every block a candidate.
-- A base-locus point has c_i conj(c_i) = 0 for every block, so only null
-  blocks are candidates, and a level whose block fails a pair check
-  skips every point below it.  The null blocks are found once per sweep
-  from the norm's fibres: the norm is the e_0 coordinate of
-  c_i conj(c_i), so the blocks of norm 0 are a prefix of m - 1
-  coordinates and a root of the last one, and only they are tested for
-  the rest of c_i conj(c_i) being 0.
-
-The quadric sweep makes each check at the outermost level where
-everything it reads is fixed.  On a fibre the blocks c_0..c_{n-2} are
-fixed and the last block is x e_0, x a root.  The matrix entries
-c_i conj(c_j) b_j with i, j < n-1 (the corner) depend on the prefix
-alone.  The table product is bilinear, so column n-1 is
-x c_i conj(e_0) b_n, row n-1 is x e_0 conj(c_j) b_j and the last diagonal
-entry is x^2 gamma_00 b_n e_0, for any table.  Every b_i and every x != 0
-is a unit because p is prime, so a check of x v = 0, or of x v = x w, is a
-check of v = 0, or of v = w, and the b_i factor out of the same way: each
-check splits into a part on the prefix's products and a test of x = 0 and
-of the trace, made per point.  The prefix's part is an AND over its
-blocks and its pairs of blocks.
-
-Each sweep reads the m^2 products E[s][t] = e_s conj(e_t) off the table
-once, +-gamma_st e_{s XOR t} with the minus sign for t >= 1, and reads
-from them every fact a block gives its checks, for any table.  The e_0
-coordinate of c conj(c) is N(c), so the trace on a fibre is
-(gamma_00 - 1) b_n x^2; the rest of c conj(c) is a quadratic form in c;
-the checks of column n-1 are linear in c, and a pair check (c_i, c_j),
-i < j, is linear in c_j by rows built at the level that fixed c_i.  For
-a true table all of these but the rows of the product checks are empty.
-The quadric sweep forms no product; the base-locus sweep forms
-conj(c) c by _product, for the blocks of the locus' points alone.  Each
-sweep's docstring tells how it runs the last block.
+- A base-locus point has N(c_i) = 0 for every block, so only null blocks
+  are candidates, found once per sweep from the norm's fibres, and a
+  level whose block fails a pair check skips every point below it.
 """
 
 import collections
@@ -99,7 +76,7 @@ import operator
 
 from .scalars import is_prime, is_residue, least_nonresidue
 
-# at most this many blocks' facts are held in a sweep's block cache
+# at most this many blocks' norms are held in a sweep's block cache
 _BLOCK_CAP = 1 << 16
 
 
@@ -307,39 +284,23 @@ def _basis_products(p, gamma):
     return E
 
 
-def _nonscalar(p, E):
-    """c -> whether c conj(c) has a nonzero coordinate off e_0.  Its
-    coordinate k != 0 is the form sum (E[s][t] + E[t][s])_k c_s c_t over
-    s < t with s XOR t = k, read from E once; for a true table every form
-    is zero, as c conj(c) = N(c), and the answer is None."""
-    forms = {}
-    for s, t in itertools.combinations(range(len(E)), 2):
-        if g := (E[s][t][s ^ t] + E[t][s][s ^ t]) % p:
-            forms.setdefault(s ^ t, []).append((s, t, g))
-    forms = list(forms.values())
-    if not forms:
-        return None
-
-    def ns(c):
-        return any(sum(g * c[s] * c[t] for s, t, g in form) % p for form in forms)
-
-    return ns
-
-
-def _rows(cols):
-    """The nonzero rows of the linear map whose column t is cols[t]."""
-    return [r for r in zip(*cols) if any(r)]
+def _composition_table(p, E):
+    """Whether the products E[s][t] = e_s conj(e_t) are those of a
+    composition table: e_s conj(e_t) = conj(e_t conj(e_s)) for all s, t,
+    and e_s conj(e_0) = e_s.  By bilinearity the first makes
+    c conj(y) = conj(y conj(c)) for all c and y, so c conj(c) is the scalar
+    N(c); the second makes c conj(e_0) = c and gamma_00 = 1."""
+    m = len(E)
+    return all(E[s][0][s] == 1 and all(E[s][t] == [v % p for v in _conj(E[t][s])]
+                                       for t in range(m)) for s in range(m))
 
 
 def _linear_rows(p, images):
     """c -> the tuple of nonzero rows of sum_s c_s M_s mod p, images[s] the
     columns of the linear map M_s: for maps linear in a block c, each M_s
-    its value at c = e_s.  The entries are read once; when every M_s is
-    zero no block pays for anything."""
+    its value at c = e_s.  The entries are read once."""
     width = len(images[0])
     entries = list(zip(*(itertools.chain.from_iterable(zip(*cols)) for cols in images)))
-    if not any(map(any, entries)):
-        return lambda c: ()
 
     def rows(c):
         flat = [sum(map(operator.mul, c, e)) % p for e in entries]
@@ -381,15 +342,6 @@ def _kernel_basis(m, rows):
     pivots = {row.index(1): row for row in rows}
     return [tuple(-pivots[i][j] if i in pivots else int(i == j) for i in range(m))
             for j in range(m) if j not in pivots]
-
-
-def _kernel(p, m, rows):
-    """Every y in F_p^m with rows y = 0, for rows in reduced echelon form:
-    the combinations of _kernel_basis(m, rows)."""
-    basis = _kernel_basis(m, rows)
-    cols = [[v[i] for v in basis] for i in range(m)]
-    for a in itertools.product(range(p), repeat=len(basis)):
-        yield tuple(sum(map(operator.mul, a, col)) % p for col in cols)
 
 
 def _block_walk(p, m, nn, candidates, fix, state):
@@ -447,224 +399,145 @@ def quadric_sweep(p, b, gamma):
 
     Returns (scanned, on_quadric, base_points, zslice_points,
     roundtrip_checked, roundtrip_fail, sym_fail, trace_fail, diag_fail).
-    Only the points on the quadric are visited, one fibre at a time.
+    A table that is not a composition table is walked point by point, by
+    _quadric_points.  On a composition table the four `*_fail` checks
+    hold at every point, and only the points on the quadric are counted,
+    one fibre at a time.
 
-    The fibres' prefixes c_0..c_{n-2} are the points of _block_walk, every
-    block a candidate.  The level that fixes block j adds its quadric term
-    mod p, ANDs its facts and checks the pairs (c_i, c_j), i < j, for the
-    symmetry and for both products zero, and passes the state down: the
-    sum, the ANDs and the rows of the pair checks, as tuples.  The
-    candidates of a later last prefix block are grouped by their quadric
-    term once per sweep into the counts of each class's facts, for a true
-    table from the norm's values alone, and each distinct state looks up
-    the roots once per class and adds the class's counters, times its
-    number of prefixes; while every product of the fixed blocks is zero,
-    the base points among the class of norm 0 are the null vectors of the
-    zero rows' kernel, counted by _null_count on a true table.  The one state whose last prefix block is the lead
-    and a state that keeps its fixed blocks' symmetry rows are counted
-    block by block.  The checks that read x (the trace, the symmetry of
-    row and column n-1, the base point and the round trip) are counted per
-    root.
+    The fibres' prefixes c_0..c_{n-2} are the points of _block_walk.  The
+    level that fixes block j adds its quadric term b_j N(c_j) mod p and,
+    while the fixed blocks' products c_i conj(c_k) are all zero, the rows
+    of y -> c_j conj(y) in reduced echelon form: a later null block keeps
+    the products zero when the rows vanish on it, as y conj(c_j) is the
+    conjugate of c_j conj(y).  The last prefix block's candidates are
+    counted by norm, and each distinct state looks up the roots once per
+    norm.  While the fixed blocks' products are zero the prefix's value is
+    0, so a block of norm 0 has the one root x = 0, and the null vectors
+    of the rows' kernel (_null_count; every null block when there are no
+    rows) are the base points.  Of the other points, those with x = 0 are
+    on the inverse map's base locus (zslice_points), the rest round trips.
     """
     n, m = _sweep_shape(p, b, gamma)
-    N = m * (n - 1) + 1
-    on_quadric = base_points = zslice_points = 0
-    roundtrip_checked = roundtrip_fail = 0
-    sym_fail = trace_fail = diag_fail = 0
     E = _basis_products(p, gamma)
-    ns = _nonscalar(p, E)
+    if not _composition_table(p, E):
+        return _quadric_points(p, b, gamma)
     pf = _norm_form(gamma)
-    # the e_0 coordinate of c_i conj(c_i) is N(c_i), so the corner's trace
-    # is the prefix's quadric value and the whole trace on a fibre is
-    # (gamma_00 - 1) b_n x^2: it fails at each root x != 0 when gamma_00 != 1
-    bad_trace = gamma[0][0] % p != 1
+    left = _linear_rows(p, E)           # c -> the rows of y -> c conj(y)
     lookup = _roots(p, b[n - 1] % p)
-    # C(c) = c conj(e_0) and R(c) = e_0 conj(c) are linear in c: the rows
-    # of c -> C(c) - conj(R(c)) and of c -> C(c) - c, empty for a true table
-    sx_rows = _rows([[(x - y) % p for x, y in zip(E[t][0], _conj(E[0][t]))]
-                     for t in range(m)])
-    col_rows = _rows([[(x - (k == t)) % p for k, x in enumerate(E[t][0])]
-                      for t in range(m)])
-    # the rows that check a later block y against a fixed block c, linear in
-    # c: y -> c conj(y) - conj(y conj(c)) for the symmetry, empty for a true
-    # table, and y -> (c conj(y), y conj(c)) for both products 0
-    sym_map = _linear_rows(p, [[[(x - y) % p for x, y in zip(E[s][t], _conj(E[t][s]))]
-                                for t in range(m)] for s in range(m)])
-    zero_map = _linear_rows(p, [[E[s][t] + E[t][s] for t in range(m)] for s in range(m)])
-    # a true table: every c conj(c) is scalar, and C(c) = conj(R(c)) = c
-    true_table = ns is None and not (sx_rows or col_rows)
+    bl = b[n - 2]                       # the last prefix block's b
 
-    # the fixed levels and the tables read every block's facts, and a level
-    # counted block by block reads them again for its blocks with roots; a
-    # cache smaller than p^m evicts each entry before its next use, and at
-    # about 370 bytes an entry with its key (m = 8) the cap holds it near
-    # 23 MiB
+    # the fixed levels and the lead's count read every block's norm; a
+    # cache smaller than p^m evicts each entry before its next use
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
-    def block(c):
-        """What block c alone gives the checks: its norm N(c), whether
-        c conj(c) is not scalar, whether C = conj(R) and whether C = c."""
-        return (sum(map(operator.mul, pf, map(operator.mul, c, c))), bool(ns and ns(c)),
-                _in_kernel(sx_rows, c, p), _in_kernel(col_rows, c, p))
+    def norm(c):
+        return sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
 
-    def is_null(c):
-        """Whether c conj(c) = 0: its norm and its coordinates off e_0."""
-        nrm, ns_c, _, _ = block(c)
-        return not (nrm % p or ns_c)
-
-    # mat[i][j] = c_i conj(c_j) b_j has column n-1 x C_i b_n and row n-1
-    # x R_j b_j; the b_j are units, so the products without them decide
-    # every check but the trace.  What the fixed blocks give: the quadric
-    # value s mod p, the number of nonscalar diagonal entries, zero (every
-    # c_i conj(c_j) = 0), sym (sigma_b symmetry on the corner), sym_x (on
-    # row and column n-1), good (column n-1 is b_n x c) and the rows that
-    # check a later block against them, kept only while the check they
-    # serve holds, the zero rows in reduced echelon form
     def fix(state, j, cj):
-        s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
-        nrm, ns_j, sx, col = block(cj)
-        zero = zero and is_null(cj) and _in_kernel(zero_rows, cj, p)
-        sym = sym and _in_kernel(sym_rows, cj, p)
-        return ((s + b[j] * nrm) % p, nonscalar + ns_j, zero, sym, sym_x and sx, good and col,
-                sym_rows + sym_map(cj) if sym else (),
-                _echelon(p, zero_rows + zero_map(cj)) if zero else ())
-
-    bl = b[n - 2]               # the last prefix block's b
-    w = [bl * x for x in pf]
+        s, zero, rows = state
+        zero = zero and not norm(cj) and _in_kernel(rows, cj, p)
+        return (s + b[j] * norm(cj)) % p, zero, _echelon(p, rows + left(cj)) if zero else ()
 
     def candidates(lead):
         return _points(p, m) if lead else _tuples(p, m)
 
-    # the term depends on the block alone, so the later level merges its
-    # blocks by term once per sweep, with each class's counts: its blocks,
-    # and how many of them have c conj(c) not scalar, fail C = conj(R) and
-    # fail C = c.  At most p classes, whatever p^m is
     @functools.cache
-    def table():
-        if true_table:
-            # every block's facts are (N(c), False, True, True): count the
-            # blocks per norm, adding the coordinates' terms one at a time
-            norms = {0: 1}
-            for a in pf:
-                added = collections.Counter()
-                for x in range(p):
-                    for v, cnt in norms.items():
-                        added[(v + a * x * x) % p] += cnt
-                norms = added
-            return [(bl * v % p, [cnt, 0, 0, 0]) for v, cnt in norms.items()]
-        by_term = {}
-        for c in _tuples(p, m):
-            nrm, ns_c, sx, col = block(c)
-            counts = by_term.setdefault(bl * nrm % p, [0, 0, 0, 0])
-            counts[0] += 1
-            counts[1] += ns_c
-            counts[2] += not sx
-            counts[3] += not col
-        return list(by_term.items())
+    def norms(lead):
+        """{N(c): count} over the last prefix block's candidates: the
+        lead's one by one, a later block's one coordinate at a time."""
+        if lead:
+            return collections.Counter(map(norm, _points(p, m)))
+        counts = {0: 1}
+        for a in pf:
+            added = collections.Counter()
+            for x in range(p):
+                for v, cnt in counts.items():
+                    added[(v + a * x * x) % p] += cnt
+            counts = added
+        return counts
 
-    def classes(s, zero, sym, sym_x, good, zero_rows):
-        """The parts of a later state that keeps no symmetry rows: its
-        fixed blocks treat every block of a class alike but for its facts.
-        Their zero rows hold only on null blocks, all in the class v = 0 (a
-        zero state has s = 0, and xs = (0,)): with no rows on every null
-        block of it, else on the null vectors of the rows' kernel, counted
-        on a true table and listed on any other."""
-        for v, (cnt, nns, nsx, ncol) in table():
-            xs = lookup((s + v) % p)
+    on_quadric = base_points = zslice_points = roundtrip_checked = 0
+    for (lead, (s, zero, rows)), mult in _block_walk(p, m, n - 1, candidates, fix,
+                                                     (0, True, ())).items():
+        for v, cnt in norms(lead).items():
+            xs = lookup((s + bl * v) % p)
             if not xs:
                 continue
-            nulls = 0
-            if zero and not v:
-                nulls = (_null_count(p, pf, zero_rows) if true_table else
-                         sum(map(is_null, _kernel(p, m, zero_rows))) if zero_rows else cnt - nns)
-            yield xs, cnt - nulls, nns, nsx if sym_x else cnt, ncol if good else cnt, False, sym
-            if nulls:
-                yield xs, nulls, 0, 0, 0, True, sym
-
-    def apart(lead, s, zero, sym, sym_x, good, sym_rows, zero_rows):
-        """Each candidate of the last prefix block with roots as a part of
-        one; its facts are read once its roots are known."""
-        for c in candidates(lead):
-            xs = lookup((s + sum(map(operator.mul, w, map(operator.mul, c, c)))) % p)
-            if not xs:
-                continue
-            _, ns_c, sx, col = block(c)
-            yield (xs, 1, ns_c, not (sym_x and sx), not (good and col),
-                   zero and is_null(c) and _in_kernel(zero_rows, c, p),
-                   sym and _in_kernel(sym_rows, c, p))
-
-    walk = _block_walk(p, m, n - 1, candidates, fix,
-                       (0, 0, True, True, True, not bad_trace, (), ()))
-    for (lead, state), mult in walk.items():
-        s, nonscalar, zero, sym, sym_x, good, sym_rows, zero_rows = state
-        # a lead level is the last prefix level of one state alone, and the
-        # fixed blocks' symmetry rows tell blocks apart
-        if not (lead or sym_rows):
-            parts = classes(s, zero, sym, sym_x, good, zero_rows)
-        else:
-            parts = apart(lead, s, zero, sym, sym_x, good, sym_rows, zero_rows)
-        for xs, cnt, nns, nsx, ncol, z, sy in parts:
-            # cnt blocks, of which nns have a nonscalar diagonal entry,
-            # nsx fail the symmetry of row and column n-1 and ncol fail
-            # column n-1 = b_n x c, once for each of the mult choices of
-            # the fixed blocks; each has every root in xs, nz of them units
-            cnt, nns, nsx, ncol = cnt * mult, nns * mult, nsx * mult, ncol * mult
-            nz = len(xs) if xs[0] else 0
+            cnt *= mult
             on_quadric += cnt * len(xs)
-            diag_fail += len(xs) * (cnt * nonscalar + nns)
-            trace_fail += bad_trace * cnt * nz
-            # sigma_b symmetry: b_i mat[i][j] = b_j conj(mat[j][i]), that
-            # is c_i conj(c_j) = conj(c_j conj(c_i)); on the corner
-            # (i, j < n-1) for all x, on row and column n-1 for a unit x
-            sym_fail += nz * nsx if sy else cnt * len(xs)
-            # a zero matrix is a base point, with nothing more to test:
-            # the b_j are units, so every c_i conj(c_j) = 0, and on the
-            # quadric the first n-1 diagonal entries sum to -b_n x^2, so
-            # x = 0; the corner is zero exactly then
-            if z:
-                base_points += cnt * len(xs)
-            else:
-                # column n of the matrix, c_i conj(x) b_n, is the inverse
-                # map's slice; x = 0 makes it vanish: the inverse base
-                # locus.  Otherwise column n equals b_n x c, block by block
-                zslice_points += cnt * (len(xs) - nz)
-                roundtrip_checked += cnt * nz
-                roundtrip_fail += nz * ncol
-    return (projective_size(p, N), on_quadric, base_points, zslice_points,
-            roundtrip_checked, roundtrip_fail, sym_fail, trace_fail,
-            diag_fail)
+            if zero and not v:
+                nulls = mult * _null_count(p, pf, rows) if rows else cnt
+                base_points += nulls
+                cnt -= nulls
+            nz = len(xs) if xs[0] else 0        # the roots x != 0
+            zslice_points += cnt * (len(xs) - nz)
+            roundtrip_checked += cnt * nz
+    return (projective_size(p, m * (n - 1) + 1), on_quadric, base_points, zslice_points,
+            roundtrip_checked, 0, 0, 0, 0)
+
+
+def _quadric_points(p, b, gamma):
+    """quadric_sweep's counters for any table, point by point: each check
+    is made on the matrix mat[i][j] = c_i conj(c_j) b_j of each point on
+    the quadric, the last block being x e_0."""
+    n, m = len(b), len(gamma)
+    w = [bi * a for bi in b[:-1] for a in _norm_form(gamma)] + [b[-1]]
+    counts = [0] * 9
+    for pt in _points(p, len(w)):
+        counts[0] += 1
+        if sum(map(operator.mul, w, map(operator.mul, pt, pt))) % p:
+            continue
+        x = pt[-1]
+        blocks = [pt[i:i + m] for i in range(0, len(w) - 1, m)] + [(x,) + (0,) * (m - 1)]
+        mat = [[[v * bj % p for v in _product(gamma, ci, _conj(cj))]
+                for cj, bj in zip(blocks, b)] for ci in blocks]
+        counts[1] += 1
+        if not any(map(any, itertools.chain.from_iterable(mat))):
+            counts[2] += 1
+        elif not x:
+            counts[3] += 1
+        else:
+            counts[4] += 1
+            counts[5] += any(col[n - 1] != [b[-1] * x * v % p for v in c]
+                             for col, c in zip(mat, blocks))
+        counts[6] += any([b[i] * v % p for v in mat[i][j]] !=
+                         [b[j] * v % p for v in _conj(mat[j][i])]
+                         for i in range(n) for j in range(i + 1, n))
+        counts[7] += sum(mat[i][i][0] for i in range(n)) % p != 0
+        counts[8] += sum(any(mat[i][i][1:]) for i in range(n))
+    return tuple(counts)
 
 
 def z1_sweep(p, b, gamma):
     """Walk P(C^{n-1}) over F_p and compare two membership predicates for
     the source base locus: all products c_i conj(c_j) = 0, and the square
     of the half-space element x(c) vanishing.  Returns (scanned, z1_points,
-    equiv_fail).
+    equiv_fail).  A table that is not a composition table is walked point
+    by point, by _z1_points.
 
     Off-locus points fail the first predicate; there x(c)^2 != 0 too (its
     entries include the b_j c_i conj(c_j), and the b_j are units), so the
-    predicates agree with nothing left to verify.  The points are those of
-    _block_walk whose every block c_i is null, c_i conj(c_i) = 0: the
-    candidates are the null blocks of each order, read from the norm's
-    fibres.  c_j conj(c_i) is the conjugate of c_i conj(c_j), so the pairs
-    i < j decide the rest: the level that fixes c_j checks
-    c_i conj(c_j) = 0 for each fixed c_i, by the rows of y -> c_i conj(y)
-    built where c_i was fixed and kept in reduced echelon form, and skips
-    every point below at the first that fails.  The
+    predicates agree with nothing left to verify.  On a composition table
+    c_j conj(c_i) is the conjugate of c_i conj(c_j), so the blocks' norms
+    and the pairs i < j decide the locus.  Its points are those of
+    _block_walk whose every block is null: the candidates are the null
+    blocks of each order, read from the norm's fibres.  The level that
+    fixes c_j checks c_i conj(c_j) = 0 for each fixed c_i, by the rows of
+    y -> c_i conj(y) built where c_i was fixed and kept in reduced echelon
+    form, and skips every point below at the first that fails.  The
     remaining entry of x(c)^2 is the corner, b_n^{-1} times
     sum_k b_k conj(c_k) c_k, summed level by level mod p; it must vanish
     on the locus.  A state is the corner and the rows, and each distinct
     one is walked once, its counters times its number of prefixes.  The
     last block's points are the null vectors of the rows' kernel, or, for
-    a state without rows, such as the lead's, the null blocks.  On a true
-    table conj(c) c = N(c) is 0 on them, so a state adds their number
-    (_null_count) to z1_points, and to equiv_fail when its corner is not
-    0; on any other table the kernel is listed and each point tested.
+    a state without rows, such as the lead's, the null blocks; conj(c) c
+    = N(c) is 0 on them, so a state adds their number (_null_count) to
+    z1_points, and to equiv_fail when its corner is not 0.
     """
     n, m = _sweep_shape(p, b, gamma)
-    nn = n - 1
-    z1_points = equiv_fail = 0
     E = _basis_products(p, gamma)
-    ns = _nonscalar(p, E)
+    if not _composition_table(p, E):
+        return _z1_points(p, b, gamma)
+    z1_points = equiv_fail = 0
     left = _linear_rows(p, E)           # c -> the rows of y -> c conj(y)
     pf = _norm_form(gamma)
     wl = pf[-1] % p
@@ -679,22 +552,16 @@ def z1_sweep(p, b, gamma):
     def null(lead):
         """The null blocks in the lead order or the later one.  The prefixes
         of m - 1 coordinates run in that order, _points or _tuples, each
-        giving the blocks prefix + (x,) for the roots x of the norm on it;
-        only these pay for the test of c conj(c) being scalar.  The lead
-        order ends with e_{m-1}, null when N(e_{m-1}) = 0 (its square is
-        on e_0)."""
-        out = []
-        for pre in _points(p, m - 1) if lead else _tuples(p, m - 1):
-            for x in roots(sum(map(operator.mul, pf, map(operator.mul, pre, pre))) % p) or ():
-                c = (*pre, x)
-                if not (ns and ns(c)):
-                    out.append(c)
+        giving the blocks prefix + (x,) for the roots x of the norm on it.
+        The lead order ends with e_{m-1}, null when N(e_{m-1}) = 0."""
+        out = [(*pre, x) for pre in (_points(p, m - 1) if lead else _tuples(p, m - 1))
+               for x in roots(sum(map(operator.mul, pf, map(operator.mul, pre, pre))) % p) or ()]
         if lead and not wl:
             out.append((0,) * (m - 1) + (1,))
         return out
 
-    # only the fixed blocks and the last blocks of the locus' points read
-    # their term conj(c) c; at most _BLOCK_CAP of them are held
+    # only the fixed blocks read their term conj(c) c; at most _BLOCK_CAP
+    # of them are held
     @functools.lru_cache(maxsize=min(p ** m, _BLOCK_CAP))
     def term(c):
         return [v % p for v in _product(gamma, _conj(c), c)]
@@ -706,22 +573,28 @@ def z1_sweep(p, b, gamma):
         return (tuple((u + b[j] * v) % p for u, v in zip(corner, term(c))),
                 _echelon(p, rows + left(c)))
 
-    walk = _block_walk(p, m, nn, null, fix, ((0,) * m, ()))
-    for (lead, (corner, rows)), mult in walk.items():
-        if ns is None:
-            # the coordinates of conj(c) c off e_0 are those of c conj(c) up
-            # to sign, so on a true table a null last block adds 0 to the corner
-            cnt = mult * (_null_count(p, pf, rows) if rows else len(null(lead)))
-            z1_points += cnt
-            equiv_fail += cnt * any(corner)
+    for (lead, (corner, rows)), mult in _block_walk(p, m, n - 1, null, fix,
+                                                    ((0,) * m, ())).items():
+        cnt = mult * (_null_count(p, pf, rows) if rows else len(null(lead)))
+        z1_points += cnt
+        equiv_fail += cnt * any(corner)
+    return projective_size(p, m * (n - 1)), z1_points, equiv_fail
+
+
+def _z1_points(p, b, gamma):
+    """z1_sweep's counters for any table, point by point: a point is on
+    the locus when c_i conj(c_j) = 0 for all i <= j, and fails there when
+    its corner sum_k b_k conj(c_k) c_k is not 0."""
+    n, m = len(b), len(gamma)
+    z1_points = equiv_fail = 0
+    for pt in _points(p, m * (n - 1)):
+        blocks = [pt[i:i + m] for i in range(0, len(pt), m)]
+        if any(v % p for i, ci in enumerate(blocks) for cj in blocks[i:]
+               for v in _product(gamma, ci, _conj(cj))):
             continue
-        if rows:
-            blocks = (c for c in _kernel(p, m, rows)
-                      if not (sum(map(operator.mul, pf, map(operator.mul, c, c))) % p
-                              or ns and ns(c)))
-        else:
-            blocks = null(lead)
-        for c in blocks:
-            z1_points += mult
-            equiv_fail += mult * any((u + b[nn - 1] * v) % p for u, v in zip(corner, term(c)))
-    return projective_size(p, m * nn), z1_points, equiv_fail
+        z1_points += 1
+        corner = [0] * m
+        for bk, ck in zip(b, blocks):
+            _mul_acc(gamma, [bk * v for v in _conj(ck)], ck, corner)
+        equiv_fail += any(v % p for v in corner)
+    return projective_size(p, m * (n - 1)), z1_points, equiv_fail

@@ -42,13 +42,13 @@ DEFAULT_BUDGET = 20000
 # README's example.  The sweeps walk each distinct state of their block
 # walk once, not each point.  On the birational spaces of a shared 2-core
 # x86-64 VM the quadric sweep took the 1.9M points of (p, r, n) =
-# (11, 1, 4) in 2 ms, the 6.7M of (7, 2, 3) in 6 ms, the 0.8M of
-# (3, 2, 4) in 4 ms and the 64.6M of (3, 1, 9) in 1-3 ms; the slowest
-# is (3, 3, 3), whose states do not merge, 64.6M points in 0.18-0.27 s,
-# so a sweep at this ceiling takes well under a second there.  The z1
-# sweep, which counts its last block's null vectors, ran from 170
-# million points/s on the base locus of (3, 3, 3) (0.11-0.13 s) to over
-# 30 billion on that of (3, 1, 9).
+# (11, 1, 4), the 6.7M of (7, 2, 3), the 0.8M of (3, 2, 4) and the
+# 64.6M of (3, 1, 9) in 0.4-1.7 ms each; the slowest is (3, 3, 3),
+# whose states do not merge, 64.6M points in 57-82 ms, so a sweep at
+# this ceiling takes well under a second there.  The z1 sweep, which
+# counts its last block's null vectors, ran from 380 million points/s
+# on the base locus of (3, 3, 3) (56-58 ms) to 75 billion on that of
+# (3, 1, 9).
 MAX_BUDGET = 10 ** 8
 DEFAULT_SAMPLES = 120
 # Largest sample count verify.run_suite accepts.  A case samples that many

@@ -1,6 +1,7 @@
 """The mod-p kernels against the exact cardinality oracles, and against
-per-point evaluators on true and corrupted tables.  Every sweep walks its
-whole space."""
+per-point evaluators on true and corrupted tables: a composition table
+takes the structured walks and any other table the point-by-point ones.
+Every sweep walks its whole space."""
 
 import inspect
 import itertools
@@ -11,6 +12,8 @@ import pytest
 
 from jordanquad import _fpcore_py, fpkernels, motives, scalars, sweeps
 from jordanquad.birational import ProjPointC, in_z1, q_form
+from jordanquad.cayley_dickson import CDAlgebra
+from jordanquad.jordan import JordanAlgebra
 from jordanquad.quadform import (QuadForm, evaluate, fp_projective_zero_count,
                                  isotropic_vector_search, tensor)
 from jordanquad.scalars import PrimeField
@@ -338,11 +341,14 @@ def _draws_between_tables(rng, p, m, n):
 def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(monkeypatch):
     """On random tables and b, zero entries included, the quadric and z1
     sweeps give the counters of their per-point evaluations, and between
-    them the tables fire every counter.  A table whose c conj(c) is not
-    always scalar has its kernels' null vectors listed by _kernel, one by
-    one, so this test reaches that path."""
-    kernels = [0]
-    _counting(monkeypatch, "_kernel", kernels)
+    them the tables fire every counter.  Every table of draws 1 and 2
+    breaks a composition identity and is walked point by point; the true
+    tables of draw 0 never are, nor those of draw 3 with m > 1, whose zero
+    N(e_{m-1}) keeps both identities, so the structured walks meet a
+    degenerate norm there."""
+    walked = [0]
+    _counting(monkeypatch, "_quadric_points", walked)
+    _counting(monkeypatch, "_z1_points", walked)
     rng = random.Random(14)
     fired = set()
     for p, m, n in CORRUPTED_SHAPES:
@@ -364,14 +370,18 @@ def test_quadric_sweep_matches_per_point_evaluator_on_corrupted_tables(monkeypat
                 gamma[0][1] = (gamma[1][0] + 1) % p
             b = [rng.randrange(1, p) for _ in range(n)]
             _draws_between_tables(rng, p, m, n)
+            walked[0] = 0
             for name, names, per_point in (
                     ("quadric_sweep", sweeps._QUADRIC_COUNTERS, _quadric_sweep_per_point),
                     ("z1_sweep", sweeps._Z1_COUNTERS, _z1_sweep_per_point)):
                 got = getattr(_fpcore_py, name)(p, b, gamma)
                 assert got == per_point(p, b, gamma), (name, p, m, n, b, gamma)
                 fired |= {k for k, v in zip(names, got) if v}
+            if draw in (1, 2):
+                assert walked[0] == 2, (p, m, n, gamma)
+            elif draw == 0 or draw == 3 and m > 1:
+                assert walked[0] == 0, (p, m, n, gamma)
     assert fired == set(sweeps._QUADRIC_COUNTERS + sweeps._Z1_COUNTERS)
-    assert kernels[0]
 
 
 def _kernel_point(alg, c, last):
@@ -527,19 +537,27 @@ def test_z1_sweep_walks_the_norm_fibres(monkeypatch):
     assert drawn[0] <= 2 * p
 
 
+def _kernel(p, m, rows):
+    """Every y in F_p^m with rows y = 0, for rows in reduced echelon form:
+    the combinations of _fpcore_py._kernel_basis(m, rows)."""
+    basis = _fpcore_py._kernel_basis(m, rows)
+    for a in itertools.product(range(p), repeat=len(basis)):
+        yield tuple(sum(ai * v[i] for ai, v in zip(a, basis)) % p for i in range(m))
+
+
 def _listed_nulls(p, pf, rows):
-    """The null vectors of the kernel of rows, as _kernel lists them."""
+    """The null vectors of the kernel of rows, listed one by one."""
     return sum(not sum(a * y * y for a, y in zip(pf, v)) % p
-               for v in _fpcore_py._kernel(p, len(pf), rows))
+               for v in _kernel(p, len(pf), rows))
 
 
 def test_null_count_matches_enumeration():
     """The null vectors of a kernel, counted from the rank and the
-    discriminant of the norm on it, are those _kernel lists: seeded random
-    rows in reduced echelon form, of every rank, under norm forms with zero
-    coefficients too, so that the form on the kernel can be degenerate.
-    The cases reach a zero form, odd ranks and even ranks of both
-    characters."""
+    discriminant of the norm on it, are those listed one by one: seeded
+    random rows in reduced echelon form, of every rank, under norm forms
+    with zero coefficients too, so that the form on the kernel can be
+    degenerate.  The cases reach a zero form, odd ranks and even ranks of
+    both characters."""
     rng = random.Random("null-count")
     seen = set()
     for p in (3, 5, 7):
@@ -552,7 +570,7 @@ def test_null_count_matches_enumeration():
                 for _ in range(6):
                     rows = _fpcore_py._echelon(p, [[rng.randrange(p) for _ in range(m)]
                                                    for _ in range(rng.randint(0, m))])
-                    kernel = list(_fpcore_py._kernel(p, m, rows))
+                    kernel = list(_kernel(p, m, rows))
                     w = m - len(rows)
                     assert len(set(kernel)) == p ** w
                     assert all(_fpcore_py._in_kernel(rows, y, p) for y in kernel)
@@ -564,9 +582,9 @@ def test_null_count_matches_enumeration():
 
 
 def test_null_count_on_every_state_of_the_octonion_walk(monkeypatch):
-    """The count equals _kernel's list on every distinct last-level state
-    with rows of the complete (3, 3, 3) sweeps, 1,120 echelon forms, and
-    both sweeps meet the oracles."""
+    """The count equals the listed null vectors on every distinct
+    last-level state with rows of the complete (3, 3, 3) sweeps, 1,120
+    echelon forms, and both sweeps meet the oracles."""
     real = _fpcore_py._null_count
     states = {}
 
@@ -607,6 +625,30 @@ def test_quadric_sweep_oracles_pure():
         _check_against_oracles(sweeps.fp_algebra(p, r, n))
 
 
+def test_random_algebras_take_the_structured_walks(monkeypatch):
+    """Every Cayley-Dickson table is a composition table: 30 seeded
+    algebras with random nonzero doubling parameters and b, p <= 13,
+    r <= 2 and quadric spaces of at most 10^8 points, and two octonion
+    algebras at p = 3, meet the exact oracles with no point-by-point
+    walk, each state's last block counted from the norm on its kernel."""
+    def refuse(*args):
+        raise AssertionError("a Cayley-Dickson table was walked point by point")
+
+    monkeypatch.setattr(_fpcore_py, "_quadric_points", refuse)
+    monkeypatch.setattr(_fpcore_py, "_z1_points", refuse)
+    rng = random.Random("random-algebras")
+    shapes = [(3, 3, 3)] * 2
+    while len(shapes) < 32:
+        p, r, n = rng.choice((3, 5, 7, 11, 13)), rng.choice((0, 1, 1, 2, 2)), rng.randint(3, 6)
+        if sweeps.projective_size(p, (1 << r) * (n - 1) + 1) <= 10 ** 8:
+            shapes.append((p, r, n))
+    for p, r, n in shapes:
+        fld = PrimeField(p)
+        _check_against_oracles(JordanAlgebra(
+            CDAlgebra(fld, [rng.randrange(1, p) for _ in range(r)]),
+            [fld.element(rng.randrange(1, p)) for _ in range(n)]))
+
+
 def _bounded(monkeypatch, name, bound, draws=False):
     """Raise once the calls of _fpcore_py.<name>, or with draws the tuples
     it yields, pass bound."""
@@ -642,15 +684,6 @@ def test_complete_sweeps_walk_each_distinct_state_once(monkeypatch, shape):
     _bounded(monkeypatch, "_tuples", 1000, draws=True)
     _bounded(monkeypatch, "_echelon", 1000)
     _check_against_oracles(sweeps.fp_algebra(*shape))
-
-
-def test_complete_sweeps_count_the_last_block_on_a_true_table(monkeypatch):
-    """On a true table the null vectors of a state's kernel are counted
-    from the norm on it, not listed: the complete (3, 3, 3) sweeps meet the
-    oracles while _kernel yields at most 1,000 vectors, where listing the
-    kernels yields 90,720 vectors in each sweep."""
-    _bounded(monkeypatch, "_kernel", 1000, draws=True)
-    _check_against_oracles(sweeps.fp_algebra(3, 3, 3))
 
 
 def test_z1_sweep_against_naive_membership():
